@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
 from .ingest import MetricKind, MetricSeries, Polarity
 
@@ -39,8 +41,8 @@ class Direction(str, Enum):
     NONE = "NONE"
 
 
-def hour_bucket(window_start: int) -> int:
-    """Hour-of-day bucket (UTC) for a window start timestamp."""
+def hour_bucket(window_start: int | np.ndarray) -> int | np.ndarray:
+    """Hour-of-day bucket (UTC) of a window start; elementwise on int arrays."""
     return (window_start // 3600) % 24
 
 
@@ -216,8 +218,7 @@ def _hour_keys(cell_id: str, metric_name: str) -> list[BaselineKey]:
     return [(cell_id, metric_name, hour) for hour in range(24)]
 
 
-def _data_driven_bounds(values: list[float], bin_count: int) -> tuple[float, float]:
-    vmin, vmax = min(values), max(values)
+def _data_driven_bounds(vmin: float, vmax: float, bin_count: int) -> tuple[float, float]:
     span = vmax - vmin
     if span > 0:
         return vmin - 0.05 * span, vmax + 0.05 * span
@@ -229,32 +230,63 @@ def _data_driven_bounds(values: list[float], bin_count: int) -> tuple[float, flo
 
 
 def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:
-    """Fit per-(cell, metric, hour) sketches over cleaned training series."""
+    """Fit per-(cell, metric, hour) sketches over cleaned training series.
+
+    Per (cell, metric) all present values are binned at once: the bin index
+    is ``int((value - lo) / bin_width)`` as in ``HistogramSketch.insert``,
+    and ``np.bincount`` counts (hour, bin) pairs.
+    """
     if not train:
         raise EmptyTraining("no training series given")
 
     metric_meta: dict[str, tuple[MetricKind, Polarity]] = {}
-    per_key: dict[BaselineKey, list[float]] = {}
+    per_pair: dict[tuple[str, str], list[MetricSeries]] = {}
     for series in train:
         meta = (series.kind, series.polarity)
         known = metric_meta.setdefault(series.metric_name, meta)
         if known != meta:
             raise ValueError(f"conflicting kind/polarity for metric {series.metric_name!r}")
-        for ws, value in series.points:
-            if value is None:
-                continue
-            key = (series.cell_id, series.metric_name, hour_bucket(ws))
-            per_key.setdefault(key, []).append(value)
+        per_pair.setdefault((series.cell_id, series.metric_name), []).append(series)
 
     fixed = cfg.bounds or {}
+    nb = cfg.bin_count
     sketches: dict[BaselineKey, HistogramSketch] = {}
-    for key, values in per_key.items():
-        metric = key[1]
-        lo, hi = fixed.get(metric) or _data_driven_bounds(values, cfg.bin_count)
-        sketch = HistogramSketch.empty(lo, hi, cfg.bin_count)
-        for v in values:
-            sketch.insert(v)
-        sketches[key] = sketch
+    for (cell_id, metric), group in per_pair.items():
+        values = np.concatenate([s.values for s in group])
+        hours = hour_bucket(np.concatenate([s.window_starts for s in group]))
+        present = ~np.isnan(values)
+        values, hours = values[present], hours[present]
+        seen = np.flatnonzero(np.bincount(hours, minlength=24)).tolist()
+        if fixed.get(metric):
+            bounds = dict.fromkeys(seen, fixed[metric])
+        else:
+            mins = np.full(24, np.inf)
+            maxs = np.full(24, -np.inf)
+            np.minimum.at(mins, hours, values)
+            np.maximum.at(maxs, hours, values)
+            bounds = {h: _data_driven_bounds(float(mins[h]), float(maxs[h]), nb) for h in seen}
+        lo_h, hi_h = np.zeros(24), np.ones(24)
+        for h, (lo, hi) in bounds.items():
+            if not lo < hi:
+                raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+            lo_h[h], hi_h[h] = lo, hi
+        lo, hi = lo_h[hours], hi_h[hours]
+        under, over = values < lo, values > hi
+        inside = ~(under | over)
+        width = ((hi_h - lo_h) / nb)[hours[inside]]
+        bins = ((values[inside] - lo[inside]) / width).astype(np.int64)
+        np.minimum(bins, nb - 1, out=bins)  # value == hi after float division
+        counts = np.bincount(hours[inside] * nb + bins, minlength=24 * nb).reshape(24, nb)
+        n_under = np.bincount(hours[under], minlength=24)
+        n_over = np.bincount(hours[over], minlength=24)
+        for h, (lo, hi) in bounds.items():
+            sketches[(cell_id, metric, h)] = HistogramSketch(
+                lo=lo,
+                hi=hi,
+                counts=counts[h].tolist(),
+                underflow=int(n_under[h]),
+                overflow=int(n_over[h]),
+            )
     return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=sketches)
 
 
@@ -307,23 +339,51 @@ def score_series(
     threshold = model.config.tau if tau is None else tau
     if threshold <= 0:
         raise ValueError("tau must be > 0")
+    starts, values = test.window_starts, test.values
     if not model.covers(test.cell_id, test.metric_name):
-        raise UnknownKey((test.cell_id, test.metric_name, hour_bucket(test.points[0][0]) if test.points else 0))
-    out: list[ScoredWindow] = []
-    for ws, value in test.points:
-        if value is None:
-            score = AnomalyScore(0.0, Direction.NONE, False, False)
-            out.append(ScoredWindow(ws, score, False))
+        raise UnknownKey((test.cell_id, test.metric_name, hour_bucket(int(starts[0])) if len(starts) else 0))
+
+    # Per hour bucket: median, score denominator, sample sufficiency. A
+    # bucket without a sketch (or a metric without metadata) scores like
+    # MISSING, as robust_score's UnknownKey would.
+    med_h = np.zeros(24)
+    denom_h = np.ones(24)
+    trained_h = np.zeros(24, dtype=bool)
+    sufficient_h = np.zeros(24, dtype=bool)
+    meta = model.metric_meta.get(test.metric_name)
+    for h in range(24):
+        key = (test.cell_id, test.metric_name, h)
+        if meta is None or key not in model.sketches:
             continue
-        try:
-            score = robust_score(model, (test.cell_id, test.metric_name, hour_bucket(ws)), value)
-        except UnknownKey:
-            score = AnomalyScore(0.0, Direction.NONE, False, False)
-            out.append(ScoredWindow(ws, score, False))
-            continue
-        flagged = score.score >= threshold and score.degrading and score.sufficient_data
-        out.append(ScoredWindow(ws, score, flagged))
-    return out
+        med, mad = model.key_stats(key)
+        med_h[h] = med
+        denom_h[h] = MAD_CONSISTENCY * mad + SCALE_EPSILON
+        trained_h[h] = True
+        sufficient_h[h] = model.sample_count(key) >= model.config.min_samples
+
+    hours = hour_bucket(starts)
+    scored = ~np.isnan(values) & trained_h[hours]
+    med = med_h[hours]
+    score = np.where(scored, np.abs(values - med) / denom_h[hours], 0.0)
+    up = scored & (values > med)
+    down = scored & (values < med)
+    worse = up if meta is not None and meta[1] == Polarity.HIGHER_IS_WORSE else down
+    sufficient = scored & sufficient_h[hours]
+    flagged = (score >= threshold) & worse & sufficient
+    direction = np.where(up, 1, np.where(down, 2, 0))
+
+    directions = (Direction.NONE, Direction.UP, Direction.DOWN)
+    return [
+        ScoredWindow(ws, AnomalyScore(sc, directions[d], dg, sf), fl)
+        for ws, sc, d, dg, sf, fl in zip(
+            starts.tolist(),
+            score.tolist(),
+            direction.tolist(),
+            worse.tolist(),
+            sufficient.tolist(),
+            flagged.tolist(),
+        )
+    ]
 
 
 def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
@@ -420,10 +480,20 @@ def save_model(model: BaselineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BaselineModel:
+    """Read a model document; any structural defect raises SchemaMismatch."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema_version')!r}")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaMismatch(f"malformed model document: {type(exc).__name__}: {exc}") from None
+
+
+def _model_from_doc(doc: dict) -> BaselineModel:
     raw_cfg = doc["config"]
     cfg = DetectorConfig(
         bin_count=raw_cfg["bin_count"],
@@ -444,7 +514,11 @@ def load_model(path: str | Path) -> BaselineModel:
         raw = entry["sketch"]
         counts = [0] * raw["bin_count"]
         for i, c in raw["counts"]:
+            if not 0 <= i < len(counts) or c < 0:
+                raise ValueError(f"bad sparse count [{i}, {c}]")
             counts[i] = c
+        if raw["underflow"] < 0 or raw["overflow"] < 0:
+            raise ValueError("negative underflow/overflow count")
         sketches[(entry["cell_id"], entry["metric"], entry["hour"])] = HistogramSketch(
             lo=raw["lo"],
             hi=raw["hi"],

@@ -69,23 +69,23 @@ def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanRe
     the non-missing values via linear interpolation. Surviving points keep
     their order. Raises TooFewPoints if fewer than cfg.min_points survive.
     """
-    present = [(ws, v) for ws, v in series.points if v is not None]
-    missing_removed = len(series.points) - len(present)
+    present = ~np.isnan(series.values)
+    values = series.values[present]
+    missing_removed = len(series.values) - len(values)
 
-    kept = present
-    extremes_removed = 0
-    if present:
-        values = np.array([v for _, v in present], dtype=float)
+    keep = np.ones(len(values), dtype=bool)
+    if len(values):
         q1, q3 = np.percentile(values, [25.0, 75.0])
         iqr = q3 - q1
         lo = q1 - cfg.iqr_multiplier * iqr
         hi = q3 + cfg.iqr_multiplier * iqr
-        kept = [(ws, v) for ws, v in present if lo <= v <= hi]
-        extremes_removed = len(present) - len(kept)
+        keep = (values >= lo) & (values <= hi)
+    n_kept = int(np.count_nonzero(keep))
+    extremes_removed = len(values) - n_kept
 
-    if len(kept) < cfg.min_points:
+    if n_kept < cfg.min_points:
         raise TooFewPoints(
-            f"{series.cell_id}/{series.metric_name}: {len(kept)} points after cleaning, "
+            f"{series.cell_id}/{series.metric_name}: {n_kept} points after cleaning, "
             f"need {cfg.min_points}"
         )
 
@@ -95,7 +95,8 @@ def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanRe
         kind=series.kind,
         polarity=series.polarity,
         window_len=series.window_len,
-        points=kept,
+        window_starts=series.window_starts[present][keep],
+        values=values[keep],
     )
     report = CleanReport(
         missing_removed=missing_removed,
@@ -118,21 +119,22 @@ def chrono_split(series: MetricSeries, train_fraction: float) -> tuple[MetricSer
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    n = len(series.points)
+    n = len(series.values)
     cut = math.ceil(n * train_fraction)
     if cut == 0 or cut >= n:
         raise TooFewPoints(
             f"{series.cell_id}/{series.metric_name}: split {cut}/{n - cut} leaves an empty part"
         )
 
-    def _part(points: list[tuple[int, float | None]]) -> MetricSeries:
+    def _part(part: slice) -> MetricSeries:
         return MetricSeries(
             cell_id=series.cell_id,
             metric_name=series.metric_name,
             kind=series.kind,
             polarity=series.polarity,
             window_len=series.window_len,
-            points=points,
+            window_starts=series.window_starts[part],
+            values=series.values[part],
         )
 
-    return _part(series.points[:cut]), _part(series.points[cut:])
+    return _part(slice(None, cut)), _part(slice(cut, None))

@@ -24,6 +24,8 @@ from enum import Enum
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import BaselineModel, Direction, hour_bucket, robust_score
 from .errors import CorruptDb, SchemaMismatch, UnknownKey
 from .ingest import MetricKind, MetricSeries
@@ -117,6 +119,15 @@ def empty_db() -> FingerprintDb:
     return FingerprintDb(rules=[], transaction_total=0)
 
 
+def _value_at(series: MetricSeries, window_start: int) -> float | None:
+    """The series value at one window, or None when absent or MISSING."""
+    i = int(np.searchsorted(series.window_starts, window_start))
+    if i == len(series.window_starts) or series.window_starts[i] != window_start:
+        return None
+    value = float(series.values[i])
+    return None if math.isnan(value) else value
+
+
 def build_transactions(
     events: list[AnomalyEvent],
     kpi_series: list[MetricSeries],
@@ -132,12 +143,12 @@ def build_transactions(
     """
     if z_symptom <= 0:
         raise ValueError("z_symptom must be > 0")
-    values: dict[tuple[str, str], dict[int, float]] = {}
+    by_key: dict[tuple[str, str], MetricSeries] = {}
     kpis_by_cell: dict[str, list[str]] = {}
     for s in kpi_series:
         if s.kind != MetricKind.KPI:
             continue
-        values[(s.cell_id, s.metric_name)] = {ws: v for ws, v in s.points if v is not None}
+        by_key[(s.cell_id, s.metric_name)] = s
         kpis_by_cell.setdefault(s.cell_id, []).append(s.metric_name)
 
     transactions: list[Transaction] = []
@@ -145,7 +156,7 @@ def build_transactions(
         items: set[SymptomItem] = set()
         saw_value = False
         for kpi in sorted(kpis_by_cell.get(event.cell_id, [])):
-            value = values[(event.cell_id, kpi)].get(event.peak_window)
+            value = _value_at(by_key[(event.cell_id, kpi)], event.peak_window)
             if value is None:
                 continue
             saw_value = True

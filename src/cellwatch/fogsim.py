@@ -271,11 +271,11 @@ def _prepare(scenario: Scenario) -> _Prepared:
     tests: list[MetricSeries] = []
     for series in all_series:
         n_series_per_cell[series.cell_id] += 1
-        cut = math.ceil(len(series.points) * spec.train_fraction)
+        cut = math.ceil(len(series.values) * spec.train_fraction)
         if id(series) in derived_ids:
             agg_train_rows[series.cell_id] += cut
         else:
-            raw_rows[series.cell_id] += len(series.points)
+            raw_rows[series.cell_id] += len(series.values)
             raw_train_rows[series.cell_id] += cut
         train_raw, test = chrono_split(series, spec.train_fraction)
         cleaned, _ = clean(train_raw, scenario.clean_cfg)

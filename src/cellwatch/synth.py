@@ -24,6 +24,7 @@ from .errors import InvalidSpec
 from .ingest import (
     CDR_DERIVED_METRICS,
     Catalog,
+    MISSING,
     CdrRecord,
     MetricInfo,
     MetricKind,
@@ -378,6 +379,7 @@ def generate_series(
     window_len = spec.window_len
     n = spec.n_windows
     starts = np.arange(n, dtype=np.int64) * window_len
+    starts.flags.writeable = False  # shared by every generated series
     hours = (starts // 3600) % 24
     metric_names = sorted(spec.metrics)
     cells = spec.cell_ids()
@@ -421,18 +423,15 @@ def generate_series(
             np.clip(values, m.value_range[0], m.value_range[1], out=values)
             for lo_idx, hi_idx, shift in shifts.get((cell, name), []):
                 values[lo_idx:hi_idx] += shift
-            missing = rng.random(n) < spec.missing_rate
-            points: list[tuple[int, float | None]] = [
-                (int(ws), None if gone else float(v))
-                for ws, v, gone in zip(starts, values, missing)
-            ]
+            values[rng.random(n) < spec.missing_rate] = MISSING
             series = MetricSeries(
                 cell_id=cell,
                 metric_name=name,
                 kind=m.kind,
                 polarity=m.polarity,
                 window_len=window_len,
-                points=points,
+                window_starts=starts,
+                values=values,
             )
             (kqi_series if m.kind == MetricKind.KQI else kpi_series).append(series)
 

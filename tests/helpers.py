@@ -105,14 +105,15 @@ def make_series(
     window_len: int = 300,
     start: int = 0,
 ) -> MetricSeries:
-    points = [(start + i * window_len, v) for i, v in enumerate(values)]
+    """A grid-complete series from a list of values; None marks MISSING."""
     return MetricSeries(
         cell_id=cell_id,
         metric_name=metric_name,
         kind=kind,
         polarity=polarity,
         window_len=window_len,
-        points=points,
+        window_starts=start + window_len * np.arange(len(values), dtype=np.int64),
+        values=np.array([np.nan if v is None else v for v in values], dtype=np.float64),
     )
 
 

@@ -264,7 +264,7 @@ def test_criterion_7_metric_and_format_properties(tmp_path):
             make_series([float(v) for v in rng.normal(10, 2, 60)], cell_id=f"c{i}", window_len=900)
             for i in range(3)
         ]
-        series[0].points[5] = (series[0].points[5][0], None)
+        series[0].values[5] = np.nan  # one MISSING window
         csv_path = tmp_path / "series.csv"
         write_metric_csv(series, csv_path)
         from cellwatch.ingest import MetricInfo, Polarity

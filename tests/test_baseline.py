@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,6 +222,79 @@ class TestScoreSeries:
         assert not scored.score.sufficient_data
 
 
+def reference_scores(model, test, tau):
+    """score_series written window by window with robust_score."""
+    out = []
+    for ws, value in test.points:
+        key = (test.cell_id, test.metric_name, hour_bucket(ws))
+        try:
+            if value is None:
+                raise UnknownKey(key)
+            sc = robust_score(model, key, value)
+        except UnknownKey:
+            out.append((ws, 0.0, Direction.NONE, False, False, False))
+            continue
+        flagged = sc.score >= tau and sc.degrading and sc.sufficient_data
+        out.append((ws, sc.score, sc.direction, sc.degrading, sc.sufficient_data, flagged))
+    return out
+
+
+class TestArrayStagesAgainstLoops:
+    """fit_baseline and score_series against per-value reference loops."""
+
+    @staticmethod
+    def random_series(rng, n_cells=3):
+        series = []
+        for c in range(n_cells):
+            values = rng.normal(5, 3, 400)
+            values[rng.random(400) < 0.05] = np.nan
+            values[::37] = 12.0  # exactly on the fixed upper bound
+            values[5::41] = -2.0  # exactly on the fixed lower bound
+            values[7::53] = 40.0  # outside the fixed bounds
+            series.append(make_series([None if np.isnan(v) else float(v) for v in values],
+                                      cell_id=f"c{c}", window_len=900))
+        series.append(make_series([3.25] * 100, cell_id="flat", window_len=900))
+        return series
+
+    @pytest.mark.parametrize("bounds", [None, {"m1": (-2.0, 12.0)}])
+    def test_fit_counts_equal_insert_loop(self, bounds):
+        rng = np.random.default_rng(17)
+        series = self.random_series(rng)
+        cfg = DetectorConfig(bin_count=16, min_samples=2, bounds=bounds)
+        model = fit_baseline(series, cfg)
+        per_key = {}
+        for s in series:
+            for ws, v in s.points:
+                if v is not None:
+                    per_key.setdefault((s.cell_id, s.metric_name, hour_bucket(ws)), []).append(v)
+        assert set(model.sketches) == set(per_key)
+        for key, values in per_key.items():
+            fitted = model.sketches[key]
+            if bounds is None:
+                assert min(values) >= fitted.lo and max(values) <= fitted.hi
+            else:
+                assert (fitted.lo, fitted.hi) == bounds["m1"]
+            ref = HistogramSketch.empty(fitted.lo, fitted.hi, cfg.bin_count)
+            for v in values:
+                ref.insert(v)
+            assert fitted == ref
+            assert all(type(c) is int for c in fitted.counts)
+
+    def test_scores_equal_robust_score_loop(self):
+        rng = np.random.default_rng(23)
+        series = self.random_series(rng)
+        cfg = DetectorConfig(bin_count=32, min_samples=12)
+        model = fit_baseline([s for s in series if s.cell_id != "c2"], cfg)
+        for s in series[:2] + series[3:]:
+            test = replace(s, values=s.values + rng.normal(0, 4, len(s.values)))
+            got = [
+                (w.window_start, w.score.score, w.score.direction, w.score.degrading,
+                 w.score.sufficient_data, w.flagged)
+                for w in score_series(model, test, tau=3.0)
+            ]
+            assert got == reference_scores(model, test, 3.0)
+
+
 class TestMergeBaselines:
     def fit_partitions(self, seed, n_parts):
         rng = np.random.default_rng(seed)
@@ -230,10 +306,12 @@ class TestMergeBaselines:
         parts = []
         prev = 0
         for cut in list(bounds_idx) + [len(values)]:
-            pts = series.points[prev:cut]
-            if pts:
-                part = make_series([], window_len=300)
-                part.points = pts
+            if cut > prev:
+                part = replace(
+                    series,
+                    window_starts=series.window_starts[prev:cut],
+                    values=series.values[prev:cut],
+                )
                 parts.append(fit_baseline([part], cfg))
             prev = cut
         return pooled, parts
@@ -292,6 +370,47 @@ class TestSerialization:
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"schema_version": 99}')
+        with pytest.raises(SchemaMismatch):
+            load_model(path)
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"schema_version": 1},
+            [1, 2, 3],
+            "model",
+            {"schema_version": 1, "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1}},
+            {"schema_version": 1, "config": [], "metrics": {}, "keys": []},
+            {
+                "schema_version": 1,
+                "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1, "bounds": None},
+                "metrics": {"m1": {"kind": "KQI", "polarity": "SIDEWAYS"}},
+                "keys": [],
+            },
+            {
+                "schema_version": 1,
+                "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1, "bounds": None},
+                "metrics": {},
+                "keys": [{"cell_id": "c1", "metric": "m1", "hour": 0, "sketch": {"bin_count": 16}}],
+            },
+            *(
+                {
+                    "schema_version": 1,
+                    "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
+                    "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
+                    "keys": [{"cell_id": "c1", "metric": "m1", "hour": 0, "sketch": {
+                        "lo": 0.0, "hi": 1.0, "bin_count": 8, "counts": counts,
+                        "underflow": under, "overflow": 0,
+                    }}],
+                }
+                for counts, under in [([[-1, 5]], 0), ([[8, 5]], 0), ([[2, -3]], 0), ([[2, 3]], -1)]
+            ),
+        ],
+    )
+    def test_malformed_document_is_schema_mismatch(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch):
             load_model(path)
 

@@ -144,6 +144,17 @@ class TestExitCodes:
         )
         assert rc == 1  # too few points after cleaning
 
+    @pytest.mark.parametrize("doc", [{"schema_version": 1}, [1, 2, 3]])
+    def test_malformed_model_is_exit_1(self, workspace, tmp_path, doc):
+        data = workspace / "data"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(
+            ["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--model", str(bad), "--out", str(tmp_path / "events.jsonl")]
+        )
+        assert rc == 1
+
     def test_bad_config_value_is_exit_2(self, tmp_path):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(

@@ -171,14 +171,14 @@ class TestBuildTransactions:
 
     def test_spiked_kpi_becomes_high_item(self):
         model, kpis = self.setup_model()
-        kpis[0].points[2] = (600, 30.0)  # far above baseline
+        kpis[0].values[2] = 30.0  # window 600, far above baseline
         (t,) = build_transactions([self.event()], kpis, model, z_symptom=3.0)
         assert t.items == frozenset({item("rtt=HIGH")})
 
     def test_up_and_down_spikes_get_matching_states(self):
         model, kpis = self.setup_model()
-        kpis[0].points[2] = (600, 30.0)
-        kpis[1].points[2] = (600, -10.0)
+        kpis[0].values[2] = 30.0  # window 600
+        kpis[1].values[2] = -10.0
         (t,) = build_transactions([self.event()], kpis, model, z_symptom=3.0)
         assert t.items == frozenset({item("rtt=HIGH"), item("loss=LOW")})
 

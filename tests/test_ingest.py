@@ -1,13 +1,18 @@
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellwatch.errors import DuplicatePoint, MalformedHeader, MalformedRow, UnknownMetric
 from cellwatch.ingest import (
     CdrRecord,
     MetricInfo,
     MetricKind,
+    MetricSeries,
     Polarity,
     aggregate_cdr,
     load_catalog,
@@ -125,6 +130,210 @@ class TestParseMetricCsv:
         out2 = tmp_path / "round2.csv"
         write_metric_csv(again, out2)
         assert out.read_bytes() == out2.read_bytes()
+
+
+# Each file has a valid row, then the row under test, then a row that is bad
+# in a different way. Expected results were recorded from the row-by-row
+# csv-module parser this parser replaced.
+PARITY_BAD_ROWS = {
+    "field_count": "c1,rtt,300",
+    "unknown_metric": "c1,mystery,300,1.0",
+    "kind_mismatch": "c1,load_ms,300,1.0",
+    "non_integer_ws": "c1,rtt,3e2,1.0",
+    "misaligned_ws": "c1,rtt,450,1.0",
+    "non_numeric_value": "c1,rtt,300,1.0.0",
+    "duplicate": "c1,rtt,0,2.0",
+}
+PARITY_ERRORS = {
+    "field_count": (MalformedRow, 4, "line 4: expected 4 fields, got 3"),
+    "unknown_metric": (UnknownMetric, None, "metric 'mystery' not present in the catalog"),
+    "kind_mismatch": (MalformedRow, 4, "line 4: metric 'load_ms' is KQI, expected KPI"),
+    "non_integer_ws": (MalformedRow, 4, "line 4: non-integer window_start '3e2'"),
+    "misaligned_ws": (MalformedRow, 4, "line 4: window_start 450 not aligned to window_len 300"),
+    "non_numeric_value": (MalformedRow, 4, "line 4: non-numeric value '1.0.0'"),
+    "duplicate": (DuplicatePoint, None, "duplicate point for ('c1', 'rtt', 0)"),
+}
+PARITY_ACCEPTED = {
+    "crlf_blank_no_trailing_newline": (
+        "cell_id,metric_name,window_start,value\r\n\r\nc1,rtt,300,1.5\r\n\r\n"
+        "c1,rtt,0,2.5\r\n\nc1,rtt,600,",
+        [("c1", "rtt", [(0, 2.5), (300, 1.5), (600, None)])],
+    ),
+    "negative_unsorted_interleaved": (
+        "cell_id,metric_name,window_start,value\nc2,rtt,-300,1.0\nc1,rtt,600,3.0\n"
+        "c2,rtt,-900,2.0\nc1,loss,0,4.0\nc1,rtt,-600,5.0\nc2,rtt,-600,6.0\n",
+        [
+            ("c1", "loss", [(0, 4.0)]),
+            ("c1", "rtt", [(-600, 5.0), (-300, None), (0, None), (300, None), (600, 3.0)]),
+            ("c2", "rtt", [(-900, 2.0), (-600, 6.0), (-300, 1.0)]),
+        ],
+    ),
+    "interior_gaps": (
+        "cell_id,metric_name,window_start,value\nc1,rtt,0,1.0\nc1,rtt,1500,2.0\n"
+        "c1,rtt,600,\nc1,loss,300,3.0\nc1,loss,1200,4.0\n",
+        [
+            ("c1", "loss", [(300, 3.0), (600, None), (900, None), (1200, 4.0)]),
+            ("c1", "rtt", [(0, 1.0), (300, None), (600, None), (900, None), (1200, None), (1500, 2.0)]),
+        ],
+    ),
+    "header_only": ("cell_id,metric_name,window_start,value\n", []),
+    "long_keys_differing_at_the_end": (
+        "cell_id,metric_name,window_start,value\n"
+        f"{'x' * 70}a,rtt,0,1.0\n{'x' * 70}b,rtt,0,2.0\n{'x' * 70}b,rtt,300,3.0\n"
+        f"{'x' * 70}a,rtt,300,4.0\n{'x' * 70}a,rtt,600,5.0\n",
+        [
+            ("x" * 70 + "a", "rtt", [(0, 1.0), (300, 4.0), (600, 5.0)]),
+            ("x" * 70 + "b", "rtt", [(0, 2.0), (300, 3.0)]),
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def parity_catalog(catalog):
+    return {**catalog, "loss": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300)}
+
+
+class TestParserParity:
+    HEADER = "cell_id,metric_name,window_start,value"
+
+    @pytest.mark.parametrize("name", list(PARITY_BAD_ROWS))
+    def test_first_bad_row_reported_like_row_reader(self, tmp_path, parity_catalog, name):
+        names = list(PARITY_BAD_ROWS)
+        later = PARITY_BAD_ROWS[names[(names.index(name) + 1) % len(names)]]
+        text = f"{self.HEADER}\nc1,rtt,0,1.5\nc2,loss,600,0.5\n{PARITY_BAD_ROWS[name]}\n{later}\n"
+        p = write(tmp_path / "m.csv", text)
+        cls, line_no, message = PARITY_ERRORS[name]
+        with pytest.raises(cls) as exc:
+            parse_metric_csv(p, MetricKind.KPI, parity_catalog)
+        assert type(exc.value) is cls
+        assert getattr(exc.value, "line_no", None) == line_no
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", list(PARITY_ACCEPTED))
+    def test_accepted_input_parses_like_row_reader(self, tmp_path, parity_catalog, name):
+        text, expected = PARITY_ACCEPTED[name]
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode())
+        series = parse_metric_csv(p, MetricKind.KPI, parity_catalog)
+        assert [(s.cell_id, s.metric_name, s.points) for s in series] == expected
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "inf", "-inf", "INF", "Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, catalog, value):
+        p = write(tmp_path / "m.csv", f"{self.HEADER}\nc1,rtt,0,1.5\nc1,rtt,300,{value}\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value.line_no == 3
+        assert str(exc.value) == f"line 3: non-finite value {value!r}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"c1",rtt,300,1.0', "unsupported character '\"'"),
+            ("c1,rtt,300,1.0\x00", "unsupported character '\\x00'"),
+            ("c1,rtt,300,1.0\r2", "unsupported character '\\r'"),
+            ("c1,rtt,+300,1.0", "non-integer window_start '+300'"),
+            ("c1,rtt, 300,1.0", "non-integer window_start ' 300'"),
+            ("c1,rtt,3000000000000000000,1.0", "window_start 3000000000000000000 has more than 18 digits"),
+            ("c1,rtt,300," + "1" * 41, "value longer than 40 bytes"),
+        ],
+    )
+    def test_input_outside_grammar_is_malformed_row(self, tmp_path, catalog, row, message):
+        p = tmp_path / "m.csv"
+        p.write_bytes(f"{self.HEADER}\nc1,rtt,0,1.5\n{row}\nc1,rtt,600,1.0\n".encode())
+        with pytest.raises(MalformedRow) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value.line_no == 3
+        assert str(exc.value) == f"line 3: {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="0123456789.eE+-_ abinfINF", min_size=1, max_size=12))
+    def test_value_accepted_iff_float_accepts_it(self, tmp_path_factory, value):
+        p = tmp_path_factory.mktemp("v") / "m.csv"
+        p.write_bytes(f"{self.HEADER}\nc1,rtt,0,1.5\nc1,rtt,300,{value}\n".encode())
+        catalog = {"rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300)}
+        try:
+            expected = float(value)
+        except ValueError:
+            expected = None
+        if expected is None or not math.isfinite(expected):
+            with pytest.raises(MalformedRow) as exc:
+                parse_metric_csv(p, MetricKind.KPI, catalog)
+            assert exc.value.line_no == 3
+        else:
+            (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
+            assert series.values[1:].tobytes() == np.array([expected]).tobytes()
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def series_lists(draw):
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["c1", "c2", "cell-9"]), st.sampled_from(["rtt", "loss"])),
+            unique=True,
+            max_size=4,
+        )
+    )
+    out = []
+    for cell_id, metric in sorted(keys):
+        first = draw(st.integers(-10**6, 10**6)) * 300
+        values = draw(st.lists(st.one_of(st.none(), finite_floats), min_size=1, max_size=20))
+        out.append(
+            MetricSeries(
+                cell_id=cell_id,
+                metric_name=metric,
+                kind=MetricKind.KPI,
+                polarity=Polarity.HIGHER_IS_WORSE,
+                window_len=300,
+                window_starts=first + 300 * np.arange(len(values)),
+                values=np.array([np.nan if v is None else v for v in values], dtype=np.float64),
+            )
+        )
+    return out
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(series_lists())
+    def test_write_then_parse_is_bit_identical(self, tmp_path_factory, series):
+        p = tmp_path_factory.mktemp("rt") / "m.csv"
+        write_metric_csv(series, p)
+        catalog = {
+            "rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+            "loss": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+        }
+        parsed = parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert parsed == series
+        for a, b in zip(parsed, series):
+            assert a.values.tobytes() == np.where(np.isnan(b.values), np.nan, b.values).tobytes()
+
+
+class TestMetricSeriesEquality:
+    def make(self, values):
+        return MetricSeries("c1", "rtt", MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300,
+                            300 * np.arange(len(values)), np.array(values, dtype=np.float64))
+
+    def test_nan_equals_nan(self):
+        assert self.make([1.0, np.nan]) == self.make([1.0, np.nan])
+
+    def test_comparison_is_bit_exact(self):
+        assert self.make([0.0]) != self.make([-0.0])
+        assert self.make([1.0]) != self.make([1.0 + 2**-52])
+        assert self.make([1.0]) != self.make([1.0, 2.0])
+
+    def test_metadata_compared(self):
+        other = self.make([1.0])
+        other.cell_id = "c2"
+        assert self.make([1.0]) != other
+
+    def test_points_view_uses_none_for_missing(self):
+        assert self.make([1.5, np.nan]).points == [(0, 1.5), (300, None)]
 
 
 class TestAggregateCdr:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -50,6 +51,14 @@ class TestGenerate:
             assert event.cause_label is not None
 
     @staticmethod
+    def value_at(series, window_start):
+        """Value of a grid-complete series at one window; None when MISSING."""
+        i = (window_start - int(series.window_starts[0])) // series.window_len
+        assert series.window_starts[i] == window_start
+        value = float(series.values[i])
+        return None if math.isnan(value) else value
+
+    @staticmethod
     def hour_matched_train(series, cutoff, window_start):
         return [
             v
@@ -66,7 +75,7 @@ class TestGenerate:
         for planted in truth.planted_events:
             series = by_key[(planted.cell_id, planted.metric)]
             for ws in range(planted.start_window, planted.end_window + 1, spec.window_len):
-                value = series.value_at(ws)
+                value = self.value_at(series, ws)
                 train = self.hour_matched_train(series, cut, ws)
                 if value is None or len(train) < 8:
                     continue
@@ -87,7 +96,7 @@ class TestGenerate:
             for token in tokens:
                 kpi_name, _ = token.split("=")
                 series = by_key[(planted.cell_id, kpi_name)]
-                value = series.value_at(planted.start_window)
+                value = self.value_at(series, planted.start_window)
                 train = self.hour_matched_train(series, cut, planted.start_window)
                 if value is None or len(train) < 8:
                     continue
