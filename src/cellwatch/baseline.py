@@ -16,14 +16,15 @@ empty bins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
-from .ingest import MetricKind, MetricSeries, Polarity
+from .ingest import Catalog, MetricKind, MetricSeries, Polarity
+from .jsondoc import decode, encode
 
 MAD_CONSISTENCY = 1.4826
 
@@ -168,6 +169,11 @@ class DetectorConfig:
             raise ValueError("tau must be > 0")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
+
+    def with_catalog_bounds(self, catalog: Catalog) -> DetectorConfig:
+        """This config with bounds pinned to the catalog's declared value ranges."""
+        bounds = {name: info.value_range for name, info in catalog.items() if info.value_range}
+        return replace(self, bounds=bounds or None)
 
 
 @dataclass
@@ -456,16 +462,7 @@ def model_to_json(model: BaselineModel) -> str:
         )
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "config": {
-            "bin_count": model.config.bin_count,
-            "tau": model.config.tau,
-            "min_samples": model.config.min_samples,
-            "bounds": (
-                {m: list(b) for m, b in sorted(model.config.bounds.items())}
-                if model.config.bounds
-                else None
-            ),
-        },
+        "config": encode(model.config),
         "metrics": {
             name: {"kind": kind.value, "polarity": polarity.value}
             for name, (kind, polarity) in sorted(model.metric_meta.items())
@@ -494,17 +491,7 @@ def load_model(path: str | Path) -> BaselineModel:
 
 
 def _model_from_doc(doc: dict) -> BaselineModel:
-    raw_cfg = doc["config"]
-    cfg = DetectorConfig(
-        bin_count=raw_cfg["bin_count"],
-        tau=raw_cfg["tau"],
-        min_samples=raw_cfg["min_samples"],
-        bounds=(
-            {m: (b[0], b[1]) for m, b in raw_cfg["bounds"].items()}
-            if raw_cfg.get("bounds")
-            else None
-        ),
-    )
+    cfg = decode(DetectorConfig, doc["config"], "config")
     metric_meta = {
         name: (MetricKind(entry["kind"]), Polarity(entry["polarity"]))
         for name, entry in doc["metrics"].items()

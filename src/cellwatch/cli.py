@@ -1,10 +1,10 @@
 """Command-line pipeline: gen, train, detect, mine, diagnose, fogsim, eval, report.
 
-Configuration resolves in three layers: built-in defaults (the DEFAULTS
-table below), an optional --config JSON file, and per-flag overrides (flags
-win). Diagnostics go to stderr; data goes to the designated output files or
-stdout. Exit codes: 0 success, 1 domain error (e.g. too few points after
-cleaning), 2 usage or IO error.
+Configuration resolves in three layers: the config dataclasses' defaults,
+an optional --config JSON file (decoded strictly, see ``jsondoc``), and
+per-flag overrides (flags win). Diagnostics go to stderr; data goes to the
+designated output files or stdout. Exit codes: 0 success, 1 domain error
+(e.g. too few points after cleaning), 2 usage or IO error.
 
 Re-running any subcommand with identical inputs and configuration writes
 byte-identical outputs: generation is seed-deterministic, JSON documents
@@ -18,8 +18,9 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_type_hints
 
 from . import synth
 from .baseline import (
@@ -30,7 +31,7 @@ from .baseline import (
     score_series,
 )
 from .cleaning import CleanConfig, CleanReport, chrono_split, clean
-from .errors import CellwatchError
+from .errors import CellwatchError, SchemaMismatch
 from .fingerprints import (
     MineConfig,
     SymptomItem,
@@ -60,84 +61,64 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
+from .jsondoc import decode, require_object
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, GroundTruth, evaluate
 
 log = logging.getLogger("cellwatch")
 
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "pipeline": {"train_fraction": 0.7},
-    "clean": {"iqr_multiplier": 6.0, "min_points": 24},
-    "detector": {"bin_count": 128, "tau": 5.0, "min_samples": 20},
-    "filters": {"persistence_m": 2, "persistence_n": 3, "merge_gap": 2, "min_peak_score": 6.0},
-    "mine": {
-        "s_min_count": 3,
-        "s_max_fraction": 0.10,
-        "c_min": 0.8,
-        "lift_min": 1.5,
-        "max_antecedent": 4,
-    },
-    "rca": {"k": 3, "match_threshold": 0.5, "z_symptom": 3.0},
-}
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    train_fraction: float = 0.7
 
 
-class _Config:
-    """Defaults <- config file <- command-line flags."""
+@dataclass(frozen=True)
+class RcaConfig:
+    k: int = 3
+    match_threshold: float = 0.5
+    z_symptom: float = 3.0
 
-    def __init__(self, args: argparse.Namespace):
-        self.file_cfg: dict = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            with open(config_path, encoding="utf-8") as fh:
-                self.file_cfg = json.load(fh)
-        self.args = args
 
-    def get(self, section: str, key: str, flag: str | None = None):
-        flag_value = getattr(self.args, flag or key, None)
-        if flag_value is not None:
-            return flag_value
-        return self.file_cfg.get(section, {}).get(key, DEFAULTS[section][key])
+@dataclass(frozen=True)
+class RunConfig:
+    """A --config document: one section per stage, defaults from each dataclass."""
 
-    def clean_cfg(self) -> CleanConfig:
-        return CleanConfig(
-            iqr_multiplier=self.get("clean", "iqr_multiplier", "iqr_k"),
-            min_points=self.get("clean", "min_points"),
-        )
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+    clean: CleanConfig = field(default_factory=CleanConfig)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    filters: FilterConfig = field(default_factory=FilterConfig)
+    mine: MineConfig = field(default_factory=MineConfig)
+    rca: RcaConfig = field(default_factory=RcaConfig)
 
-    def detector_cfg(self, catalog: Catalog) -> DetectorConfig:
-        bounds = {
-            name: info.value_range
-            for name, info in catalog.items()
-            if info.value_range is not None
-        }
-        return DetectorConfig(
-            bin_count=self.get("detector", "bin_count", "bins"),
-            tau=self.get("detector", "tau"),
-            min_samples=self.get("detector", "min_samples"),
-            bounds=bounds or None,
-        )
 
-    def filter_cfg(self) -> FilterConfig:
-        return FilterConfig(
-            persistence_m=self.get("filters", "persistence_m"),
-            persistence_n=self.get("filters", "persistence_n"),
-            merge_gap=self.get("filters", "merge_gap"),
-            min_peak_score=self.get("filters", "min_peak_score"),
-        )
+# config fields whose flag has another name; every other flag is named after its field
+_FLAG_DESTS = {"iqr_multiplier": "iqr_k", "bin_count": "bins"}
 
-    def mine_cfg(self) -> MineConfig:
-        return MineConfig(
-            s_min_count=self.get("mine", "s_min_count"),
-            s_max_fraction=self.get("mine", "s_max_fraction"),
-            c_min=self.get("mine", "c_min"),
-            lift_min=self.get("mine", "lift_min"),
-            max_antecedent=self.get("mine", "max_antecedent"),
-        )
 
-    @property
-    def train_fraction(self) -> float:
-        return self.get("pipeline", "train_fraction")
+def _read_json(path: str | Path) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read_config_doc(path: str | Path) -> dict:
+    """A --config or --scenario document; detector bounds come from the catalog only."""
+    doc = require_object(_read_json(path))
+    if isinstance(doc.get("detector"), dict) and "bounds" in doc["detector"]:
+        raise SchemaMismatch("detector.bounds: unknown key (set value_range in the catalog)")
+    return doc
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """Dataclass defaults <- --config file <- command-line flags (flags win)."""
+    cfg = decode(RunConfig, _read_config_doc(args.config)) if args.config else RunConfig()
+    for section in fields(RunConfig):
+        values = getattr(cfg, section.name)
+        flags = {f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name), None) for f in fields(values)}
+        flags = {name: value for name, value in flags.items() if value is not None}
+        cfg = replace(cfg, **{section.name: replace(values, **flags)})
+    return cfg
 
 
 def _write_json(doc: dict, path: str | Path) -> None:
@@ -208,14 +189,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
+    cfg = _load_config(args)
     catalog = load_catalog(args.catalog)
     series = _load_all_series(args, catalog, MetricKind.KQI)
     series += _load_all_series(args, catalog, MetricKind.KPI)
     if not series:
         raise CellwatchError("no input series; pass --kqi/--kpi/--cdr")
-    cleaned, report = _split_train(series, cfg.train_fraction, cfg.clean_cfg())
-    model = fit_baseline(cleaned, cfg.detector_cfg(catalog))
+    cleaned, report = _split_train(series, cfg.pipeline.train_fraction, cfg.clean)
+    model = fit_baseline(cleaned, cfg.detector.with_catalog_bounds(catalog))
     save_model(model, args.out)
     if args.clean_report:
         _write_json(report.to_json_dict(), args.clean_report)
@@ -230,15 +211,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
+    cfg = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     series = _load_all_series(args, catalog, MetricKind.KQI)
     if not series:
         raise CellwatchError("no KQI series; pass --kqi and/or --cdr")
-    tests = _split_test(series, cfg.train_fraction)
-    tau = cfg.get("detector", "tau")
-    filter_cfg = cfg.filter_cfg()
+    tests = _split_test(series, cfg.pipeline.train_fraction)
+    tau = cfg.detector.tau
+    filter_cfg = cfg.filters
     events: list[AnomalyEvent] = []
     for test in tests:
         scored = score_series(model, test, tau=tau)
@@ -254,26 +235,34 @@ def _load_events(path: str | Path) -> list[AnomalyEvent]:
     return [AnomalyEvent.from_json_dict(doc) for doc in _read_jsonl(path)]
 
 
+@dataclass(frozen=True)
+class _Label:
+    antecedent: list[str]
+    consequent: str
+    cause_label: str
+
+
+@dataclass(frozen=True)
+class _LabelsDoc:
+    labels: list[_Label] = field(default_factory=list)
+
+
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     labels = {}
-    for entry in doc.get("labels", []):
-        antecedent = frozenset(SymptomItem.from_token(t) for t in entry["antecedent"])
-        labels[(antecedent, entry["consequent"])] = entry["cause_label"]
+    for entry in decode(_LabelsDoc, _read_json(path)).labels:
+        antecedent = frozenset(SymptomItem.from_token(t) for t in entry.antecedent)
+        labels[(antecedent, entry.consequent)] = entry.cause_label
     return labels
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
+    cfg = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     events = _load_events(args.events)
     kpi_series = parse_metric_csv(args.kpi, MetricKind.KPI, catalog)
-    transactions = build_transactions(
-        events, kpi_series, model, z_symptom=cfg.get("rca", "z_symptom")
-    )
-    rules = mine_rare_rules(transactions, cfg.mine_cfg())
+    transactions = build_transactions(events, kpi_series, model, z_symptom=cfg.rca.z_symptom)
+    rules = mine_rare_rules(transactions, cfg.mine)
     base = load_db(args.db_in) if args.db_in else empty_db()
     labels = _load_labels(args.labels) if args.labels else {}
     built_at = max((t.key[1] for t in transactions), default=base.built_at)
@@ -291,17 +280,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    cfg = _Config(args)
+    cfg = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     db = load_db(args.db)
     events = _load_events(args.events)
     kpi_series = parse_metric_csv(args.kpi, MetricKind.KPI, catalog)
     symptom_sets = symptom_sets_for_events(
-        events, kpi_series, model, z_symptom=cfg.get("rca", "z_symptom")
+        events, kpi_series, model, z_symptom=cfg.rca.z_symptom
     )
-    k = cfg.get("rca", "k")
-    threshold = cfg.get("rca", "match_threshold")
+    k = cfg.rca.k
+    threshold = cfg.rca.match_threshold
     docs = []
     n_matched = 0
     for symptoms in symptom_sets:
@@ -320,24 +309,24 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario(path: str | Path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    base = default_scenario()
-    spec = synth.spec_from_json_dict(doc["spec"]) if "spec" in doc else base.spec
-    def section(name: str, ctor, default):
-        return ctor(**doc[name]) if name in doc else default
-    from .fogsim import RecordSizes
+# scenario document key -> the Scenario field it sets. A present key is decoded
+# from the dataclass defaults; an absent one keeps default_scenario()'s value.
+_SCENARIO_KEYS = {
+    "spec": "spec", "sizes": "sizes", "z_symptom": "z_symptom",
+    "clean": "clean_cfg", "detector": "detector_cfg", "filters": "filter_cfg", "mine": "mine_cfg",
+}
 
-    return Scenario(
-        spec=spec,
-        sizes=section("sizes", RecordSizes, base.sizes),
-        clean_cfg=section("clean", CleanConfig, base.clean_cfg),
-        detector_cfg=section("detector", DetectorConfig, base.detector_cfg),
-        filter_cfg=section("filters", FilterConfig, base.filter_cfg),
-        mine_cfg=section("mine", MineConfig, base.mine_cfg),
-        z_symptom=doc.get("z_symptom", base.z_symptom),
-    )
+
+def _load_scenario(path: str | Path) -> Scenario:
+    doc = _read_config_doc(path)
+    hints = get_type_hints(Scenario)
+    changes = {}
+    for key, value in doc.items():
+        if key not in _SCENARIO_KEYS:
+            raise SchemaMismatch(f"{key}: unknown key")
+        name = _SCENARIO_KEYS[key]
+        changes[name] = decode(hints[name], value, key)
+    return replace(default_scenario(), **changes)
 
 
 def _cmd_fogsim(args: argparse.Namespace) -> int:
@@ -386,8 +375,7 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     events = _load_events(args.events)
-    with open(args.truth, encoding="utf-8") as fh:
-        truth = GroundTruth.from_json_dict(json.load(fh))
+    truth = GroundTruth.from_json_dict(_read_json(args.truth))
     outcomes: list[DiagnosisOutcome | None] | None = None
     if args.diagnoses:
         by_event = {}
@@ -434,8 +422,7 @@ def _summarize(path: Path) -> list[str]:
             return lines
         return [f"{len(docs)} JSON Lines records"]
 
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = require_object(_read_json(path))
     if "keys" in doc and "metrics" in doc:
         return [
             f"baseline model: {len(doc['keys'])} keys over {len(doc['metrics'])} metrics",

@@ -66,7 +66,7 @@ class IncompatibleSketch(CellwatchError):
 
 
 class SchemaMismatch(CellwatchError):
-    """Persisted document carries an unsupported schema version."""
+    """A JSON document does not match its schema (version, shape, key or type)."""
 
 
 class CorruptDb(CellwatchError):

@@ -19,7 +19,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -459,30 +459,12 @@ def update_db(
         label = labels.get(rule_key)
         if label is None:
             label = old.cause_label if old is not None else rule.cause_label
-        merged[rule_key] = Fingerprint(
-            antecedent=rule.antecedent,
-            consequent=rule.consequent,
-            support=rule.support,
-            support_count=rule.support_count,
-            antecedent_count=rule.antecedent_count,
-            confidence=rule.confidence,
-            lift=rule.lift,
-            cause_label=label,
-        )
+        merged[rule_key] = replace(rule, cause_label=label)
     # apply labels to retained rules as well
     for rule_key, rule in merged.items():
         label = labels.get(rule_key)
         if label is not None and rule.cause_label != label:
-            merged[rule_key] = Fingerprint(
-                antecedent=rule.antecedent,
-                consequent=rule.consequent,
-                support=rule.support,
-                support_count=rule.support_count,
-                antecedent_count=rule.antecedent_count,
-                confidence=rule.confidence,
-                lift=rule.lift,
-                cause_label=label,
-            )
+            merged[rule_key] = replace(rule, cause_label=label)
     rules = sorted(merged.values(), key=_rule_sort_key)
     total = max(
         [db.transaction_total, transaction_total or 0] + [r.support_count for r in rules]

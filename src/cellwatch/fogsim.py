@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -247,10 +247,7 @@ def _prepare(scenario: Scenario) -> _Prepared:
     derived = aggregate_cdr(records, spec.window_len)
     all_series = derived + kqi_series + kpi_series
 
-    bounds = {
-        name: info.value_range for name, info in catalog.items() if info.value_range is not None
-    }
-    detector_cfg = replace(scenario.detector_cfg, bounds=bounds or None)
+    detector_cfg = scenario.detector_cfg.with_catalog_bounds(catalog)
 
     cutoff = spec.train_cutoff_window
     cells = spec.cell_ids()
@@ -544,9 +541,8 @@ def default_scenario(seed: int = 424242) -> Scenario:
     spec.cdr = synth.CdrTraffic(calls_per_window=24.0, drop_prob=0.125)
     return Scenario(
         spec=spec,
-        clean_cfg=CleanConfig(min_points=24),
         detector_cfg=DetectorConfig(bin_count=64, tau=4.5, min_samples=12),
-        filter_cfg=FilterConfig(persistence_m=2, persistence_n=3, merge_gap=2, min_peak_score=5.0),
+        filter_cfg=FilterConfig(min_peak_score=5.0),
         mine_cfg=MineConfig(
             s_min_count=1, s_max_fraction=0.75, c_min=0.6, lift_min=1.1, max_antecedent=3
         ),

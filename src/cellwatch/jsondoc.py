@@ -1,0 +1,105 @@
+"""Strict JSON documents for the config dataclasses.
+
+The dataclasses are the schema: ``decode`` and ``encode`` take field names,
+types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``.
+A float field takes any JSON number; an int, str or bool field exactly that
+JSON type, so ``true`` is never ``1``; an Enum field one of its values;
+``tuple[...]`` an array of that length; a union the member whose JSON shape
+matches. A missing field takes its default. Anything else raises
+``SchemaMismatch`` naming the key path, e.g. ``mine.c_mn: unknown key``.
+Range checks stay in the dataclasses' ``__post_init__``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from enum import Enum
+from typing import Any
+
+from .errors import SchemaMismatch
+
+_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+          int: "an integer", float: "a number", type(None): "null"}
+
+
+def _mismatch(where: str, expected: str, got: str) -> SchemaMismatch:
+    return SchemaMismatch(f"{where or 'document'}: expected {expected}, got {got}")
+
+
+def _child(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _shape(tp: Any) -> type:
+    """The JSON type that encodes ``tp``."""
+    tp = typing.get_origin(tp) or tp
+    if dataclasses.is_dataclass(tp):
+        return dict
+    return list if tp is tuple else str if issubclass(tp, Enum) else tp
+
+
+def require_object(doc: Any, where: str = "") -> dict:
+    """``doc`` itself if it is a JSON object, else SchemaMismatch naming ``where``."""
+    if not isinstance(doc, dict):
+        raise _mismatch(where, "an object", _NAMES.get(type(doc), type(doc).__name__))
+    return doc
+
+
+def decode(cls: Any, doc: Any, where: str = "") -> Any:
+    """Build a ``cls`` from the parsed JSON ``doc``; ``where`` prefixes key paths."""
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    got = _NAMES.get(type(doc), type(doc).__name__)
+    if origin in (typing.Union, types.UnionType):
+        members = [a for a in args if a is not type(None)]
+        if doc is None and len(members) < len(args):
+            return None
+        for member in members:
+            if len(members) == 1 or isinstance(doc, _shape(member)):
+                return decode(member, doc, where)
+        raise _mismatch(where, " or ".join(_NAMES[_shape(m)] for m in members), got)
+    if dataclasses.is_dataclass(cls):
+        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+        for key in require_object(doc, where):
+            if key not in fields:
+                raise SchemaMismatch(f"{_child(where, key)}: unknown key")
+        hints, kwargs = typing.get_type_hints(cls), {}
+        for name, f in fields.items():
+            if name in doc:
+                kwargs[name] = decode(hints[name], doc[name], _child(where, name))
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise SchemaMismatch(f"{_child(where, name)}: missing required key")
+        return cls(**kwargs)
+    if origin is dict:
+        items = require_object(doc, where).items()
+        return {k: decode(args[1], v, _child(where, k)) for k, v in items}
+    if origin is list:
+        if not isinstance(doc, list):
+            raise _mismatch(where, "an array", got)
+        return [decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(doc)]
+    if origin is tuple:
+        if not isinstance(doc, list) or len(doc) != len(args):
+            raise _mismatch(where, f"an array of {len(args)} values", got)
+        return tuple(decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, doc)))
+    if issubclass(cls, Enum):
+        values = [m.value for m in cls]
+        if doc not in values:
+            raise _mismatch(where, f"one of {values}", repr(doc))
+        return cls(doc)
+    if cls is float and type(doc) is int:
+        return float(doc)
+    if type(doc) is not cls:
+        raise _mismatch(where, _NAMES[cls], got)
+    return doc
+
+
+def encode(obj: Any) -> Any:
+    """The JSON value of a dataclass tree; ``decode`` reads it back."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode(v) for v in obj]
+    return obj.value if isinstance(obj, Enum) else obj

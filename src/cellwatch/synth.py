@@ -32,6 +32,7 @@ from .ingest import (
     Polarity,
 )
 from .fingerprints import SymptomItem, SymptomState
+from .jsondoc import decode, encode
 from .postfilter import AnomalyEvent
 
 TRUTH_SCHEMA_VERSION = 1
@@ -613,130 +614,15 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Spec (de)serialization for the CLI
-
-
-def spec_to_json_dict(spec: ScenarioSpec) -> dict:
-    doc: dict = {
-        "n_cells": spec.n_cells,
-        "days": spec.days,
-        "window_len": spec.window_len,
-        "seed": spec.seed,
-        "train_fraction": spec.train_fraction,
-        "missing_rate": spec.missing_rate,
-        "metrics": {
-            name: {
-                "kind": m.kind.value,
-                "polarity": m.polarity.value,
-                "base_level": m.base_level,
-                "diurnal_amplitude": m.diurnal_amplitude,
-                "sigma": m.sigma,
-                "value_range": list(m.value_range),
-            }
-            for name, m in sorted(spec.metrics.items())
-        },
-        "causes": [
-            {
-                "label": c.label,
-                "pattern": {k: s.value for k, s in sorted(c.pattern.items())},
-                "kqi": c.kqi,
-                "symptom_magnitude": c.symptom_magnitude,
-            }
-            for c in spec.causes
-        ],
-        "cdr": {
-            "calls_per_window": spec.cdr.calls_per_window,
-            "drop_prob": spec.cdr.drop_prob,
-            "duration_mean": spec.cdr.duration_mean,
-        },
-    }
-    if isinstance(spec.anomalies, AutoPlan):
-        doc["anomalies"] = {
-            "count": spec.anomalies.count,
-            "magnitude": spec.anomalies.magnitude,
-            "min_windows": spec.anomalies.min_windows,
-            "max_windows": spec.anomalies.max_windows,
-        }
-    else:
-        doc["anomalies"] = [
-            {
-                "cell_id": a.cell_id,
-                "metric": a.metric,
-                "start_window": a.start_window,
-                "n_windows": a.n_windows,
-                "magnitude": a.magnitude,
-            }
-            for a in spec.anomalies
-        ]
-    return doc
-
-
-def spec_from_json_dict(doc: dict) -> ScenarioSpec:
-    metrics = {
-        name: MetricSpec(
-            kind=MetricKind(m["kind"]),
-            polarity=Polarity(m["polarity"]),
-            base_level=float(m["base_level"]),
-            diurnal_amplitude=float(m["diurnal_amplitude"]),
-            sigma=float(m["sigma"]),
-            value_range=(float(m["value_range"][0]), float(m["value_range"][1])),
-        )
-        for name, m in doc["metrics"].items()
-    }
-    causes = [
-        CauseSpec(
-            label=c["label"],
-            pattern={k: SymptomState(s) for k, s in c["pattern"].items()},
-            kqi=c["kqi"],
-            symptom_magnitude=float(c.get("symptom_magnitude", 8.0)),
-        )
-        for c in doc.get("causes", [])
-    ]
-    raw_anomalies = doc.get("anomalies", [])
-    anomalies: list[PlantedAnomaly] | AutoPlan
-    if isinstance(raw_anomalies, dict):
-        anomalies = AutoPlan(
-            count=int(raw_anomalies["count"]),
-            magnitude=float(raw_anomalies.get("magnitude", 8.0)),
-            min_windows=int(raw_anomalies.get("min_windows", 4)),
-            max_windows=int(raw_anomalies.get("max_windows", 10)),
-        )
-    else:
-        anomalies = [
-            PlantedAnomaly(
-                cell_id=a["cell_id"],
-                metric=a["metric"],
-                start_window=int(a["start_window"]),
-                n_windows=int(a["n_windows"]),
-                magnitude=float(a["magnitude"]),
-            )
-            for a in raw_anomalies
-        ]
-    raw_cdr = doc.get("cdr", {})
-    return ScenarioSpec(
-        n_cells=int(doc["n_cells"]),
-        days=float(doc["days"]),
-        window_len=int(doc["window_len"]),
-        seed=int(doc["seed"]),
-        metrics=metrics,
-        causes=causes,
-        anomalies=anomalies,
-        cdr=CdrTraffic(
-            calls_per_window=float(raw_cdr.get("calls_per_window", 0.0)),
-            drop_prob=float(raw_cdr.get("drop_prob", 0.02)),
-            duration_mean=float(raw_cdr.get("duration_mean", 120.0)),
-        ),
-        train_fraction=float(doc.get("train_fraction", 0.7)),
-        missing_rate=float(doc.get("missing_rate", 0.002)),
-    )
+# Spec documents for the CLI: the dataclasses above are the schema
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_json_dict(json.load(fh))
+        return decode(ScenarioSpec, json.load(fh))
 
 
 def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(spec_to_json_dict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(encode(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -1,9 +1,13 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from cellwatch.cli import main
+from cellwatch.cli import RunConfig, main
 from cellwatch import synth
+from cellwatch.jsondoc import decode, encode
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +203,7 @@ class TestFogsimCommand:
         scenario_path.write_text(
             json.dumps(
                 {
-                    "spec": synth.spec_to_json_dict(spec),
+                    "spec": encode(spec),
                     "detector": {"bin_count": 32, "tau": 3.5, "min_samples": 2},
                     "clean": {"iqr_multiplier": 6.0, "min_points": 8},
                     "z_symptom": 2.5,
@@ -240,3 +244,138 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "m2.json").read_text())
     assert doc["config"]["min_samples"] == 3
+
+
+class TestMalformedDocuments:
+    """Every malformed config document exits 1 and names the key path."""
+
+    def run(self, argv, caplog):
+        caplog.clear()
+        rc = main(argv)
+        return rc, caplog.text
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"detector": {"min_sampels": 3}}, "detector.min_sampels: unknown key"),
+            ({"clen": {"min_points": 8}}, "clen: unknown key"),
+            ({"detector": {"tau": "5"}}, "detector.tau: expected a number, got a string"),
+            ({"detector": {"min_samples": True}}, "detector.min_samples: expected an integer"),
+            ({"detector": {"bounds": {"page_load_ms": [0, 1]}}}, "detector.bounds: unknown key"),
+            ({"filters": 3}, "filters: expected an object, got an integer"),
+            ([1, 2], "document: expected an object, got an array"),
+        ],
+    )
+    def test_train_config(self, workspace, tmp_path, caplog, doc, message):
+        data = workspace / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        rc, log = self.run(
+            ["train", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--out", str(tmp_path / "m.json"), "--config", str(config), "--tau", "4.5"],
+            caplog,
+        )
+        assert rc == 1
+        assert message in log
+        assert not (tmp_path / "m.json").exists()
+
+    def test_out_of_range_config_value_is_exit_2(self, workspace, tmp_path):
+        data = workspace / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": {"tau": -1}}))
+        rc = main(
+            ["train", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--out", str(tmp_path / "m.json"), "--config", str(config)]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"mine": {"c_mn": 0.5}}, "mine.c_mn: unknown key"),
+            ([1, 2], "document: expected an object, got an array"),
+            ({"z_symptom": "3"}, "z_symptom: expected a number, got a string"),
+            ({"spec": {"n_cells": 2}}, "spec.days: missing required key"),
+            ({"sizez": {}}, "sizez: unknown key"),
+            ({"detector": {"bounds": None}}, "detector.bounds: unknown key"),
+        ],
+    )
+    def test_fogsim_scenario(self, tmp_path, caplog, doc, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        rc, log = self.run(
+            ["fogsim", "--scenario", str(scenario), "--out", str(tmp_path / "r.json")], caplog
+        )
+        assert rc == 1
+        assert message in log
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(misssing_rate=0.01), "misssing_rate: unknown key"),
+            (lambda d: d["cdr"].update(drop_prb=0.5), "cdr.drop_prb: unknown key"),
+            (lambda d: d.pop("seed"), "seed: missing required key"),
+            (lambda d: d["metrics"]["rtt_ms"].update(kind="KPIX"), "metrics.rtt_ms.kind: expected one of"),
+        ],
+    )
+    def test_gen_spec(self, tmp_path, caplog, edit, message):
+        doc = encode(synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=5))
+        edit(doc)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        rc, log = self.run(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")], caplog)
+        assert rc == 1
+        assert message in log
+
+    def test_gen_spec_list(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        rc, log = self.run(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")], caplog)
+        assert rc == 1
+        assert "document: expected an object, got an array" in log
+
+    def test_report_non_object(self, tmp_path, caplog):
+        artifact = tmp_path / "thing.json"
+        artifact.write_text("[1, 2]")
+        rc, log = self.run(["report", str(artifact)], caplog)
+        assert rc == 1
+        assert "document: expected an object, got an array" in log
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"labels": [{"antecedent": ["rtt_ms=HIGH"], "consequent": "page_load_ms"}]},
+                "labels[0].cause_label: missing required key",
+            ),
+            ({"labels": {"a": 1}}, "labels: expected an array, got an object"),
+            (["congestion"], "document: expected an object, got an array"),
+        ],
+    )
+    def test_mine_labels(self, workspace, tmp_path, caplog, doc, message):
+        data = workspace / "data"
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(doc))
+        rc, log = self.run(
+            ["mine", "--events", str(workspace / "events.jsonl"), "--kpi", str(data / "kpi.csv"),
+             "--model", str(workspace / "model.json"), "--out", str(tmp_path / "db.json"),
+             "--labels", str(labels), "--catalog", str(data / "catalog.json")],
+            caplog,
+        )
+        assert rc == 1
+        assert message in log
+
+
+def test_readme_config_table_matches_dataclass_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\w+) +\| (\w+) +\| ([-\d.]+) +\|", section, re.M)
+    doc: dict = {}
+    for name, key, value in rows:
+        doc.setdefault(name, {})[key] = json.loads(value)
+    assert decode(RunConfig, doc) == RunConfig()
+    defaults = RunConfig()
+    declared = {
+        (s.name, f.name) for s in fields(RunConfig) for f in fields(getattr(defaults, s.name))
+    }
+    assert {(name, key) for name, key, _ in rows} == declared - {("detector", "bounds")}

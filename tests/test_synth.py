@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,20 +6,21 @@ import pytest
 
 from cellwatch.baseline import Direction, exact_robust_score, hour_bucket
 from cellwatch.errors import InvalidSpec
+from cellwatch.fogsim import default_scenario
+from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent
 from cellwatch.synth import (
     AutoPlan,
     DiagnosisOutcome,
     GroundTruth,
     PlantedAnomaly,
+    ScenarioSpec,
     default_spec,
     evaluate,
     generate,
     generate_series,
     load_spec,
     save_spec,
-    spec_from_json_dict,
-    spec_to_json_dict,
 )
 
 
@@ -138,7 +140,24 @@ class TestGenerate:
         explicit.anomalies = [
             PlantedAnomaly("cell-001", "page_load_ms", spec.train_cutoff_window, 3, 8.0)
         ]
-        assert spec_from_json_dict(spec_to_json_dict(explicit)) == explicit
+        assert decode(ScenarioSpec, encode(explicit)) == explicit
+
+    @pytest.mark.parametrize(
+        "make_spec, digest",
+        [
+            (default_spec, "e86f1bbc208d29d30e1cd56a31fdc2ac651e0790166794830af480889639fe49"),
+            (
+                lambda: default_scenario().spec,
+                "0a7a3ca19fc07982264239b2d5c2acf4657861d71e29fcbefce97ed7e364b7f1",
+            ),
+        ],
+        ids=["default_spec", "fog_scenario_spec"],
+    )
+    def test_saved_spec_bytes_are_pinned(self, tmp_path, make_spec, digest):
+        path = tmp_path / "spec.json"
+        save_spec(make_spec(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert load_spec(path) == make_spec()
 
 
 class TestEvaluate:
