@@ -36,6 +36,7 @@ from .fingerprints import (
     MineConfig,
     SymptomItem,
     empty_db,
+    itemset_from_tokens,
     build_transactions,
     load_db,
     mine_rare_rules,
@@ -61,7 +62,7 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import decode, require_object
+from .jsondoc import decode, encode, require_object
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, GroundTruth, evaluate
@@ -130,13 +131,13 @@ def _write_jsonl(docs: list[dict], path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
+def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
+    """Each non-blank line's JSON object, with ``line N`` to prefix its key paths."""
     docs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                docs.append(json.loads(line))
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                docs.append((f"line {n}", require_object(json.loads(line), f"line {n}")))
     return docs
 
 
@@ -226,31 +227,40 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         events.extend(
             apply_filters(scored, filter_cfg, cell_id=test.cell_id, metric_name=test.metric_name)
         )
-    _write_jsonl([e.to_json_dict() for e in events], args.out)
+    _write_jsonl([encode(e) for e in events], args.out)
     log.info("flagged %d events over %d series", len(events), len(tests))
     return 0
 
 
 def _load_events(path: str | Path) -> list[AnomalyEvent]:
-    return [AnomalyEvent.from_json_dict(doc) for doc in _read_jsonl(path)]
+    return [decode(AnomalyEvent, doc, where) for where, doc in _read_jsonl(path)]
 
 
 @dataclass(frozen=True)
-class _Label:
+class _Ranked:
+    cause: str
+    distance: float
     antecedent: list[str]
-    consequent: str
-    cause_label: str
+    confidence: float
+    support_count: int
 
 
 @dataclass(frozen=True)
-class _LabelsDoc:
-    labels: list[_Label] = field(default_factory=list)
+class _DiagnosisLine:
+    """One line of a diagnoses file, as ``diagnose`` writes it."""
+
+    event: AnomalyEvent
+    items: list[str]
+    consequent: str
+    matched: bool
+    match_threshold: float
+    ranked: list[_Ranked]
 
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
     labels = {}
-    for entry in decode(_LabelsDoc, _read_json(path)).labels:
-        antecedent = frozenset(SymptomItem.from_token(t) for t in entry.antecedent)
+    for i, entry in enumerate(decode(synth.Labels, _read_json(path)).labels):
+        antecedent = itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent")
         labels[(antecedent, entry.consequent)] = entry.cause_label
     return labels
 
@@ -298,7 +308,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         n_matched += 1 if result.matched else 0
         docs.append(
             {
-                "event": symptoms.event.to_json_dict(),
+                "event": encode(symptoms.event),
                 "items": sorted(it.token for it in symptoms.items),
                 "consequent": symptoms.consequent,
                 **result.to_json_dict(),
@@ -375,15 +385,15 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     events = _load_events(args.events)
-    truth = GroundTruth.from_json_dict(_read_json(args.truth))
+    truth = decode(GroundTruth, _read_json(args.truth))
     outcomes: list[DiagnosisOutcome | None] | None = None
     if args.diagnoses:
         by_event = {}
-        for doc in _read_jsonl(args.diagnoses):
-            ev = doc["event"]
-            key = (ev["cell_id"], ev["metric"], ev["start_window"])
-            top = doc["ranked"][0]["cause"] if doc.get("ranked") else None
-            by_event[key] = DiagnosisOutcome(matched=doc["matched"], top_label=top)
+        for where, doc in _read_jsonl(args.diagnoses):
+            d = decode(_DiagnosisLine, doc, where)
+            top = d.ranked[0].cause if d.ranked else None
+            key = (d.event.cell_id, d.event.metric_name, d.event.start_window)
+            by_event[key] = DiagnosisOutcome(matched=d.matched, top_label=top)
         outcomes = [
             by_event.get((e.cell_id, e.metric_name, e.start_window)) for e in events
         ]
@@ -401,24 +411,25 @@ def _summarize(path: Path) -> list[str]:
         docs = _read_jsonl(path)
         if not docs:
             return ["empty JSON Lines file"]
-        if "peak_score" in docs[0]:
-            lines = [f"{len(docs)} anomaly events"]
-            for doc in docs[:20]:
+        if "peak_score" in docs[0][1]:
+            events = [decode(AnomalyEvent, doc, where) for where, doc in docs]
+            lines = [f"{len(events)} anomaly events"]
+            for e in events[:20]:
                 lines.append(
-                    f"  {doc['cell_id']} {doc['metric']} windows {doc['start_window']}"
-                    f"..{doc['end_window']} peak {doc['peak_score']:.2f} ({doc['direction']})"
+                    f"  {e.cell_id} {e.metric_name} windows {e.start_window}"
+                    f"..{e.end_window} peak {e.peak_score:.2f} ({e.direction.value})"
                 )
-            if len(docs) > 20:
-                lines.append(f"  ... and {len(docs) - 20} more")
+            if len(events) > 20:
+                lines.append(f"  ... and {len(events) - 20} more")
             return lines
-        if "matched" in docs[0]:
-            matched = sum(1 for d in docs if d["matched"])
-            lines = [f"{len(docs)} diagnoses, {matched} matched"]
-            for doc in docs[:20]:
-                ev = doc["event"]
-                top = doc["ranked"][0] if doc["ranked"] else None
-                cause = f"{top['cause']} @ {top['distance']:.3f}" if top else "no candidates"
-                lines.append(f"  {ev['cell_id']} {ev['metric']}: {cause}")
+        if "matched" in docs[0][1]:
+            diagnoses = [decode(_DiagnosisLine, doc, where) for where, doc in docs]
+            matched = sum(1 for d in diagnoses if d.matched)
+            lines = [f"{len(diagnoses)} diagnoses, {matched} matched"]
+            for d in diagnoses[:20]:
+                top = d.ranked[0] if d.ranked else None
+                cause = f"{top.cause} @ {top.distance:.3f}" if top else "no candidates"
+                lines.append(f"  {d.event.cell_id} {d.event.metric_name}: {cause}")
             return lines
         return [f"{len(docs)} JSON Lines records"]
 

@@ -23,12 +23,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .baseline import BaselineModel, Direction, hour_bucket, robust_score
 from .errors import CorruptDb, SchemaMismatch, UnknownKey
 from .ingest import MetricKind, MetricSeries
+from .jsondoc import decode, require_object
 from .postfilter import AnomalyEvent
 
 log = logging.getLogger(__name__)
@@ -63,6 +65,14 @@ Itemset = frozenset[SymptomItem]
 
 def _tokens(items: Itemset) -> list[str]:
     return sorted(it.token for it in items)
+
+
+def itemset_from_tokens(tokens: list[str], where: str) -> Itemset:
+    """The itemset of ``metric=STATE`` tokens; SchemaMismatch naming ``where`` if one is bad."""
+    try:
+        return frozenset(SymptomItem.from_token(t) for t in tokens)
+    except (AttributeError, ValueError):
+        raise SchemaMismatch(f"{where}: bad symptom tokens {tokens}") from None
 
 
 @dataclass
@@ -502,17 +512,41 @@ def save_db(db: FingerprintDb, path: str | Path) -> None:
     Path(path).write_text(db_to_json(db), encoding="utf-8")
 
 
+# The keys of a db document and of each of its rules, with the Python types
+# json.load gives their values. A jsondoc.decode per rule would take several
+# times as long as these checks.
+_DB_TYPES = {"schema_version": (int,), "transaction_total": (int,), "built_at": (int,),
+             "rules": (list,)}
+_RULE_TYPES = {"antecedent": (list,), "consequent": (str,), "support": (float, int),
+               "support_count": (int,), "antecedent_count": (int,), "confidence": (float, int),
+               "lift": (float, int), "cause_label": (str, type(None))}
+
+
+def _typed(doc: Any, types: dict[str, tuple[type, ...]], where: str) -> dict:
+    """``doc`` if it has these keys of these types (None: may be missing), else SchemaMismatch."""
+    prefix = f"{where}." if where else ""
+    for key in require_object(doc, where).keys() - types.keys():
+        raise SchemaMismatch(f"{prefix}{key}: unknown key")
+    for key, allowed in types.items():
+        if type(doc.get(key)) not in allowed:
+            if key not in doc:
+                raise SchemaMismatch(f"{prefix}{key}: missing required key")
+            decode(allowed[0], doc[key], prefix + key)  # raises, naming the JSON types
+    return doc
+
+
 def load_db(path: str | Path) -> FingerprintDb:
-    """Load and validate a fingerprint database."""
+    """Load a fingerprint database; raises SchemaMismatch or CorruptDb naming the fault."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = require_object(json.load(fh))
     if doc.get("schema_version") != DB_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported db schema {doc.get('schema_version')!r}")
-    total = doc["transaction_total"]
+    total = _typed(doc, _DB_TYPES, "")["transaction_total"]
     rules: list[Fingerprint] = []
     seen: set[tuple[Itemset, str]] = set()
-    for raw in doc["rules"]:
-        antecedent = frozenset(SymptomItem.from_token(t) for t in raw["antecedent"])
+    for i, raw in enumerate(doc["rules"]):
+        tokens = _typed(raw, _RULE_TYPES, f"rules[{i}]")["antecedent"]
+        antecedent = itemset_from_tokens(tokens, f"rules[{i}].antecedent")
         rule = Fingerprint(
             antecedent=antecedent,
             consequent=raw["consequent"],

@@ -43,6 +43,7 @@ from .fingerprints import (
     mine_rare_rules,
 )
 from .ingest import MetricKind, MetricSeries, aggregate_cdr
+from .jsondoc import decode
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 
 
@@ -92,16 +93,32 @@ class FogTopology:
         return sorted(c for c, e in self.cell_assignment.items() if e == edge)
 
 
+@dataclass(frozen=True)
+class _Node:
+    id: str
+    tier: Tier
+    parent: str | None = None
+
+
+@dataclass(frozen=True)
+class _TopologyDoc:
+    """A topology document: the nodes, each node's uplink, and each cell's EDGE node."""
+
+    nodes: list[_Node] = field(default_factory=list)
+    links: dict[str, Link] = field(default_factory=dict)
+    cells: dict[str, str] = field(default_factory=dict)
+
+
 def build_topology(doc: dict) -> FogTopology:
-    """Validate a topology document; raises InvalidTopology naming the violation."""
+    """Validate a topology document; raises SchemaMismatch or InvalidTopology naming the fault."""
+    topo = decode(_TopologyDoc, doc)
     tiers: dict[str, Tier] = {}
     parents: dict[str, str | None] = {}
-    for node in doc.get("nodes", []):
-        node_id = node["id"]
-        if node_id in tiers:
-            raise InvalidTopology(f"duplicate node id {node_id!r}")
-        tiers[node_id] = Tier(node["tier"])
-        parents[node_id] = node.get("parent")
+    for node in topo.nodes:
+        if node.id in tiers:
+            raise InvalidTopology(f"duplicate node id {node.id!r}")
+        tiers[node.id] = node.tier
+        parents[node.id] = node.parent
 
     clouds = [n for n, t in tiers.items() if t == Tier.CLOUD]
     if len(clouds) != 1:
@@ -122,24 +139,20 @@ def build_topology(doc: dict) -> FogTopology:
             raise InvalidTopology(f"FOG node {node_id!r} must be parented to the CLOUD node")
 
     links: dict[str, Link] = {}
-    raw_links = doc.get("links", {})
     for node_id, tier in tiers.items():
         if tier == Tier.CLOUD:
             continue
-        raw = raw_links.get(node_id)
-        if raw is None:
+        link = topo.links.get(node_id)
+        if link is None:
             raise InvalidTopology(f"node {node_id!r} has no uplink definition")
-        link = Link(bandwidth_bps=float(raw["bandwidth_bps"]), latency_s=float(raw["latency_s"]))
         if link.bandwidth_bps <= 0 or link.latency_s < 0:
             raise InvalidTopology(f"node {node_id!r} has a non-physical uplink")
         links[node_id] = link
 
-    assignment: dict[str, str] = {}
-    for cell, edge in doc.get("cells", {}).items():
+    for cell, edge in topo.cells.items():
         if edge not in tiers or tiers[edge] != Tier.EDGE:
             raise InvalidTopology(f"cell {cell!r} assigned to non-EDGE node {edge!r}")
-        assignment[cell] = edge
-    return FogTopology(tiers=tiers, parents=parents, links=links, cell_assignment=assignment)
+    return FogTopology(tiers=tiers, parents=parents, links=links, cell_assignment=topo.cells)
 
 
 def load_topology(path: str | Path) -> FogTopology:

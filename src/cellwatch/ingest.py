@@ -13,7 +13,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .errors import (
     MalformedRow,
     UnknownMetric,
 )
+from .jsondoc import decode, encode
 
 # In-memory marker for a missing window value; the CSV form is an empty field.
 MISSING = math.nan
@@ -56,8 +57,14 @@ class MetricInfo:
 
     kind: MetricKind
     polarity: Polarity
-    window_len: int
+    window_len: int = field(metadata={"json": "window_len_seconds"})
     value_range: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.window_len <= 0:
+            raise ValueError("window_len_seconds must be > 0")
+        if self.value_range is not None and not self.value_range[0] < self.value_range[1]:
+            raise ValueError(f"value_range {list(self.value_range)} must have lo < hi")
 
 
 Catalog = dict[str, MetricInfo]
@@ -140,29 +147,13 @@ CDR_DERIVED_METRICS: dict[str, Polarity] = {
 def load_catalog(path: str | Path) -> Catalog:
     """Read a metric catalog JSON file (metric name -> kind/polarity/grid)."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    catalog: Catalog = {}
-    for name, entry in raw.items():
-        rng = entry.get("value_range")
-        catalog[name] = MetricInfo(
-            kind=MetricKind(entry["kind"]),
-            polarity=Polarity(entry["polarity"]),
-            window_len=int(entry["window_len_seconds"]),
-            value_range=(float(rng[0]), float(rng[1])) if rng else None,
-        )
-    return catalog
+        return decode(Catalog, json.load(fh))
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    doc = {
-        name: {
-            "kind": info.kind.value,
-            "polarity": info.polarity.value,
-            "window_len_seconds": info.window_len,
-            **({"value_range": list(info.value_range)} if info.value_range else {}),
-        }
-        for name, info in sorted(catalog.items())
-    }
+    """Write a catalog; an entry without a value_range omits the key."""
+    entries = encode(catalog).items()
+    doc = {name: {k: v for k, v in entry.items() if v is not None} for name, entry in entries}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -1,7 +1,9 @@
-"""Strict JSON documents for the config dataclasses.
+"""Strict JSON documents for the config and data dataclasses.
 
 The dataclasses are the schema: ``decode`` and ``encode`` take field names,
 types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``.
+A field's JSON key is its name unless ``field(metadata={"json": key})`` says
+otherwise.
 A float field takes any JSON number; an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
 ``tuple[...]`` an array of that length; a union the member whose JSON shape
@@ -32,6 +34,10 @@ def _child(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
 def _shape(tp: Any) -> type:
     """The JSON type that encodes ``tp``."""
     tp = typing.get_origin(tp) or tp
@@ -60,16 +66,16 @@ def decode(cls: Any, doc: Any, where: str = "") -> Any:
                 return decode(member, doc, where)
         raise _mismatch(where, " or ".join(_NAMES[_shape(m)] for m in members), got)
     if dataclasses.is_dataclass(cls):
-        fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+        fields = {_key(f): f for f in dataclasses.fields(cls) if f.init}
         for key in require_object(doc, where):
             if key not in fields:
                 raise SchemaMismatch(f"{_child(where, key)}: unknown key")
         hints, kwargs = typing.get_type_hints(cls), {}
-        for name, f in fields.items():
-            if name in doc:
-                kwargs[name] = decode(hints[name], doc[name], _child(where, name))
+        for key, f in fields.items():
+            if key in doc:
+                kwargs[f.name] = decode(hints[f.name], doc[key], _child(where, key))
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise SchemaMismatch(f"{_child(where, name)}: missing required key")
+                raise SchemaMismatch(f"{_child(where, key)}: missing required key")
         return cls(**kwargs)
     if origin is dict:
         items = require_object(doc, where).items()
@@ -97,7 +103,7 @@ def decode(cls: Any, doc: Any, where: str = "") -> Any:
 def encode(obj: Any) -> Any:
     """The JSON value of a dataclass tree; ``decode`` reads it back."""
     if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        obj = {_key(f): getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -13,7 +13,7 @@ Three filters run in a fixed order, each targeting one false-alarm mode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .baseline import Direction, ScoredWindow
 
@@ -34,38 +34,15 @@ class FilterConfig:
 
 @dataclass
 class AnomalyEvent:
-    """A post-filtered degradation episode on one (cell, KQI)."""
+    """A post-filtered degradation episode on one (cell, KQI); one events line."""
 
     cell_id: str
-    metric_name: str
+    metric_name: str = field(metadata={"json": "metric"})
     start_window: int
     end_window: int
     peak_score: float
     peak_window: int
     direction: Direction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "metric": self.metric_name,
-            "start_window": self.start_window,
-            "end_window": self.end_window,
-            "peak_score": self.peak_score,
-            "peak_window": self.peak_window,
-            "direction": self.direction.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AnomalyEvent":
-        return cls(
-            cell_id=doc["cell_id"],
-            metric_name=doc["metric"],
-            start_window=doc["start_window"],
-            end_window=doc["end_window"],
-            peak_score=doc["peak_score"],
-            peak_window=doc["peak_window"],
-            direction=Direction(doc["direction"]),
-        )
 
 
 def _persistence_survivors(flags: list[bool], m: int, n: int) -> list[int]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, SchemaMismatch
 from .ingest import (
     CDR_DERIVED_METRICS,
     Catalog,
@@ -198,54 +198,33 @@ class PlantedEvent:
     cause_label: str | None
 
 
+@dataclass(frozen=True)
+class PlantedRule:
+    """A cause's symptom pattern: sorted antecedent tokens -> KQI, with its label."""
+
+    antecedent: list[str]
+    consequent: str
+    cause_label: str
+
+
+@dataclass(frozen=True)
+class Labels:
+    """A --labels document: cause labels that ``mine`` gives the matching rules."""
+
+    labels: list[PlantedRule] = field(default_factory=list)
+
+
 @dataclass
 class GroundTruth:
     planted_events: list[PlantedEvent]
-    planted_rules: list[tuple[tuple[str, ...], str, str]]  # (antecedent tokens, kqi, label)
+    planted_rules: list[PlantedRule]
     train_cutoff_window: int
     window_len: int
+    schema_version: int = TRUTH_SCHEMA_VERSION
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": TRUTH_SCHEMA_VERSION,
-            "train_cutoff_window": self.train_cutoff_window,
-            "window_len": self.window_len,
-            "planted_events": [
-                {
-                    "cell_id": e.cell_id,
-                    "metric": e.metric,
-                    "start_window": e.start_window,
-                    "end_window": e.end_window,
-                    "cause_label": e.cause_label,
-                }
-                for e in self.planted_events
-            ],
-            "planted_rules": [
-                {"antecedent": list(tokens), "consequent": kqi, "cause_label": label}
-                for tokens, kqi, label in self.planted_rules
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GroundTruth":
-        return cls(
-            planted_events=[
-                PlantedEvent(
-                    cell_id=e["cell_id"],
-                    metric=e["metric"],
-                    start_window=e["start_window"],
-                    end_window=e["end_window"],
-                    cause_label=e.get("cause_label"),
-                )
-                for e in doc["planted_events"]
-            ],
-            planted_rules=[
-                (tuple(r["antecedent"]), r["consequent"], r["cause_label"])
-                for r in doc["planted_rules"]
-            ],
-            train_cutoff_window=doc["train_cutoff_window"],
-            window_len=doc["window_len"],
-        )
+    def __post_init__(self) -> None:
+        if self.schema_version != TRUTH_SCHEMA_VERSION:
+            raise SchemaMismatch(f"unsupported truth schema {self.schema_version!r}")
 
 
 def default_spec(
@@ -464,8 +443,8 @@ def generate_series(
     truth = GroundTruth(
         planted_events=planted_events,
         planted_rules=[
-            (
-                tuple(sorted(SymptomItem(k, s).token for k, s in cause.pattern.items())),
+            PlantedRule(
+                sorted(SymptomItem(k, s).token for k, s in cause.pattern.items()),
                 cause.kqi,
                 cause.label,
             )
@@ -506,18 +485,8 @@ def generate(spec: ScenarioSpec, out_dir: str | Path, seed: int | None = None) -
     write_metric_csv(kqi_series, paths.kqi)
     write_metric_csv(kpi_series, paths.kpi)
     save_catalog(catalog, paths.catalog)
-    paths.truth.write_text(
-        json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    labels_doc = {
-        "labels": [
-            {"antecedent": list(tokens), "consequent": kqi, "cause_label": label}
-            for tokens, kqi, label in truth.planted_rules
-        ]
-    }
-    paths.labels.write_text(
-        json.dumps(labels_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(truth, paths.truth)
+    _write_json(Labels(truth.planted_rules), paths.labels)
     return paths, truth
 
 
@@ -614,7 +583,7 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Spec documents for the CLI: the dataclasses above are the schema
+# Spec, truth and labels documents: the dataclasses above are the schema
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
@@ -623,6 +592,9 @@ def load_spec(path: str | Path) -> ScenarioSpec:
 
 
 def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(encode(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(spec, path)
+
+
+def _write_json(obj: object, path: str | Path) -> None:
+    text = json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")

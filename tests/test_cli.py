@@ -247,7 +247,7 @@ def test_config_file_overridden_by_flags(tmp_path):
 
 
 class TestMalformedDocuments:
-    """Every malformed config document exits 1 and names the key path."""
+    """Every malformed config or data document exits 1 and names the key path."""
 
     def run(self, argv, caplog):
         caplog.clear()
@@ -350,6 +350,11 @@ class TestMalformedDocuments:
             ),
             ({"labels": {"a": 1}}, "labels: expected an array, got an object"),
             (["congestion"], "document: expected an object, got an array"),
+            (
+                {"labels": [{"antecedent": ["rtt_ms=UP"], "consequent": "page_load_ms",
+                             "cause_label": "congestion"}]},
+                "labels[0].antecedent: bad symptom tokens",
+            ),
         ],
     )
     def test_mine_labels(self, workspace, tmp_path, caplog, doc, message):
@@ -363,6 +368,86 @@ class TestMalformedDocuments:
             caplog,
         )
         assert rc == 1
+        assert message in log
+
+    TRAIN = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{bad}", "--out", "{tmp}/m.json"]
+    EVAL = ["eval", "--events", "{ws}/events.jsonl", "--truth", "{data}/truth.json"]
+
+    @pytest.mark.parametrize(
+        "argv, text, rc, message",
+        [
+            (TRAIN, '{"m": {"kind": "KQI"}}', 1, "m.polarity: missing required key"),
+            (
+                TRAIN,
+                '{"m": {"kind": "KQI", "polarity": "LOWER_IS_WORSE", "window_len_seconds": "300"}}',
+                1,
+                "m.window_len_seconds: expected an integer, got a string",
+            ),
+            (
+                TRAIN,
+                '{"m": {"kind": "KQI", "polarity": "LOWER_IS_WORSE", "window_len_seconds": 300.0}}',
+                1,
+                "m.window_len_seconds: expected an integer, got a number",
+            ),
+            (
+                TRAIN,
+                '{"m": {"kind": "KQI", "polarity": "LOWER_IS_WORSE", "window_len_seconds": 0}}',
+                2,
+                "window_len_seconds must be > 0",
+            ),
+            (
+                ["fogsim", "--topology", "{bad}", "--out", "{tmp}/r.json"],
+                "[1, 2]",
+                1,
+                "document: expected an object, got an array",
+            ),
+            (
+                ["eval", "--events", "{ws}/events.jsonl", "--truth", "{bad}"],
+                "[1, 2]",
+                1,
+                "document: expected an object, got an array",
+            ),
+            (
+                ["eval", "--events", "{ws}/events.jsonl", "--truth", "{bad}"],
+                '{"schema_version": 2, "planted_events": [], "planted_rules": [],'
+                ' "train_cutoff_window": 0, "window_len": 300}',
+                1,
+                "unsupported truth schema 2",
+            ),
+            (
+                ["eval", "--events", "{bad}", "--truth", "{data}/truth.json"],
+                '{"cell_id": "c"}',
+                1,
+                "line 1.metric: missing required key",
+            ),
+            (
+                ["diagnose", "--events", "{ws}/events.jsonl", "--kpi", "{data}/kpi.csv",
+                 "--catalog", "{data}/catalog.json", "--model", "{ws}/model.json",
+                 "--db", "{bad}", "--out", "{tmp}/d.jsonl"],
+                "[]",
+                1,
+                "document: expected an object, got an array",
+            ),
+            (["report", "{bad}"], "5\n", 1, "line 1: expected an object, got an integer"),
+            (
+                [*EVAL, "--diagnoses", "{bad}"],
+                '\n{"event": {}}\n',
+                1,
+                "line 2.event.cell_id: missing required key",
+            ),
+        ],
+        ids=[
+            "catalog_missing_key", "catalog_window_len_string", "catalog_window_len_float",
+            "catalog_window_len_zero", "topology_array", "truth_array", "truth_schema_version",
+            "events_missing_key", "db_array", "report_line_not_object", "diagnoses_missing_key",
+        ],
+    )
+    def test_data_document(self, workspace, tmp_path, caplog, argv, text, rc, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path, "bad": bad}
+        got, log = self.run([arg.format(**paths) for arg in argv], caplog)
+        assert got == rc
         assert message in log
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,36 @@ class TestPersistence:
         path = tmp_path / "db.json"
         path.write_text('{"schema_version": 42, "rules": [], "transaction_total": 0, "built_at": 0}')
         with pytest.raises(SchemaMismatch):
+            load_db(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("built_at"), "built_at: missing required key"),
+            (lambda d: d.update(transaction_total="30"), "transaction_total: expected an integer"),
+            (lambda d: d.update(rules={}), "rules: expected an array, got an object"),
+            (lambda d: d["rules"].append(7), "rules[1]: expected an object, got an integer"),
+            (lambda d: d["rules"][0].pop("lift"), "rules[0].lift: missing required key"),
+            (lambda d: d["rules"][0].update(support_count=1.0), "rules[0].support_count: expected an integer"),
+            (lambda d: d["rules"][0].update(cause_label=3), "rules[0].cause_label: expected a string"),
+            (lambda d: d["rules"][0].update(note="x"), "rules[0].note: unknown key"),
+            (lambda d: d["rules"][0].update(antecedent=["rtt_ms=UP"]), "rules[0].antecedent: bad symptom tokens"),
+            (lambda d: d["rules"][0].update(antecedent=[5]), "rules[0].antecedent: bad symptom tokens"),
+        ],
+    )
+    def test_malformed_document_names_the_key(self, tmp_path, edit, message):
+        doc = json.loads(db_to_json(self.make_db()))
+        doc["rules"] = doc["rules"][:1]
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match=re.escape(message)):
+            load_db(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text("[]")
+        with pytest.raises(SchemaMismatch, match="document: expected an object, got an array"):
             load_db(path)
 
     def test_duplicate_rule_rejected(self, tmp_path):

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from cellwatch.errors import InvalidTopology, UnassignedCell
+from cellwatch.errors import InvalidTopology, SchemaMismatch, UnassignedCell
 from cellwatch.fogsim import (
     RecordSizes,
     Scenario,
@@ -74,6 +75,23 @@ class TestBuildTopology:
         doc = minimal_topology_doc()
         del doc["links"]["edge-1"]
         with pytest.raises(InvalidTopology):
+            build_topology(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["nodes"][1].update(tier="MIST"), "nodes[1].tier: expected one of"),
+            (lambda d: d["nodes"][2].pop("id"), "nodes[2].id: missing required key"),
+            (lambda d: d["links"]["edge-0"].update(bandwidth_bps="1e6"),
+             "links.edge-0.bandwidth_bps: expected a number, got a string"),
+            (lambda d: d["cells"].update({"cell-009": 3}), "cells.cell-009: expected a string"),
+            (lambda d: d.update(edges=[]), "edges: unknown key"),
+        ],
+    )
+    def test_malformed_document_names_the_key(self, edit, message):
+        doc = minimal_topology_doc()
+        edit(doc)
+        with pytest.raises(SchemaMismatch, match=re.escape(message)):
             build_topology(doc)
 
 

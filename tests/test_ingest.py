@@ -409,3 +409,13 @@ def test_catalog_round_trip(tmp_path):
     assert load_catalog(p) == catalog
     doc = json.loads(p.read_text())
     assert doc["rtt"]["window_len_seconds"] == 300
+    assert "value_range" not in doc["load"]
+
+
+@pytest.mark.parametrize(
+    "window_len, value_range",
+    [(0, None), (-300, None), (300, (1.0, 1.0)), (300, (2.0, 1.0)), (300, (0.0, math.nan))],
+)
+def test_metric_info_rejects_bad_grid_and_range(window_len, value_range):
+    with pytest.raises(ValueError):
+        MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, window_len, value_range)

@@ -5,7 +5,7 @@ import pytest
 from cellwatch.baseline import DetectorConfig
 from cellwatch.errors import SchemaMismatch
 from cellwatch.fingerprints import SymptomState
-from cellwatch.ingest import MetricKind, Polarity
+from cellwatch.ingest import MetricInfo, MetricKind, Polarity
 from cellwatch.jsondoc import decode, encode, require_object
 from cellwatch.synth import AutoPlan, CauseSpec, CdrTraffic, MetricSpec, PlantedAnomaly, ScenarioSpec
 
@@ -103,3 +103,14 @@ def test_encode_is_the_inverse_of_decode():
     assert doc["metrics"]["m"]["value_range"] == [0.0, 20.5]
     assert doc["causes"][0]["pattern"] == {"a": "HIGH"}
     assert decode(ScenarioSpec, doc) == spec
+
+
+def test_field_metadata_sets_the_json_key():
+    doc = {"kind": "KPI", "polarity": "LOWER_IS_WORSE", "window_len_seconds": 300}
+    info = decode(MetricInfo, doc)
+    assert info.window_len == 300
+    assert encode(info) == {**doc, "value_range": None}
+    with pytest.raises(SchemaMismatch, match=r"^window_len: unknown key$"):
+        decode(MetricInfo, {**doc, "window_len": 300})
+    with pytest.raises(SchemaMismatch, match=r"^m\.window_len_seconds: expected an integer, got a number$"):
+        decode(MetricInfo, {**doc, "window_len_seconds": 300.0}, "m")

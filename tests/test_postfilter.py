@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellwatch.baseline import AnomalyScore, Direction, ScoredWindow
+from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent, FilterConfig, _persistence_survivors, apply_filters
 
 
@@ -128,7 +129,7 @@ class TestInvariants:
 
 def test_event_json_round_trip():
     event = AnomalyEvent("c1", "kqi", 0, 600, 7.5, 300, Direction.DOWN)
-    assert AnomalyEvent.from_json_dict(event.to_json_dict()) == event
+    assert decode(AnomalyEvent, encode(event)) == event
 
 
 def test_config_validation():

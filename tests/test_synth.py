@@ -91,7 +91,7 @@ class TestGenerate:
         _, _, kpi, _, truth = generate_series(spec)
         cut = truth.train_cutoff_window
         by_key = {(s.cell_id, s.metric_name): s for s in kpi}
-        rules_by_label = {label: tokens for tokens, _, label in truth.planted_rules}
+        rules_by_label = {r.cause_label: r.antecedent for r in truth.planted_rules}
         checked = 0
         for planted in truth.planted_events:
             tokens = rules_by_label[planted.cause_label]
@@ -158,6 +158,18 @@ class TestGenerate:
         save_spec(make_spec(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert load_spec(path) == make_spec()
+
+    def test_generated_documents_are_pinned(self, tmp_path):
+        paths, _ = generate(default_spec(seed=1), tmp_path)
+        digests = {
+            name: hashlib.sha256(getattr(paths, name).read_bytes()).hexdigest()
+            for name in ("truth", "labels", "catalog")
+        }
+        assert digests == {
+            "truth": "6d7e535f766361ea1a79e776a7d7b7f4661bd8b6602d87ad065a9a2ae5e28275",
+            "labels": "792b039051414b82795a8d0e3cff4a5aa03a14c191e385d7e09c0d5065a7ca60",
+            "catalog": "94dc933508e375d42f71ae57c04070c5d80480f0cd3da65707766b2d3feabb5c",
+        }
 
 
 class TestEvaluate:
@@ -240,4 +252,4 @@ def test_truth_json_round_trip(tmp_path):
     spec = small_spec()
     _, truth = generate(spec, tmp_path)
     doc = json.loads((tmp_path / "truth.json").read_text())
-    assert GroundTruth.from_json_dict(doc) == truth
+    assert decode(GroundTruth, doc) == truth
