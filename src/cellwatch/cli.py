@@ -65,7 +65,7 @@ from .ingest import (
 from .jsondoc import decode, encode, require_object
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import diagnose, symptom_sets_for_events
-from .synth import DiagnosisOutcome, GroundTruth, evaluate
+from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
 
 log = logging.getLogger("cellwatch")
 
@@ -406,6 +406,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_types(doc: dict, **types: Any) -> None:
+    """SchemaMismatch naming the first of these keys that is missing or not of its type."""
+    for key, tp in types.items():
+        if key not in doc:
+            raise SchemaMismatch(f"{key}: missing required key")
+        decode(tp, doc[key], key)
+
+
 def _summarize(path: Path) -> list[str]:
     if path.suffix == ".jsonl":
         docs = _read_jsonl(path)
@@ -435,42 +443,46 @@ def _summarize(path: Path) -> list[str]:
 
     doc = require_object(_read_json(path))
     if "keys" in doc and "metrics" in doc:
+        model = load_model(path)
         return [
-            f"baseline model: {len(doc['keys'])} keys over {len(doc['metrics'])} metrics",
-            f"  config: {json.dumps(doc['config'], sort_keys=True)}",
+            f"baseline model: {len(model.sketches)} keys over {len(model.metric_meta)} metrics",
+            f"  config: {json.dumps(encode(model.config), sort_keys=True)}",
         ]
     if "rules" in doc:
-        lines = [
-            f"fingerprint db: {len(doc['rules'])} rules over {doc['transaction_total']} transactions"
-        ]
-        for rule in doc["rules"][:20]:
-            label = rule.get("cause_label") or "UNLABELED"
+        db = load_db(path)
+        lines = [f"fingerprint db: {len(db.rules)} rules over {db.transaction_total} transactions"]
+        for rule in db.rules[:20]:
             lines.append(
-                f"  {' & '.join(rule['antecedent'])} -> {rule['consequent']}"
-                f"  conf={rule['confidence']:.3f} lift={rule['lift']:.2f}"
-                f" count={rule['support_count']} [{label}]"
+                f"  {' & '.join(sorted(it.token for it in rule.antecedent))} -> {rule.consequent}"
+                f"  conf={rule.confidence:.3f} lift={rule.lift:.2f}"
+                f" count={rule.support_count} [{rule.cause_label or 'UNLABELED'}]"
             )
         return lines
     if "precision" in doc:
+        report = decode(EvalReport, doc)
         return [
-            f"precision {doc['precision']:.3f}  recall {doc['recall']:.3f}"
-            f"  rca_top1 {doc['rca_top1_accuracy']:.3f}",
-            f"  counts: {json.dumps(doc['counts'], sort_keys=True)}",
+            f"precision {report.precision:.3f}  recall {report.recall:.3f}"
+            f"  rca_top1 {report.rca_top1_accuracy:.3f}",
+            f"  counts: {json.dumps(report.counts, sort_keys=True)}",
         ]
     if "strategy" in doc and "total_bytes" in doc:
+        _check_types(doc, strategy=str, total_bytes=int, mean_latency=float,
+                     event_latencies=list[float], model_location=dict[str, str])
         return [
             f"{doc['strategy']}: {doc['total_bytes']} bytes,"
             f" mean latency {doc['mean_latency']:.4f}s over {len(doc['event_latencies'])} events",
             f"  model placement: {json.dumps(doc['model_location'], sort_keys=True)}",
         ]
     if "missing_removed" in doc:
+        _check_types(doc, missing_removed=int, extremes_removed=int)
         return [
             f"clean report: {doc['missing_removed']} missing, {doc['extremes_removed']} extremes removed"
         ]
     if "planted_events" in doc:
+        truth = decode(GroundTruth, doc)
         return [
-            f"ground truth: {len(doc['planted_events'])} planted events,"
-            f" {len(doc['planted_rules'])} planted rules"
+            f"ground truth: {len(truth.planted_events)} planted events,"
+            f" {len(truth.planted_rules)} planted rules"
         ]
     return ["unrecognized artifact; top-level keys: " + ", ".join(sorted(doc))]
 

@@ -1,16 +1,17 @@
 """Fingerprint learning: symptom transactions, rare-rule mining, rule store.
 
 A transaction is the set of KPI symptoms observed at the peak of one KQI
-degradation event. Rules (antecedent symptom set -> degraded KQI) are mined
-with FP-growth per consequent, then restricted to a support band
-[s_min_count, ceil(s_max_fraction * N)]: the floor keeps the tree tractable,
-the ceiling keeps only rare-and-diagnostic patterns out of it.
+degradation event. Rules (antecedent symptom set -> degraded KQI) come from
+itemset count tables: ``itemset_count_tables`` counts every itemset of up to
+``max_antecedent`` symptoms per consequent, and ``mine_from_counts`` keeps
+those in the support band [s_min_count, ceil(s_max_fraction * N)] (the floor
+drops chance co-occurrences, the ceiling keeps only rare-and-diagnostic
+patterns) that pass the confidence and lift floors.
 
-Mining is count-additive: ``itemset_count_tables`` built on partitions of
-the transactions and summed reproduce the pooled tables, and
-``mine_from_counts`` on the merged tables yields field-identical rules to
-``mine_rare_rules`` on the pooled transactions. Both paths share the rule
-construction code so even the float arithmetic matches.
+Count tables are additive: tables built on partitions of the transactions
+and merged by ``merge_count_tables`` equal the pooled tables. Mining the
+pooled transactions (``mine_rare_rules``) is ``mine_from_counts`` on the
+pooled tables, so fog-merged and centralized rules come from one routine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
@@ -197,247 +197,227 @@ def build_transactions(
 
 
 # ---------------------------------------------------------------------------
-# FP-growth
+# Rule mining over itemset count tables
 
 
-class _FPNode:
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item: SymptomItem | None, parent: "_FPNode | None"):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[SymptomItem, _FPNode] = {}
+def _id_dtype(vocab_size: int) -> np.dtype:
+    """The narrowest big-endian unsigned integer dtype that holds ids 1..vocab_size."""
+    return next(np.dtype(f">u{n}") for n in (1, 2, 4) if vocab_size < 256**n)
 
 
-def _fp_mine(
-    itemlists: list[tuple[list[SymptomItem], int]],
-    min_count: int,
-    max_len: int,
-    rank: dict[SymptomItem, int],
-    suffix: Itemset,
-    out: dict[Itemset, int],
-) -> None:
-    """Recursive FP-growth over (ordered item list, multiplicity) pairs."""
-    root = _FPNode(None, None)
-    header: dict[SymptomItem, list[_FPNode]] = {}
-    for items, count in itemlists:
-        node = root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                header.setdefault(item, []).append(child)
-            child.count += count
-            node = child
-
-    # mine least-frequent items first (standard suffix growth)
-    for item in sorted(header, key=lambda it: rank[it], reverse=True):
-        support = sum(n.count for n in header[item])
-        if support < min_count:
-            continue
-        itemset = frozenset(suffix | {item})
-        out[itemset] = support
-        if len(itemset) >= max_len:
-            continue
-        conditional: list[tuple[list[SymptomItem], int]] = []
-        path_freq: Counter = Counter()
-        for node in header[item]:
-            path: list[SymptomItem] = []
-            p = node.parent
-            while p is not None and p.item is not None:
-                path.append(p.item)
-                p = p.parent
-            if path:
-                path.reverse()
-                conditional.append((path, node.count))
-                for it in path:
-                    path_freq[it] += node.count
-        pruned = [
-            ([it for it in path if path_freq[it] >= min_count], count)
-            for path, count in conditional
-        ]
-        pruned = [(path, count) for path, count in pruned if path]
-        if pruned:
-            _fp_mine(pruned, min_count, max_len, rank, itemset, out)
+def _keys(rows: np.ndarray, width: int) -> np.ndarray:
+    """One bytes key per row of sorted ids, zero-padded to ``width`` ids."""
+    padded = np.zeros((len(rows), width), dtype=rows.dtype)
+    padded[:, : rows.shape[1]] = rows
+    return padded.view(f"S{width * rows.dtype.itemsize}").ravel()
 
 
-def _global_item_rank(transactions: list[Transaction]) -> dict[SymptomItem, int]:
-    """Item order for tree construction: frequency desc, ties lexicographic."""
-    freq: Counter = Counter()
+@dataclass(frozen=True, eq=False)
+class ItemsetCounts:
+    """Distinct itemset keys in ascending order, and how often each occurs."""
+
+    keys: np.ndarray  # bytes
+    counts: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The count of each of ``keys``, 0 for a key not in the table."""
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.int64)
+        at = np.searchsorted(self.keys, keys).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.counts[at], 0)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ItemsetCounts)
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+
+def _summed(keys: np.ndarray, counts: np.ndarray | None = None) -> ItemsetCounts:
+    """The distinct ``keys`` in ascending order with their summed ``counts`` (default 1 each)."""
+    if counts is None:
+        keys = np.sort(keys)
+    else:
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+    if not len(keys):
+        return ItemsetCounts(keys, np.zeros(0, dtype=np.int64))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if counts is None:
+        return ItemsetCounts(keys[starts], np.diff(np.append(starts, len(keys))))
+    return ItemsetCounts(keys[starts], np.add.reduceat(counts, starts))
+
+
+@dataclass
+class CountTables:
+    """Additive itemset counts; merging partition tables gives the pooled tables.
+
+    Tables hold every itemset of size 1..max_len present in any transaction
+    (count floor 1), per consequent, so merged tables lose nothing that
+    mining the pooled transactions could see. ``vocab`` is the distinct items
+    sorted by token, and id i names ``vocab[i - 1]``. An itemset's key is its
+    ids in ascending order as big-endian integers of the narrowest width that
+    holds ``len(vocab)``, zero-padded to ``width`` ids, so keys sort in the
+    token order of their itemsets, a prefix first.
+    """
+
+    vocab: list[SymptomItem] = field(default_factory=list)
+    width: int = 1
+    per_consequent: dict[str, ItemsetCounts] = field(default_factory=dict)
+    consequent_totals: dict[str, int] = field(default_factory=dict)
+    total: int = 0
+    max_len: int = 0
+
+    @property
+    def key_dtype(self) -> str:
+        return f"S{self.width * _id_dtype(len(self.vocab)).itemsize}"
+
+    @property
+    def global_counts(self) -> ItemsetCounts:
+        """Counts over all transactions: the sum over consequents, as each transaction has one."""
+        found = self.per_consequent.values()
+        return _summed(
+            np.concatenate([f.keys for f in found] or [np.empty(0, self.key_dtype)]),
+            np.concatenate([f.counts for f in found] or [np.empty(0, np.int64)]),
+        )
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """The id rows of ``keys``, 0 past each itemset's last item."""
+        return keys.view(_id_dtype(len(self.vocab))).reshape(len(keys), self.width)
+
+    def to_json_dict(self) -> dict:
+        tokens = [it.token for it in self.vocab]
+
+        def listed(found: ItemsetCounts) -> list:
+            rows = self.ids(found.keys).tolist()
+            return [[[tokens[i - 1] for i in row if i], c] for row, c in zip(rows, found.counts.tolist())]
+
+        return {
+            "total": self.total,
+            "max_len": self.max_len,
+            "consequent_totals": dict(sorted(self.consequent_totals.items())),
+            "global_counts": listed(self.global_counts),
+            "per_consequent": {q: listed(found) for q, found in sorted(self.per_consequent.items())},
+        }
+
+
+def itemset_count_tables(transactions: list[Transaction], max_len: int) -> CountTables:
+    """Count all itemsets up to max_len per consequent.
+
+    Transactions of one consequent and width w share one id matrix; its
+    C(w, k) column combinations for each k <= max_len give every subset key,
+    and one ``np.unique`` per consequent counts them.
+    """
+    vocab = sorted({it for t in transactions for it in t.items}, key=lambda it: it.token)
+    widest = max((len(t.items) for t in transactions), default=0)
+    tables = CountTables(vocab=vocab, width=max(1, min(max_len, widest)), max_len=max_len)
+    index = {it: i for i, it in enumerate(vocab, 1)}
+    groups: dict[str, dict[int, list[list[int]]]] = {}
     for t in transactions:
-        freq.update(t.items)
-    ordered = sorted(freq, key=lambda it: (-freq[it], it.token))
-    return {item: i for i, item in enumerate(ordered)}
+        tables.total += 1
+        tables.consequent_totals[t.consequent] = tables.consequent_totals.get(t.consequent, 0) + 1
+        by_width = groups.setdefault(t.consequent, {})
+        by_width.setdefault(len(t.items), []).append(sorted(index[it] for it in t.items))
+
+    for q, by_width in groups.items():
+        found = [np.empty(0, tables.key_dtype)]
+        for w, rows in by_width.items():
+            ids = np.array(rows, dtype=_id_dtype(len(vocab))).reshape(len(rows), w)
+            for k in range(1, min(max_len, w) + 1):
+                columns = np.array(list(combinations(range(w), k)), dtype=np.intp)
+                found.append(_keys(ids[:, columns].reshape(-1, k), tables.width))
+        tables.per_consequent[q] = _summed(np.concatenate(found))
+    return tables
 
 
-def mine_rare_rules(transactions: list[Transaction], cfg: MineConfig) -> list[Fingerprint]:
+def merge_count_tables(tables: list[CountTables]) -> CountTables:
+    """Sum count tables, renumbering each table's ids into the union vocabulary."""
+    if not tables:
+        raise ValueError("nothing to merge")
+    max_len = tables[0].max_len
+    if any(t.max_len != max_len for t in tables):
+        raise ValueError("count tables enumerate different itemset sizes")
+    vocab = sorted(set().union(*(t.vocab for t in tables)), key=lambda it: it.token)
+    merged = CountTables(vocab=vocab, width=max(t.width for t in tables), max_len=max_len)
+    index = {it: i for i, it in enumerate(vocab, 1)}
+    keys: dict[str, list[np.ndarray]] = {}
+    counts: dict[str, list[np.ndarray]] = {}
+    for t in tables:
+        merged.total += t.total
+        for q, n in t.consequent_totals.items():
+            merged.consequent_totals[q] = merged.consequent_totals.get(q, 0) + n
+        # ids ascend in token order in every table, so renumbering keeps rows sorted
+        renumber = np.array([0] + [index[it] for it in t.vocab], dtype=_id_dtype(len(vocab)))
+        for q, found in t.per_consequent.items():
+            keys.setdefault(q, []).append(_keys(renumber[t.ids(found.keys)], merged.width))
+            counts.setdefault(q, []).append(found.counts)
+    for q in keys:
+        merged.per_consequent[q] = _summed(np.concatenate(keys[q]), np.concatenate(counts[q]))
+    return merged
+
+
+def mine_from_counts(tables: CountTables, cfg: MineConfig) -> list[Fingerprint]:
     """Mine rare antecedent itemsets per consequent and emit qualifying rules.
 
-    One FP-tree per distinct consequent enumerates itemsets with support
-    count >= cfg.s_min_count among that consequent's transactions; the
-    rarity ceiling ceil(s_max_fraction * len(transactions)) then discards
-    common patterns. Confidence denominators are global antecedent counts
-    over all transactions. Output is sorted by (confidence desc,
-    support_count desc, antecedent lexicographic).
+    An itemset is a candidate for consequent q when its count among q's
+    transactions lies in the band [cfg.s_min_count, ceil(s_max_fraction *
+    total)]: the floor drops chance co-occurrences, the ceiling common
+    patterns. Confidence denominators are global antecedent counts over all
+    transactions. Output is sorted by (confidence desc, support_count desc,
+    antecedent lexicographic).
     """
-    if not transactions:
+    if tables.total == 0:
         return []
-    total = len(transactions)
-    ceiling = math.ceil(cfg.s_max_fraction * total)
-    rank = _global_item_rank(transactions)
-
-    by_consequent: dict[str, list[Itemset]] = {}
-    for t in transactions:
-        by_consequent.setdefault(t.consequent, []).append(t.items)
-    consequent_totals = {q: len(lst) for q, lst in by_consequent.items()}
-
-    per_consequent: dict[str, dict[Itemset, int]] = {}
-    for q in sorted(by_consequent):
-        itemlists = [
-            (sorted(items, key=lambda it: rank[it]), 1)
-            for items in by_consequent[q]
-            if items
-        ]
-        found: dict[Itemset, int] = {}
-        if itemlists:
-            _fp_mine(itemlists, cfg.s_min_count, cfg.max_antecedent, rank, frozenset(), found)
-        per_consequent[q] = {A: c for A, c in found.items() if c <= ceiling}
-
-    candidates: set[Itemset] = set()
-    for found in per_consequent.values():
-        candidates.update(found)
-    global_counts = {A: sum(1 for t in transactions if A <= t.items) for A in candidates}
-    return _build_rules(per_consequent, global_counts, consequent_totals, total, cfg)
-
-
-def _rule_sort_key(rule: Fingerprint) -> tuple:
-    return (-rule.confidence, -rule.support_count, tuple(_tokens(rule.antecedent)), rule.consequent)
-
-
-def _build_rules(
-    per_consequent: dict[str, dict[Itemset, int]],
-    global_counts: dict[Itemset, int],
-    consequent_totals: dict[str, int],
-    total: int,
-    cfg: MineConfig,
-) -> list[Fingerprint]:
-    """Shared rule construction so all mining paths agree bit-for-bit."""
+    if tables.max_len < cfg.max_antecedent:
+        raise ValueError("count tables were built with a smaller max_antecedent")
+    ceiling = math.ceil(cfg.s_max_fraction * tables.total)
     rules: list[Fingerprint] = []
-    for q in sorted(per_consequent):
-        consequent_support = consequent_totals[q] / total
-        for antecedent, count in per_consequent[q].items():
-            antecedent_count = global_counts[antecedent]
-            confidence = count / antecedent_count
-            if confidence < cfg.c_min:
-                continue
-            lift = confidence / consequent_support
-            if lift < cfg.lift_min:
-                continue
+    for q, found in tables.per_consequent.items():
+        band = (
+            (found.counts >= cfg.s_min_count)
+            & (found.counts <= ceiling)
+            & (np.count_nonzero(tables.ids(found.keys), axis=1) <= cfg.max_antecedent)
+        )
+        keys, counts = found.keys[band], found.counts[band]
+        # a transaction has one consequent, so an itemset's global count sums the tables
+        antecedent_counts = sum(f.lookup(keys) for f in tables.per_consequent.values())
+        # float64 division rounds as Python's does, so these equal the scalar ratios
+        confidence = counts / antecedent_counts
+        lift = confidence / (tables.consequent_totals[q] / tables.total)
+        keep = (confidence >= cfg.c_min) & (lift >= cfg.lift_min)
+        for ids, count, antecedent_count, conf, lft in zip(
+            tables.ids(keys[keep]).tolist(),
+            counts[keep].tolist(),
+            antecedent_counts[keep].tolist(),
+            confidence[keep].tolist(),
+            lift[keep].tolist(),
+        ):
             rules.append(
                 Fingerprint(
-                    antecedent=antecedent,
+                    antecedent=frozenset(tables.vocab[i - 1] for i in ids if i),
                     consequent=q,
-                    support=count / total,
+                    support=count / tables.total,
                     support_count=count,
                     antecedent_count=antecedent_count,
-                    confidence=confidence,
-                    lift=lift,
+                    confidence=conf,
+                    lift=lft,
                 )
             )
     rules.sort(key=_rule_sort_key)
     return rules
 
 
-# ---------------------------------------------------------------------------
-# Count-table path (the distributed route)
+def mine_rare_rules(transactions: list[Transaction], cfg: MineConfig) -> list[Fingerprint]:
+    """Mine the pooled transactions: the same computation as merged fog tables."""
+    return mine_from_counts(itemset_count_tables(transactions, cfg.max_antecedent), cfg)
 
 
-@dataclass
-class CountTables:
-    """Additive itemset counts; summing partition tables gives pooled tables.
-
-    Tables enumerate every itemset of size 1..max_len present in any
-    transaction (count floor 1), so merged tables lose nothing that a pooled
-    mining run could see.
-    """
-
-    per_consequent: dict[str, dict[Itemset, int]] = field(default_factory=dict)
-    global_counts: dict[Itemset, int] = field(default_factory=dict)
-    consequent_totals: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-    max_len: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "max_len": self.max_len,
-            "consequent_totals": dict(sorted(self.consequent_totals.items())),
-            "global_counts": [
-                [_tokens(A), c] for A, c in sorted(self.global_counts.items(), key=lambda e: _tokens(e[0]))
-            ],
-            "per_consequent": {
-                q: [[_tokens(A), c] for A, c in sorted(found.items(), key=lambda e: _tokens(e[0]))]
-                for q, found in sorted(self.per_consequent.items())
-            },
-        }
-
-
-def itemset_count_tables(transactions: list[Transaction], max_len: int) -> CountTables:
-    """Count all itemsets up to max_len, per consequent and globally."""
-    tables = CountTables(max_len=max_len)
-    for t in transactions:
-        tables.total += 1
-        tables.consequent_totals[t.consequent] = tables.consequent_totals.get(t.consequent, 0) + 1
-        found = tables.per_consequent.setdefault(t.consequent, {})
-        items = sorted(t.items)
-        for size in range(1, min(max_len, len(items)) + 1):
-            for combo in combinations(items, size):
-                A = frozenset(combo)
-                found[A] = found.get(A, 0) + 1
-                tables.global_counts[A] = tables.global_counts.get(A, 0) + 1
-    return tables
-
-
-def merge_count_tables(tables: list[CountTables]) -> CountTables:
-    if not tables:
-        raise ValueError("nothing to merge")
-    max_len = tables[0].max_len
-    if any(t.max_len != max_len for t in tables):
-        raise ValueError("count tables enumerate different itemset sizes")
-    merged = CountTables(max_len=max_len)
-    for t in tables:
-        merged.total += t.total
-        for q, n in t.consequent_totals.items():
-            merged.consequent_totals[q] = merged.consequent_totals.get(q, 0) + n
-        for A, c in t.global_counts.items():
-            merged.global_counts[A] = merged.global_counts.get(A, 0) + c
-        for q, found in t.per_consequent.items():
-            into = merged.per_consequent.setdefault(q, {})
-            for A, c in found.items():
-                into[A] = into.get(A, 0) + c
-    return merged
-
-
-def mine_from_counts(tables: CountTables, cfg: MineConfig) -> list[Fingerprint]:
-    """Rule mining over (merged) count tables; matches mine_rare_rules exactly."""
-    if tables.total == 0:
-        return []
-    if tables.max_len < cfg.max_antecedent:
-        raise ValueError("count tables were built with a smaller max_antecedent")
-    ceiling = math.ceil(cfg.s_max_fraction * tables.total)
-    per_consequent = {
-        q: {
-            A: c
-            for A, c in found.items()
-            if cfg.s_min_count <= c <= ceiling and len(A) <= cfg.max_antecedent
-        }
-        for q, found in tables.per_consequent.items()
-    }
-    return _build_rules(
-        per_consequent, tables.global_counts, tables.consequent_totals, tables.total, cfg
-    )
+def _rule_sort_key(rule: Fingerprint) -> tuple:
+    return (-rule.confidence, -rule.support_count, tuple(_tokens(rule.antecedent)), rule.consequent)
 
 
 # ---------------------------------------------------------------------------

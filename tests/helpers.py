@@ -1,8 +1,9 @@
 """Shared test fixtures: independent oracles and random case generators.
 
 The Apriori oracle counts itemsets by scanning transactions for every
-candidate subset of the item universe; it never touches the FP-tree code,
-so mining results can be checked against it exactly.
+candidate subset of the item universe; it never touches the count tables
+that ``mine_rare_rules`` mines, so mining results can be checked against it
+exactly.
 """
 
 from __future__ import annotations

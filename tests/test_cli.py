@@ -435,17 +435,32 @@ class TestMalformedDocuments:
                 1,
                 "line 2.event.cell_id: missing required key",
             ),
+            (["report", "{doc}"], '{"rules": 5, "transaction_total": 1}', 1, "unsupported db schema None"),
+            (["report", "{doc}"], '{"planted_events": 3}', 1, "planted_events: expected an array, got an integer"),
+            (["report", "{doc}"], '{"keys": 5, "metrics": {}}', 1, "unsupported model schema None"),
+            (["report", "{doc}"], '{"precision": "x"}', 1, "precision: expected a number, got a string"),
+            (
+                ["report", "{doc}"],
+                '{"strategy": "FOG", "total_bytes": "1"}',
+                1,
+                "total_bytes: expected an integer, got a string",
+            ),
+            (["report", "{doc}"], '{"missing_removed": 1}', 1, "extremes_removed: missing required key"),
         ],
         ids=[
             "catalog_missing_key", "catalog_window_len_string", "catalog_window_len_float",
             "catalog_window_len_zero", "topology_array", "truth_array", "truth_schema_version",
             "events_missing_key", "db_array", "report_line_not_object", "diagnoses_missing_key",
+            "report_db_rules_int", "report_truth_events_int", "report_model_keys_int",
+            "report_eval_precision_string", "report_fogsim_bytes_string", "report_clean_missing_key",
         ],
     )
     def test_data_document(self, workspace, tmp_path, caplog, argv, text, rc, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(text)
-        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path, "bad": bad}
+        doc = tmp_path / "bad.json"  # report reads a .json path as one document
+        doc.write_text(text)
+        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path, "bad": bad, "doc": doc}
         got, log = self.run([arg.format(**paths) for arg in argv], caplog)
         assert got == rc
         assert message in log

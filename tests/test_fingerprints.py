@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -103,6 +104,32 @@ class TestMineRareRules:
             want = apriori_rare_rules(transactions, cfg)
             assert got == want
 
+    def test_wide_id_range(self):
+        # 270 symptoms need two-byte ids, and 271**9 > 2**63: nine-item
+        # itemsets do not fit in one int64 however the ids are packed
+        rng = np.random.default_rng(17)
+        pool = [item(f"k{i:03d}={'HIGH' if i % 3 else 'LOW'}") for i in range(270)]
+        transactions = [
+            Transaction(frozenset(pool[9 * p : 9 * p + 9]), f"q{p % 3}", ("c", 3 * p + r))
+            for p in range(30)
+            for r in range(3)
+        ]
+        for i in range(60):
+            chosen = rng.choice(270, size=9, replace=False)
+            transactions.append(
+                Transaction(frozenset(pool[int(c)] for c in chosen), f"q{int(rng.integers(3))}", ("c", 90 + i))
+            )
+        cfg = MineConfig(s_min_count=3, s_max_fraction=0.05, c_min=0.8, lift_min=1.5, max_antecedent=9)
+        rules = mine_rare_rules(transactions, cfg)
+        # recorded from the FP-growth miner this count-table path replaced
+        assert len(rules) == 15143
+        doc = db_to_json(FingerprintDb(rules, len(transactions)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "f36cd04bb0ad6c0f44c530e9c3f13c2ca564f3d9a7ff7a906a566abb6b05d9be"
+        )
+        last = next(r for r in rules if frozenset(pool[261:]) == r.antecedent)
+        assert (last.consequent, last.support_count, last.antecedent_count) == ("q2", 3, 3)
+
     def test_antecedent_support_is_anti_monotone(self):
         rng = np.random.default_rng(9)
         transactions = random_transactions(rng)
@@ -120,6 +147,7 @@ class TestMineRareRules:
 class TestCountTables:
     def test_partition_sums_equal_pooled(self):
         rng = np.random.default_rng(21)
+        vocabularies_differed = 0
         for _ in range(25):
             transactions = random_transactions(rng, max_tx=40)
             cfg = random_mine_config(rng)
@@ -138,8 +166,13 @@ class TestCountTables:
             assert merged.global_counts == pooled.global_counts
             assert merged.per_consequent == pooled.per_consequent
             assert merged.consequent_totals == pooled.consequent_totals
-            # count-merge mining equals the FP-growth route, field for field
+            assert json.dumps(merged.to_json_dict(), sort_keys=True) == json.dumps(
+                pooled.to_json_dict(), sort_keys=True
+            )
+            # mining the merged tables equals mining the pooled transactions, field for field
             assert mine_from_counts(merged, cfg) == mine_rare_rules(transactions, cfg)
+            vocabularies_differed += len({tuple(p.vocab) for p in parts}) > 1
+        assert vocabularies_differed
 
     def test_table_json_is_deterministic(self):
         rng = np.random.default_rng(2)
