@@ -154,8 +154,7 @@ def _load_all_series(args: argparse.Namespace, catalog: Catalog, kind: MetricKin
                 "catalog must declare the CDR-derived metrics "
                 "(call_attempts, drop_rate, mean_duration) when --cdr is used"
             )
-        records = parse_cdr(args.cdr)
-        series.extend(aggregate_cdr(records, derived_entry.window_len))
+        series.extend(aggregate_cdr(parse_cdr(args.cdr), derived_entry.window_len))
     series.sort(key=lambda s: (s.cell_id, s.metric_name))
     return series
 
@@ -219,7 +218,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if not series:
         raise CellwatchError("no KQI series; pass --kqi and/or --cdr")
     tests = _split_test(series, cfg.pipeline.train_fraction)
-    tau = cfg.detector.tau
+    # the model's own tau, unless this run names one
+    config_detector = _read_config_doc(args.config).get("detector", {}) if args.config else {}
+    tau = cfg.detector.tau if args.tau is not None or "tau" in config_detector else None
     filter_cfg = cfg.filters
     events: list[AnomalyEvent] = []
     for test in tests:

@@ -37,10 +37,12 @@ from .fingerprints import (
     MineConfig,
     Transaction,
     build_transactions,
+    empty_db,
     itemset_count_tables,
     merge_count_tables,
     mine_from_counts,
     mine_rare_rules,
+    update_db,
 )
 from .ingest import MetricKind, MetricSeries, aggregate_cdr
 from .jsondoc import decode
@@ -240,7 +242,6 @@ class _Accounting:
 class _Prepared:
     """Strategy-independent pipeline state."""
 
-    all_series: list[MetricSeries]
     train_clean: list[MetricSeries]
     tests: list[MetricSeries]
     kpi_series: list[MetricSeries]
@@ -256,9 +257,8 @@ class _Prepared:
 
 def _prepare(scenario: Scenario) -> _Prepared:
     spec = scenario.spec
-    records, kqi_series, kpi_series, catalog, _ = synth.generate_series(spec)
-    derived = aggregate_cdr(records, spec.window_len)
-    all_series = derived + kqi_series + kpi_series
+    calls, kqi_series, kpi_series, catalog, _ = synth.generate_series(spec)
+    derived = aggregate_cdr(calls, spec.window_len)
 
     detector_cfg = scenario.detector_cfg.with_catalog_bounds(catalog)
 
@@ -266,11 +266,6 @@ def _prepare(scenario: Scenario) -> _Prepared:
     cells = spec.cell_ids()
     n_cdr_records = {c: 0 for c in cells}
     n_cdr_train = {c: 0 for c in cells}
-    for r in records:
-        n_cdr_records[r.cell_id] += 1
-        if r.start_time < cutoff:
-            n_cdr_train[r.cell_id] += 1
-
     raw_rows = {c: 0 for c in cells}
     raw_train_rows = {c: 0 for c in cells}
     agg_train_rows = {c: 0 for c in cells}
@@ -279,11 +274,14 @@ def _prepare(scenario: Scenario) -> _Prepared:
     derived_ids = {id(s) for s in derived}
     train_clean: list[MetricSeries] = []
     tests: list[MetricSeries] = []
-    for series in all_series:
+    for series in derived + kqi_series + kpi_series:
         n_series_per_cell[series.cell_id] += 1
         cut = math.ceil(len(series.values) * spec.train_fraction)
         if id(series) in derived_ids:
             agg_train_rows[series.cell_id] += cut
+            if series.metric_name == "call_attempts":  # per-cell call totals, from aggregates only
+                n_cdr_records[series.cell_id] = int(series.values.sum())
+                n_cdr_train[series.cell_id] = int(series.values[series.window_starts < cutoff].sum())
         else:
             raw_rows[series.cell_id] += len(series.values)
             raw_train_rows[series.cell_id] += cut
@@ -292,7 +290,6 @@ def _prepare(scenario: Scenario) -> _Prepared:
         train_clean.append(cleaned)
         tests.append(test)
     return _Prepared(
-        all_series=all_series,
         train_clean=train_clean,
         tests=tests,
         kpi_series=kpi_series,
@@ -319,11 +316,6 @@ def _detect(model: BaselineModel, prepared: _Prepared, scenario: Scenario) -> li
             )
         )
     return events
-
-
-def _make_db(transactions: list[Transaction], rules, total: int) -> FingerprintDb:
-    built_at = max((t.key[1] for t in transactions), default=0)
-    return FingerprintDb(rules=rules, transaction_total=total, built_at=built_at)
 
 
 def _model_bytes(model: BaselineModel) -> int:
@@ -433,9 +425,9 @@ def simulate(
     for t in transactions:
         tx_by_edge[edge_of(t.key[0])].append(t)
 
+    total = len(transactions)
     if strategy == Strategy.CENTRALIZED:
         rules = mine_rare_rules(transactions, scenario.mine_cfg)
-        db = _make_db(transactions, rules, len(transactions))
         for event in events:
             acct.add("alert_downlink", edge_of(event.cell_id), fog_of(edge_of(event.cell_id)), down=sizes.alert_bytes)
             acct.add("alert_downlink", fog_of(edge_of(event.cell_id)), cloud, down=sizes.alert_bytes)
@@ -443,7 +435,6 @@ def simulate(
         for edge in active_edges:
             relay_up("transaction_upload", edge, len(tx_by_edge[edge]) * sizes.transaction_bytes)
         rules = mine_rare_rules(transactions, scenario.mine_cfg)
-        db = _make_db(transactions, rules, len(transactions))
     else:  # FOG
         tables = []
         for fog in active_fogs:
@@ -460,7 +451,9 @@ def simulate(
                 acct.add("counts_upload", fog, cloud, up=len(payload))
         merged = merge_count_tables(tables) if tables else None
         rules = mine_from_counts(merged, scenario.mine_cfg) if merged else []
-        db = _make_db(transactions, rules, merged.total if merged else 0)
+        total = merged.total if merged else 0
+    built_at = max((t.key[1] for t in transactions), default=0)
+    db = update_db(empty_db(), rules, built_at=built_at, transaction_total=total)
 
     # --- per-event response latency ---------------------------------------
     latencies: list[float] = []

@@ -1,9 +1,11 @@
 """Telemetry ingestion: CDR parsing, metric CSV parsing, cell-level aggregation.
 
-Per-call records never leave this module: ``aggregate_cdr`` reduces them to
-cell-level series and drops every per-user field, so downstream code only
-ever sees aggregates. Subscriber endpoints are accepted as opaque hashes
-only; raw numbers are never part of the schema.
+Per-call records are held in memory as one ``CdrCalls`` of parallel arrays,
+as ``synth`` generates them and ``parse_cdr`` reads them. ``aggregate_cdr``
+reduces them to cell-level series and drops every per-user field, so
+downstream code, the fog simulator included, only ever reads aggregates.
+Subscriber endpoints are accepted as opaque hashes only; raw numbers are
+never part of the schema.
 """
 
 from __future__ import annotations
@@ -70,16 +72,6 @@ class MetricInfo:
 Catalog = dict[str, MetricInfo]
 
 
-@dataclass(frozen=True)
-class CdrRecord:
-    cell_id: str
-    start_time: int
-    duration: float
-    dropped: bool
-    source_hash: str
-    dest_hash: str
-
-
 def _same_floats(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit-exact float array equality in which NaN equals NaN."""
     if a.shape != b.shape:
@@ -88,6 +80,38 @@ def _same_floats(a: np.ndarray, b: np.ndarray) -> bool:
         np.where(np.isnan(a), np.nan, a).view(np.int64),
         np.where(np.isnan(b), np.nan, b).view(np.int64),
     )
+
+
+@dataclass(eq=False)
+class CdrCalls:
+    """Per-call records as parallel arrays in record order; ``len()`` is the call count.
+
+    ``cell_id``, ``source_hash`` and ``dest_hash`` are str arrays,
+    ``start_time`` int64, ``duration`` float64 and ``dropped`` bool.
+    ``CdrCalls()`` holds no calls.
+    """
+
+    cell_id: np.ndarray = ()
+    start_time: np.ndarray = ()
+    duration: np.ndarray = ()
+    dropped: np.ndarray = ()
+    source_hash: np.ndarray = ()
+    dest_hash: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name, dtype in zip(list(vars(self)), (str, np.int64, np.float64, bool, str, str)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self) -> int:
+        return len(self.cell_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CdrCalls):
+            return NotImplemented
+        return all(
+            _same_floats(a, b) if a.dtype == np.float64 else np.array_equal(a, b)
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
 
 
 @dataclass(eq=False)
@@ -157,13 +181,13 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def parse_cdr(path: str | Path) -> list[CdrRecord]:
+def parse_cdr(path: str | Path) -> CdrCalls:
     """Parse a CDR CSV file, preserving row order.
 
     Row errors are collected across the whole file; if any row fails the
     parse fails with a MalformedRow naming the first bad line.
     """
-    records: list[CdrRecord] = []
+    rows: list[tuple[str, int, float, bool, str, str]] = []
     bad: list[tuple[int, str]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -193,22 +217,16 @@ def parse_cdr(path: str | Path) -> list[CdrRecord]:
             if dropped_s not in ("0", "1"):
                 bad.append((line_no, f"dropped must be 0 or 1, got {dropped_s!r}"))
                 continue
-            records.append(
-                CdrRecord(cell_id, start_time, duration, dropped_s == "1", src, dst)
-            )
+            rows.append((cell_id, start_time, duration, dropped_s == "1", src, dst))
     if bad:
-        lines = [ln for ln, _ in bad]
-        raise MalformedRow(bad[0][0], bad[0][1], all_lines=lines)
-    return records
+        raise MalformedRow(bad[0][0], bad[0][1], all_lines=[ln for ln, _ in bad])
+    return CdrCalls(*zip(*rows)) if rows else CdrCalls()
 
 
-def write_cdr_csv(records: list[CdrRecord], path: str | Path) -> None:
+def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
     lines = [",".join(CDR_HEADER)]
-    for r in records:
-        dur = int(r.duration) if float(r.duration).is_integer() else r.duration
-        lines.append(
-            f"{r.cell_id},{r.start_time},{dur},{int(r.dropped)},{r.source_hash},{r.dest_hash}"
-        )
+    for cell_id, start, dur, dropped, src, dst in zip(*(c.tolist() for c in vars(calls).values())):
+        lines.append(f"{cell_id},{start},{int(dur) if dur.is_integer() else dur},{int(dropped)},{src},{dst}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -574,7 +592,7 @@ def write_metric_csv(series: list[MetricSeries], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def aggregate_cdr(records: list[CdrRecord], window_len: int) -> list[MetricSeries]:
+def aggregate_cdr(calls: CdrCalls, window_len: int) -> list[MetricSeries]:
     """Aggregate per-call records into cell-level KQI series.
 
     Per (cell, window) this yields call_attempts, drop_rate and mean_duration.
@@ -585,13 +603,10 @@ def aggregate_cdr(records: list[CdrRecord], window_len: int) -> list[MetricSerie
     """
     if window_len <= 0:
         raise ValueError("window_len must be positive")
-    if not records:
+    if not len(calls):
         return []
-    cells = sorted({r.cell_id for r in records})
-    index = {c: i for i, c in enumerate(cells)}
-    n = len(records)
-    cell = np.fromiter((index[r.cell_id] for r in records), np.int64, n)
-    ws = np.fromiter((r.start_time for r in records), np.int64, n) // window_len * window_len
+    cells, cell = np.unique(calls.cell_id, return_inverse=True)
+    ws = calls.start_time // window_len * window_len
     first = np.full(len(cells), np.iinfo(np.int64).max)
     last = np.full(len(cells), np.iinfo(np.int64).min)
     np.minimum.at(first, cell, ws)
@@ -602,12 +617,8 @@ def aggregate_cdr(records: list[CdrRecord], window_len: int) -> list[MetricSerie
     slot = grid_start[cell] + (ws - first[cell]) // window_len
     total = int(grid_end[-1])
     attempts = np.bincount(slot, minlength=total).astype(np.float64)
-    dropped = np.bincount(
-        slot, weights=np.fromiter((bool(r.dropped) for r in records), np.float64, n), minlength=total
-    )
-    duration = np.bincount(
-        slot, weights=np.fromiter((r.duration for r in records), np.float64, n), minlength=total
-    )
+    dropped = np.bincount(slot, weights=calls.dropped, minlength=total)
+    duration = np.bincount(slot, weights=calls.duration, minlength=total)
     with np.errstate(invalid="ignore"):
         derived = {
             "call_attempts": attempts,
@@ -618,7 +629,7 @@ def aggregate_cdr(records: list[CdrRecord], window_len: int) -> list[MetricSerie
     starts = first[cell_of_slot] + (np.arange(total) - grid_start[cell_of_slot]) * window_len
 
     out: list[MetricSeries] = []
-    for cell_id, lo, hi in zip(cells, grid_start.tolist(), grid_end.tolist()):
+    for cell_id, lo, hi in zip(cells.tolist(), grid_start.tolist(), grid_end.tolist()):
         for name, values in derived.items():
             out.append(
                 MetricSeries(

@@ -25,7 +25,7 @@ from .ingest import (
     CDR_DERIVED_METRICS,
     Catalog,
     MISSING,
-    CdrRecord,
+    CdrCalls,
     MetricInfo,
     MetricKind,
     MetricSeries,
@@ -316,7 +316,7 @@ def _materialize_plan(spec: ScenarioSpec) -> list[tuple[PlantedAnomaly, CauseSpe
 
     if isinstance(spec.anomalies, AutoPlan):
         plan = spec.anomalies
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, 0xA110])))
+        rng = np.random.default_rng([spec.seed, 0xA110])
         cells = spec.cell_ids()
         cut_idx = math.ceil(spec.n_windows * spec.train_fraction)
         placed: list[tuple[PlantedAnomaly, CauseSpec | None]] = []
@@ -351,8 +351,8 @@ def _materialize_plan(spec: ScenarioSpec) -> list[tuple[PlantedAnomaly, CauseSpe
 
 def generate_series(
     spec: ScenarioSpec, seed: int | None = None
-) -> tuple[list[CdrRecord], list[MetricSeries], list[MetricSeries], Catalog, GroundTruth]:
-    """In-memory generation: (cdr records, KQI series, KPI series, catalog, truth)."""
+) -> tuple[CdrCalls, list[MetricSeries], list[MetricSeries], Catalog, GroundTruth]:
+    """In-memory generation: (CDR calls, KQI series, KPI series, catalog, truth)."""
     if seed is not None:
         spec = ScenarioSpec(**{**spec.__dict__, "seed": seed})
     spec.validate()
@@ -395,9 +395,7 @@ def generate_series(
     for ci, cell in enumerate(cells):
         for mi, name in enumerate(metric_names):
             m = spec.metrics[name]
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([spec.seed, 1, ci, mi]))
-            )
+            rng = np.random.default_rng([spec.seed, 1, ci, mi])
             means = m.base_level + m.diurnal_amplitude * np.sin(2.0 * np.pi * (hours - 6) / 24.0)
             values = rng.normal(means, m.sigma)
             np.clip(values, m.value_range[0], m.value_range[1], out=values)
@@ -415,30 +413,7 @@ def generate_series(
             )
             (kqi_series if m.kind == MetricKind.KQI else kpi_series).append(series)
 
-    records: list[CdrRecord] = []
-    if spec.cdr.calls_per_window > 0:
-        for ci, cell in enumerate(cells):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, 2, ci])))
-            counts = rng.poisson(spec.cdr.calls_per_window, n)
-            for wi in range(n):
-                c = int(counts[wi])
-                if c == 0:
-                    continue
-                offsets = np.sort(rng.integers(0, window_len, c))
-                durations = rng.exponential(spec.cdr.duration_mean, c)
-                dropped = rng.random(c) < spec.cdr.drop_prob
-                endpoints = rng.integers(0, 2**32, (c, 2), dtype=np.uint64)
-                for j in range(c):
-                    records.append(
-                        CdrRecord(
-                            cell_id=cell,
-                            start_time=int(starts[wi] + offsets[j]),
-                            duration=float(round(durations[j], 1)),
-                            dropped=bool(dropped[j]),
-                            source_hash=f"{int(endpoints[j, 0]):08x}",
-                            dest_hash=f"{int(endpoints[j, 1]):08x}",
-                        )
-                    )
+    calls = _generate_calls(spec, cells, starts) if spec.cdr.calls_per_window > 0 else CdrCalls()
 
     truth = GroundTruth(
         planted_events=planted_events,
@@ -453,7 +428,30 @@ def generate_series(
         train_cutoff_window=spec.train_cutoff_window,
         window_len=window_len,
     )
-    return records, kqi_series, kpi_series, spec.catalog(), truth
+    return calls, kqi_series, kpi_series, spec.catalog(), truth
+
+
+def _generate_calls(spec: ScenarioSpec, cells: list[str], starts: np.ndarray) -> CdrCalls:
+    """Poisson call traffic per (cell, window), drawn window by window from each cell's stream."""
+    cdr = spec.cdr
+    rngs = [np.random.default_rng([spec.seed, 2, ci]) for ci in range(len(cells))]
+    counts = np.array([rng.poisson(cdr.calls_per_window, len(starts)) for rng in rngs])
+    ends = np.cumsum(counts)  # calls are in (cell, window) order
+    n = int(counts.sum())
+    start_time, duration = np.empty(n, dtype=np.int64), np.empty(n)
+    dropped, endpoints = np.empty(n, dtype=bool), np.empty((n, 2), dtype=np.uint32)
+    active = np.flatnonzero(counts)
+    for k, lo, hi in zip(active.tolist(), (ends - counts.ravel())[active].tolist(), ends[active].tolist()):
+        rng, wi, c = rngs[k // len(starts)], k % len(starts), hi - lo
+        start_time[lo:hi] = np.sort(rng.integers(0, spec.window_len, c)) + starts[wi]
+        duration[lo:hi] = rng.exponential(cdr.duration_mean, c)
+        dropped[lo:hi] = rng.random(c) < cdr.drop_prob
+        endpoints[lo:hi] = rng.integers(0, 2**32, (c, 2), dtype=np.uint64)
+    # endpoint hashes: each value's 8 hex digits, most significant first
+    nibbles = (endpoints[..., None] >> np.arange(28, -1, -4, dtype=np.uint32)) & 15
+    hashes = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[nibbles].view("S8")[..., 0].astype(str)
+    cell_id = np.repeat(np.array(cells), counts.sum(axis=1))
+    return CdrCalls(cell_id, start_time, np.round(duration, 1), dropped, hashes[:, 0], hashes[:, 1])
 
 
 @dataclass
@@ -472,7 +470,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path, seed: int | None = None) -
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records, kqi_series, kpi_series, catalog, truth = generate_series(spec, seed)
+    calls, kqi_series, kpi_series, catalog, truth = generate_series(spec, seed)
     paths = GeneratedFiles(
         cdr=out / "cdr.csv",
         kqi=out / "kqi.csv",
@@ -481,7 +479,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path, seed: int | None = None) -
         truth=out / "truth.json",
         labels=out / "labels.json",
     )
-    write_cdr_csv(records, paths.cdr)
+    write_cdr_csv(calls, paths.cdr)
     write_metric_csv(kqi_series, paths.kqi)
     write_metric_csv(kpi_series, paths.kpi)
     save_catalog(catalog, paths.catalog)

@@ -112,6 +112,30 @@ class TestPipeline:
         assert out.read_bytes() == (workspace / "events.jsonl").read_bytes()
 
 
+class TestDetectTau:
+    def test_detect_uses_the_model_tau_unless_the_run_names_one(self, workspace, tmp_path):
+        data = workspace / "data"
+        common = ["--kqi", str(data / "kqi.csv"), "--cdr", str(data / "cdr.csv"),
+                  "--catalog", str(data / "catalog.json")]
+        model = tmp_path / "model.json"
+        rc = main(["train", *common, "--kpi", str(data / "kpi.csv"), "--out", str(model),
+                   "--min-samples", "6", "--tau", "3.0"])
+        assert rc == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": {"tau": 5.0}}), encoding="utf-8")
+
+        def detect(name, *extra):
+            out = tmp_path / name
+            assert main(["detect", *common, "--model", str(model), "--out", str(out), *extra]) == 0
+            return out.read_bytes()
+
+        model_tau = detect("model.jsonl")
+        assert model_tau == detect("flag3.jsonl", "--tau", "3.0")
+        named = detect("flag5.jsonl", "--tau", "5.0")
+        assert named != model_tau
+        assert detect("config5.jsonl", "--config", str(config)) == named
+
+
 class TestGen:
     def test_gen_determinism(self, tmp_path):
         spec = synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=5, anomaly_count=1)

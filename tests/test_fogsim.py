@@ -137,11 +137,19 @@ class TestSimulate:
         scenario.spec.causes = []
         scenario.sizes = RecordSizes(cdr_record_bytes=64)
         report, _, _ = simulate(topo, Strategy.CENTRALIZED, scenario)
-        records, _, _, _, _ = synth.generate_series(scenario.spec)
-        expected = len(records) * 64
+        calls, _, _, _, _ = synth.generate_series(scenario.spec)
+        expected = len(calls) * 64
         upload = report.phases["data_upload"]
         assert upload["edge-0->fog-0"]["up"] == expected
         assert upload["fog-0->cloud"]["up"] == expected
+
+        # EDGE_INFERENCE ships only the calls that start before the test span
+        report, _, _ = simulate(topo, Strategy.EDGE_INFERENCE, scenario)
+        n_train = int((calls.start_time < scenario.spec.train_cutoff_window).sum())
+        assert 0 < n_train < len(calls)
+        upload = report.phases["train_upload"]
+        assert upload["edge-0->fog-0"]["up"] == n_train * 64
+        assert upload["fog-0->cloud"]["up"] == n_train * 64
 
     def test_relay_phases_conserve_bytes(self):
         topo = default_topology()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cellwatch.errors import DuplicatePoint, MalformedHeader, MalformedRow, UnknownMetric
 from cellwatch.ingest import (
-    CdrRecord,
+    CdrCalls,
     MetricInfo,
     MetricKind,
     MetricSeries,
@@ -22,6 +22,7 @@ from cellwatch.ingest import (
     write_cdr_csv,
     write_metric_csv,
 )
+from cellwatch.synth import default_spec, generate_series
 
 
 def write(path, text):
@@ -32,14 +33,20 @@ def write(path, text):
 CDR_HEADER = "cell_id,start_time,duration,dropped,source_hash,dest_hash"
 
 
+def cdr(*rows):
+    """CdrCalls from (cell_id, start_time, duration, dropped, source_hash, dest_hash) rows."""
+    return CdrCalls(*zip(*rows)) if rows else CdrCalls()
+
+
 class TestParseCdr:
     def test_header_only_gives_empty_list(self, tmp_path):
         p = write(tmp_path / "cdr.csv", CDR_HEADER + "\n")
-        assert parse_cdr(p) == []
+        assert parse_cdr(p) == cdr()
+        assert len(parse_cdr(p)) == 0
 
     def test_single_row(self, tmp_path):
         p = write(tmp_path / "cdr.csv", CDR_HEADER + "\nc1,1000,30,0,h1,h2\n")
-        assert parse_cdr(p) == [CdrRecord("c1", 1000, 30.0, False, "h1", "h2")]
+        assert parse_cdr(p) == cdr(("c1", 1000, 30.0, False, "h1", "h2"))
 
     def test_negative_duration_is_malformed_row_2(self, tmp_path):
         p = write(tmp_path / "cdr.csv", CDR_HEADER + "\nc1,1000,-5,0,h1,h2\n")
@@ -70,7 +77,20 @@ class TestParseCdr:
     def test_order_preserved(self, tmp_path):
         rows = "\n".join(f"c1,{1000 + i},10,0,h{i},g{i}" for i in range(5))
         p = write(tmp_path / "cdr.csv", CDR_HEADER + "\n" + rows + "\n")
-        assert [r.start_time for r in parse_cdr(p)] == [1000, 1001, 1002, 1003, 1004]
+        calls = parse_cdr(p)
+        assert calls.start_time.tolist() == [1000, 1001, 1002, 1003, 1004]
+        assert calls.source_hash.tolist() == [f"h{i}" for i in range(5)]
+
+    def test_parse_of_written_calls_equals_them_column_for_column(self, tmp_path):
+        spec = default_spec(n_cells=3, days=1.0, window_len=1800, seed=99, anomaly_count=2, calls_per_window=4.0)
+        calls = generate_series(spec)[0]
+        write_cdr_csv(calls, tmp_path / "cdr.csv")
+        parsed = parse_cdr(tmp_path / "cdr.csv")
+        assert len(parsed) == len(calls) > 0
+        assert calls.dropped.any() and not calls.dropped.all()
+        for column in ("cell_id", "start_time", "duration", "dropped", "source_hash", "dest_hash"):
+            assert getattr(parsed, column).tolist() == getattr(calls, column).tolist(), column
+        assert parsed == calls
 
 
 @pytest.fixture
@@ -338,65 +358,62 @@ class TestMetricSeriesEquality:
 
 class TestAggregateCdr:
     def test_drop_rate_is_fraction_of_attempts(self):
-        records = [
-            CdrRecord("c1", 10, 30, False, "a", "b"),
-            CdrRecord("c1", 20, 30, True, "a", "b"),
-            CdrRecord("c1", 290, 30, False, "a", "b"),
-        ]
+        records = cdr(
+            ("c1", 10, 30, False, "a", "b"),
+            ("c1", 20, 30, True, "a", "b"),
+            ("c1", 290, 30, False, "a", "b"),
+        )
         series = {s.metric_name: s for s in aggregate_cdr(records, 300)}
         assert series["drop_rate"].points == [(0, pytest.approx(1 / 3))]
         assert series["call_attempts"].points == [(0, 3.0)]
 
     def test_mean_duration(self):
-        records = [
-            CdrRecord("c1", 10, 10, False, "a", "b"),
-            CdrRecord("c1", 20, 30, False, "a", "b"),
-        ]
+        records = cdr(
+            ("c1", 10, 10, False, "a", "b"),
+            ("c1", 20, 30, False, "a", "b"),
+        )
         series = {s.metric_name: s for s in aggregate_cdr(records, 300)}
         assert series["mean_duration"].points == [(0, 20.0)]
 
     def test_empty_input_gives_empty_list(self):
-        assert aggregate_cdr([], 300) == []
+        assert aggregate_cdr(cdr(), 300) == []
 
     def test_empty_windows_are_zero_attempts_and_missing_rates(self):
-        records = [
-            CdrRecord("c1", 10, 10, False, "a", "b"),
-            CdrRecord("c1", 700, 10, True, "a", "b"),
-        ]
+        records = cdr(
+            ("c1", 10, 10, False, "a", "b"),
+            ("c1", 700, 10, True, "a", "b"),
+        )
         series = {s.metric_name: s for s in aggregate_cdr(records, 300)}
         assert series["call_attempts"].points == [(0, 1.0), (300, 0.0), (600, 1.0)]
         assert series["drop_rate"].points == [(0, 0.0), (300, None), (600, 1.0)]
 
     def test_permutation_invariant(self):
         rng = random.Random(13)
-        records = [
-            CdrRecord(f"c{rng.randrange(3)}", rng.randrange(0, 3000), rng.randrange(120), rng.random() < 0.1, "s", "d")
+        rows = [
+            (f"c{rng.randrange(3)}", rng.randrange(0, 3000), rng.randrange(120), rng.random() < 0.1, "s", "d")
             for _ in range(200)
         ]
-        shuffled = records[:]
+        shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert aggregate_cdr(records, 300) == aggregate_cdr(shuffled, 300)
+        assert aggregate_cdr(cdr(*rows), 300) == aggregate_cdr(cdr(*shuffled), 300)
 
     def test_attempt_totals_match_record_count(self):
         rng = random.Random(5)
-        records = [
-            CdrRecord("c1", rng.randrange(0, 6000), 10, False, "s", "d") for _ in range(137)
-        ]
+        records = cdr(*[("c1", rng.randrange(0, 6000), 10, False, "s", "d") for _ in range(137)])
         series = {s.metric_name: s for s in aggregate_cdr(records, 300)}
         total = sum(v for _, v in series["call_attempts"].points if v is not None)
         assert total == 137
 
     def test_no_subscriber_hash_survives(self, tmp_path):
-        records = [
-            CdrRecord("c1", 10, 10, False, "secret-src-hash", "secret-dst-hash"),
-            CdrRecord("c1", 400, 25, True, "other-src", "other-dst"),
-        ]
+        records = cdr(
+            ("c1", 10, 10, False, "secret-src-hash", "secret-dst-hash"),
+            ("c1", 400, 25, True, "other-src", "other-dst"),
+        )
         out = tmp_path / "agg.csv"
         write_metric_csv(aggregate_cdr(records, 300), out)
         text = out.read_text()
-        for r in records:
-            assert r.source_hash not in text
-            assert r.dest_hash not in text
+        for h in [*records.source_hash.tolist(), *records.dest_hash.tolist()]:
+            assert h not in text
 
 
 def test_catalog_round_trip(tmp_path):

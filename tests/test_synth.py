@@ -38,6 +38,12 @@ class TestGenerate:
         for name in ("cdr", "kqi", "kpi", "catalog", "truth", "labels"):
             assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes(), name
 
+    def test_cdr_csv_bytes_are_pinned(self, tmp_path):
+        # a change to the CDR draws, their order or the CSV format shows here
+        paths, _ = generate(small_spec(), tmp_path)
+        digest = hashlib.sha256(paths.cdr.read_bytes()).hexdigest()
+        assert digest == "3720dded43675d3982377bd5141173eec586ff8d91f7ba773cae987391944f2c"
+
     def test_seed_override_changes_output(self, tmp_path):
         spec = small_spec()
         a, _ = generate(spec, tmp_path / "a")
@@ -112,11 +118,11 @@ class TestGenerate:
         assert truth.planted_events == []
 
     def test_cdr_traffic_generated_when_requested(self):
-        records, _, _, catalog, _ = generate_series(small_spec(calls_per_window=4.0))
-        assert records
+        calls, _, _, catalog, _ = generate_series(small_spec(calls_per_window=4.0))
+        assert len(calls)
         assert "drop_rate" in catalog
         no_cdr, _, _, catalog2, _ = generate_series(small_spec(calls_per_window=0.0))
-        assert no_cdr == []
+        assert len(no_cdr) == 0
         assert "drop_rate" not in catalog2
 
     def test_validation_rejects_bad_specs(self):
