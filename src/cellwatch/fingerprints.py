@@ -123,6 +123,9 @@ class FingerprintDb:
     transaction_total: int
     built_at: int = 0
     schema_version: int = DB_SCHEMA_VERSION
+    # rca's diagnosis index over ``rules``, built on the first diagnose; a
+    # cache, so it takes no part in equality, repr or the JSON form
+    _index: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 def empty_db() -> FingerprintDb:

@@ -185,7 +185,9 @@ def parse_cdr(path: str | Path) -> CdrCalls:
     """Parse a CDR CSV file, preserving row order.
 
     Row errors are collected across the whole file; if any row fails the
-    parse fails with a MalformedRow naming the first bad line.
+    parse fails with a MalformedRow naming the first bad line. Like the
+    metric grammar, it takes start times of at most 18 digits and only
+    finite durations.
     """
     rows: list[tuple[str, int, float, bool, str, str]] = []
     bad: list[tuple[int, str]] = []
@@ -206,10 +208,16 @@ def parse_cdr(path: str | Path) -> CdrCalls:
             except ValueError:
                 bad.append((line_no, f"non-integer start_time {start_s!r}"))
                 continue
+            if abs(start_time) >= 10**_MAX_WS_DIGITS:
+                bad.append((line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits"))
+                continue
             try:
                 duration = float(dur_s)
             except ValueError:
                 bad.append((line_no, f"non-numeric duration {dur_s!r}"))
+                continue
+            if not math.isfinite(duration):
+                bad.append((line_no, f"non-finite duration {dur_s!r}"))
                 continue
             if duration < 0:
                 bad.append((line_no, f"negative duration {duration}"))
@@ -232,7 +240,7 @@ def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
 
 # Metric CSV grammar limits. Windows of at most this many bytes are cut out
 # of the file buffer per row, so the limits also bound the parser's memory.
-_MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid arithmetic
+_MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid arithmetic (CDR start_time too)
 _MAX_VALUE_BYTES = 40  # repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
 _PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1

@@ -3,7 +3,9 @@
 The Apriori oracle counts itemsets by scanning transactions for every
 candidate subset of the item universe; it never touches the count tables
 that ``mine_rare_rules`` mines, so mining results can be checked against it
-exactly.
+exactly. The diagnosis oracle ranks every candidate rule by frozenset
+Jaccard distance and a full sort; it never touches the bitmask index that
+``rca.diagnose`` ranks against.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import numpy as np
 
 from cellwatch.baseline import DetectorConfig
 from cellwatch.cleaning import CleanConfig
-from cellwatch.fingerprints import MineConfig, SymptomItem, SymptomState, Transaction
+from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import Scenario, build_topology
 from cellwatch.ingest import MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
+from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
 
 OracleRule = tuple[frozenset[SymptomItem], str, int, int]  # antecedent, consequent, q_count, global_count
@@ -58,6 +61,32 @@ def apriori_rare_rules(transactions: list[Transaction], cfg: MineConfig) -> set[
                     continue
                 rules.add((candidate, q, q_count, global_count))
     return rules
+
+
+def brute_force_diagnose(
+    db: FingerprintDb, symptoms: SymptomSet, k: int, match_threshold: float
+) -> Diagnosis:
+    """Filter the rules by consequent, score each by Jaccard distance and sort them all."""
+    candidates = [r for r in db.rules if r.consequent == symptoms.consequent]
+    scored = [
+        RankedCause(
+            cause_label=rule.cause_label,
+            distance=jaccard_distance(rule.antecedent, symptoms.items),
+            fingerprint=rule,
+        )
+        for rule in candidates
+    ]
+    scored.sort(
+        key=lambda r: (
+            r.distance,
+            -r.fingerprint.confidence,
+            -r.fingerprint.support_count,
+            tuple(_tokens(r.fingerprint.antecedent)),
+        )
+    )
+    ranked = scored[:k]
+    matched = bool(ranked) and ranked[0].distance <= match_threshold
+    return Diagnosis(ranked=ranked, matched=matched, match_threshold=match_threshold)
 
 
 def random_transactions(rng: np.random.Generator, max_items: int = 12, max_tx: int = 64) -> list[Transaction]:

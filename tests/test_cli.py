@@ -395,6 +395,9 @@ class TestMalformedDocuments:
         assert message in log
 
     TRAIN = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{bad}", "--out", "{tmp}/m.json"]
+    TRAIN_CDR = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{data}/catalog.json",
+                 "--cdr", "{bad}", "--out", "{tmp}/m.json"]
+    CDR_HEADER = "cell_id,start_time,duration,dropped,source_hash,dest_hash\n"
     EVAL = ["eval", "--events", "{ws}/events.jsonl", "--truth", "{data}/truth.json"]
 
     @pytest.mark.parametrize(
@@ -470,6 +473,11 @@ class TestMalformedDocuments:
                 "total_bytes: expected an integer, got a string",
             ),
             (["report", "{doc}"], '{"missing_removed": 1}', 1, "extremes_removed: missing required key"),
+            (TRAIN_CDR, CDR_HEADER + "cell-000,100,nan,0,aa,bb\n", 1, "line 2: non-finite duration 'nan'"),
+            (TRAIN_CDR, CDR_HEADER + "cell-000,100,30,0,aa,bb\ncell-000,200,inf,0,aa,bb\n", 1,
+             "line 3: non-finite duration 'inf'"),
+            (TRAIN_CDR, CDR_HEADER + "cell-000,99999999999999999999,30,0,aa,bb\n", 1,
+             "line 2: start_time 99999999999999999999 "),
         ],
         ids=[
             "catalog_missing_key", "catalog_window_len_string", "catalog_window_len_float",
@@ -477,6 +485,7 @@ class TestMalformedDocuments:
             "events_missing_key", "db_array", "report_line_not_object", "diagnoses_missing_key",
             "report_db_rules_int", "report_truth_events_int", "report_model_keys_int",
             "report_eval_precision_string", "report_fogsim_bytes_string", "report_clean_missing_key",
+            "cdr_nan_duration", "cdr_inf_duration", "cdr_start_time_beyond_int64",
         ],
     )
     def test_data_document(self, workspace, tmp_path, caplog, argv, text, rc, message):

@@ -54,6 +54,27 @@ class TestParseCdr:
             parse_cdr(p)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "NaN", "Infinity", "-INF"])
+    def test_non_finite_duration_is_malformed_row(self, tmp_path, duration):
+        p = write(tmp_path / "cdr.csv", CDR_HEADER + f"\nc1,1000,30,0,h1,h2\nc1,1300,{duration},0,h1,h2\n")
+        with pytest.raises(MalformedRow, match=f"line 3: non-finite duration '{duration}'"):
+            parse_cdr(p)
+
+    @pytest.mark.parametrize("start", ["99999999999999999999", "-99999999999999999999", "1000000000000000000"])
+    def test_start_time_beyond_the_grid_range_is_malformed_row(self, tmp_path, start):
+        p = write(
+            tmp_path / "cdr.csv",
+            CDR_HEADER + f"\nc1,{start},30,0,h1,h2\nc1,1300,30,0,h1,h2\nc1,{start},nan,0,h1,h2\n",
+        )
+        with pytest.raises(MalformedRow, match=f"line 2: start_time {start} ") as exc:
+            parse_cdr(p)
+        assert exc.value.all_lines == [2, 4]
+
+    def test_start_time_at_the_grid_limit_parses(self, tmp_path):
+        rows = "\nc1,999999999999999999,30,0,h1,h2\nc1,-999999999999999999,30,0,h1,h2\n"
+        p = write(tmp_path / "cdr.csv", CDR_HEADER + rows)
+        assert parse_cdr(p).start_time.tolist() == [10**18 - 1, -(10**18 - 1)]
+
     def test_bad_boolean_collected_with_line_numbers(self, tmp_path):
         p = write(
             tmp_path / "cdr.csv",

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellwatch.baseline import Direction
 from cellwatch.fingerprints import (
     Fingerprint,
     FingerprintDb,
     SymptomItem,
+    db_to_json,
     update_db,
     empty_db,
 )
 from cellwatch.postfilter import AnomalyEvent
 from cellwatch.rca import SymptomSet, diagnose, jaccard_distance
+from helpers import brute_force_diagnose
 
 
 def items(*tokens):
@@ -135,3 +139,84 @@ class TestDiagnose:
         result = diagnose(db, symptoms(["rtt=HIGH"]), k=1, match_threshold=0.5)
         doc = result.to_json_dict()
         assert doc["ranked"][0]["cause"] == "UNLABELED"
+
+
+# A small item pool so that random rules share items and tie on distance;
+# OUTSIDE items appear only in queries, never in a rule.
+POOL = [f"m{i}={state}" for i in range(4) for state in ("HIGH", "LOW")]
+OUTSIDE = ["x0=HIGH", "x1=LOW"]
+
+
+@st.composite
+def random_rules(draw):
+    return Fingerprint(
+        antecedent=items(*draw(st.sets(st.sampled_from(POOL), max_size=4))),  # may be empty
+        consequent=draw(st.sampled_from(["Q0", "Q1", "Q2"])),
+        support=0.1,
+        support_count=draw(st.integers(1, 3)),
+        antecedent_count=3,
+        confidence=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        lift=2.0,
+        cause_label=draw(st.sampled_from([None, "a", "b"])),
+    )
+
+
+@st.composite
+def random_queries(draw):
+    tokens = draw(st.sets(st.sampled_from(POOL + OUTSIDE), max_size=5))  # may be empty
+    return symptoms(tokens, consequent=draw(st.sampled_from(["Q0", "Q1", "Q2", "Q_no_rules"])))
+
+
+def assert_same_diagnosis(got, want):
+    # identity, not equality: duplicate rules must keep their db order
+    assert [id(r.fingerprint) for r in got.ranked] == [id(r.fingerprint) for r in want.ranked]
+    assert [r.distance for r in got.ranked] == [r.distance for r in want.ranked]
+    assert [r.cause_label for r in got.ranked] == [r.cause_label for r in want.ranked]
+    assert got.matched == want.matched
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+class TestIndexAgainstBruteForce:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(random_rules(), max_size=14),
+        st.lists(random_queries(), min_size=1, max_size=6),
+        st.integers(1, 16),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_ranking_equals_filter_and_full_sort(self, rules, queries, k, threshold):
+        db = make_db(rules)
+        for query in queries:  # later queries run against the cached index
+            assert_same_diagnosis(
+                diagnose(db, query, k=k, match_threshold=threshold),
+                brute_force_diagnose(db, query, k, threshold),
+            )
+
+    def test_empty_antecedent_and_empty_query_are_at_distance_zero(self):
+        db = make_db([rule(["a=HIGH"], label="a"), rule([], label="empty")])
+        result = diagnose(db, symptoms([]), k=5, match_threshold=0.0)
+        assert [(r.cause_label, r.distance) for r in result.ranked] == [("empty", 0.0), ("a", 1.0)]
+        assert result.matched
+
+
+class TestIndexCache:
+    def test_appended_rule_is_seen(self):
+        db = make_db([rule(["a=HIGH"], label="far")])
+        assert diagnose(db, symptoms(["b=HIGH"])).ranked[0].cause_label == "far"
+        db.rules.append(rule(["b=HIGH"], label="near"))
+        assert diagnose(db, symptoms(["b=HIGH"])).ranked[0].cause_label == "near"
+
+    def test_replaced_rule_list_is_seen(self):
+        db = make_db([rule(["a=HIGH"], label="far")])
+        assert diagnose(db, symptoms(["b=HIGH"])).ranked[0].cause_label == "far"
+        db.rules = [rule(["b=HIGH"], label="near")]  # a new list of the same length
+        assert diagnose(db, symptoms(["b=HIGH"])).ranked[0].cause_label == "near"
+
+    def test_index_is_not_part_of_the_db_value(self):
+        rules = [rule(["a=HIGH"], label="x"), rule(["b=HIGH"], consequent="R")]
+        used, fresh = make_db(rules), make_db(rules)
+        diagnose(used, symptoms(["a=HIGH"]))
+        assert used._index is not None and fresh._index is None
+        assert used == fresh
+        assert db_to_json(used) == db_to_json(fresh)
+        assert repr(used) == repr(fresh)
