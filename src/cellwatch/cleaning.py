@@ -9,7 +9,7 @@ removal), so the operation is deterministic and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,15 +89,7 @@ def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanRe
             f"need {cfg.min_points}"
         )
 
-    cleaned = MetricSeries(
-        cell_id=series.cell_id,
-        metric_name=series.metric_name,
-        kind=series.kind,
-        polarity=series.polarity,
-        window_len=series.window_len,
-        window_starts=series.window_starts[present][keep],
-        values=values[keep],
-    )
+    cleaned = replace(series, window_starts=series.window_starts[present][keep], values=values[keep])
     report = CleanReport(
         missing_removed=missing_removed,
         extremes_removed=extremes_removed,
@@ -125,16 +117,7 @@ def chrono_split(series: MetricSeries, train_fraction: float) -> tuple[MetricSer
         raise TooFewPoints(
             f"{series.cell_id}/{series.metric_name}: split {cut}/{n - cut} leaves an empty part"
         )
-
-    def _part(part: slice) -> MetricSeries:
-        return MetricSeries(
-            cell_id=series.cell_id,
-            metric_name=series.metric_name,
-            kind=series.kind,
-            polarity=series.polarity,
-            window_len=series.window_len,
-            window_starts=series.window_starts[part],
-            values=series.values[part],
-        )
-
-    return _part(slice(None, cut)), _part(slice(cut, None))
+    return (
+        replace(series, window_starts=series.window_starts[:cut], values=series.values[:cut]),
+        replace(series, window_starts=series.window_starts[cut:], values=series.values[cut:]),
+    )

@@ -45,6 +45,21 @@ class DuplicatePoint(CellwatchError):
         self.key = key
 
 
+class GridTooLarge(CellwatchError):
+    """Grid-filling the input would add more MISSING windows than the fill limit.
+
+    ``key`` is the key whose grid adds the most: a (cell, metric) pair for a
+    metric CSV, a cell id for CDR aggregation.
+    """
+
+    def __init__(self, key: object, key_fill: int, total_fill: int, limit: int):
+        super().__init__(
+            f"grid fill would add {total_fill} MISSING windows, more than {limit}; "
+            f"{key!r} alone spans {key_fill} windows without data"
+        )
+        self.key = key
+
+
 class TooFewPoints(CellwatchError):
     """A series does not carry enough usable points for the operation."""
 

@@ -23,7 +23,6 @@ models and rule databases to CENTRALIZED on every scenario.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -246,12 +245,8 @@ class _Prepared:
     tests: list[MetricSeries]
     kpi_series: list[MetricSeries]
     cells: list[str]
-    n_cdr_records: dict[str, int]
-    n_cdr_train: dict[str, int]
-    raw_rows: dict[str, int]
-    raw_train_rows: dict[str, int]
-    agg_train_rows: dict[str, int]
-    n_series_per_cell: dict[str, int]
+    upload_bytes: dict[Strategy, dict[str, int]]  # strategy -> cell -> bytes shipped up for training
+    window_bytes: dict[str, int]  # cell -> one window of all its series, the CENTRALIZED event upload
     detector_cfg: DetectorConfig
 
 
@@ -262,44 +257,37 @@ def _prepare(scenario: Scenario) -> _Prepared:
 
     detector_cfg = scenario.detector_cfg.with_catalog_bounds(catalog)
 
-    cutoff = spec.train_cutoff_window
+    row, record = scenario.sizes.metric_row_bytes, scenario.sizes.cdr_record_bytes
     cells = spec.cell_ids()
-    n_cdr_records = {c: 0 for c in cells}
-    n_cdr_train = {c: 0 for c in cells}
-    raw_rows = {c: 0 for c in cells}
-    raw_train_rows = {c: 0 for c in cells}
-    agg_train_rows = {c: 0 for c in cells}
-    n_series_per_cell = {c: 0 for c in cells}
-
-    derived_ids = {id(s) for s in derived}
+    upload_bytes = {strategy: dict.fromkeys(cells, 0) for strategy in Strategy}
+    window_bytes = dict.fromkeys(cells, 0)
     train_clean: list[MetricSeries] = []
     tests: list[MetricSeries] = []
-    for series in derived + kqi_series + kpi_series:
-        n_series_per_cell[series.cell_id] += 1
-        cut = math.ceil(len(series.values) * spec.train_fraction)
-        if id(series) in derived_ids:
-            agg_train_rows[series.cell_id] += cut
-            if series.metric_name == "call_attempts":  # per-cell call totals, from aggregates only
-                n_cdr_records[series.cell_id] = int(series.values.sum())
-                n_cdr_train[series.cell_id] = int(series.values[series.window_starts < cutoff].sum())
-        else:
-            raw_rows[series.cell_id] += len(series.values)
-            raw_train_rows[series.cell_id] += cut
-        train_raw, test = chrono_split(series, spec.train_fraction)
-        cleaned, _ = clean(train_raw, scenario.clean_cfg)
-        train_clean.append(cleaned)
-        tests.append(test)
+    for aggregated, group in ((True, derived), (False, kqi_series + kpi_series)):
+        for series in group:
+            train_raw, test = chrono_split(series, spec.train_fraction)
+            train_bytes = len(train_raw.values) * row
+            # bytes shipped under CENTRALIZED, EDGE_INFERENCE and FOG
+            if not aggregated:
+                shipped = (len(series.values) * row, train_bytes, train_bytes)
+            elif series.metric_name == "call_attempts":  # per-cell call totals, from aggregates only
+                train_calls = series.values[series.window_starts < spec.train_cutoff_window]
+                shipped = (int(series.values.sum()) * record, int(train_calls.sum()) * record, train_bytes)
+            else:
+                shipped = (0, 0, train_bytes)
+            for strategy, n_bytes in zip(Strategy, shipped):
+                upload_bytes[strategy][series.cell_id] += n_bytes
+            window_bytes[series.cell_id] += row
+            cleaned, _ = clean(train_raw, scenario.clean_cfg)
+            train_clean.append(cleaned)
+            tests.append(test)
     return _Prepared(
         train_clean=train_clean,
         tests=tests,
         kpi_series=kpi_series,
         cells=cells,
-        n_cdr_records=n_cdr_records,
-        n_cdr_train=n_cdr_train,
-        raw_rows=raw_rows,
-        raw_train_rows=raw_train_rows,
-        agg_train_rows=agg_train_rows,
-        n_series_per_cell=n_series_per_cell,
+        upload_bytes=upload_bytes,
+        window_bytes=window_bytes,
         detector_cfg=detector_cfg,
     )
 
@@ -389,32 +377,16 @@ def simulate(
             else BaselineModel.empty(prepared.detector_cfg)
         )
 
-    if strategy == Strategy.CENTRALIZED:
-        for edge in active_edges:
-            n_bytes = sum(
-                prepared.n_cdr_records[c] * sizes.cdr_record_bytes
-                + prepared.raw_rows[c] * sizes.metric_row_bytes
-                for c in cells_by_edge[edge]
-            )
-            relay_up("data_upload", edge, n_bytes)
-    elif strategy == Strategy.EDGE_INFERENCE:
-        for edge in active_edges:
-            n_bytes = sum(
-                prepared.n_cdr_train[c] * sizes.cdr_record_bytes
-                + prepared.raw_train_rows[c] * sizes.metric_row_bytes
-                for c in cells_by_edge[edge]
-            )
-            relay_up("train_upload", edge, n_bytes)
-        broadcast_model("model_broadcast", _model_bytes(model))
-    else:  # FOG
-        for edge in active_edges:
-            n_bytes = sum(
-                (prepared.agg_train_rows[c] + prepared.raw_train_rows[c]) * sizes.metric_row_bytes
-                for c in cells_by_edge[edge]
-            )
-            acct.add("train_upload", edge, fog_of(edge), up=n_bytes)
-        for fog, partial in partials_by_fog.items():
-            acct.add("summary_upload", fog, cloud, up=_model_bytes(partial))
+    phase = "data_upload" if strategy == Strategy.CENTRALIZED else "train_upload"
+    for edge in active_edges:
+        n_bytes = sum(prepared.upload_bytes[strategy][c] for c in cells_by_edge[edge])
+        if strategy == Strategy.FOG:  # training series stop at the fog node
+            acct.add(phase, edge, fog_of(edge), up=n_bytes)
+        else:
+            relay_up(phase, edge, n_bytes)
+    for fog, partial in partials_by_fog.items():
+        acct.add("summary_upload", fog, cloud, up=_model_bytes(partial))
+    if strategy != Strategy.CENTRALIZED:
         broadcast_model("model_broadcast", _model_bytes(model))
 
     # --- detection + transactions ----------------------------------------
@@ -458,20 +430,16 @@ def simulate(
     # --- per-event response latency ---------------------------------------
     latencies: list[float] = []
     for event in events:
-        if strategy == Strategy.CENTRALIZED:
-            edge = edge_of(event.cell_id)
-            fog = fog_of(edge)
-            window_bytes = prepared.n_series_per_cell[event.cell_id] * sizes.metric_row_bytes
-            up = topology.links[edge].transfer_time(window_bytes) + topology.links[
-                fog
-            ].transfer_time(window_bytes)
-            down = topology.links[fog].transfer_time(sizes.alert_bytes) + topology.links[
-                edge
-            ].transfer_time(sizes.alert_bytes)
-            latencies.append(up + down)
-        else:
+        if strategy != Strategy.CENTRALIZED:
             # inference is local to the edge; no link time on the event path
             latencies.append(0.0)
+            continue
+        edge = edge_of(event.cell_id)
+        edge_link, fog_link = topology.links[edge], topology.links[fog_of(edge)]
+        window_bytes = prepared.window_bytes[event.cell_id]
+        up = edge_link.transfer_time(window_bytes) + fog_link.transfer_time(window_bytes)
+        down = fog_link.transfer_time(sizes.alert_bytes) + edge_link.transfer_time(sizes.alert_bytes)
+        latencies.append(up + down)
 
     locations = {
         Strategy.CENTRALIZED: {"training": "cloud", "inference": "cloud", "mining": "cloud"},

@@ -25,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     CellwatchError,
     DuplicatePoint,
+    GridTooLarge,
     MalformedHeader,
     MalformedRow,
     UnknownMetric,
@@ -33,6 +34,10 @@ from .jsondoc import decode, encode
 
 # In-memory marker for a missing window value; the CSV form is an empty field.
 MISSING = math.nan
+
+# At most this many MISSING windows are added by the grid fill of one parse or
+# aggregation; a larger fill is refused before its grid is allocated.
+MAX_GRID_FILL = 2**24
 
 CDR_HEADER = ["cell_id", "start_time", "duration", "dropped", "source_hash", "dest_hash"]
 METRIC_HEADER = ["cell_id", "metric_name", "window_start", "value"]
@@ -229,6 +234,14 @@ def parse_cdr(path: str | Path) -> CdrCalls:
     if bad:
         raise MalformedRow(bad[0][0], bad[0][1], all_lines=[ln for ln, _ in bad])
     return CdrCalls(*zip(*rows)) if rows else CdrCalls()
+
+
+def _check_grid_fill(keys: list, fill: list[int]) -> None:
+    """Raise GridTooLarge if the per-key MISSING fill adds up to more than MAX_GRID_FILL."""
+    total = sum(fill)
+    if total > MAX_GRID_FILL:
+        worst = max(range(len(fill)), key=fill.__getitem__)
+        raise GridTooLarge(keys[worst], fill[worst], total, MAX_GRID_FILL)
 
 
 def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
@@ -503,7 +516,8 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     row and all later ones from the rows the next checks see. The first bad
     line is then re-checked by ``_row_error``, which names the error as a
     row-by-row reader would. A duplicate (cell, metric, window_start) before
-    that line raises DuplicatePoint instead.
+    that line raises DuplicatePoint instead. A fill of more than
+    MAX_GRID_FILL MISSING windows raises GridTooLarge.
     """
     data, size = _read_padded(path)
     if not data.isascii():
@@ -554,6 +568,7 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     seg_window = window_of_key[seg_key]
     seg_first = ws[seg]
     grid_len = (ws[seg + seg_len - 1] - seg_first) // seg_window + 1
+    _check_grid_fill([keys[k] for k in seg_key], (grid_len - seg_len).tolist())
     grid_end = np.cumsum(grid_len)
     grid_start = grid_end - grid_len
     total = int(grid_end[-1]) if len(seg) else 0
@@ -606,7 +621,8 @@ def aggregate_cdr(calls: CdrCalls, window_len: int) -> list[MetricSeries]:
     Per (cell, window) this yields call_attempts, drop_rate and mean_duration.
     A call belongs to the window containing its start_time. Within a cell the
     grid spans that cell's first to last active window; empty windows carry
-    0 attempts and MISSING rates. No per-user field survives. Durations are
+    0 attempts and MISSING rates; more than MAX_GRID_FILL empty windows in
+    all raise GridTooLarge. No per-user field survives. Durations are
     summed per window in record order, as a running float total would.
     """
     if window_len <= 0:
@@ -620,6 +636,11 @@ def aggregate_cdr(calls: CdrCalls, window_len: int) -> list[MetricSeries]:
     np.minimum.at(first, cell, ws)
     np.maximum.at(last, cell, ws)
     grid_len = (last - first) // window_len + 1
+    # Each cell has a window with data, so only a fill that may pass the limit
+    # is counted exactly (a sort of all calls).
+    if sum(grid_len.tolist()) - len(cells) > MAX_GRID_FILL:
+        occupied = np.unique(np.stack((cell, ws), axis=1), axis=0)[:, 0]
+        _check_grid_fill(cells.tolist(), (grid_len - np.bincount(occupied, minlength=len(cells))).tolist())
     grid_end = np.cumsum(grid_len)
     grid_start = grid_end - grid_len
     slot = grid_start[cell] + (ws - first[cell]) // window_len

@@ -172,6 +172,20 @@ class TestExitCodes:
         )
         assert rc == 1  # too few points after cleaning
 
+    def test_grid_fill_beyond_the_limit_is_exit_1(self, tmp_path, caplog):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(
+            json.dumps({"m": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE", "window_len_seconds": 300}})
+        )
+        kqi = tmp_path / "kqi.csv"
+        kqi.write_text("cell_id,metric_name,window_start,value\nc1,m,0,1.0\nc1,m,300000000000000000,1.0\n")
+        caplog.clear()
+        rc = main(
+            ["train", "--kqi", str(kqi), "--catalog", str(catalog), "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 1
+        assert "('c1', 'm') alone spans 999999999999999 windows without data" in caplog.text
+
     @pytest.mark.parametrize("doc", [{"schema_version": 1}, [1, 2, 3]])
     def test_malformed_model_is_exit_1(self, workspace, tmp_path, doc):
         data = workspace / "data"

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import math
 import re
 
 import pytest
 
 from cellwatch.errors import InvalidTopology, SchemaMismatch, UnassignedCell
+from cellwatch.ingest import aggregate_cdr
 from cellwatch.fogsim import (
     RecordSizes,
     Scenario,
@@ -107,6 +110,15 @@ def tiny_scenario(**spec_kw):
     base.clean_cfg = CleanConfig(min_points=8)
     base.detector_cfg = DetectorConfig(bin_count=32, tau=3.5, min_samples=2)
     return base
+
+
+def sparse_traffic_scenario():
+    """0.3 calls per window on the default topology's 8 cells."""
+    return tiny_scenario(n_cells=8, days=2.0, seed=2, calls_per_window=0.3)
+
+
+def report_sha256(report):
+    return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
 
 class TestSimulate:
@@ -229,6 +241,49 @@ class TestSimulate:
         key = next(iter(model_b.sketches))
         model_b.sketches[key].counts[0] += 1
         assert not compare_models(model_a, model_b)
+
+    @pytest.mark.parametrize(
+        "strategy, sha256",
+        [
+            (Strategy.CENTRALIZED, "1f4f2613165a90eb3c1277f84beff9ba8a93874e70010fc986a1232b3220e004"),
+            (Strategy.EDGE_INFERENCE, "4fe0e6671c4fe325cdcdb8cf9b26fb2208a8877492aaf03e4066e75b549ddd71"),
+            (Strategy.FOG, "f6de0e7ae14f4f7c0209e627a40a9da7bc129347886d9a65c98d2d84e170e7ed"),
+        ],
+    )
+    def test_default_scenario_report_is_pinned(self, strategy, sha256):
+        report, _, _ = simulate(default_topology(), strategy, default_scenario())
+        assert report_sha256(report) == sha256
+
+    @pytest.mark.parametrize(
+        "strategy, sha256",
+        [
+            (Strategy.CENTRALIZED, "1780ce4e86017a628946d4103ce1ef734c7358f523bd1f5432462305b7fc548f"),
+            (Strategy.EDGE_INFERENCE, "d534558343c0a06a70bdca3beefcaf9138c4cae6898795b59edd464cb748c58b"),
+            (Strategy.FOG, "c9cd7846d46bcdc559613a426a8fb0f4c23b67365636a4c2bac1d1fadd2426c7"),
+        ],
+    )
+    def test_sparse_traffic_report_is_pinned(self, strategy, sha256):
+        # Some cells have no calls in their first or last windows, so their
+        # aggregated grids are shorter than the scenario's: on some edge,
+        # counting calls before the train cutoff differs from cutting each
+        # series at its own train fraction.
+        scenario = sparse_traffic_scenario()
+        spec = scenario.spec
+        topology = default_topology()
+        calls, _, _, _, _ = synth.generate_series(spec)
+        attempts = [s for s in aggregate_cdr(calls, spec.window_len) if s.metric_name == "call_attempts"]
+        assert any(s.window_starts[0] > 0 for s in attempts)
+        per_series_cut, before_cutoff = {}, {}
+        for s in attempts:
+            edge = topology.cell_assignment[s.cell_id]
+            cut = math.ceil(len(s.values) * spec.train_fraction)
+            per_series_cut[edge] = per_series_cut.get(edge, 0) + s.values[:cut].sum()
+            train = s.window_starts < spec.train_cutoff_window
+            before_cutoff[edge] = before_cutoff.get(edge, 0) + s.values[train].sum()
+        assert per_series_cut != before_cutoff
+
+        report, _, _ = simulate(topology, strategy, scenario)
+        assert report_sha256(report) == sha256
 
     def test_model_locations_reported(self):
         topo = default_topology()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellwatch.errors import DuplicatePoint, MalformedHeader, MalformedRow, UnknownMetric
+from cellwatch import ingest
+from cellwatch.errors import DuplicatePoint, GridTooLarge, MalformedHeader, MalformedRow, UnknownMetric
 from cellwatch.ingest import (
     CdrCalls,
     MetricInfo,
@@ -131,6 +132,24 @@ class TestParseMetricCsv:
         )
         (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
         assert series.points == [(0, 1.5), (300, None), (600, 2.5)]
+
+    def test_grid_fill_beyond_the_limit_is_refused_before_allocating(self, tmp_path, catalog):
+        # 10**15 windows between the two rows: far more than any machine can hold
+        p = write(tmp_path / "m.csv", f"{self.HEADER}\nc1,rtt,0,1.0\nc1,rtt,300000000000000000,1.0\n")
+        with pytest.raises(GridTooLarge, match="'c1', 'rtt'") as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value.key == ("c1", "rtt")
+
+    def test_grid_fill_limit_counts_missing_windows_over_all_keys(self, tmp_path, catalog, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_GRID_FILL", 3)
+        rows = "c1,rtt,0,1\nc1,rtt,600,\nc1,rtt,1200,2\nc2,rtt,0,1\nc2,rtt,600,1\n"
+        p = write(tmp_path / "m.csv", f"{self.HEADER}\n{rows}")
+        # c1 fills 300 and 900, c2 fills 300: 3 MISSING windows, at the limit
+        assert [len(s.values) for s in parse_metric_csv(p, MetricKind.KPI, catalog)] == [5, 3]
+        p = write(tmp_path / "m.csv", f"{self.HEADER}\n{rows}c2,rtt,1200,1\n")
+        with pytest.raises(GridTooLarge, match="would add 4 MISSING windows, more than 3") as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value.key == ("c1", "rtt")
 
     def test_empty_value_field_is_missing(self, tmp_path, catalog):
         p = write(tmp_path / "m.csv", f"{self.HEADER}\nc1,rtt,0,\n")
@@ -398,6 +417,25 @@ class TestAggregateCdr:
 
     def test_empty_input_gives_empty_list(self):
         assert aggregate_cdr(cdr(), 300) == []
+
+    def test_grid_fill_beyond_the_limit_is_refused_before_allocating(self):
+        records = cdr(
+            ("c0", 10, 10, False, "a", "b"),
+            ("c1", 10, 10, False, "a", "b"),
+            ("c1", 300000000000000000, 10, False, "a", "b"),
+        )
+        with pytest.raises(GridTooLarge, match="'c1' alone") as exc:
+            aggregate_cdr(records, 300)
+        assert exc.value.key == "c1"
+
+    def test_grid_fill_limit_counts_empty_windows(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_GRID_FILL", 2)
+        calls = [("c1", t, 10, False, "a", "b") for t in (0, 10, 20, 900, 910)]
+        # windows 0 and 900 hold calls, 300 and 600 are filled: at the limit
+        series = aggregate_cdr(cdr(*calls), 300)
+        assert series[0].points == [(0, 3.0), (300, 0.0), (600, 0.0), (900, 2.0)]
+        with pytest.raises(GridTooLarge, match="would add 3 MISSING windows, more than 2"):
+            aggregate_cdr(cdr(*calls, ("c1", 1500, 10, False, "a", "b")), 300)
 
     def test_empty_windows_are_zero_attempts_and_missing_rates(self):
         records = cdr(
