@@ -1,9 +1,10 @@
 """Hour-bucketed histogram baselines and robust median/MAD scoring.
 
-Each (cell, metric, hour-of-day) key keeps a fixed-bounds histogram sketch.
-Sketches are purely count-based, so models fitted on disjoint data
-partitions merge into exactly the model a pooled fit would produce, as long
-as every party uses the same bounds (pin them via DetectorConfig.bounds).
+Each (cell, metric, hour-of-day) key keeps a fixed-bounds histogram sketch,
+one row of a SketchTable. Sketches are purely count-based, so models fitted
+on disjoint data partitions merge into exactly the model a pooled fit would
+produce, as long as every party uses the same bounds (pin them via
+DetectorConfig.bounds).
 
 Median/MAD convention: both the exact (raw-value) statistics and the
 histogram estimates use the *lower* median, i.e. the ceil(n/2)-th order
@@ -15,8 +16,10 @@ empty bins.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -40,6 +43,9 @@ class Direction(str, Enum):
     UP = "UP"
     DOWN = "DOWN"
     NONE = "NONE"
+
+
+_DIRECTIONS = (Direction.NONE, Direction.UP, Direction.DOWN)  # by _score_values' direction index
 
 
 def hour_bucket(window_start: int | np.ndarray) -> int | np.ndarray:
@@ -74,78 +80,59 @@ def exact_robust_score(values: list[float], x: float) -> float:
     return abs(x - med) / denom
 
 
-@dataclass
-class HistogramSketch:
-    """Fixed-bounds counting histogram; merging is elementwise addition."""
+@dataclass(eq=False)
+class SketchTable:
+    """Fixed-bounds counting histograms, one row per key in sorted key order.
 
-    lo: float
-    hi: float
-    counts: list[int]
-    underflow: int = 0
-    overflow: int = 0
+    Row r counts the values of ``keys[r]`` inside ``[lo[r], hi[r]]`` in
+    ``counts[r]`` (equal-width bins) and those below or above the bounds in
+    ``underflow[r]`` and ``overflow[r]``. Merging adds the rows of equal keys.
+    """
 
-    @classmethod
-    def empty(cls, lo: float, hi: float, bin_count: int) -> "HistogramSketch":
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        return cls(lo=lo, hi=hi, counts=[0] * bin_count)
+    keys: list[BaselineKey]
+    lo: np.ndarray  # float64, one per key
+    hi: np.ndarray  # float64, one per key
+    counts: np.ndarray  # int64, keys x bin_count
+    underflow: np.ndarray  # int64, one per key
+    overflow: np.ndarray  # int64, one per key
 
-    @property
-    def bin_count(self) -> int:
-        return len(self.counts)
+    def __len__(self) -> int:
+        return len(self.keys)
 
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.bin_count
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SketchTable):
+            return NotImplemented
+        return self.keys == other.keys and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("lo", "hi", "counts", "underflow", "overflow")
+        )
 
-    def total_count(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
+    def stats(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Total mass, median and MAD of each row at bin-midpoint resolution.
 
-    def insert(self, value: float) -> None:
-        if value < self.lo:
-            self.underflow += 1
-        elif value > self.hi:
-            self.overflow += 1
-        else:
-            idx = int((value - self.lo) / self.bin_width)
-            if idx >= self.bin_count:  # value == hi after float division
-                idx = self.bin_count - 1
-            self.counts[idx] += 1
-
-    def estimate_median_mad(self) -> tuple[float, float]:
-        """Median/MAD estimated from bin counts at bin-midpoint resolution.
-
-        Underflow/overflow mass is pinned to lo/hi. With all mass inside the
-        bounds both estimates are within one bin width of the exact
-        lower-median statistics.
+        Underflow/overflow mass is pinned to lo/hi. Each estimate is the
+        position of the ceil(n/2)-th unit of mass, in value order for the
+        median and in deviation order for the MAD, so with all mass inside
+        the bounds both are within one bin width of the exact lower-median
+        statistics. A zero-count column never holds that unit, and the order
+        of equal deviations does not change which deviation holds it, so the
+        result is the same as walking each row's nonzero positions.
         """
-        total = self.total_count()
-        if total == 0:
-            raise ValueError("cannot estimate statistics of an empty sketch")
-        rank = (total + 1) // 2
-        width = self.bin_width
-
-        def walk(masses: list[tuple[float, int]]) -> float:
-            cum = 0
-            for value, count in masses:
-                cum += count
-                if cum >= rank:
-                    return value
-            return masses[-1][0]
-
-        positions: list[tuple[float, int]] = []
-        if self.underflow:
-            positions.append((self.lo, self.underflow))
-        for i, c in enumerate(self.counts):
-            if c:
-                positions.append((self.lo + (i + 0.5) * width, c))
-        if self.overflow:
-            positions.append((self.hi, self.overflow))
-        med = walk(positions)
-
-        deviations = sorted((abs(value - med), count) for value, count in positions)
-        mad = walk(deviations)
-        return med, mad
+        lo, hi = self.lo[rows], self.hi[rows]
+        nb = self.counts.shape[1]
+        mids = lo[:, None] + (np.arange(nb) + 0.5) * ((hi - lo) / nb)[:, None]
+        values = np.column_stack([lo, mids, hi])
+        mass = np.column_stack([self.underflow[rows], self.counts[rows], self.overflow[rows]])
+        total = mass.sum(axis=1)
+        rank = ((total + 1) // 2)[:, None]
+        each = np.arange(len(values))
+        median = values[each, np.argmax(np.cumsum(mass, axis=1) >= rank, axis=1)]
+        deviations = np.abs(values - median[:, None])
+        order = np.argsort(deviations, axis=1, kind="stable")
+        mass = np.take_along_axis(mass, order, axis=1)
+        deviations = np.take_along_axis(deviations, order, axis=1)
+        mad = deviations[each, np.argmax(np.cumsum(mass, axis=1) >= rank, axis=1)]
+        return total, median, mad
 
 
 @dataclass(frozen=True)
@@ -186,61 +173,39 @@ class AnomalyScore:
 
 @dataclass
 class BaselineModel:
-    """Per-key sketches plus per-metric classification.
-
-    Immutable after fit; median/MAD estimates are cached per key.
-    """
+    """Per-key sketches plus per-metric classification; immutable after fit."""
 
     config: DetectorConfig
     metric_meta: dict[str, tuple[MetricKind, Polarity]]
-    sketches: dict[BaselineKey, HistogramSketch]
-    _stats_cache: dict[BaselineKey, tuple[float, float]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    sketches: SketchTable
 
     @classmethod
     def empty(cls, config: DetectorConfig) -> "BaselineModel":
-        return cls(config=config, metric_meta={}, sketches={})
-
-    def sample_count(self, key: BaselineKey) -> int:
-        return self.sketches[key].total_count()
-
-    def covers(self, cell_id: str, metric_name: str) -> bool:
-        """Whether any hour bucket of (cell, metric) was trained."""
-        return any(hour in self.sketches for hour in _hour_keys(cell_id, metric_name))
-
-    def key_stats(self, key: BaselineKey) -> tuple[float, float]:
-        cached = self._stats_cache.get(key)
-        if cached is None:
-            sketch = self.sketches.get(key)
-            if sketch is None:
-                raise UnknownKey(key)
-            cached = sketch.estimate_median_mad()
-            self._stats_cache[key] = cached
-        return cached
+        counts = np.zeros((0, config.bin_count), dtype=np.int64)
+        table = SketchTable([], np.zeros(0), np.zeros(0), counts, counts[:, 0], counts[:, 0])
+        return cls(config=config, metric_meta={}, sketches=table)
 
 
-def _hour_keys(cell_id: str, metric_name: str) -> list[BaselineKey]:
-    return [(cell_id, metric_name, hour) for hour in range(24)]
-
-
-def _data_driven_bounds(vmin: float, vmax: float, bin_count: int) -> tuple[float, float]:
+def _data_driven_bounds(
+    vmin: np.ndarray, vmax: np.ndarray, bin_count: int
+) -> tuple[np.ndarray, np.ndarray]:
     span = vmax - vmin
-    if span > 0:
-        return vmin - 0.05 * span, vmax + 0.05 * span
-    # Degenerate (constant) key: pick bounds that put the value exactly on a
-    # bin midpoint, so the estimated median reproduces the constant.
-    step = max(0.1 * abs(vmin), 1.0) / bin_count
-    lo = vmin - (bin_count // 2 + 0.5) * step
-    return lo, lo + bin_count * step
+    # Degenerate (constant) key: pick bounds that put the value on a bin
+    # midpoint, so the estimated median reproduces the constant.
+    step = np.maximum(0.1 * np.abs(vmin), 1.0) / bin_count
+    flat_lo = vmin - (bin_count // 2 + 0.5) * step
+    spread = span > 0
+    return (np.where(spread, vmin - 0.05 * span, flat_lo),
+            np.where(spread, vmax + 0.05 * span, flat_lo + bin_count * step))
 
 
 def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:
     """Fit per-(cell, metric, hour) sketches over cleaned training series.
 
     Per (cell, metric) all present values are binned at once: the bin index
-    is ``int((value - lo) / bin_width)`` as in ``HistogramSketch.insert``,
-    and ``np.bincount`` counts (hour, bin) pairs.
+    is ``int((value - lo) / bin_width)``, clipped to the last bin for a value
+    equal to ``hi``, and ``np.bincount`` counts (row, bin) pairs, one row per
+    hour seen. The pairs' rows, in key order, are the model's table.
     """
     if not train:
         raise EmptyTraining("no training series given")
@@ -256,44 +221,40 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
 
     fixed = cfg.bounds or {}
     nb = cfg.bin_count
-    sketches: dict[BaselineKey, HistogramSketch] = {}
-    for (cell_id, metric), group in per_pair.items():
+    keys: list[BaselineKey] = []
+    columns: list[tuple[np.ndarray, ...]] = []
+    # Count rows go straight into one matrix with room for every hour of every
+    # pair; joining per-pair pieces would fragment a long-lived process's heap.
+    counts = np.zeros((24 * len(per_pair), nb), dtype=np.int64)
+    for cell_id, metric in sorted(per_pair):
+        group = per_pair[(cell_id, metric)]
         values = np.concatenate([s.values for s in group])
         hours = hour_bucket(np.concatenate([s.window_starts for s in group]))
         present = ~np.isnan(values)
-        values, hours = values[present], hours[present]
-        seen = np.flatnonzero(np.bincount(hours, minlength=24)).tolist()
+        seen, row = np.unique(hours[present], return_inverse=True)
+        values, n = values[present], len(seen)
         if fixed.get(metric):
-            bounds = dict.fromkeys(seen, fixed[metric])
+            lo, hi = (np.full(n, float(bound)) for bound in fixed[metric])
         else:
-            mins = np.full(24, np.inf)
-            maxs = np.full(24, -np.inf)
-            np.minimum.at(mins, hours, values)
-            np.maximum.at(maxs, hours, values)
-            bounds = {h: _data_driven_bounds(float(mins[h]), float(maxs[h]), nb) for h in seen}
-        lo_h, hi_h = np.zeros(24), np.ones(24)
-        for h, (lo, hi) in bounds.items():
-            if not lo < hi:
-                raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-            lo_h[h], hi_h[h] = lo, hi
-        lo, hi = lo_h[hours], hi_h[hours]
-        under, over = values < lo, values > hi
+            mins, maxs = np.full(n, np.inf), np.full(n, -np.inf)
+            np.minimum.at(mins, row, values)
+            np.maximum.at(maxs, row, values)
+            lo, hi = _data_driven_bounds(mins, maxs, nb)
+        if not (lo < hi).all():
+            raise ValueError(f"need lo < hi in every sketch of {(cell_id, metric)}")
+        under, over = values < lo[row], values > hi[row]
         inside = ~(under | over)
-        width = ((hi_h - lo_h) / nb)[hours[inside]]
-        bins = ((values[inside] - lo[inside]) / width).astype(np.int64)
+        width = ((hi - lo) / nb)[row[inside]]
+        bins = ((values[inside] - lo[row[inside]]) / width).astype(np.int64)
         np.minimum(bins, nb - 1, out=bins)  # value == hi after float division
-        counts = np.bincount(hours[inside] * nb + bins, minlength=24 * nb).reshape(24, nb)
-        n_under = np.bincount(hours[under], minlength=24)
-        n_over = np.bincount(hours[over], minlength=24)
-        for h, (lo, hi) in bounds.items():
-            sketches[(cell_id, metric, h)] = HistogramSketch(
-                lo=lo,
-                hi=hi,
-                counts=counts[h].tolist(),
-                underflow=int(n_under[h]),
-                overflow=int(n_over[h]),
-            )
-    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=sketches)
+        binned = np.bincount(row[inside] * nb + bins, minlength=n * nb)
+        counts[len(keys) : len(keys) + n] = binned.reshape(n, nb)
+        keys += [(cell_id, metric, h) for h in seen.tolist()]
+        columns.append((lo, hi, *(np.bincount(row[side], minlength=n) for side in (under, over))))
+    counts.resize((len(keys), nb), refcheck=False)  # in place; nothing else refers to it
+    lo, hi, underflow, overflow = (np.concatenate(column) for column in zip(*columns))
+    table = SketchTable(keys, lo, hi, counts, underflow, overflow)
+    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=table)
 
 
 def robust_score(model: BaselineModel, key: BaselineKey, value: float) -> AnomalyScore:
@@ -301,27 +262,41 @@ def robust_score(model: BaselineModel, key: BaselineKey, value: float) -> Anomal
 
     score = |value - median| / (1.4826 * MAD + eps); the direction compares
     the value to the estimated median, and ``degrading`` is true only when
-    that direction is the metric's declared worsening direction.
+    that direction is the metric's declared worsening direction. A NaN value
+    scores like a MISSING point in ``score_series``.
     """
-    med, mad = model.key_stats(key)
-    score = abs(value - med) / (MAD_CONSISTENCY * mad + SCALE_EPSILON)
-    if value > med:
-        direction = Direction.UP
-    elif value < med:
-        direction = Direction.DOWN
-    else:
-        direction = Direction.NONE
-    meta = model.metric_meta.get(key[1])
-    if meta is None:
+    keys = model.sketches.keys
+    row = bisect_left(keys, key)
+    if row == len(keys) or keys[row] != key or key[1] not in model.metric_meta:
         raise UnknownKey(key)
-    polarity = meta[1]
-    degrading = (direction == Direction.UP and polarity == Polarity.HIGHER_IS_WORSE) or (
-        direction == Direction.DOWN and polarity == Polarity.LOWER_IS_WORSE
-    )
-    sufficient = model.sample_count(key) >= model.config.min_samples
-    return AnomalyScore(
-        score=score, direction=direction, degrading=degrading, sufficient_data=sufficient
-    )
+    hours, values = np.array([key[2]]), np.array([value], dtype=float)
+    scored = _score_values(model, slice(row, row + 1), key[1], hours, values)
+    score, direction, degrading, sufficient = (column.tolist()[0] for column in scored)
+    return AnomalyScore(score, _DIRECTIONS[direction], degrading, sufficient)
+
+
+def _score_values(
+    model: BaselineModel, rows: slice, metric_name: str, hours: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Score, direction index (0 NONE, 1 UP, 2 DOWN), degrading and sufficiency per value.
+
+    Each value is scored against the row of its hour among ``rows``. A NaN
+    value, or one whose hour has no row (or whose metric has no metadata),
+    scores 0 with no direction and insufficient data.
+    """
+    total, med, mad = model.sketches.stats(rows)
+    meta = model.metric_meta.get(metric_name)
+    row_h = np.full(24, -1)  # -1: no sketch for the hour; masked out below
+    if meta is not None:
+        row_h[[hour for _, _, hour in model.sketches.keys[rows]]] = np.arange(len(med))
+    r = row_h[hours]
+    scored = ~np.isnan(values) & (r >= 0)
+    med = med[r]
+    score = np.where(scored, np.abs(values - med) / (MAD_CONSISTENCY * mad[r] + SCALE_EPSILON), 0.0)
+    up = scored & (values > med)
+    down = scored & (values < med)
+    worse = up if meta is not None and meta[1] == Polarity.HIGHER_IS_WORSE else down
+    return score, up + 2 * down, worse, scored & (total[r] >= model.config.min_samples)
 
 
 @dataclass
@@ -346,41 +321,16 @@ def score_series(
     if threshold <= 0:
         raise ValueError("tau must be > 0")
     starts, values = test.window_starts, test.values
-    if not model.covers(test.cell_id, test.metric_name):
+    keys = model.sketches.keys
+    rows = slice(*(bisect_left(keys, (test.cell_id, test.metric_name, h)) for h in (0, 24)))
+    if rows.start == rows.stop:
         raise UnknownKey((test.cell_id, test.metric_name, hour_bucket(int(starts[0])) if len(starts) else 0))
-
-    # Per hour bucket: median, score denominator, sample sufficiency. A
-    # bucket without a sketch (or a metric without metadata) scores like
-    # MISSING, as robust_score's UnknownKey would.
-    med_h = np.zeros(24)
-    denom_h = np.ones(24)
-    trained_h = np.zeros(24, dtype=bool)
-    sufficient_h = np.zeros(24, dtype=bool)
-    meta = model.metric_meta.get(test.metric_name)
-    for h in range(24):
-        key = (test.cell_id, test.metric_name, h)
-        if meta is None or key not in model.sketches:
-            continue
-        med, mad = model.key_stats(key)
-        med_h[h] = med
-        denom_h[h] = MAD_CONSISTENCY * mad + SCALE_EPSILON
-        trained_h[h] = True
-        sufficient_h[h] = model.sample_count(key) >= model.config.min_samples
-
-    hours = hour_bucket(starts)
-    scored = ~np.isnan(values) & trained_h[hours]
-    med = med_h[hours]
-    score = np.where(scored, np.abs(values - med) / denom_h[hours], 0.0)
-    up = scored & (values > med)
-    down = scored & (values < med)
-    worse = up if meta is not None and meta[1] == Polarity.HIGHER_IS_WORSE else down
-    sufficient = scored & sufficient_h[hours]
+    score, direction, worse, sufficient = _score_values(
+        model, rows, test.metric_name, hour_bucket(starts), values
+    )
     flagged = (score >= threshold) & worse & sufficient
-    direction = np.where(up, 1, np.where(down, 2, 0))
-
-    directions = (Direction.NONE, Direction.UP, Direction.DOWN)
     return [
-        ScoredWindow(ws, AnomalyScore(sc, directions[d], dg, sf), fl)
+        ScoredWindow(ws, AnomalyScore(sc, _DIRECTIONS[d], dg, sf), fl)
         for ws, sc, d, dg, sf, fl in zip(
             starts.tolist(),
             score.tolist(),
@@ -407,34 +357,27 @@ def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
             raise IncompatibleSketch("models fitted with different configs cannot merge")
 
     metric_meta: dict[str, tuple[MetricKind, Polarity]] = {}
-    sketches: dict[BaselineKey, HistogramSketch] = {}
     for m in models:
         for name, meta in m.metric_meta.items():
             known = metric_meta.setdefault(name, meta)
             if known != meta:
                 raise IncompatibleSketch(f"conflicting metadata for metric {name!r}")
-        for key, sketch in m.sketches.items():
-            merged = sketches.get(key)
-            if merged is None:
-                sketches[key] = HistogramSketch(
-                    lo=sketch.lo,
-                    hi=sketch.hi,
-                    counts=list(sketch.counts),
-                    underflow=sketch.underflow,
-                    overflow=sketch.overflow,
-                )
-                continue
-            if (
-                merged.lo != sketch.lo
-                or merged.hi != sketch.hi
-                or merged.bin_count != sketch.bin_count
-            ):
-                raise IncompatibleSketch(f"sketch geometry differs for key {key}")
-            for i, c in enumerate(sketch.counts):
-                merged.counts[i] += c
-            merged.underflow += sketch.underflow
-            merged.overflow += sketch.overflow
-    return BaselineModel(config=config, metric_meta=metric_meta, sketches=sketches)
+    tables = [m.sketches for m in models]
+    keys = [key for t in tables for key in t.keys]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    lo, hi, counts, underflow, overflow = (
+        np.concatenate([getattr(t, name) for t in tables])[order]
+        for name in ("lo", "hi", "counts", "underflow", "overflow")
+    )
+    first = np.array([i == 0 or keys[i] != keys[i - 1] for i in range(len(keys))], dtype=bool)
+    starts = np.flatnonzero(first)
+    differs = ~first[1:] & ((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))  # vs the key's previous row
+    if differs.any():
+        raise IncompatibleSketch(f"sketch geometry differs for key {keys[np.argmax(differs) + 1]}")
+    sums = (np.add.reduceat(column, starts) for column in (counts, underflow, overflow))
+    table = SketchTable([keys[i] for i in starts], lo[starts], hi[starts], *sums)
+    return BaselineModel(config=config, metric_meta=metric_meta, sketches=table)
 
 
 def model_to_json(model: BaselineModel) -> str:
@@ -443,23 +386,19 @@ def model_to_json(model: BaselineModel) -> str:
     Compact separators: models are machine artifacts and their serialized
     size doubles as the shipping cost in deployment simulations.
     """
+    # One row at a time: whole-table temporaries interleaved with the
+    # document's small objects fragment the heap of a long-lived process.
+    t = model.sketches
     keys = []
-    for (cell, metric, hour), sketch in sorted(model.sketches.items()):
-        keys.append(
-            {
-                "cell_id": cell,
-                "metric": metric,
-                "hour": hour,
-                "sketch": {
-                    "lo": sketch.lo,
-                    "hi": sketch.hi,
-                    "bin_count": sketch.bin_count,
-                    "counts": [[i, c] for i, c in enumerate(sketch.counts) if c],
-                    "underflow": sketch.underflow,
-                    "overflow": sketch.overflow,
-                },
-            }
-        )
+    for (cell, metric, hour), lo, hi, row, under, over in zip(
+        t.keys, t.lo.tolist(), t.hi.tolist(), t.counts, t.underflow.tolist(), t.overflow.tolist()
+    ):
+        bins = np.flatnonzero(row)
+        sketch = {
+            "lo": lo, "hi": hi, "bin_count": len(row), "underflow": under, "overflow": over,
+            "counts": [[i, c] for i, c in zip(bins.tolist(), row[bins].tolist())],
+        }
+        keys.append({"cell_id": cell, "metric": metric, "hour": hour, "sketch": sketch})
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "config": encode(model.config),
@@ -486,7 +425,7 @@ def load_model(path: str | Path) -> BaselineModel:
         raise SchemaMismatch(f"unsupported model schema {doc.get('schema_version')!r}")
     try:
         return _model_from_doc(doc)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaMismatch(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
 
@@ -496,21 +435,54 @@ def _model_from_doc(doc: dict) -> BaselineModel:
         name: (MetricKind(entry["kind"]), Polarity(entry["polarity"]))
         for name, entry in doc["metrics"].items()
     }
-    sketches: dict[BaselineKey, HistogramSketch] = {}
-    for entry in doc["keys"]:
-        raw = entry["sketch"]
-        counts = [0] * raw["bin_count"]
-        for i, c in raw["counts"]:
-            if not 0 <= i < len(counts) or c < 0:
-                raise ValueError(f"bad sparse count [{i}, {c}]")
-            counts[i] = c
-        if raw["underflow"] < 0 or raw["overflow"] < 0:
-            raise ValueError("negative underflow/overflow count")
-        sketches[(entry["cell_id"], entry["metric"], entry["hour"])] = HistogramSketch(
-            lo=raw["lo"],
-            hi=raw["hi"],
-            counts=counts,
-            underflow=raw["underflow"],
-            overflow=raw["overflow"],
-        )
-    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=sketches)
+    entries = sorted(doc["keys"], key=_entry_key)
+    keys = [_entry_key(entry) for entry in entries]
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise ValueError(f"duplicate key {a}")
+    sketches = [entry["sketch"] for entry in entries]
+    nb = cfg.bin_count
+    if any(raw["bin_count"] != nb for raw in sketches):
+        raise ValueError(f"sketch bin_count differs from the config's {nb}")
+    lo, hi = (_array([raw[name] for raw in sketches], name, np.float64) for name in ("lo", "hi"))
+    underflow, overflow = (
+        _array([raw[name] for raw in sketches], name, np.int64) for name in ("underflow", "overflow")
+    )
+    if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
+        raise ValueError("sketch bounds must be finite with lo < hi")
+    pairs = [pair for raw in sketches for pair in raw["counts"]]
+    if not (set(map(len, pairs)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
+        raise ValueError("counts: expected [bin, count] pairs of JSON integers")
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    bins, values = flat.reshape(-1, 2).T
+    cells = np.repeat(np.arange(0, len(keys) * nb, nb), [len(raw["counts"]) for raw in sketches])
+    cells += bins  # index into the flattened count matrix
+    # fit writes each sketch's bins in rising order, so this also rejects a bin listed twice
+    if (flat < 0).any() or (bins >= nb).any() or (cells[1:] <= cells[:-1]).any():
+        raise ValueError(f"counts: need counts >= 0 and bins rising within 0..{nb - 1} per sketch")
+    counts = np.zeros((len(keys), nb), dtype=np.int64)
+    counts.reshape(-1)[cells] = values
+    empty = counts.sum(axis=1) + underflow + overflow == 0
+    if empty.any():
+        raise ValueError(f"key {keys[np.argmax(empty)]} has zero total mass")
+    table = SketchTable(keys, lo, hi, counts, underflow, overflow)
+    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=table)
+
+
+def _entry_key(entry: dict) -> BaselineKey:
+    key = cell, metric, hour = entry["cell_id"], entry["metric"], entry["hour"]
+    if not (isinstance(cell, str) and isinstance(metric, str)
+            and type(hour) is int and 0 <= hour < 24):
+        raise ValueError(f"bad key {key}: need str cell_id and metric, int hour 0..23")
+    return key
+
+
+def _array(values: list, what: str, dtype: type) -> np.ndarray:
+    """JSON numbers as an array: ints >= 0 for int64, any number for float64; never bools."""
+    counting = dtype is np.int64
+    if set(map(type, values)) <= ({int} if counting else {int, float}):
+        array = np.array(values, dtype=dtype)
+        if not (counting and (array < 0).any()):
+            return array
+    raise ValueError(f"{what}: expected {'non-negative integers' if counting else 'numbers'}")

@@ -125,7 +125,7 @@ class ScenarioSpec:
                 MetricKind.KQI,
                 CDR_DERIVED_METRICS["call_attempts"],
                 self.window_len,
-                (0.0, math.ceil(lam + 8.0 * math.sqrt(lam))),
+                (0.0, float(math.ceil(lam + 8.0 * math.sqrt(lam)))),
             )
             cat["drop_rate"] = MetricInfo(
                 MetricKind.KQI, CDR_DERIVED_METRICS["drop_rate"], self.window_len, (0.0, 1.0)

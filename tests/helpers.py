@@ -5,12 +5,15 @@ candidate subset of the item universe; it never touches the count tables
 that ``mine_rare_rules`` mines, so mining results can be checked against it
 exactly. The diagnosis oracle ranks every candidate rule by frozenset
 Jaccard distance and a full sort; it never touches the bitmask index that
-``rca.diagnose`` ranks against.
+``rca.diagnose`` ranks against. The sketch oracle inserts one value at a
+time and walks one histogram's positions in order; it never touches the
+arrays of ``SketchTable``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +25,98 @@ from cellwatch.ingest import MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
+
+@dataclass
+class HistogramSketch:
+    """Fixed-bounds counting histogram, one value at a time (test oracle)."""
+
+    lo: float
+    hi: float
+    counts: list[int]
+    underflow: int = 0
+    overflow: int = 0
+
+    @classmethod
+    def empty(cls, lo: float, hi: float, bin_count: int) -> "HistogramSketch":
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        return cls(lo=lo, hi=hi, counts=[0] * bin_count)
+
+    @property
+    def bin_count(self) -> int:
+        return len(self.counts)
+
+    @property
+    def bin_width(self) -> float:
+        return (self.hi - self.lo) / self.bin_count
+
+    def total_count(self) -> int:
+        return sum(self.counts) + self.underflow + self.overflow
+
+    def insert(self, value: float) -> None:
+        if value < self.lo:
+            self.underflow += 1
+        elif value > self.hi:
+            self.overflow += 1
+        else:
+            idx = int((value - self.lo) / self.bin_width)
+            if idx >= self.bin_count:  # value == hi after float division
+                idx = self.bin_count - 1
+            self.counts[idx] += 1
+
+    def estimate_median_mad(self) -> tuple[float, float]:
+        """Median/MAD estimated from bin counts at bin-midpoint resolution.
+
+        Underflow/overflow mass is pinned to lo/hi; both statistics take the
+        ceil(n/2)-th unit of mass in value order.
+        """
+        total = self.total_count()
+        if total == 0:
+            raise ValueError("cannot estimate statistics of an empty sketch")
+        rank = (total + 1) // 2
+        width = self.bin_width
+
+        def walk(masses: list[tuple[float, int]]) -> float:
+            cum = 0
+            for value, count in masses:
+                cum += count
+                if cum >= rank:
+                    return value
+            return masses[-1][0]
+
+        positions: list[tuple[float, int]] = []
+        if self.underflow:
+            positions.append((self.lo, self.underflow))
+        for i, c in enumerate(self.counts):
+            if c:
+                positions.append((self.lo + (i + 0.5) * width, c))
+        if self.overflow:
+            positions.append((self.hi, self.overflow))
+        med = walk(positions)
+
+        deviations = sorted((abs(value - med), count) for value, count in positions)
+        mad = walk(deviations)
+        return med, mad
+
+
+def table_sketch(table, row: int) -> HistogramSketch:
+    """One row of a SketchTable as an oracle sketch."""
+    return HistogramSketch(
+        lo=float(table.lo[row]),
+        hi=float(table.hi[row]),
+        counts=table.counts[row].tolist(),
+        underflow=int(table.underflow[row]),
+        overflow=int(table.overflow[row]),
+    )
+
+
+def key_estimate(model, key) -> tuple[float, float, float]:
+    """Median, MAD and bin width of one key of a model, from its table row."""
+    table = model.sketches
+    row = table.keys.index(key)
+    _, med, mad = table.stats(slice(row, row + 1))
+    return float(med[0]), float(mad[0]), float(table.hi[row] - table.lo[row]) / table.counts.shape[1]
+
 
 OracleRule = tuple[frozenset[SymptomItem], str, int, int]  # antecedent, consequent, q_count, global_count
 

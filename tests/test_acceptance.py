@@ -48,6 +48,7 @@ from cellwatch.rca import jaccard_distance
 
 from helpers import (
     apriori_rare_rules,
+    key_estimate,
     make_series,
     random_fog_case,
     random_mine_config,
@@ -117,10 +118,8 @@ def test_criterion_3_detector_statistics():
                 values = np.full(n, rng.uniform(-10, 10))  # constant
             values = [float(v) for v in values]
             model = fit_baseline([make_series(values, window_len=1)], cfg)
-            sketch = model.sketches[("c1", "m1", 0)]
-            est_med, est_mad = sketch.estimate_median_mad()
+            est_med, est_mad, w = key_estimate(model, ("c1", "m1", 0))
             exact_med, exact_mad = exact_median_mad(values)
-            w = sketch.bin_width
             assert abs(est_med - exact_med) <= w * (1 + 1e-9)
             assert abs(est_mad - exact_mad) <= w * (1 + 1e-9)
 

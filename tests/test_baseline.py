@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from cellwatch.baseline import (
     BaselineModel,
     DetectorConfig,
     Direction,
-    HistogramSketch,
+    SketchTable,
     exact_median_mad,
     exact_robust_score,
     fit_baseline,
@@ -23,7 +24,7 @@ from cellwatch.baseline import (
 from cellwatch.errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
 from cellwatch.ingest import Polarity
 
-from helpers import make_series
+from helpers import HistogramSketch, key_estimate, make_series, table_sketch
 
 
 CFG = DetectorConfig(bin_count=128, tau=5.0, min_samples=3)
@@ -71,30 +72,26 @@ class TestHistogramSketch:
             values = [float(v) for v in values]
             # 1-second windows keep every sample in hour bucket 0
             model = fit_one(values, window_len=1)
-            sketch = model.sketches[("c1", "m1", 0)]
-            est_med, est_mad = sketch.estimate_median_mad()
+            est_med, est_mad, w = key_estimate(model, ("c1", "m1", 0))
             exact_med, exact_mad = exact_median_mad(values)
-            w = sketch.bin_width
             assert abs(est_med - exact_med) <= w * (1 + 1e-9)
             assert abs(est_mad - exact_mad) <= w * (1 + 1e-9)
 
     def test_merge_adds_counts(self):
-        a = HistogramSketch(lo=0.0, hi=1.0, counts=[1, 0])
-        b = HistogramSketch(lo=0.0, hi=1.0, counts=[0, 1])
-        model_a = BaselineModel(CFG, {}, {("c", "m", 0): a})
-        model_b = BaselineModel(CFG, {}, {("c", "m", 0): b})
-        merged = merge_baselines([model_a, model_b])
-        assert merged.sketches[("c", "m", 0)].counts == [1, 1]
+        def one_row(counts):
+            zero = np.zeros(1, dtype=np.int64)
+            table = SketchTable([("c", "m", 0)], np.zeros(1), np.ones(1), np.array([counts]), zero, zero)
+            return BaselineModel(CFG, {}, table)
+
+        merged = merge_baselines([one_row([1, 0]), one_row([0, 1])])
+        assert merged.sketches.counts.tolist() == [[1, 1]]
 
     def test_boundary_values_and_overflow(self):
-        sk = HistogramSketch.empty(0.0, 10.0, 10)
-        for v in (0.0, 9.999, 10.0):
-            sk.insert(v)
-        sk.insert(-0.1)
-        sk.insert(10.1)
-        assert sk.underflow == 1 and sk.overflow == 1
-        assert sum(sk.counts) == 3
-        assert sk.total_count() == 5
+        cfg = DetectorConfig(bin_count=10, min_samples=1, bounds={"m1": (0.0, 10.0)})
+        table = fit_baseline([make_series([0.0, 9.999, 10.0, -0.1, 10.1], window_len=1)], cfg).sketches
+        assert table.underflow.tolist() == [1] and table.overflow.tolist() == [1]
+        assert table.counts.sum() == 3
+        assert table.stats(slice(None))[0].tolist() == [5]
 
 
 class TestFitBaseline:
@@ -102,23 +99,21 @@ class TestFitBaseline:
         values = list(np.linspace(10, 20, 48))
         model = fit_one(values, window_len=3600)
         assert len(model.sketches) == 24
-        assert all(sk.total_count() == 2 for sk in model.sketches.values())
+        assert (model.sketches.stats(slice(None))[0] == 2).all()
 
     def test_constant_values_single_bin_exact_median(self):
         model = fit_one([7.0] * 30, window_len=3600)
-        for sketch in model.sketches.values():
-            assert sum(1 for c in sketch.counts if c) == 1
-            med, mad = sketch.estimate_median_mad()
-            assert med == 7.0
-            assert mad == 0.0
+        table = model.sketches
+        assert (np.count_nonzero(table.counts, axis=1) == 1).all()
+        _, med, mad = table.stats(slice(None))
+        assert (med == 7.0).all()
+        assert (mad == 0.0).all()
 
     def test_skewed_key_median_mad_close_to_exact(self):
         values = [1.0, 2.0, 3.0, 4.0, 100.0]
         model = fit_one(values, window_len=300)
         # all five fall in hour 0
-        sketch = model.sketches[("c1", "m1", 0)]
-        est_med, est_mad = sketch.estimate_median_mad()
-        w = sketch.bin_width
+        est_med, est_mad, w = key_estimate(model, ("c1", "m1", 0))
         assert abs(est_med - 3.0) <= w
         assert abs(est_mad - 1.0) <= w
 
@@ -129,8 +124,7 @@ class TestFitBaseline:
     def test_fixed_bounds_are_used(self):
         cfg = DetectorConfig(bin_count=16, tau=5.0, min_samples=1, bounds={"m1": (0.0, 100.0)})
         model = fit_baseline([make_series([5.0, 50.0, 95.0])], cfg)
-        sketch = next(iter(model.sketches.values()))
-        assert (sketch.lo, sketch.hi) == (0.0, 100.0)
+        assert (model.sketches.lo.tolist(), model.sketches.hi.tolist()) == ([0.0], [100.0])
 
 
 class TestRobustScore:
@@ -144,12 +138,11 @@ class TestRobustScore:
     def test_agrees_with_reference_scorer_to_bin_resolution(self):
         values = [1.0, 2.0, 3.0, 4.0, 100.0]
         model = fit_one(values, window_len=300)
-        sketch = model.sketches[("c1", "m1", 0)]
         got = robust_score(model, ("c1", "m1", 0), 100.0).score
         want = exact_robust_score(values, 100.0)
         assert want == pytest.approx(97 / 1.4826, rel=1e-9)
         # reconstruct the bin-resolution tolerance from the one-bin bounds
-        w = sketch.bin_width
+        _, _, w = key_estimate(model, ("c1", "m1", 0))
         lo = (97 - w) / (1.4826 * (1 + w) + 1e-9)
         hi = (97 + w) / (1.4826 * max(0.0, 1 - w) + 1e-9)
         assert lo <= got <= hi
@@ -222,20 +215,31 @@ class TestScoreSeries:
         assert not scored.score.sufficient_data
 
 
+def oracle_score(model, key, value):
+    """robust_score written with the one-sketch oracle; None for an untrained key."""
+    if key not in model.sketches.keys or key[1] not in model.metric_meta:
+        return None
+    sketch = table_sketch(model.sketches, model.sketches.keys.index(key))
+    med, mad = sketch.estimate_median_mad()
+    score = abs(value - med) / (1.4826 * mad + 1e-9)
+    direction = Direction.UP if value > med else Direction.DOWN if value < med else Direction.NONE
+    worse = Direction.UP if model.metric_meta[key[1]][1] == Polarity.HIGHER_IS_WORSE else Direction.DOWN
+    return score, direction, direction == worse, sketch.total_count() >= model.config.min_samples
+
+
 def reference_scores(model, test, tau):
-    """score_series written window by window with robust_score."""
+    """score_series written window by window with the oracle; checks robust_score on the way."""
     out = []
     for ws, value in test.points:
         key = (test.cell_id, test.metric_name, hour_bucket(ws))
-        try:
-            if value is None:
-                raise UnknownKey(key)
-            sc = robust_score(model, key, value)
-        except UnknownKey:
+        want = None if value is None else oracle_score(model, key, value)
+        if want is None:
             out.append((ws, 0.0, Direction.NONE, False, False, False))
             continue
-        flagged = sc.score >= tau and sc.degrading and sc.sufficient_data
-        out.append((ws, sc.score, sc.direction, sc.degrading, sc.sufficient_data, flagged))
+        sc = robust_score(model, key, value)
+        assert (sc.score, sc.direction, sc.degrading, sc.sufficient_data) == want
+        score, direction, degrading, sufficient = want
+        out.append((ws, score, direction, degrading, sufficient, score >= tau and degrading and sufficient))
     return out
 
 
@@ -267,9 +271,10 @@ class TestArrayStagesAgainstLoops:
             for ws, v in s.points:
                 if v is not None:
                     per_key.setdefault((s.cell_id, s.metric_name, hour_bucket(ws)), []).append(v)
-        assert set(model.sketches) == set(per_key)
+        assert model.sketches.keys == sorted(per_key)
+        assert model.sketches.counts.dtype == np.int64
         for key, values in per_key.items():
-            fitted = model.sketches[key]
+            fitted = table_sketch(model.sketches, model.sketches.keys.index(key))
             if bounds is None:
                 assert min(values) >= fitted.lo and max(values) <= fitted.hi
             else:
@@ -278,7 +283,6 @@ class TestArrayStagesAgainstLoops:
             for v in values:
                 ref.insert(v)
             assert fitted == ref
-            assert all(type(c) is int for c in fitted.counts)
 
     def test_scores_equal_robust_score_loop(self):
         rng = np.random.default_rng(23)
@@ -293,6 +297,87 @@ class TestArrayStagesAgainstLoops:
                 for w in score_series(model, test, tau=3.0)
             ]
             assert got == reference_scores(model, test, 3.0)
+
+
+def random_table(rng, keys, bounds, bin_count):
+    """A table over ``keys`` with random sparse counts; bounds[key] gives (lo, hi)."""
+    n = len(keys)
+    counts = rng.integers(1, 6, (n, bin_count)) * (rng.random((n, bin_count)) < rng.uniform(0.05, 0.6))
+    underflow = rng.integers(0, 4, n) * (rng.random(n) < 0.4)
+    overflow = rng.integers(0, 4, n) * (rng.random(n) < 0.4)
+    for r in range(n):
+        shape = rng.integers(4)
+        if shape == 0:  # all mass in one bin
+            counts[r] = 0
+            counts[r, rng.integers(bin_count)] = rng.integers(1, 9)
+            underflow[r] = overflow[r] = 0
+        elif shape == 1:  # mirrored counts: deviations tie on both sides of the median
+            half = counts[r, : bin_count // 2]
+            counts[r, bin_count - len(half):] = half[::-1]
+            overflow[r] = underflow[r]
+        if counts[r].sum() + underflow[r] + overflow[r] == 0:
+            underflow[r] = 1
+    lo = np.array([bounds[k][0] for k in keys], dtype=np.float64)
+    hi = np.array([bounds[k][1] for k in keys], dtype=np.float64)
+    return SketchTable(list(keys), lo, hi, counts.astype(np.int64),
+                       underflow.astype(np.int64), overflow.astype(np.int64))
+
+
+class TestSketchTableAgainstOracle:
+    """SketchTable's array statistics and merge against the one-sketch oracle."""
+
+    def test_stats_are_bit_identical_to_the_sketch_walk(self):
+        rng = np.random.default_rng(59)
+        rows = 0
+        for case in range(300):
+            nb = int(rng.integers(8, 40))
+            keys = [("c", "m", h) for h in range(int(rng.integers(1, 24)))]
+            if case % 2:  # unit-width bins: integer midpoints, many tied deviations
+                bounds = dict.fromkeys(keys, (0.0, float(nb)))
+            else:
+                bounds = {k: (lo, lo + float(rng.lognormal(0, 2))) for k in keys
+                          for lo in [float(rng.normal(0, 50))]}
+            table = random_table(rng, keys, bounds, nb)
+            total, med, mad = table.stats(slice(None))
+            for r in range(len(keys)):
+                oracle = table_sketch(table, r)
+                want_med, want_mad = oracle.estimate_median_mad()
+                assert (float(med[r]).hex(), float(mad[r]).hex()) == (want_med.hex(), want_mad.hex())
+                assert total[r] == oracle.total_count()
+            rows += len(keys)
+        assert rows > 3000
+
+    def test_stats_of_constant_keys_match_the_sketch_walk(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            value = float(rng.choice([0.0, rng.normal(0, 1e3), rng.integers(-5, 5)]))
+            model = fit_baseline([make_series([value] * int(rng.integers(1, 30)), window_len=1)], CFG)
+            _, med, mad = model.sketches.stats(slice(None))
+            want_med, want_mad = table_sketch(model.sketches, 0).estimate_median_mad()
+            assert (float(med[0]).hex(), float(mad[0]).hex()) == (want_med.hex(), want_mad.hex())
+            assert want_mad == 0.0 and abs(want_med - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_merge_equals_per_key_addition(self):
+        rng = np.random.default_rng(67)
+        universe = [(f"c{c}", m, h) for c in range(4) for m in ("m1", "m2") for h in range(0, 24, 5)]
+        bounds = {k: (float(k[2]), float(k[2]) + 10.0) for k in universe}
+        cfg = DetectorConfig(bin_count=8)
+        for _ in range(40):
+            models = []
+            for _ in range(int(rng.integers(1, 5))):
+                keys = sorted(k for k in universe if rng.random() < 0.4)
+                models.append(BaselineModel(cfg, {}, random_table(rng, keys, bounds, cfg.bin_count)))
+            want = {}
+            for m in models:
+                for r, key in enumerate(m.sketches.keys):
+                    part = table_sketch(m.sketches, r)
+                    acc = want.setdefault(key, HistogramSketch.empty(part.lo, part.hi, cfg.bin_count))
+                    acc.counts = [a + b for a, b in zip(acc.counts, part.counts)]
+                    acc.underflow += part.underflow
+                    acc.overflow += part.overflow
+            merged = merge_baselines(models).sketches
+            assert merged.keys == sorted(want)
+            assert [table_sketch(merged, r) for r in range(len(merged))] == [want[k] for k in merged.keys]
 
 
 class TestMergeBaselines:
@@ -347,6 +432,34 @@ class TestMergeBaselines:
         b = fit_baseline([make_series([1.0, 2.0, 3.0])], DetectorConfig(bin_count=32))
         with pytest.raises(IncompatibleSketch):
             merge_baselines([a, b])
+
+
+def one_key_model_doc(copies=1, hour=0, **sketch):
+    """A model document whose one (c1, m1, hour) key is listed ``copies`` times."""
+    raw = {"lo": 0.0, "hi": 1.0, "bin_count": 8, "counts": [[2, 3]], "underflow": 0, "overflow": 0}
+    return {
+        "schema_version": 1,
+        "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
+        "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
+        "keys": [{"cell_id": "c1", "metric": "m1", "hour": hour, "sketch": {**raw, **sketch}}] * copies,
+    }
+
+
+def pinned_model(case):
+    """One fixed-bounds fit, one data-driven-bounds fit or one merge of partition fits."""
+    series = TestArrayStagesAgainstLoops.random_series(np.random.default_rng(41))
+    series.append(make_series([float(v) for v in np.random.default_rng(43).gamma(2.0, 3.0, 300)],
+                              metric_name="m2", polarity=Polarity.LOWER_IS_WORSE, window_len=600))
+    if case == "data_driven_bounds":
+        return fit_baseline(series, DetectorConfig(bin_count=16, min_samples=2))
+    cfg = DetectorConfig(bin_count=16, min_samples=2, bounds={"m1": (-2.0, 12.0), "m2": (0.0, 25.0)})
+    if case == "fixed_bounds":
+        return fit_baseline(series, cfg)
+    parts = [
+        fit_baseline([replace(s, window_starts=s.window_starts[cut], values=s.values[cut]) for s in series], cfg)
+        for cut in (slice(None, 150), slice(150, 260), slice(260, None))
+    ]
+    return merge_baselines(parts)
 
 
 class TestSerialization:
@@ -406,6 +519,21 @@ class TestSerialization:
                 }
                 for counts, under in [([[-1, 5]], 0), ([[8, 5]], 0), ([[2, -3]], 0), ([[2, 3]], -1)]
             ),
+            one_key_model_doc(bin_count=16),
+            one_key_model_doc(copies=2),
+            one_key_model_doc(counts=[]),
+            one_key_model_doc(lo=1.0),
+            one_key_model_doc(lo=2.0),
+            one_key_model_doc(hi=float("inf")),
+            one_key_model_doc(lo=float("nan")),
+            one_key_model_doc(hour=24),
+            one_key_model_doc(hour=-1),
+            one_key_model_doc(counts=[[2, True]]),
+            one_key_model_doc(counts=[[True, 3]]),
+            one_key_model_doc(underflow=True),
+            one_key_model_doc(counts=[[2, 3], [2, 4]]),
+            one_key_model_doc(counts=[[3, 1], [2, 1]]),
+            one_key_model_doc(counts=[[2, 3.0]]),
         ],
     )
     def test_malformed_document_is_schema_mismatch(self, tmp_path, doc):
@@ -413,6 +541,27 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch):
             load_model(path)
+
+
+    def test_one_key_model_doc_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(one_key_model_doc()))
+        model = load_model(path)
+        assert len(model.sketches) == 1
+        assert robust_score(model, ("c1", "m1", 0), 0.3125).score == 0.0
+
+    @pytest.mark.parametrize(
+        "case, sha256",
+        [
+            ("fixed_bounds", "d0345c5307b4b9eb1d9a7692751c2cfe636b403b0bf692a15047a2ceea07d127"),
+            ("data_driven_bounds", "faf9c9c51cd629f6768968fb147c1c333565c05e1c8761cc3b31487453f58a16"),
+            # merging is exact, so the merged partitions pin the pooled fit's bytes
+            ("merged", "d0345c5307b4b9eb1d9a7692751c2cfe636b403b0bf692a15047a2ceea07d127"),
+        ],
+    )
+    def test_model_json_is_pinned(self, case, sha256):
+        text = model_to_json(pinned_model(case))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_hour_bucket_wraps_days():

@@ -197,6 +197,22 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    def test_zero_mass_model_key_is_exit_1(self, workspace, tmp_path, caplog):
+        data = workspace / "data"
+        doc = json.loads((workspace / "model.json").read_text())
+        kqis = {name for name, meta in doc["metrics"].items() if meta["kind"] == "KQI"}
+        entry = next(e for e in doc["keys"] if e["metric"] in kqis)
+        entry["sketch"].update(counts=[], underflow=0, overflow=0)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        caplog.clear()
+        rc = main(
+            ["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--model", str(bad), "--out", str(tmp_path / "events.jsonl")]
+        )
+        assert rc == 1
+        assert "zero total mass" in caplog.text
+
     def test_bad_config_value_is_exit_2(self, tmp_path):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(
