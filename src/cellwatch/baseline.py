@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
 from .ingest import Catalog, MetricKind, MetricSeries, Polarity
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, read
 
 MAD_CONSISTENCY = 1.4826
 
@@ -152,8 +153,8 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.bin_count < 8:
             raise ValueError("bin_count must be >= 8")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be > 0 and finite")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
 
@@ -318,8 +319,8 @@ def score_series(
     is not a training gap worth aborting on and scores like a MISSING point.
     """
     threshold = model.config.tau if tau is None else tau
-    if threshold <= 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < threshold < math.inf:
+        raise ValueError("tau must be > 0 and finite")
     starts, values = test.window_starts, test.values
     keys = model.sketches.keys
     rows = slice(*(bisect_left(keys, (test.cell_id, test.metric_name, h)) for h in (0, 24)))
@@ -417,8 +418,7 @@ def save_model(model: BaselineModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BaselineModel:
     """Read a model document; any structural defect raises SchemaMismatch."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read(path)
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:

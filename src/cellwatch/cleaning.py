@@ -9,7 +9,9 @@ removal), so the operation is deterministic and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,37 +31,43 @@ class CleanConfig:
     min_points: int = 24
 
     def __post_init__(self) -> None:
-        if self.iqr_multiplier <= 0:
-            raise ValueError("iqr_multiplier must be > 0")
+        if not 0 < self.iqr_multiplier < math.inf:
+            raise ValueError("iqr_multiplier must be > 0 and finite")
         if self.min_points < 4:
             raise ValueError("min_points must be >= 4")
 
 
+@dataclass(frozen=True)
+class CleanDetail:
+    """Points removed from one (cell, metric) series."""
+
+    cell_id: str
+    metric: str
+    missing: int
+    extremes: int
+
+
+_detail_key = attrgetter("cell_id", "metric")
+
+
 @dataclass
 class CleanReport:
-    """Tally of removed points, overall and per (cell, metric)."""
+    """Removed points, overall and per (cell, metric) in key order: the clean report document."""
 
-    missing_removed: int = 0
-    extremes_removed: int = 0
-    detail: dict[tuple[str, str], dict[str, int]] = field(default_factory=dict)
+    missing_removed: int
+    extremes_removed: int
+    detail: list[CleanDetail]
 
     def add(self, other: "CleanReport") -> None:
+        """Add ``other``'s counts; a (cell, metric) in both reports gets their sum."""
         self.missing_removed += other.missing_removed
         self.extremes_removed += other.extremes_removed
-        for key, counts in other.detail.items():
-            mine = self.detail.setdefault(key, {"missing": 0, "extremes": 0})
-            mine["missing"] += counts["missing"]
-            mine["extremes"] += counts["extremes"]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "missing_removed": self.missing_removed,
-            "extremes_removed": self.extremes_removed,
-            "detail": [
-                {"cell_id": cell, "metric": metric, **counts}
-                for (cell, metric), counts in sorted(self.detail.items())
-            ],
-        }
+        for d in other.detail:
+            i = bisect_left(self.detail, _detail_key(d), key=_detail_key)
+            if i < len(self.detail) and _detail_key(self.detail[i]) == _detail_key(d):
+                mine = self.detail.pop(i)
+                d = replace(d, missing=mine.missing + d.missing, extremes=mine.extremes + d.extremes)
+            self.detail.insert(i, d)
 
 
 def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanReport]:
@@ -93,12 +101,7 @@ def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanRe
     report = CleanReport(
         missing_removed=missing_removed,
         extremes_removed=extremes_removed,
-        detail={
-            (series.cell_id, series.metric_name): {
-                "missing": missing_removed,
-                "extremes": extremes_removed,
-            }
-        },
+        detail=[CleanDetail(series.cell_id, series.metric_name, missing_removed, extremes_removed)],
     )
     return cleaned, report
 

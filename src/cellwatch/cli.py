@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 from . import synth
 from .baseline import (
@@ -44,6 +45,7 @@ from .fingerprints import (
     update_db,
 )
 from .fogsim import (
+    CostReport,
     Scenario,
     Strategy,
     compare_dbs,
@@ -62,7 +64,7 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import decode, encode, require_object
+from .jsondoc import decode, dumps, encode, read, require_object, write
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
@@ -74,12 +76,24 @@ log = logging.getLogger("cellwatch")
 class PipelineConfig:
     train_fraction: float = 0.7
 
+    def __post_init__(self) -> None:
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class RcaConfig:
     k: int = 3
     match_threshold: float = 0.5
     z_symptom: float = 3.0
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if not 0 <= self.match_threshold <= 1:
+            raise ValueError("match_threshold must be in [0, 1]")
+        if not 0 < self.z_symptom < math.inf:
+            raise ValueError("z_symptom must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -98,14 +112,9 @@ class RunConfig:
 _FLAG_DESTS = {"iqr_multiplier": "iqr_k", "bin_count": "bins"}
 
 
-def _read_json(path: str | Path) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _read_config_doc(path: str | Path) -> dict:
     """A --config or --scenario document; detector bounds come from the catalog only."""
-    doc = require_object(_read_json(path))
+    doc = require_object(read(path))
     if isinstance(doc.get("detector"), dict) and "bounds" in doc["detector"]:
         raise SchemaMismatch("detector.bounds: unknown key (set value_range in the catalog)")
     return doc
@@ -120,10 +129,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         flags = {name: value for name, value in flags.items() if value is not None}
         cfg = replace(cfg, **{section.name: replace(values, **flags)})
     return cfg
-
-
-def _write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(docs: list[dict], path: str | Path) -> None:
@@ -163,7 +168,7 @@ def _split_train(
     series: list[MetricSeries], train_fraction: float, clean_cfg: CleanConfig
 ) -> tuple[list[MetricSeries], CleanReport]:
     cleaned_all: list[MetricSeries] = []
-    report = CleanReport()
+    report = CleanReport(0, 0, [])
     for s in series:
         train_raw, _ = chrono_split(s, train_fraction)
         cleaned, part = clean(train_raw, clean_cfg)
@@ -199,7 +204,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = fit_baseline(cleaned, cfg.detector.with_catalog_bounds(catalog))
     save_model(model, args.out)
     if args.clean_report:
-        _write_json(report.to_json_dict(), args.clean_report)
+        write(report, args.clean_report)
     log.info(
         "trained %d keys over %d series (removed %d missing, %d extremes)",
         len(model.sketches),
@@ -260,7 +265,7 @@ class _DiagnosisLine:
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
     labels = {}
-    for i, entry in enumerate(decode(synth.Labels, _read_json(path)).labels):
+    for i, entry in enumerate(decode(synth.Labels, read(path)).labels):
         antecedent = itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent")
         labels[(antecedent, entry.consequent)] = entry.cause_label
     return labels
@@ -320,24 +325,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-# scenario document key -> the Scenario field it sets. A present key is decoded
-# from the dataclass defaults; an absent one keeps default_scenario()'s value.
-_SCENARIO_KEYS = {
-    "spec": "spec", "sizes": "sizes", "z_symptom": "z_symptom",
-    "clean": "clean_cfg", "detector": "detector_cfg", "filters": "filter_cfg", "mine": "mine_cfg",
-}
-
-
 def _load_scenario(path: str | Path) -> Scenario:
-    doc = _read_config_doc(path)
-    hints = get_type_hints(Scenario)
-    changes = {}
-    for key, value in doc.items():
-        if key not in _SCENARIO_KEYS:
-            raise SchemaMismatch(f"{key}: unknown key")
-        name = _SCENARIO_KEYS[key]
-        changes[name] = decode(hints[name], value, key)
-    return replace(default_scenario(), **changes)
+    """The stock fog scenario; each key of the document replaces its section, decoded from the
+    section's dataclass defaults."""
+    return decode(Scenario, {**encode(default_scenario()), **_read_config_doc(path)})
 
 
 def _cmd_fogsim(args: argparse.Namespace) -> int:
@@ -346,13 +337,10 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
     if args.compare:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        results = {}
-        for strategy in Strategy:
-            report, model, db = simulate(topology, strategy, scenario)
-            results[strategy] = (report, model, db)
-            _write_json(report.to_json_dict(), out_dir / f"{strategy.value.lower()}.json")
+        results = {strategy: simulate(topology, strategy, scenario) for strategy in Strategy}
         rows = [("strategy", "total_bytes", "mean_latency_s", "max_latency_s", "events", "rules")]
         for strategy, (report, _, db) in results.items():
+            write(report, out_dir / f"{strategy.value.lower()}.json")
             rows.append(
                 (
                     strategy.value,
@@ -366,14 +354,14 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        fog_report, fog_model, fog_db = results[Strategy.FOG]
-        cent_report, cent_model, cent_db = results[Strategy.CENTRALIZED]
+        _, fog_model, fog_db = results[Strategy.FOG]
+        _, cent_model, cent_db = results[Strategy.CENTRALIZED]
         print(f"models_equal: {compare_models(fog_model, cent_model)}")
         print(f"dbs_equal: {compare_dbs(fog_db, cent_db)}")
         return 0
     strategy = Strategy(args.strategy)
     report, _model, _db = simulate(topology, strategy, scenario)
-    _write_json(report.to_json_dict(), args.out)
+    write(report, args.out)
     log.info(
         "%s: %d bytes, mean latency %.4fs over %d events",
         strategy.value,
@@ -386,7 +374,7 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     events = _load_events(args.events)
-    truth = decode(GroundTruth, _read_json(args.truth))
+    truth = decode(GroundTruth, read(args.truth))
     outcomes: list[DiagnosisOutcome | None] | None = None
     if args.diagnoses:
         by_event = {}
@@ -399,20 +387,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             by_event.get((e.cell_id, e.metric_name, e.start_window)) for e in events
         ]
     report = evaluate(events, outcomes, truth)
-    doc = report.to_json_dict()
     if args.out:
-        _write_json(doc, args.out)
+        write(report, args.out)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(dumps(report))
     return 0
-
-
-def _check_types(doc: dict, **types: Any) -> None:
-    """SchemaMismatch naming the first of these keys that is missing or not of its type."""
-    for key, tp in types.items():
-        if key not in doc:
-            raise SchemaMismatch(f"{key}: missing required key")
-        decode(tp, doc[key], key)
 
 
 def _summarize(path: Path) -> list[str]:
@@ -442,7 +421,7 @@ def _summarize(path: Path) -> list[str]:
             return lines
         return [f"{len(docs)} JSON Lines records"]
 
-    doc = require_object(_read_json(path))
+    doc = require_object(read(path))
     if "keys" in doc and "metrics" in doc:
         model = load_model(path)
         return [
@@ -467,17 +446,16 @@ def _summarize(path: Path) -> list[str]:
             f"  counts: {json.dumps(report.counts, sort_keys=True)}",
         ]
     if "strategy" in doc and "total_bytes" in doc:
-        _check_types(doc, strategy=str, total_bytes=int, mean_latency=float,
-                     event_latencies=list[float], model_location=dict[str, str])
+        cost = decode(CostReport, doc)
         return [
-            f"{doc['strategy']}: {doc['total_bytes']} bytes,"
-            f" mean latency {doc['mean_latency']:.4f}s over {len(doc['event_latencies'])} events",
-            f"  model placement: {json.dumps(doc['model_location'], sort_keys=True)}",
+            f"{cost.strategy.value}: {cost.total_bytes} bytes,"
+            f" mean latency {cost.mean_latency:.4f}s over {len(cost.event_latencies)} events",
+            f"  model placement: {json.dumps(cost.model_location, sort_keys=True)}",
         ]
     if "missing_removed" in doc:
-        _check_types(doc, missing_removed=int, extremes_removed=int)
+        cleaned = decode(CleanReport, doc)
         return [
-            f"clean report: {doc['missing_removed']} missing, {doc['extremes_removed']} extremes removed"
+            f"clean report: {cleaned.missing_removed} missing, {cleaned.extremes_removed} extremes removed"
         ]
     if "planted_events" in doc:
         truth = decode(GroundTruth, doc)

@@ -30,7 +30,7 @@ import numpy as np
 from .baseline import BaselineModel, Direction, hour_bucket, robust_score
 from .errors import CorruptDb, SchemaMismatch, UnknownKey
 from .ingest import MetricKind, MetricSeries
-from .jsondoc import decode, require_object
+from .jsondoc import decode, read, require_object
 from .postfilter import AnomalyEvent
 
 log = logging.getLogger(__name__)
@@ -97,8 +97,8 @@ class MineConfig:
             raise ValueError("s_max_fraction must be in (0, 1]")
         if not 0 < self.c_min <= 1:
             raise ValueError("c_min must be in (0, 1]")
-        if self.lift_min <= 0:
-            raise ValueError("lift_min must be > 0")
+        if not 0 < self.lift_min < math.inf:
+            raise ValueError("lift_min must be > 0 and finite")
         if self.max_antecedent < 1:
             raise ValueError("max_antecedent must be >= 1")
 
@@ -154,8 +154,8 @@ def build_transactions(
     A cell with no KPI data at that window yields an empty transaction and a
     warning; that is diagnostic-data loss, not a fatal condition.
     """
-    if z_symptom <= 0:
-        raise ValueError("z_symptom must be > 0")
+    if not 0 < z_symptom < math.inf:
+        raise ValueError("z_symptom must be > 0 and finite")
     by_key: dict[tuple[str, str], MetricSeries] = {}
     kpis_by_cell: dict[str, list[str]] = {}
     for s in kpi_series:
@@ -520,8 +520,7 @@ def _typed(doc: Any, types: dict[str, tuple[type, ...]], where: str) -> dict:
 
 def load_db(path: str | Path) -> FingerprintDb:
     """Load a fingerprint database; raises SchemaMismatch or CorruptDb naming the fault."""
-    with open(path, encoding="utf-8") as fh:
-        doc = require_object(json.load(fh))
+    doc = require_object(read(path))
     if doc.get("schema_version") != DB_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported db schema {doc.get('schema_version')!r}")
     total = _typed(doc, _DB_TYPES, "")["transaction_total"]
@@ -557,8 +556,8 @@ def _validate_rule(rule: Fingerprint, transaction_total: int) -> None:
         raise CorruptDb(f"{name}: confidence {rule.confidence} outside (0, 1]")
     if not 0 < rule.support <= 1:
         raise CorruptDb(f"{name}: support {rule.support} outside (0, 1]")
-    if rule.lift <= 0:
-        raise CorruptDb(f"{name}: lift {rule.lift} must be > 0")
+    if not 0 < rule.lift < math.inf:
+        raise CorruptDb(f"{name}: lift {rule.lift} must be > 0 and finite")
     if rule.support_count > transaction_total:
         raise CorruptDb(f"{name}: support_count exceeds transaction_total")
     if rule.antecedent_count and rule.confidence != rule.support_count / rule.antecedent_count:

@@ -44,7 +44,7 @@ from .fingerprints import (
     update_db,
 )
 from .ingest import MetricKind, MetricSeries, aggregate_cdr
-from .jsondoc import decode
+from .jsondoc import decode, encode, read
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 
 
@@ -157,8 +157,7 @@ def build_topology(doc: dict) -> FogTopology:
 
 
 def load_topology(path: str | Path) -> FogTopology:
-    with open(path, encoding="utf-8") as fh:
-        return build_topology(json.load(fh))
+    return build_topology(read(path))
 
 
 @dataclass(frozen=True)
@@ -173,68 +172,47 @@ class RecordSizes:
 
 @dataclass
 class Scenario:
-    """Everything simulate() needs: data spec, sizes, pipeline parameters."""
+    """Everything simulate() needs: data spec, sizes, pipeline parameters; a scenario document."""
 
     spec: synth.ScenarioSpec
     sizes: RecordSizes = field(default_factory=RecordSizes)
-    clean_cfg: CleanConfig = field(default_factory=CleanConfig)
-    detector_cfg: DetectorConfig = field(default_factory=DetectorConfig)
-    filter_cfg: FilterConfig = field(default_factory=FilterConfig)
-    mine_cfg: MineConfig = field(default_factory=MineConfig)
+    clean_cfg: CleanConfig = field(default_factory=CleanConfig, metadata={"json": "clean"})
+    detector_cfg: DetectorConfig = field(default_factory=DetectorConfig, metadata={"json": "detector"})
+    filter_cfg: FilterConfig = field(default_factory=FilterConfig, metadata={"json": "filters"})
+    mine_cfg: MineConfig = field(default_factory=MineConfig, metadata={"json": "mine"})
     z_symptom: float = 3.0
 
 
 @dataclass
 class CostReport:
+    """One strategy's bytes per link and event latencies; the fogsim report document."""
+
     strategy: Strategy
+    total_bytes: int  # sum of up and down over links
+    links: dict[str, dict[str, int]]  # link -> {up, down} over all phases
     phases: dict[str, dict[str, dict[str, int]]]  # phase -> link -> {up, down}
-    total_bytes: int
     event_latencies: list[float]
     mean_latency: float
     max_latency: float
     model_location: dict[str, str]
 
-    def link_totals(self) -> dict[str, dict[str, int]]:
-        totals: dict[str, dict[str, int]] = {}
-        for per_link in self.phases.values():
-            for link_key, counts in per_link.items():
-                entry = totals.setdefault(link_key, {"up": 0, "down": 0})
-                entry["up"] += counts["up"]
-                entry["down"] += counts["down"]
-        return totals
-
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "total_bytes": self.total_bytes,
-            "links": self.link_totals(),
-            "phases": self.phases,
-            "event_latencies": self.event_latencies,
-            "mean_latency": self.mean_latency,
-            "max_latency": self.max_latency,
-            "model_location": self.model_location,
-        }
+        return encode(self)
 
 
 class _Accounting:
     def __init__(self) -> None:
         self.phases: dict[str, dict[str, dict[str, int]]] = {}
+        self.links: dict[str, dict[str, int]] = {}
 
     def add(self, phase: str, child: str, parent: str, up: int = 0, down: int = 0) -> None:
         if up == 0 and down == 0:
             return
-        link = self.phases.setdefault(phase, {}).setdefault(
-            f"{child}->{parent}", {"up": 0, "down": 0}
-        )
-        link["up"] += up
-        link["down"] += down
-
-    def total(self) -> int:
-        return sum(
-            counts["up"] + counts["down"]
-            for per_link in self.phases.values()
-            for counts in per_link.values()
-        )
+        key = f"{child}->{parent}"
+        for per_link in (self.phases.setdefault(phase, {}), self.links):
+            link = per_link.setdefault(key, {"up": 0, "down": 0})
+            link["up"] += up
+            link["down"] += down
 
 
 @dataclass
@@ -454,8 +432,9 @@ def simulate(
 
     report = CostReport(
         strategy=strategy,
+        total_bytes=sum(link["up"] + link["down"] for link in acct.links.values()),
+        links=acct.links,
         phases=acct.phases,
-        total_bytes=acct.total(),
         event_latencies=latencies,
         mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
         max_latency=max(latencies) if latencies else 0.0,

@@ -11,7 +11,6 @@ never part of the schema.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import re
@@ -30,7 +29,7 @@ from .errors import (
     MalformedRow,
     UnknownMetric,
 )
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, read, write
 
 # In-memory marker for a missing window value; the CSV form is an empty field.
 MISSING = math.nan
@@ -175,15 +174,14 @@ CDR_DERIVED_METRICS: dict[str, Polarity] = {
 
 def load_catalog(path: str | Path) -> Catalog:
     """Read a metric catalog JSON file (metric name -> kind/polarity/grid)."""
-    with open(path, encoding="utf-8") as fh:
-        return decode(Catalog, json.load(fh))
+    return decode(Catalog, read(path))
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog; an entry without a value_range omits the key."""
     entries = encode(catalog).items()
     doc = {name: {k: v for k, v in entry.items() if v is not None} for name, entry in entries}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write(doc, path)
 
 
 def parse_cdr(path: str | Path) -> CdrCalls:

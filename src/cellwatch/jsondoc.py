@@ -1,10 +1,12 @@
-"""Strict JSON documents for the config and data dataclasses.
+"""Strict JSON documents for the config, data and report dataclasses.
 
 The dataclasses are the schema: ``decode`` and ``encode`` take field names,
 types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``.
 A field's JSON key is its name unless ``field(metadata={"json": key})`` says
-otherwise.
-A float field takes any JSON number; an int, str or bool field exactly that
+otherwise. ``read`` parses a document file; ``write`` stores a dataclass as
+an indented, key-sorted document.
+A float field takes any finite JSON number (not ``NaN``, ``Infinity`` or a
+literal beyond the float range); an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
 ``tuple[...]`` an array of that length; a union the member whose JSON shape
 matches. A missing field takes its default. Anything else raises
@@ -15,9 +17,12 @@ Range checks stay in the dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import dataclasses
+import json
+import sys
 import types
 import typing
 from enum import Enum
+from pathlib import Path
 from typing import Any
 
 from .errors import SchemaMismatch
@@ -93,7 +98,10 @@ def decode(cls: Any, doc: Any, where: str = "") -> Any:
         if doc not in values:
             raise _mismatch(where, f"one of {values}", repr(doc))
         return cls(doc)
-    if cls is float and type(doc) is int:
+    if cls is float and type(doc) in (int, float):
+        if not abs(doc) <= sys.float_info.max:  # NaN, infinities, integers beyond the float range
+            got = repr(doc) if type(doc) is float else "an integer beyond the float range"
+            raise _mismatch(where, "a finite number", got)
         return float(doc)
     if type(doc) is not cls:
         raise _mismatch(where, _NAMES[cls], got)
@@ -109,3 +117,18 @@ def encode(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [encode(v) for v in obj]
     return obj.value if isinstance(obj, Enum) else obj
+
+
+def read(path: str | Path) -> Any:
+    """The parsed JSON document at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def dumps(obj: Any) -> str:
+    """The document of ``obj``: encoded, indented, key-sorted, with a final newline."""
+    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+
+
+def write(obj: Any, path: str | Path) -> None:
+    Path(path).write_text(dumps(obj), encoding="utf-8")

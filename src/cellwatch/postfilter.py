@@ -13,6 +13,7 @@ Three filters run in a fixed order, each targeting one false-alarm mode:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .baseline import Direction, ScoredWindow
@@ -30,6 +31,8 @@ class FilterConfig:
             raise ValueError("need 1 <= persistence_m <= persistence_n")
         if self.merge_gap < 0:
             raise ValueError("merge_gap must be >= 0")
+        if not math.isfinite(self.min_peak_score):
+            raise ValueError("min_peak_score must be finite")
 
 
 @dataclass

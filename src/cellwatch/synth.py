@@ -13,7 +13,6 @@ windows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from .ingest import (
     Polarity,
 )
 from .fingerprints import SymptomItem, SymptomState
-from .jsondoc import decode, encode
+from .jsondoc import decode, read, write
 from .postfilter import AnomalyEvent
 
 TRUTH_SCHEMA_VERSION = 1
@@ -483,8 +482,8 @@ def generate(spec: ScenarioSpec, out_dir: str | Path, seed: int | None = None) -
     write_metric_csv(kqi_series, paths.kqi)
     write_metric_csv(kpi_series, paths.kpi)
     save_catalog(catalog, paths.catalog)
-    _write_json(truth, paths.truth)
-    _write_json(Labels(truth.planted_rules), paths.labels)
+    write(truth, paths.truth)
+    write(Labels(truth.planted_rules), paths.labels)
     return paths, truth
 
 
@@ -500,18 +499,12 @@ class DiagnosisOutcome:
 
 @dataclass
 class EvalReport:
+    """Detection and diagnosis scores against the ground truth; the eval report document."""
+
     precision: float
     recall: float
     rca_top1_accuracy: float
     counts: dict[str, int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "rca_top1_accuracy": self.rca_top1_accuracy,
-            "counts": dict(sorted(self.counts.items())),
-        }
 
 
 def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
@@ -585,14 +578,8 @@ def evaluate(
 
 
 def load_spec(path: str | Path) -> ScenarioSpec:
-    with open(path, encoding="utf-8") as fh:
-        return decode(ScenarioSpec, json.load(fh))
+    return decode(ScenarioSpec, read(path))
 
 
 def save_spec(spec: ScenarioSpec, path: str | Path) -> None:
-    _write_json(spec, path)
-
-
-def _write_json(obj: object, path: str | Path) -> None:
-    text = json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write(spec, path)

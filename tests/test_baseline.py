@@ -200,6 +200,12 @@ class TestScoreSeries:
         assert scored.score.score > 2.0
         assert not scored.flagged
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        model, series = self.build([10.0] * 50)
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            score_series(model, series, tau=tau)
+
     def test_series_never_trained_raises(self):
         model, _ = self.build([10.0] * 50)
         stranger = make_series([1.0], cell_id="other-cell")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cellwatch.cleaning import CleanConfig, CleanReport, chrono_split, clean
+from cellwatch.cleaning import CleanConfig, CleanDetail, CleanReport, chrono_split, clean
 from cellwatch.errors import TooFewPoints
+from cellwatch.jsondoc import encode
 
 from helpers import make_series
 
@@ -92,10 +93,18 @@ class TestChronoSplit:
 
 
 def test_report_merge_accumulates():
-    a = CleanReport(missing_removed=2, extremes_removed=1, detail={("c1", "m"): {"missing": 2, "extremes": 1}})
-    b = CleanReport(missing_removed=3, extremes_removed=0, detail={("c1", "m"): {"missing": 3, "extremes": 0}})
+    a = CleanReport(missing_removed=2, extremes_removed=1, detail=[CleanDetail("c1", "m", 2, 1)])
+    b = CleanReport(missing_removed=3, extremes_removed=0, detail=[CleanDetail("c1", "m", 3, 0)])
     a.add(b)
     assert a.missing_removed == 5
-    assert a.detail[("c1", "m")] == {"missing": 5, "extremes": 1}
-    doc = a.to_json_dict()
+    assert a.detail == [CleanDetail("c1", "m", 5, 1)]
+    doc = encode(a)
     assert doc["detail"][0]["cell_id"] == "c1"
+
+
+def test_report_detail_stays_in_key_order():
+    report = CleanReport(0, 0, [])
+    for cell, metric in [("c1", "m"), ("c0", "z"), ("c1", "a"), ("c0", "z")]:
+        report.add(CleanReport(1, 0, [CleanDetail(cell, metric, 1, 0)]))
+    assert report.detail == [CleanDetail("c0", "z", 2, 0), CleanDetail("c1", "a", 1, 0),
+                             CleanDetail("c1", "m", 1, 0)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -5,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from cellwatch.cli import RunConfig, main
+from cellwatch.baseline import DetectorConfig
+from cellwatch.cleaning import CleanConfig
+from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, main
 from cellwatch import synth
+from cellwatch.fingerprints import MineConfig
+from cellwatch.fogsim import default_topology_doc
+from cellwatch.postfilter import FilterConfig
 from cellwatch.jsondoc import decode, encode
 
 
@@ -110,6 +116,62 @@ class TestPipeline:
         )
         assert rc == 0
         assert out.read_bytes() == (workspace / "events.jsonl").read_bytes()
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+class TestPinnedOutput:
+    """Report files and summaries of the workspace scenario, byte for byte."""
+
+    FILES = {
+        "clean.json": "578a794581b2cb09d12748a11386648c4e50a052a9cae1825655a24d3288e598",
+        "eval.json": "f3436fd9f0459502acd06a5396c7336a82e304a0d1ae77f66b78f63d3f6b0751",
+    }
+    REPORTS = {
+        "model.json": "f71978b79bf0dd9fce72195f363cd012defa26bb8fea40b034687bd0cd07ebef",
+        "clean.json": "381f024abe274bbe4ce8ed666635b1f61d9f209726bbd0eaf3307f6ad11d2825",
+        "events.jsonl": "5a99cb6f5fec62d49b3c0a96799e7eba443ea1170252b8980b3ad63e70d47488",
+        "db.json": "3052d941d85ce88c4f3d489e1aa70e621edf1b869790c5bb2a5df9366ce0cd65",
+        "diagnoses.jsonl": "793cb6aec26ec9b4085b1a53c750c74b085d48f8dbd2a6b0d23008c4e1a588af",
+        "eval.json": "e7559b7a077c6451e619d92965dd9026e8ff81679caa4429ef4db50aafebb1cd",
+        "spec.json": "cc6b092ee08dccde8d1fe9b1ca2f7a025bb49de7a7de70a463fce267f04f0087",
+        "data/truth.json": "74563c5d61ef2a9ee1bfd0467b096116a4bc7b8110baa233f3aad6a6dfd99161",
+        "data/labels.json": "d0901177cfc099841651923653603312f4d042ab975dec397e5ae9997c80fa33",
+        "data/catalog.json": "29355e1eb67978f79e26f3b94667530ca55c9bd890359c62b1fbca3f3d5659dd",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_report_file(self, workspace, name):
+        assert sha256((workspace / name).read_bytes()) == self.FILES[name]
+
+    def test_eval_stdout(self, workspace, capsys):
+        argv = ["eval", "--events", str(workspace / "events.jsonl"),
+                "--diagnoses", str(workspace / "diagnoses.jsonl"),
+                "--truth", str(workspace / "data" / "truth.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (workspace / "eval.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_stdout(self, workspace, capsys, name):
+        assert main(["report", str(workspace / name)]) == 0
+        assert sha256(capsys.readouterr().out) == self.REPORTS[name]
+
+    def test_fogsim_report(self, tmp_path, capsys):
+        spec = synth.default_spec(n_cells=8, days=2.0, window_len=1800, seed=3, anomaly_count=2)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"spec": encode(spec), "clean": {"min_points": 8},
+                                        "detector": {"bin_count": 32, "tau": 3.5, "min_samples": 2}}))
+        out = tmp_path / "report.json"
+        argv = ["fogsim", "--scenario", str(scenario), "--strategy", "CENTRALIZED", "--out", str(out)]
+        assert main(argv) == 0
+        assert sha256(out.read_bytes()) == "c8c9019157c91251f9ca0361cdf8ad5f51e600ef8fa4bb5531e49e98b4bf70a0"
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "CENTRALIZED: 302592 bytes, mean latency 0.0404s over 30 events\n"
+            '  model placement: {"inference": "cloud", "mining": "cloud", "training": "cloud"}\n'
+        )
 
 
 class TestDetectTau:
@@ -248,8 +310,6 @@ class TestFogsimCommand:
         assert "dbs_equal: True" in table
 
     def test_scenario_and_topology_files(self, tmp_path):
-        from cellwatch.fogsim import default_topology_doc
-
         topo_path = tmp_path / "topo.json"
         topo_path.write_text(json.dumps(default_topology_doc()))
         spec = synth.default_spec(n_cells=8, days=1.0, window_len=1800, seed=3, anomaly_count=1)
@@ -388,6 +448,30 @@ class TestMalformedDocuments:
         assert rc == 1
         assert "document: expected an object, got an array" in log
 
+    @pytest.mark.parametrize("literal, got", [("NaN", "nan"), ("-Infinity", "-inf"), ("1e999", "inf")])
+    @pytest.mark.parametrize("kind", ["catalog", "config", "scenario", "topology"])
+    def test_non_finite_number(self, workspace, tmp_path, caplog, kind, literal, got):
+        data = workspace / "data"
+        catalog = json.loads((data / "catalog.json").read_text())
+        catalog["call_attempts"]["value_range"][1] = "X"
+        topology = default_topology_doc()
+        topology["links"]["edge-0"]["bandwidth_bps"] = "X"
+        train = ["train", "--kqi", str(data / "kqi.csv"), "--out", str(tmp_path / "m.json")]
+        doc, key, argv = {
+            "catalog": (catalog, "call_attempts.value_range[1]", [*train, "--catalog"]),
+            "config": ({"detector": {"tau": "X"}}, "detector.tau",
+                       [*train, "--catalog", str(data / "catalog.json"), "--config"]),
+            "scenario": ({"z_symptom": "X"}, "z_symptom",
+                         ["fogsim", "--out", str(tmp_path / "r.json"), "--scenario"]),
+            "topology": (topology, "links.edge-0.bandwidth_bps",
+                         ["fogsim", "--out", str(tmp_path / "r.json"), "--topology"]),
+        }[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"X"', literal))
+        rc, log = self.run([*argv, str(bad)], caplog)
+        assert rc == 1
+        assert f"{key}: expected a finite number, got {got}" in log
+
     def test_report_non_object(self, tmp_path, caplog):
         artifact = tmp_path / "thing.json"
         artifact.write_text("[1, 2]")
@@ -503,6 +587,19 @@ class TestMalformedDocuments:
                 "total_bytes: expected an integer, got a string",
             ),
             (["report", "{doc}"], '{"missing_removed": 1}', 1, "extremes_removed: missing required key"),
+            (
+                ["report", "{doc}"],
+                '{"strategy": "FOG", "total_bytes": 0, "links": {}, "event_latencies": [],'
+                ' "mean_latency": 0.0, "max_latency": 0.0, "model_location": {}}',
+                1,
+                "phases: missing required key",
+            ),
+            (
+                ["report", "{doc}"],
+                '{"missing_removed": 1, "extremes_removed": 0, "detail": [], "removed": 1}',
+                1,
+                "removed: unknown key",
+            ),
             (TRAIN_CDR, CDR_HEADER + "cell-000,100,nan,0,aa,bb\n", 1, "line 2: non-finite duration 'nan'"),
             (TRAIN_CDR, CDR_HEADER + "cell-000,100,30,0,aa,bb\ncell-000,200,inf,0,aa,bb\n", 1,
              "line 3: non-finite duration 'inf'"),
@@ -515,6 +612,7 @@ class TestMalformedDocuments:
             "events_missing_key", "db_array", "report_line_not_object", "diagnoses_missing_key",
             "report_db_rules_int", "report_truth_events_int", "report_model_keys_int",
             "report_eval_precision_string", "report_fogsim_bytes_string", "report_clean_missing_key",
+            "report_fogsim_missing_phases", "report_clean_unknown_key",
             "cdr_nan_duration", "cdr_inf_duration", "cdr_start_time_beyond_int64",
         ],
     )
@@ -527,6 +625,71 @@ class TestMalformedDocuments:
         got, log = self.run([arg.format(**paths) for arg in argv], caplog)
         assert got == rc
         assert message in log
+
+
+class TestConfigChecks:
+    """Out-of-range, NaN and infinite settings are usage errors (exit 2) at config resolution."""
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [
+            (PipelineConfig, "train_fraction", 1.0),
+            (PipelineConfig, "train_fraction", float("nan")),
+            (RcaConfig, "k", 0),
+            (RcaConfig, "match_threshold", 2.0),
+            (RcaConfig, "match_threshold", float("nan")),
+            (RcaConfig, "z_symptom", 0.0),
+            (RcaConfig, "z_symptom", float("nan")),
+            (RcaConfig, "z_symptom", float("inf")),
+            (CleanConfig, "iqr_multiplier", float("nan")),
+            (CleanConfig, "iqr_multiplier", float("inf")),
+            (DetectorConfig, "tau", float("nan")),
+            (DetectorConfig, "tau", float("inf")),
+            (FilterConfig, "min_peak_score", float("nan")),
+            (FilterConfig, "min_peak_score", float("-inf")),
+            (MineConfig, "lift_min", float("nan")),
+            (MineConfig, "lift_min", float("inf")),
+        ],
+    )
+    def test_rejected(self, cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
+    def test_any_finite_min_peak_score_is_accepted(self):
+        assert FilterConfig(min_peak_score=-1.0).min_peak_score == -1.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["detect", "--tau", "nan"],
+            ["detect", "--min-peak-score", "inf"],
+            ["train", "--tau", "inf"],
+            ["train", "--iqr-k", "nan"],
+            ["train", "--train-fraction", "1.5"],
+            ["mine", "--lift-min", "nan"],
+            ["mine", "--z-symptom", "nan"],
+            ["diagnose", "--k", "0"],
+            ["diagnose", "--match-threshold", "2"],
+            ["diagnose", "--z-symptom", "inf"],
+        ],
+    )
+    def test_flag_is_exit_2(self, workspace, tmp_path, flags):
+        data = workspace / "data"
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        inputs = {
+            "train": [],  # no input series: only the config can fail
+            "detect": ["--kqi", str(data / "kqi.csv"), "--model", str(workspace / "model.json")],
+            "mine": ["--events", str(events), "--kpi", str(data / "kpi.csv"),
+                     "--model", str(workspace / "model.json")],
+            "diagnose": ["--events", str(events), "--kpi", str(data / "kpi.csv"),
+                         "--model", str(workspace / "model.json"), "--db", str(workspace / "db.json")],
+        }
+        command, *rest = flags
+        out = tmp_path / "out"
+        argv = [command, *inputs[command], "--catalog", str(data / "catalog.json"), "--out", str(out), *rest]
+        assert main(argv) == 2
+        assert not out.exists()
 
 
 def test_readme_config_table_matches_dataclass_defaults():

@@ -224,6 +224,12 @@ class TestBuildTransactions:
         assert t.items == frozenset()
         assert any("no KPI data" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    def test_non_finite_z_symptom_rejected(self, z):
+        model, kpis = self.setup_model()
+        with pytest.raises(ValueError, match="z_symptom must be > 0"):
+            build_transactions([self.event()], kpis, model, z_symptom=z)
+
     def test_one_transaction_per_event_in_order(self):
         model, kpis = self.setup_model()
         events = [self.event(600), self.event(900)]
@@ -300,6 +306,15 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptDb):
+            load_db(path)
+
+    @pytest.mark.parametrize("lift", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_lift_rejected(self, tmp_path, lift):
+        doc = json.loads(db_to_json(self.make_db()))
+        doc["rules"][0]["lift"] = "X"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"X"', lift))
+        with pytest.raises(CorruptDb, match="lift"):
             load_db(path)
 
     def test_schema_mismatch(self, tmp_path):

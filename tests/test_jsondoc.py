@@ -92,6 +92,17 @@ class TestDecode:
         with pytest.raises(SchemaMismatch, match=r"^spec: expected an object, got an integer$"):
             require_object(3, "spec")
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "1e400"]
+    )
+    def test_non_finite_numbers_name_the_key(self, value):
+        got = "an integer beyond the float range" if type(value) is int else repr(value)
+        with pytest.raises(SchemaMismatch, match=f"^days: expected a finite number, got {got}$"):
+            decode(ScenarioSpec, spec_doc(days=value))
+        with pytest.raises(SchemaMismatch, match=r"^m\.value_range\[1\]: expected a finite number"):
+            decode(MetricInfo, {"kind": "KQI", "polarity": "HIGHER_IS_WORSE", "window_len_seconds": 300,
+                                "value_range": [0, value]}, "m")
+
     def test_range_checks_stay_in_the_dataclass(self):
         with pytest.raises(ValueError, match="tau must be > 0"):
             decode(DetectorConfig, {"tau": -1})
