@@ -16,7 +16,6 @@ empty bins.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from bisect import bisect_left
@@ -35,7 +34,7 @@ MAD_CONSISTENCY = 1.4826
 # guard against zero MAD on constant baselines
 SCALE_EPSILON = 1e-9
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 BaselineKey = tuple[str, str, int]  # (cell_id, metric_name, hour 0..23)
 
@@ -52,33 +51,6 @@ _DIRECTIONS = (Direction.NONE, Direction.UP, Direction.DOWN)  # by _score_values
 def hour_bucket(window_start: int | np.ndarray) -> int | np.ndarray:
     """Hour-of-day bucket (UTC) of a window start; elementwise on int arrays."""
     return (window_start // 3600) % 24
-
-
-def lower_median(sorted_values: list[float]) -> float:
-    """The ceil(n/2)-th order statistic of an already-sorted list."""
-    n = len(sorted_values)
-    if n == 0:
-        raise ValueError("median of empty data")
-    return sorted_values[(n + 1) // 2 - 1]
-
-
-def exact_median_mad(values: list[float]) -> tuple[float, float]:
-    """Reference median/MAD from raw values (lower-median convention)."""
-    s = sorted(values)
-    med = lower_median(s)
-    devs = sorted(abs(v - med) for v in s)
-    return med, lower_median(devs)
-
-
-def exact_robust_score(values: list[float], x: float) -> float:
-    """Reference robust z-score of x against raw baseline values.
-
-    The epsilon only floors a zero MAD, so the score is exactly invariant
-    under increasing affine maps of (values, x) whenever MAD > 0.
-    """
-    med, mad = exact_median_mad(values)
-    denom = max(MAD_CONSISTENCY * mad, SCALE_EPSILON)
-    return abs(x - med) / denom
 
 
 @dataclass(eq=False)
@@ -382,24 +354,20 @@ def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
 
 
 def model_to_json(model: BaselineModel) -> str:
-    """Versioned JSON document; byte-stable for identical models.
+    """Versioned columnar JSON document; byte-stable for identical models.
 
+    ``keys`` names each table row by its indices into the sorted
+    ``cell_names`` and ``metric_names`` plus its hour. ``sketches`` holds one
+    value per row in ``lo``, ``hi``, ``underflow``, ``overflow`` and
+    ``nbins``, and the rows' nonzero bins back to back in ``bins`` and
+    ``counts``: row r's ``nbins[r]`` (bin, count) pairs follow row r-1's.
     Compact separators: models are machine artifacts and their serialized
     size doubles as the shipping cost in deployment simulations.
     """
-    # One row at a time: whole-table temporaries interleaved with the
-    # document's small objects fragment the heap of a long-lived process.
     t = model.sketches
-    keys = []
-    for (cell, metric, hour), lo, hi, row, under, over in zip(
-        t.keys, t.lo.tolist(), t.hi.tolist(), t.counts, t.underflow.tolist(), t.overflow.tolist()
-    ):
-        bins = np.flatnonzero(row)
-        sketch = {
-            "lo": lo, "hi": hi, "bin_count": len(row), "underflow": under, "overflow": over,
-            "counts": [[i, c] for i, c in zip(bins.tolist(), row[bins].tolist())],
-        }
-        keys.append({"cell_id": cell, "metric": metric, "hour": hour, "sketch": sketch})
+    cells, metrics = (sorted({key[i] for key in t.keys}) for i in (0, 1))
+    cell_index, metric_index = ({name: i for i, name in enumerate(names)} for names in (cells, metrics))
+    rows, bins = np.nonzero(t.counts)
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "config": encode(model.config),
@@ -407,7 +375,23 @@ def model_to_json(model: BaselineModel) -> str:
             name: {"kind": kind.value, "polarity": polarity.value}
             for name, (kind, polarity) in sorted(model.metric_meta.items())
         },
-        "keys": keys,
+        "keys": {
+            "cell_names": cells,
+            "metric_names": metrics,
+            "cell": [cell_index[cell] for cell, _, _ in t.keys],
+            "metric": [metric_index[metric] for _, metric, _ in t.keys],
+            "hour": [hour for _, _, hour in t.keys],
+        },
+        "sketches": {
+            "bin_count": t.counts.shape[1],
+            "lo": t.lo.tolist(),
+            "hi": t.hi.tolist(),
+            "underflow": t.underflow.tolist(),
+            "overflow": t.overflow.tolist(),
+            "nbins": np.bincount(rows, minlength=len(t)).tolist(),
+            "bins": bins.tolist(),
+            "counts": t.counts[rows, bins].tolist(),
+        },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -422,7 +406,10 @@ def load_model(path: str | Path) -> BaselineModel:
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise SchemaMismatch(f"unsupported model schema {doc.get('schema_version')!r}")
+        raise SchemaMismatch(
+            f"unsupported model schema {doc.get('schema_version')!r}: this version reads schema"
+            f" {MODEL_SCHEMA_VERSION} only; retrain the model with `cellwatch train`"
+        )
     try:
         return _model_from_doc(doc)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -435,54 +422,58 @@ def _model_from_doc(doc: dict) -> BaselineModel:
         name: (MetricKind(entry["kind"]), Polarity(entry["polarity"]))
         for name, entry in doc["metrics"].items()
     }
-    entries = sorted(doc["keys"], key=_entry_key)
-    keys = [_entry_key(entry) for entry in entries]
-    for a, b in zip(keys, keys[1:]):
-        if a == b:
-            raise ValueError(f"duplicate key {a}")
-    sketches = [entry["sketch"] for entry in entries]
-    nb = cfg.bin_count
-    if any(raw["bin_count"] != nb for raw in sketches):
-        raise ValueError(f"sketch bin_count differs from the config's {nb}")
-    lo, hi = (_array([raw[name] for raw in sketches], name, np.float64) for name in ("lo", "hi"))
-    underflow, overflow = (
-        _array([raw[name] for raw in sketches], name, np.int64) for name in ("underflow", "overflow")
+    columns, sketches, nb = doc["keys"], doc["sketches"], cfg.bin_count
+    if not (type(sketches["bin_count"]) is int and sketches["bin_count"] == nb):
+        raise ValueError(f"sketches.bin_count differs from the config's {nb}")
+    cells, metrics = (_names(columns[name], name) for name in ("cell_names", "metric_names"))
+    cell, metric, hour = (_array(columns[name], name, np.int64) for name in ("cell", "metric", "hour"))
+    lo, hi = (_array(sketches[name], name, np.float64) for name in ("lo", "hi"))
+    underflow, overflow, nbins, bins, counts = (
+        _array(sketches[name], name, np.int64)
+        for name in ("underflow", "overflow", "nbins", "bins", "counts")
     )
+    n = len(hour)
+    if any(len(column) != n for column in (cell, metric, lo, hi, underflow, overflow, nbins)):
+        raise ValueError(f"every per-key column needs {n} values, as many as hour has")
+    if (cell >= len(cells)).any() or (metric >= len(metrics)).any() or (hour >= 24).any():
+        raise ValueError("keys: need name indices within cell_names and metric_names, hours 0..23")
+    keys = [(cells[c], metrics[m], h) for c, m, h in zip(cell.tolist(), metric.tolist(), hour.tolist())]
+    # the names rise, so rising index triples are keys in sorted order
+    order = (cell * len(metrics) + metric) * 24 + hour
+    unsorted = order[1:] <= order[:-1]
+    if unsorted.any():
+        raise ValueError(f"key {keys[np.argmax(unsorted) + 1]} repeats or is out of sorted order")
     if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
         raise ValueError("sketch bounds must be finite with lo < hi")
-    pairs = [pair for raw in sketches for pair in raw["counts"]]
-    if not (set(map(len, pairs)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
-        raise ValueError("counts: expected [bin, count] pairs of JSON integers")
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    bins, values = flat.reshape(-1, 2).T
-    cells = np.repeat(np.arange(0, len(keys) * nb, nb), [len(raw["counts"]) for raw in sketches])
-    cells += bins  # index into the flattened count matrix
-    # fit writes each sketch's bins in rising order, so this also rejects a bin listed twice
-    if (flat < 0).any() or (bins >= nb).any() or (cells[1:] <= cells[:-1]).any():
-        raise ValueError(f"counts: need counts >= 0 and bins rising within 0..{nb - 1} per sketch")
-    counts = np.zeros((len(keys), nb), dtype=np.int64)
-    counts.reshape(-1)[cells] = values
-    empty = counts.sum(axis=1) + underflow + overflow == 0
+    if (nbins > nb).any() or nbins.sum() != len(bins) or len(bins) != len(counts):
+        raise ValueError(f"need nbins <= {nb} per key, summing to the lengths of bins and counts")
+    cells_at = np.repeat(np.arange(0, n * nb, nb), nbins) + bins  # into the flattened count matrix
+    if (bins >= nb).any() or (cells_at[1:] <= cells_at[:-1]).any():
+        raise ValueError(f"bins: need bins rising within 0..{nb - 1} per key")
+    table = np.zeros((n, nb), dtype=np.int64)
+    table.reshape(-1)[cells_at] = counts
+    empty = table.sum(axis=1) + underflow + overflow == 0
     if empty.any():
         raise ValueError(f"key {keys[np.argmax(empty)]} has zero total mass")
-    table = SketchTable(keys, lo, hi, counts, underflow, overflow)
-    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=table)
+    return BaselineModel(
+        config=cfg,
+        metric_meta=metric_meta,
+        sketches=SketchTable(keys, lo, hi, table, underflow, overflow),
+    )
 
 
-def _entry_key(entry: dict) -> BaselineKey:
-    key = cell, metric, hour = entry["cell_id"], entry["metric"], entry["hour"]
-    if not (isinstance(cell, str) and isinstance(metric, str)
-            and type(hour) is int and 0 <= hour < 24):
-        raise ValueError(f"bad key {key}: need str cell_id and metric, int hour 0..23")
-    return key
+def _names(values: list, what: str) -> list[str]:
+    if isinstance(values, list) and set(map(type, values)) <= {str}:
+        if all(a < b for a, b in zip(values, values[1:])):
+            return values
+    raise ValueError(f"{what}: expected strings in strictly rising order")
 
 
 def _array(values: list, what: str, dtype: type) -> np.ndarray:
-    """JSON numbers as an array: ints >= 0 for int64, any number for float64; never bools."""
+    """A JSON array as an array: ints >= 0 for int64, any numbers for float64; never bools."""
     counting = dtype is np.int64
-    if set(map(type, values)) <= ({int} if counting else {int, float}):
+    if isinstance(values, list) and set(map(type, values)) <= ({int} if counting else {int, float}):
         array = np.array(values, dtype=dtype)
         if not (counting and (array < 0).any()):
             return array
-    raise ValueError(f"{what}: expected {'non-negative integers' if counting else 'numbers'}")
+    raise ValueError(f"{what}: expected an array of {'non-negative integers' if counting else 'numbers'}")

@@ -64,7 +64,7 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import decode, dumps, encode, read, require_object, write
+from .jsondoc import MalformedJson, decode, dumps, encode, read, require_object, write
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
@@ -142,7 +142,11 @@ def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
-                docs.append((f"line {n}", require_object(json.loads(line), f"line {n}")))
+                try:
+                    doc = json.loads(line.rstrip("\n"))  # so the error's position is within line n
+                except json.JSONDecodeError as exc:
+                    raise MalformedJson(path, exc, lines_before=n - 1) from None
+                docs.append((f"line {n}", require_object(doc, f"line {n}")))
     return docs
 
 
@@ -591,11 +595,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CellwatchError as exc:
         log.error("error: %s", exc)
         return 1
+    except (OSError, MalformedJson) as exc:  # before ValueError: MalformedJson is one
+        log.error("io error: %s", exc)
+        return 2
     except ValueError as exc:
         log.error("invalid configuration: %s", exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        log.error("io error: %s", exc)
         return 2
 
 

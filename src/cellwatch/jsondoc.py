@@ -3,8 +3,8 @@
 The dataclasses are the schema: ``decode`` and ``encode`` take field names,
 types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``.
 A field's JSON key is its name unless ``field(metadata={"json": key})`` says
-otherwise. ``read`` parses a document file; ``write`` stores a dataclass as
-an indented, key-sorted document.
+otherwise. ``read`` parses a document file, raising ``MalformedJson`` when it
+is not JSON; ``write`` stores a dataclass as an indented, key-sorted document.
 A float field takes any finite JSON number (not ``NaN``, ``Infinity`` or a
 literal beyond the float range); an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
@@ -17,6 +17,7 @@ Range checks stay in the dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 import types
@@ -41,6 +42,12 @@ def _child(where: str, key: str) -> str:
 
 def _key(f: dataclasses.Field) -> str:
     return f.metadata.get("json", f.name)
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[dict[str, dataclasses.Field], dict[str, Any]]:
+    """The init fields of dataclass ``cls`` by JSON key, and its resolved type hints."""
+    return {_key(f): f for f in dataclasses.fields(cls) if f.init}, typing.get_type_hints(cls)
 
 
 def _shape(tp: Any) -> type:
@@ -71,11 +78,11 @@ def decode(cls: Any, doc: Any, where: str = "") -> Any:
                 return decode(member, doc, where)
         raise _mismatch(where, " or ".join(_NAMES[_shape(m)] for m in members), got)
     if dataclasses.is_dataclass(cls):
-        fields = {_key(f): f for f in dataclasses.fields(cls) if f.init}
+        fields, hints = _fields(cls)
         for key in require_object(doc, where):
             if key not in fields:
                 raise SchemaMismatch(f"{_child(where, key)}: unknown key")
-        hints, kwargs = typing.get_type_hints(cls), {}
+        kwargs = {}
         for key, f in fields.items():
             if key in doc:
                 kwargs[f.name] = decode(hints[f.name], doc[key], _child(where, key))
@@ -119,10 +126,25 @@ def encode(obj: Any) -> Any:
     return obj.value if isinstance(obj, Enum) else obj
 
 
+class MalformedJson(ValueError):
+    """A file's text is not JSON; the message names the file and the position.
+
+    ``lines_before`` counts the file's lines ahead of the text that failed to
+    parse, for a JSON Lines file parsed one line at a time.
+    """
+
+    def __init__(self, path: str | Path, exc: json.JSONDecodeError, lines_before: int = 0):
+        line = lines_before + exc.lineno
+        super().__init__(f"{path}: malformed JSON at line {line} column {exc.colno}: {exc.msg}")
+
+
 def read(path: str | Path) -> Any:
-    """The parsed JSON document at ``path``."""
+    """The parsed JSON document at ``path``; MalformedJson when its text is not JSON."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(path, exc) from None
 
 
 def dumps(obj: Any) -> str:

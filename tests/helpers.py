@@ -7,7 +7,9 @@ exactly. The diagnosis oracle ranks every candidate rule by frozenset
 Jaccard distance and a full sort; it never touches the bitmask index that
 ``rca.diagnose`` ranks against. The sketch oracle inserts one value at a
 time and walks one histogram's positions in order; it never touches the
-arrays of ``SketchTable``.
+arrays of ``SketchTable``. The exact statistics take the median and MAD of
+the raw values, with the lower-median convention that the sketch estimates
+follow.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cellwatch.baseline import DetectorConfig
+from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig
 from cellwatch.cleaning import CleanConfig
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import Scenario, build_topology
@@ -25,6 +27,34 @@ from cellwatch.ingest import MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
+
+
+def lower_median(sorted_values: list[float]) -> float:
+    """The ceil(n/2)-th order statistic of an already-sorted list."""
+    n = len(sorted_values)
+    if n == 0:
+        raise ValueError("median of empty data")
+    return sorted_values[(n + 1) // 2 - 1]
+
+
+def exact_median_mad(values: list[float]) -> tuple[float, float]:
+    """Reference median/MAD from raw values (lower-median convention)."""
+    s = sorted(values)
+    med = lower_median(s)
+    devs = sorted(abs(v - med) for v in s)
+    return med, lower_median(devs)
+
+
+def exact_robust_score(values: list[float], x: float) -> float:
+    """Reference robust z-score of x against raw baseline values.
+
+    The epsilon only floors a zero MAD, so the score is exactly invariant
+    under increasing affine maps of (values, x) whenever MAD > 0.
+    """
+    med, mad = exact_median_mad(values)
+    denom = max(MAD_CONSISTENCY * mad, SCALE_EPSILON)
+    return abs(x - med) / denom
+
 
 @dataclass
 class HistogramSketch:

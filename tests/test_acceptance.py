@@ -15,8 +15,6 @@ import pytest
 from cellwatch import synth
 from cellwatch.baseline import (
     DetectorConfig,
-    exact_median_mad,
-    exact_robust_score,
     fit_baseline,
     load_model,
     model_to_json,
@@ -48,6 +46,8 @@ from cellwatch.rca import jaccard_distance
 
 from helpers import (
     apriori_rare_rules,
+    exact_median_mad,
+    exact_robust_score,
     key_estimate,
     make_series,
     random_fog_case,

@@ -1,17 +1,19 @@
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellwatch.baseline import (
     BaselineModel,
     DetectorConfig,
     Direction,
     SketchTable,
-    exact_median_mad,
-    exact_robust_score,
     fit_baseline,
     hour_bucket,
     load_model,
@@ -22,9 +24,17 @@ from cellwatch.baseline import (
     score_series,
 )
 from cellwatch.errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
-from cellwatch.ingest import Polarity
+from cellwatch.fogsim import compare_models
+from cellwatch.ingest import MetricKind, Polarity
 
-from helpers import HistogramSketch, key_estimate, make_series, table_sketch
+from helpers import (
+    HistogramSketch,
+    exact_median_mad,
+    exact_robust_score,
+    key_estimate,
+    make_series,
+    table_sketch,
+)
 
 
 CFG = DetectorConfig(bin_count=128, tau=5.0, min_samples=3)
@@ -440,14 +450,20 @@ class TestMergeBaselines:
             merge_baselines([a, b])
 
 
-def one_key_model_doc(copies=1, hour=0, **sketch):
-    """A model document whose one (c1, m1, hour) key is listed ``copies`` times."""
-    raw = {"lo": 0.0, "hi": 1.0, "bin_count": 8, "counts": [[2, 3]], "underflow": 0, "overflow": 0}
+def one_key_model_doc(copies=1, keys=None, **sketches):
+    """A model document whose one (c1, m1, hour 0) key is listed ``copies`` times.
+
+    ``keys`` and ``sketches`` replace whole columns of the key and sketch
+    sections after the repetition.
+    """
+    sketch = {"lo": [0.0], "hi": [1.0], "underflow": [0], "overflow": [0], "nbins": [1], "bins": [2], "counts": [3]}
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
         "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
-        "keys": [{"cell_id": "c1", "metric": "m1", "hour": hour, "sketch": {**raw, **sketch}}] * copies,
+        "keys": {"cell_names": ["c1"], "metric_names": ["m1"], "cell": [0] * copies, "metric": [0] * copies,
+                 "hour": [0] * copies, **(keys or {})},
+        "sketches": {"bin_count": 8, **{name: column * copies for name, column in sketch.items()}, **sketches},
     }
 
 
@@ -468,7 +484,65 @@ def pinned_model(case):
     return merge_baselines(parts)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] != b[1]).map(lambda b: (min(b), max(b)))
+COUNT = st.one_of(st.just(0), st.integers(1, 2**40))
+NAMES = st.lists(st.text("ab-é", min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def random_models(draw):
+    """A fit-shaped model: fixed bounds for some metrics, arbitrary finite bounds for the
+    rest, rows whose mass lies only in the bins, underflow or overflow, and for 2-3
+    partitions their merge."""
+    nb = draw(st.sampled_from([8, 16]))
+    cells, metrics = draw(NAMES), draw(NAMES)
+    fixed = {metric: draw(BOUNDS) for metric in metrics if draw(st.booleans())}
+    universe = draw(st.sets(st.tuples(st.sampled_from(cells), st.sampled_from(metrics), st.integers(0, 23)),
+                            max_size=10))
+    bounds = {key: fixed.get(key[1]) or draw(BOUNDS) for key in sorted(universe)}
+    cfg = DetectorConfig(bin_count=nb, bounds=fixed or None)
+    meta = {metric: (draw(st.sampled_from(MetricKind)), draw(st.sampled_from(Polarity))) for metric in metrics}
+
+    def part(keys):
+        counts, underflow, overflow = [], [], []
+        for _ in keys:
+            mass = draw(st.sampled_from(["bins", "underflow", "overflow", "all"]))
+            row = draw(st.lists(COUNT, min_size=nb, max_size=nb)) if mass in ("bins", "all") else [0] * nb
+            under = draw(COUNT) if mass in ("underflow", "all") else 0
+            over = draw(COUNT) if mass in ("overflow", "all") else 0
+            if not any(row) and not under and not over:
+                row[draw(st.integers(0, nb - 1))] = 1
+            counts.append(row)
+            underflow.append(under)
+            overflow.append(over)
+        table = SketchTable(
+            keys,
+            np.array([bounds[key][0] for key in keys], dtype=np.float64),
+            np.array([bounds[key][1] for key in keys], dtype=np.float64),
+            np.array(counts, dtype=np.int64).reshape(len(keys), nb),
+            np.array(underflow, dtype=np.int64),
+            np.array(overflow, dtype=np.int64),
+        )
+        return BaselineModel(config=cfg, metric_meta=meta, sketches=table)
+
+    n_parts = draw(st.integers(1, 3))
+    parts = [part([key for key in bounds if n_parts == 1 or draw(st.booleans())]) for _ in range(n_parts)]
+    return parts[0] if n_parts == 1 else merge_baselines(parts)
+
+
 class TestSerialization:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(random_models())
+    def test_random_models_round_trip_exactly(self, model):
+        text = model_to_json(model)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(text, encoding="utf-8")
+            loaded = load_model(path)
+        assert compare_models(loaded, model)
+        assert model_to_json(loaded) == text  # bounds bit for bit, -0.0 included
+
     def test_round_trip_and_byte_stability(self, tmp_path):
         rng = np.random.default_rng(31)
         series = [
@@ -493,53 +567,72 @@ class TestSerialization:
             load_model(path)
 
 
+    def test_v1_document_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**one_key_model_doc(copies=0), "schema_version": 1, "keys": []}))
+        with pytest.raises(SchemaMismatch, match="unsupported model schema 1: .* retrain the model"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "doc",
         [
-            {"schema_version": 1},
+            {"schema_version": 2},
             [1, 2, 3],
             "model",
-            {"schema_version": 1, "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1}},
-            {"schema_version": 1, "config": [], "metrics": {}, "keys": []},
-            {
-                "schema_version": 1,
-                "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1, "bounds": None},
-                "metrics": {"m1": {"kind": "KQI", "polarity": "SIDEWAYS"}},
-                "keys": [],
-            },
-            {
-                "schema_version": 1,
-                "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1, "bounds": None},
-                "metrics": {},
-                "keys": [{"cell_id": "c1", "metric": "m1", "hour": 0, "sketch": {"bin_count": 16}}],
-            },
-            *(
-                {
-                    "schema_version": 1,
-                    "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
-                    "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
-                    "keys": [{"cell_id": "c1", "metric": "m1", "hour": 0, "sketch": {
-                        "lo": 0.0, "hi": 1.0, "bin_count": 8, "counts": counts,
-                        "underflow": under, "overflow": 0,
-                    }}],
-                }
-                for counts, under in [([[-1, 5]], 0), ([[8, 5]], 0), ([[2, -3]], 0), ([[2, 3]], -1)]
-            ),
+            {"schema_version": 2, "config": {"bin_count": 16, "tau": 5.0, "min_samples": 1}},
+            {"schema_version": 2, "config": [], "metrics": {}, "keys": {}, "sketches": {}},
+            {**one_key_model_doc(copies=0), "metrics": {"m1": {"kind": "KQI", "polarity": "SIDEWAYS"}}},
+            {**one_key_model_doc(), "sketches": {"bin_count": 8}},  # missing columns
+            # bins that do not rise within 0..bin_count-1, negative counts
+            one_key_model_doc(bins=[-1]),
+            one_key_model_doc(bins=[8]),
+            one_key_model_doc(counts=[-3]),
+            one_key_model_doc(underflow=[-1]),
+            # a bin_count other than the config's
             one_key_model_doc(bin_count=16),
+            # a repeated key
             one_key_model_doc(copies=2),
-            one_key_model_doc(counts=[]),
-            one_key_model_doc(lo=1.0),
-            one_key_model_doc(lo=2.0),
-            one_key_model_doc(hi=float("inf")),
-            one_key_model_doc(lo=float("nan")),
-            one_key_model_doc(hour=24),
-            one_key_model_doc(hour=-1),
-            one_key_model_doc(counts=[[2, True]]),
-            one_key_model_doc(counts=[[True, 3]]),
-            one_key_model_doc(underflow=True),
-            one_key_model_doc(counts=[[2, 3], [2, 4]]),
-            one_key_model_doc(counts=[[3, 1], [2, 1]]),
-            one_key_model_doc(counts=[[2, 3.0]]),
+            # zero total mass
+            one_key_model_doc(nbins=[0], bins=[], counts=[]),
+            # non-finite bounds or lo >= hi
+            one_key_model_doc(lo=[1.0]),
+            one_key_model_doc(lo=[2.0]),
+            one_key_model_doc(hi=[float("inf")]),
+            one_key_model_doc(lo=[float("nan")]),
+            # an hour outside 0..23
+            one_key_model_doc(keys={"hour": [24]}),
+            one_key_model_doc(keys={"hour": [-1]}),
+            # counts that are not JSON integers
+            one_key_model_doc(counts=[True]),
+            one_key_model_doc(bins=[True]),
+            one_key_model_doc(underflow=[True]),
+            # a bin listed twice, bins falling
+            one_key_model_doc(nbins=[2], bins=[2, 2], counts=[3, 4]),
+            one_key_model_doc(nbins=[2], bins=[3, 2], counts=[1, 1]),
+            one_key_model_doc(counts=[3.0]),
+            # keys out of sorted order
+            one_key_model_doc(copies=2, keys={"hour": [1, 0]}),
+            one_key_model_doc(copies=2, keys={"cell_names": ["c1", "c2"], "cell": [1, 0]}),
+            # a name index out of range
+            one_key_model_doc(keys={"cell": [1]}),
+            one_key_model_doc(keys={"metric": [1]}),
+            # names unsorted, repeated or not strings
+            one_key_model_doc(keys={"cell_names": ["c2", "c1"]}),
+            one_key_model_doc(keys={"cell_names": ["c1", "c1"]}),
+            one_key_model_doc(keys={"metric_names": [1]}),
+            # columns of different lengths
+            one_key_model_doc(hi=[1.0, 2.0]),
+            one_key_model_doc(keys={"metric": [0, 0]}),
+            one_key_model_doc(nbins=[2]),
+            one_key_model_doc(counts=[3, 4]),
+            one_key_model_doc(nbins=[9], bins=list(range(9)), counts=[1] * 9),
+            # other non-integers
+            one_key_model_doc(keys={"hour": [True]}),
+            one_key_model_doc(keys={"cell": [0.0]}),
+            one_key_model_doc(bin_count=8.0),
+            one_key_model_doc(counts=[2**63]),
+            one_key_model_doc(lo=["0"]),
+            one_key_model_doc(hi=None),
         ],
     )
     def test_malformed_document_is_schema_mismatch(self, tmp_path, doc):
@@ -547,7 +640,6 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch):
             load_model(path)
-
 
     def test_one_key_model_doc_loads(self, tmp_path):
         path = tmp_path / "model.json"
@@ -559,10 +651,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "case, sha256",
         [
-            ("fixed_bounds", "d0345c5307b4b9eb1d9a7692751c2cfe636b403b0bf692a15047a2ceea07d127"),
-            ("data_driven_bounds", "faf9c9c51cd629f6768968fb147c1c333565c05e1c8761cc3b31487453f58a16"),
+            ("fixed_bounds", "132f7d90b265bd75f99c53b809206c649a4d071bee1036f9a397b1d92cc5ad60"),
+            ("data_driven_bounds", "8935713b2bb0431d8660ebc14d530c84a362ea07ef5ed4dbbf955525149d75ff"),
             # merging is exact, so the merged partitions pin the pooled fit's bytes
-            ("merged", "d0345c5307b4b9eb1d9a7692751c2cfe636b403b0bf692a15047a2ceea07d127"),
+            ("merged", "132f7d90b265bd75f99c53b809206c649a4d071bee1036f9a397b1d92cc5ad60"),
         ],
     )
     def test_model_json_is_pinned(self, case, sha256):

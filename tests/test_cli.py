@@ -262,9 +262,14 @@ class TestExitCodes:
     def test_zero_mass_model_key_is_exit_1(self, workspace, tmp_path, caplog):
         data = workspace / "data"
         doc = json.loads((workspace / "model.json").read_text())
+        keys, sketches = doc["keys"], doc["sketches"]
         kqis = {name for name, meta in doc["metrics"].items() if meta["kind"] == "KQI"}
-        entry = next(e for e in doc["keys"] if e["metric"] in kqis)
-        entry["sketch"].update(counts=[], underflow=0, overflow=0)
+        row = next(r for r, m in enumerate(keys["metric"]) if keys["metric_names"][m] in kqis)
+        start = sum(sketches["nbins"][:row])
+        for column in ("bins", "counts"):
+            del sketches[column][start : start + sketches["nbins"][row]]
+        for column in ("nbins", "underflow", "overflow"):
+            sketches[column][row] = 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         caplog.clear()
@@ -274,6 +279,44 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "zero total mass" in caplog.text
+
+    def test_v1_model_asks_for_retraining(self, workspace, tmp_path, caplog):
+        data = workspace / "data"
+        v1 = {"schema_version": 1, "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
+              "metrics": {}, "keys": []}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(v1))
+        caplog.clear()
+        rc = main(
+            ["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--model", str(old), "--out", str(tmp_path / "events.jsonl")]
+        )
+        assert rc == 1
+        assert "unsupported model schema 1" in caplog.text
+        assert "retrain the model with `cellwatch train`" in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["report", "{bad}"], "broken.json"),
+            (["fogsim", "--topology", "{bad}", "--out", "{tmp}/r.json"], "broken.json"),
+            (["eval", "--events", "{bad_lines}", "--truth", "{data}/truth.json"], "broken.jsonl"),
+        ],
+        ids=["artifact", "topology", "events"],
+    )
+    def test_truncated_json_names_the_file(self, workspace, tmp_path, caplog, argv, name):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"a": ')
+        lines = (workspace / "events.jsonl").read_text().splitlines(keepends=True)
+        bad_lines = tmp_path / "broken.jsonl"
+        bad_lines.write_text(lines[0] + lines[1][:20])
+        paths = {"bad": bad, "bad_lines": bad_lines, "tmp": tmp_path, "data": workspace / "data"}
+        caplog.clear()
+        rc = main([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        line = 2 if name.endswith(".jsonl") else 1
+        assert f"{tmp_path / name}: malformed JSON at line {line} column " in caplog.text
+        assert "invalid configuration" not in caplog.text
 
     def test_bad_config_value_is_exit_2(self, tmp_path):
         catalog = tmp_path / "catalog.json"

@@ -245,8 +245,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1f4f2613165a90eb3c1277f84beff9ba8a93874e70010fc986a1232b3220e004"),
-            (Strategy.EDGE_INFERENCE, "27367d4384fd4147d3dbf38143d22f61d16db21d6de1030b6eb13ecbcebdb813"),
-            (Strategy.FOG, "db61994fa1d5ba006dc45cd7f10c89e712264633ec36a532e4548b269c87de16"),
+            (Strategy.EDGE_INFERENCE, "36455af7722dda955188ea3b343b2c795413ebf8d0f7e1cf848b7df79372b988"),
+            (Strategy.FOG, "8979934c852302eb9d0432e6a39adc16daeb6df2841b03fd2b3f70105c9ecd79"),
         ],
     )
     def test_default_scenario_report_is_pinned(self, strategy, sha256):
@@ -257,8 +257,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1780ce4e86017a628946d4103ce1ef734c7358f523bd1f5432462305b7fc548f"),
-            (Strategy.EDGE_INFERENCE, "c9be43631ce4d143cb9eef4c1cee8f1e202b9002e6496f181425795da8c88dff"),
-            (Strategy.FOG, "264fe305c53fe863772adf91cbb752e532850e0c8ebb38420c191f93e5e879a8"),
+            (Strategy.EDGE_INFERENCE, "56e3d35fc1b8a894171e6491857d7bc53789fd225801aae221ccbaa9f71ce8db"),
+            (Strategy.FOG, "066b50ddc31ed59197d7c300db99fa7c166b12edb609405b07bca908a81f7e4f"),
         ],
     )
     def test_sparse_traffic_report_is_pinned(self, strategy, sha256):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cellwatch.baseline import Direction, exact_robust_score, hour_bucket
+from cellwatch.baseline import Direction, hour_bucket
 from cellwatch.errors import InvalidSpec
 from cellwatch.fogsim import default_scenario
 from cellwatch.jsondoc import decode, encode
@@ -22,6 +22,8 @@ from cellwatch.synth import (
     load_spec,
     save_spec,
 )
+
+from helpers import exact_robust_score
 
 
 def small_spec(**kw):
