@@ -64,9 +64,9 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import MalformedJson, decode, dumps, encode, read, require_object, write
+from .jsondoc import MalformedJson, decode, dumps, encode, read, read_text, require_object, write
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
-from .rca import diagnose, symptom_sets_for_events
+from .rca import RankedDoc, diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
 
 log = logging.getLogger("cellwatch")
@@ -131,22 +131,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_jsonl(docs: list[dict], path: str | Path) -> None:
-    lines = [json.dumps(doc, sort_keys=True) for doc in docs]
+def _write_jsonl(objs: list, path: str | Path) -> None:
+    lines = [json.dumps(encode(obj), sort_keys=True) for obj in objs]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
     """Each non-blank line's JSON object, with ``line N`` to prefix its key paths."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    doc = json.loads(line.rstrip("\n"))  # so the error's position is within line n
-                except json.JSONDecodeError as exc:
-                    raise MalformedJson(path, exc, lines_before=n - 1) from None
-                docs.append((f"line {n}", require_object(doc, f"line {n}")))
+    for n, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedJson(path, exc, lines_before=n - 1) from None
+            docs.append((f"line {n}", require_object(doc, f"line {n}")))
     return docs
 
 
@@ -237,7 +236,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         events.extend(
             apply_filters(scored, filter_cfg, cell_id=test.cell_id, metric_name=test.metric_name)
         )
-    _write_jsonl([encode(e) for e in events], args.out)
+    _write_jsonl(events, args.out)
     log.info("flagged %d events over %d series", len(events), len(tests))
     return 0
 
@@ -246,25 +245,17 @@ def _load_events(path: str | Path) -> list[AnomalyEvent]:
     return [decode(AnomalyEvent, doc, where) for where, doc in _read_jsonl(path)]
 
 
-@dataclass(frozen=True)
-class _Ranked:
-    cause: str
-    distance: float
-    antecedent: list[str]
-    confidence: float
-    support_count: int
-
-
-@dataclass(frozen=True)
+@dataclass
 class _DiagnosisLine:
-    """One line of a diagnoses file, as ``diagnose`` writes it."""
+    """One line of a diagnoses file: an event, its symptom items and its ``DiagnosisDoc``."""
 
     event: AnomalyEvent
     items: list[str]
     consequent: str
+    # DiagnosisDoc's fields, not inherited: decode reports a missing key in this field order
     matched: bool
     match_threshold: float
-    ranked: list[_Ranked]
+    ranked: list[RankedDoc]
 
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
@@ -309,23 +300,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     symptom_sets = symptom_sets_for_events(
         events, kpi_series, model, z_symptom=cfg.rca.z_symptom
     )
-    k = cfg.rca.k
-    threshold = cfg.rca.match_threshold
-    docs = []
-    n_matched = 0
+    lines = []
     for symptoms in symptom_sets:
-        result = diagnose(db, symptoms, k=k, match_threshold=threshold)
-        n_matched += 1 if result.matched else 0
-        docs.append(
-            {
-                "event": encode(symptoms.event),
-                "items": sorted(it.token for it in symptoms.items),
-                "consequent": symptoms.consequent,
-                **result.to_json_dict(),
-            }
-        )
-    _write_jsonl(docs, args.out)
-    log.info("diagnosed %d events (%d matched)", len(docs), n_matched)
+        result = diagnose(db, symptoms, k=cfg.rca.k, match_threshold=cfg.rca.match_threshold)
+        items = sorted(it.token for it in symptoms.items)
+        lines.append(_DiagnosisLine(symptoms.event, items, symptoms.consequent, **vars(result.to_doc())))
+    _write_jsonl(lines, args.out)
+    log.info("diagnosed %d events (%d matched)", len(lines), sum(line.matched for line in lines))
     return 0
 
 

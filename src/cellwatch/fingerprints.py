@@ -16,7 +16,6 @@ pooled tables, so fog-merged and centralized rules come from one routine.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -30,7 +29,7 @@ import numpy as np
 from .baseline import BaselineModel, Direction, hour_bucket, robust_score
 from .errors import CorruptDb, SchemaMismatch, UnknownKey
 from .ingest import MetricKind, MetricSeries
-from .jsondoc import decode, read, require_object
+from .jsondoc import decode, dumps, read, require_object
 from .postfilter import AnomalyEvent
 
 log = logging.getLogger(__name__)
@@ -469,53 +468,35 @@ def update_db(
     )
 
 
+@dataclass
+class _RuleDoc:
+    """A fingerprint as the db document stores it: its antecedent as sorted tokens."""
+
+    antecedent: list  # checked by itemset_from_tokens
+    consequent: str
+    support: float
+    support_count: int
+    antecedent_count: int
+    confidence: float
+    lift: float
+    cause_label: str | None = None
+
+
+@dataclass
+class _DbDoc:
+    schema_version: int
+    transaction_total: int
+    built_at: int
+    rules: list[_RuleDoc]
+
+
 def db_to_json(db: FingerprintDb) -> str:
-    doc = {
-        "schema_version": db.schema_version,
-        "transaction_total": db.transaction_total,
-        "built_at": db.built_at,
-        "rules": [
-            {
-                "antecedent": _tokens(r.antecedent),
-                "consequent": r.consequent,
-                "support": r.support,
-                "support_count": r.support_count,
-                "antecedent_count": r.antecedent_count,
-                "confidence": r.confidence,
-                "lift": r.lift,
-                "cause_label": r.cause_label,
-            }
-            for r in db.rules
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rules = [_RuleDoc(**{**vars(r), "antecedent": _tokens(r.antecedent)}) for r in db.rules]
+    return dumps(_DbDoc(db.schema_version, db.transaction_total, db.built_at, rules))
 
 
 def save_db(db: FingerprintDb, path: str | Path) -> None:
     Path(path).write_text(db_to_json(db), encoding="utf-8")
-
-
-# The keys of a db document and of each of its rules, with the Python types
-# json.load gives their values. A jsondoc.decode per rule would take several
-# times as long as these checks.
-_DB_TYPES = {"schema_version": (int,), "transaction_total": (int,), "built_at": (int,),
-             "rules": (list,)}
-_RULE_TYPES = {"antecedent": (list,), "consequent": (str,), "support": (float, int),
-               "support_count": (int,), "antecedent_count": (int,), "confidence": (float, int),
-               "lift": (float, int), "cause_label": (str, type(None))}
-
-
-def _typed(doc: Any, types: dict[str, tuple[type, ...]], where: str) -> dict:
-    """``doc`` if it has these keys of these types (None: may be missing), else SchemaMismatch."""
-    prefix = f"{where}." if where else ""
-    for key in require_object(doc, where).keys() - types.keys():
-        raise SchemaMismatch(f"{prefix}{key}: unknown key")
-    for key, allowed in types.items():
-        if type(doc.get(key)) not in allowed:
-            if key not in doc:
-                raise SchemaMismatch(f"{prefix}{key}: missing required key")
-            decode(allowed[0], doc[key], prefix + key)  # raises, naming the JSON types
-    return doc
 
 
 def load_db(path: str | Path) -> FingerprintDb:
@@ -523,29 +504,19 @@ def load_db(path: str | Path) -> FingerprintDb:
     doc = require_object(read(path))
     if doc.get("schema_version") != DB_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported db schema {doc.get('schema_version')!r}")
-    total = _typed(doc, _DB_TYPES, "")["transaction_total"]
+    stored = decode(_DbDoc, doc)
     rules: list[Fingerprint] = []
     seen: set[tuple[Itemset, str]] = set()
-    for i, raw in enumerate(doc["rules"]):
-        tokens = _typed(raw, _RULE_TYPES, f"rules[{i}]")["antecedent"]
-        antecedent = itemset_from_tokens(tokens, f"rules[{i}].antecedent")
-        rule = Fingerprint(
-            antecedent=antecedent,
-            consequent=raw["consequent"],
-            support=raw["support"],
-            support_count=raw["support_count"],
-            antecedent_count=raw["antecedent_count"],
-            confidence=raw["confidence"],
-            lift=raw["lift"],
-            cause_label=raw.get("cause_label"),
-        )
-        _validate_rule(rule, total)
+    for i, raw in enumerate(stored.rules):
+        antecedent = itemset_from_tokens(raw.antecedent, f"rules[{i}].antecedent")
+        rule = Fingerprint(**{**vars(raw), "antecedent": antecedent})
+        _validate_rule(rule, stored.transaction_total)
         rule_key = (rule.antecedent, rule.consequent)
         if rule_key in seen:
             raise CorruptDb(f"duplicate rule {_tokens(antecedent)} -> {rule.consequent}")
         seen.add(rule_key)
         rules.append(rule)
-    return FingerprintDb(rules=rules, transaction_total=total, built_at=doc["built_at"])
+    return FingerprintDb(rules=rules, transaction_total=stored.transaction_total, built_at=stored.built_at)
 
 
 def _validate_rule(rule: Fingerprint, transaction_total: int) -> None:

@@ -82,16 +82,10 @@ class FogTopology:
     def cloud_id(self) -> str:
         return next(n for n, t in self.tiers.items() if t == Tier.CLOUD)
 
-    def nodes_of(self, tier: Tier) -> list[str]:
-        return sorted(n for n, t in self.tiers.items() if t == tier)
-
     def edges_of(self, fog: str) -> list[str]:
         return sorted(
             n for n, t in self.tiers.items() if t == Tier.EDGE and self.parents[n] == fog
         )
-
-    def cells_of(self, edge: str) -> list[str]:
-        return sorted(c for c, e in self.cell_assignment.items() if e == edge)
 
 
 @dataclass(frozen=True)

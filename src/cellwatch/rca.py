@@ -36,6 +36,7 @@ from .fingerprints import (
     build_transactions,
 )
 from .ingest import MetricSeries
+from .jsondoc import encode
 from .postfilter import AnomalyEvent
 
 UNLABELED = "UNLABELED"
@@ -56,26 +57,41 @@ class RankedCause:
 
 
 @dataclass
+class RankedDoc:
+    """A ranked cause as a diagnoses line stores it; a rule without a label reads UNLABELED."""
+
+    cause: str
+    distance: float
+    antecedent: list[str]
+    confidence: float
+    support_count: int
+
+
+@dataclass
+class DiagnosisDoc:
+    """A diagnosis as a diagnoses line stores it."""
+
+    matched: bool
+    match_threshold: float
+    ranked: list[RankedDoc]
+
+
+@dataclass
 class Diagnosis:
     ranked: list[RankedCause]
     matched: bool
     match_threshold: float
 
+    def to_doc(self) -> DiagnosisDoc:
+        ranked = [
+            RankedDoc(UNLABELED if r.cause_label is None else r.cause_label, r.distance,
+                      _tokens(r.fingerprint.antecedent), r.fingerprint.confidence, r.fingerprint.support_count)
+            for r in self.ranked
+        ]
+        return DiagnosisDoc(self.matched, self.match_threshold, ranked)
+
     def to_json_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "match_threshold": self.match_threshold,
-            "ranked": [
-                {
-                    "cause": r.cause_label if r.cause_label is not None else UNLABELED,
-                    "distance": r.distance,
-                    "antecedent": _tokens(r.fingerprint.antecedent),
-                    "confidence": r.fingerprint.confidence,
-                    "support_count": r.fingerprint.support_count,
-                }
-                for r in self.ranked
-            ],
-        }
+        return encode(self.to_doc())
 
 
 def jaccard_distance(a: frozenset[SymptomItem], b: frozenset[SymptomItem]) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig
 from cellwatch.cleaning import CleanConfig
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
-from cellwatch.fogsim import Scenario, build_topology
+from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology
 from cellwatch.ingest import MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
@@ -270,6 +270,16 @@ def make_series(
         window_starts=start + window_len * np.arange(len(values), dtype=np.int64),
         values=np.array([np.nan if v is None else v for v in values], dtype=np.float64),
     )
+
+
+def nodes_of(topology: FogTopology, tier: Tier) -> list[str]:
+    """The topology's nodes of one tier, sorted."""
+    return sorted(n for n, t in topology.tiers.items() if t == tier)
+
+
+def cells_of(topology: FogTopology, edge: str) -> list[str]:
+    """The cells assigned to one EDGE node, sorted."""
+    return sorted(c for c, e in topology.cell_assignment.items() if e == edge)
 
 
 def random_fog_case(seed: int):

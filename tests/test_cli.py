@@ -8,7 +8,7 @@ import pytest
 
 from cellwatch.baseline import DetectorConfig
 from cellwatch.cleaning import CleanConfig
-from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, main
+from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
 from cellwatch import synth
 from cellwatch.fingerprints import MineConfig
 from cellwatch.fogsim import default_topology_doc
@@ -88,6 +88,13 @@ class TestPipeline:
         for line in lines:
             doc = json.loads(line)
             assert {"cell_id", "metric", "start_window", "end_window"} <= set(doc)
+
+    def test_diagnoses_lines_are_their_dataclass(self, workspace):
+        lines = (workspace / "diagnoses.jsonl").read_text().splitlines()
+        assert any(json.loads(line)["ranked"] for line in lines)
+        for n, line in enumerate(lines, start=1):
+            doc = json.loads(line)
+            assert encode(decode(_DiagnosisLine, doc, f"line {n}")) == doc
 
     def test_report_command_handles_all_artifacts(self, workspace, capsys):
         for name in ("model.json", "clean.json", "events.jsonl", "db.json", "diagnoses.jsonl", "eval.json"):
@@ -317,6 +324,23 @@ class TestExitCodes:
         line = 2 if name.endswith(".jsonl") else 1
         assert f"{tmp_path / name}: malformed JSON at line {line} column " in caplog.text
         assert "invalid configuration" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv, name, offset",
+        [
+            (["report", "{tmp}/bin.json"], "bin.json", 0),
+            (["report", "{tmp}/bin.jsonl"], "bin.jsonl", 9000),
+            (["fogsim", "--topology", "{tmp}/bin.json", "--out", "{tmp}/r.json"], "bin.json", 0),
+        ],
+        ids=["report_json", "report_jsonl", "topology"],
+    )
+    def test_non_utf8_file_names_the_file_and_byte(self, tmp_path, caplog, argv, name, offset):
+        (tmp_path / "bin.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "bin.jsonl").write_bytes(b'{"a": 1}\n' * 1000 + b"\xff\n")  # past the first 8 KiB
+        caplog.clear()
+        rc = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert rc == 2
+        assert f"io error: {tmp_path / name}: not UTF-8 text at byte {offset}: invalid start byte" in caplog.text
 
     def test_bad_config_value_is_exit_2(self, tmp_path):
         catalog = tmp_path / "catalog.json"

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellwatch.baseline import Direction
 from cellwatch.errors import CorruptDb, SchemaMismatch
@@ -281,6 +283,34 @@ class TestUpdateDb:
         assert len(db.rules) == 2
 
 
+TOKENS = [f"m{i}={state}" for i in range(5) for state in ("HIGH", "LOW")]
+
+
+@st.composite
+def random_dbs(draw):
+    """A valid db: labelled and unlabelled rules, 1-4 item antecedents, several consequents."""
+    total = draw(st.integers(1, 10_000))
+    keys = st.tuples(st.frozensets(st.sampled_from(TOKENS), min_size=1, max_size=4),
+                     st.sampled_from(["Q0", "Q1", "Q2"]))
+    rules = []
+    for tokens, consequent in draw(st.lists(keys, max_size=12, unique=True)):
+        count = draw(st.integers(1, total))
+        antecedent_count = draw(st.integers(count, total))
+        rules.append(
+            Fingerprint(
+                antecedent=frozenset(SymptomItem.from_token(t) for t in tokens),
+                consequent=consequent,
+                support=count / total,
+                support_count=count,
+                antecedent_count=antecedent_count,
+                confidence=count / antecedent_count,
+                lift=draw(st.floats(min_value=1e-6, max_value=1e6)),
+                cause_label=draw(st.none() | st.text(max_size=12)),
+            )
+        )
+    return FingerprintDb(rules=rules, transaction_total=total, built_at=draw(st.integers(0, 2**40)))
+
+
 class TestPersistence:
     def make_db(self):
         rng = np.random.default_rng(6)
@@ -299,6 +329,17 @@ class TestPersistence:
         save_db(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(db=random_dbs())
+    def test_random_dbs_round_trip(self, tmp_path_factory, db):
+        path = tmp_path_factory.mktemp("db") / "db.json"
+        save_db(db, path)
+        loaded = load_db(path)
+        assert loaded == db
+        again = path.with_name("again.json")
+        save_db(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+
     def test_confidence_out_of_range_rejected(self, tmp_path):
         db = self.make_db()
         doc = json.loads(db_to_json(db))
@@ -314,7 +355,7 @@ class TestPersistence:
         doc["rules"][0]["lift"] = "X"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"X"', lift))
-        with pytest.raises(CorruptDb, match="lift"):
+        with pytest.raises(SchemaMismatch, match=r"rules\[0\]\.lift: expected a finite number"):
             load_db(path)
 
     def test_schema_mismatch(self, tmp_path):

@@ -22,7 +22,7 @@ from cellwatch.fogsim import (
 )
 from cellwatch import synth
 
-from helpers import random_fog_case
+from helpers import cells_of, nodes_of, random_fog_case
 
 
 def minimal_topology_doc():
@@ -46,8 +46,8 @@ class TestBuildTopology:
     def test_minimal_valid_tree(self):
         topo = build_topology(minimal_topology_doc())
         assert topo.cloud_id == "cloud"
-        assert topo.nodes_of(Tier.EDGE) == ["edge-0", "edge-1"]
-        assert topo.cells_of("edge-0") == ["cell-000", "cell-002"]
+        assert nodes_of(topo, Tier.EDGE) == ["edge-0", "edge-1"]
+        assert cells_of(topo, "edge-0") == ["cell-000", "cell-002"]
 
     def test_two_clouds_rejected(self):
         doc = minimal_topology_doc()
@@ -173,7 +173,7 @@ class TestSimulate:
             report, _, _ = simulate(topo, strategy, scenario)
             for phase in phases:
                 per_link = report.phases[phase]
-                for fog in topo.nodes_of(Tier.FOG):
+                for fog in nodes_of(topo, Tier.FOG):
                     from_edges = sum(
                         counts["up"]
                         for link, counts in per_link.items()
@@ -297,5 +297,5 @@ class TestSimulate:
 
 def test_default_topology_doc_is_valid():
     topo = build_topology(default_topology_doc())
-    assert len(topo.nodes_of(Tier.FOG)) == 2
+    assert len(nodes_of(topo, Tier.FOG)) == 2
     assert len(topo.cell_assignment) == 8

@@ -3,8 +3,9 @@ import re
 import pytest
 
 from cellwatch.baseline import DetectorConfig
+from cellwatch.cli import _DiagnosisLine
 from cellwatch.errors import SchemaMismatch
-from cellwatch.fingerprints import SymptomState
+from cellwatch.fingerprints import SymptomState, _DbDoc
 from cellwatch.ingest import MetricInfo, MetricKind, Polarity
 from cellwatch.jsondoc import decode, encode, require_object
 from cellwatch.synth import AutoPlan, CauseSpec, CdrTraffic, MetricSpec, PlantedAnomaly, ScenarioSpec
@@ -114,6 +115,18 @@ def test_encode_is_the_inverse_of_decode():
     assert doc["metrics"]["m"]["value_range"] == [0.0, 20.5]
     assert doc["causes"][0]["pattern"] == {"a": "HIGH"}
     assert decode(ScenarioSpec, doc) == spec
+    rule = {"antecedent": ["a=HIGH", "b=LOW"], "consequent": "q", "support": 0.25, "support_count": 3,
+            "antecedent_count": 3, "confidence": 1.0, "lift": 4.0, "cause_label": None}
+    db = {"schema_version": 1, "transaction_total": 12, "built_at": 900, "rules": [rule]}
+    event = {"cell_id": "c", "metric": "q", "start_window": 0, "end_window": 900, "peak_score": 7.5,
+             "peak_window": 900, "direction": "UP"}
+    ranked = {"cause": "UNLABELED", "distance": 0.5, "antecedent": ["a=HIGH"], "confidence": 1.0,
+              "support_count": 3}
+    line = {"event": event, "items": ["a=HIGH", "c=LOW"], "consequent": "q", "matched": True,
+            "match_threshold": 0.5, "ranked": [ranked]}
+    for cls, doc in [(_DbDoc, db), (_DiagnosisLine, line)]:
+        obj = decode(cls, doc)
+        assert encode(obj) == doc and decode(cls, encode(obj)) == obj
 
 
 def test_field_metadata_sets_the_json_key():
