@@ -64,7 +64,7 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import MalformedJson, decode, dumps, encode, read, read_text, require_object, write
+from .jsondoc import MalformedJson, NotUtf8, decode, dumps, encode, read, read_text, require_object, write
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import RankedDoc, diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
@@ -576,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CellwatchError as exc:
         log.error("error: %s", exc)
         return 1
-    except (OSError, MalformedJson) as exc:  # before ValueError: MalformedJson is one
+    except (OSError, MalformedJson, NotUtf8) as exc:  # before ValueError, the base of the last two
         log.error("io error: %s", exc)
         return 2
     except ValueError as exc:

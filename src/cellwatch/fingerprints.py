@@ -510,7 +510,9 @@ def load_db(path: str | Path) -> FingerprintDb:
     for i, raw in enumerate(stored.rules):
         antecedent = itemset_from_tokens(raw.antecedent, f"rules[{i}].antecedent")
         rule = Fingerprint(**{**vars(raw), "antecedent": antecedent})
-        _validate_rule(rule, stored.transaction_total)
+        problem = _rule_problem(rule, stored.transaction_total)
+        if problem is not None:
+            raise CorruptDb(f"{_tokens(antecedent)} -> {rule.consequent}: {problem}")
         rule_key = (rule.antecedent, rule.consequent)
         if rule_key in seen:
             raise CorruptDb(f"duplicate rule {_tokens(antecedent)} -> {rule.consequent}")
@@ -519,17 +521,18 @@ def load_db(path: str | Path) -> FingerprintDb:
     return FingerprintDb(rules=rules, transaction_total=stored.transaction_total, built_at=stored.built_at)
 
 
-def _validate_rule(rule: Fingerprint, transaction_total: int) -> None:
-    name = f"{_tokens(rule.antecedent)} -> {rule.consequent}"
+def _rule_problem(rule: Fingerprint, transaction_total: int) -> str | None:
+    """The first invariant a loaded rule breaks, or None."""
     if not rule.antecedent:
-        raise CorruptDb(f"{name}: empty antecedent")
+        return "empty antecedent"
     if not 0 < rule.confidence <= 1:
-        raise CorruptDb(f"{name}: confidence {rule.confidence} outside (0, 1]")
+        return f"confidence {rule.confidence} outside (0, 1]"
     if not 0 < rule.support <= 1:
-        raise CorruptDb(f"{name}: support {rule.support} outside (0, 1]")
+        return f"support {rule.support} outside (0, 1]"
     if not 0 < rule.lift < math.inf:
-        raise CorruptDb(f"{name}: lift {rule.lift} must be > 0 and finite")
+        return f"lift {rule.lift} must be > 0 and finite"
     if rule.support_count > transaction_total:
-        raise CorruptDb(f"{name}: support_count exceeds transaction_total")
+        return "support_count exceeds transaction_total"
     if rule.antecedent_count and rule.confidence != rule.support_count / rule.antecedent_count:
-        raise CorruptDb(f"{name}: confidence inconsistent with counts")
+        return "confidence inconsistent with counts"
+    return None

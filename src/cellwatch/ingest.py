@@ -10,10 +10,11 @@ never part of the schema.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
-import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -29,7 +30,7 @@ from .errors import (
     MalformedRow,
     UnknownMetric,
 )
-from .jsondoc import decode, encode, read, write
+from .jsondoc import NotUtf8, decode, encode, read, write
 
 # In-memory marker for a missing window value; the CSV form is an empty field.
 MISSING = math.nan
@@ -190,45 +191,53 @@ def parse_cdr(path: str | Path) -> CdrCalls:
     Row errors are collected across the whole file; if any row fails the
     parse fails with a MalformedRow naming the first bad line. Like the
     metric grammar, it takes start times of at most 18 digits and only
-    finite durations.
+    finite durations. A byte anywhere in the file that is not UTF-8 text
+    raises NotUtf8 in place of any other error.
     """
     rows: list[tuple[str, int, float, bool, str, str]] = []
     bad: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CDR_HEADER:
-            raise MalformedHeader(f"expected columns {CDR_HEADER}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CDR_HEADER):
-                bad.append((line_no, f"expected {len(CDR_HEADER)} fields, got {len(row)}"))
-                continue
-            cell_id, start_s, dur_s, dropped_s, src, dst = row
-            try:
-                start_time = int(start_s)
-            except ValueError:
-                bad.append((line_no, f"non-integer start_time {start_s!r}"))
-                continue
-            if abs(start_time) >= 10**_MAX_WS_DIGITS:
-                bad.append((line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits"))
-                continue
-            try:
-                duration = float(dur_s)
-            except ValueError:
-                bad.append((line_no, f"non-numeric duration {dur_s!r}"))
-                continue
-            if not math.isfinite(duration):
-                bad.append((line_no, f"non-finite duration {dur_s!r}"))
-                continue
-            if duration < 0:
-                bad.append((line_no, f"negative duration {duration}"))
-                continue
-            if dropped_s not in ("0", "1"):
-                bad.append((line_no, f"dropped must be 0 or 1, got {dropped_s!r}"))
-                continue
-            rows.append((cell_id, start_time, duration, dropped_s == "1", src, dst))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CDR_HEADER:
+                raise MalformedHeader(f"expected columns {CDR_HEADER}, got {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(CDR_HEADER):
+                    bad.append((line_no, f"expected {len(CDR_HEADER)} fields, got {len(row)}"))
+                    continue
+                cell_id, start_s, dur_s, dropped_s, src, dst = row
+                try:
+                    start_time = int(start_s)
+                except ValueError:
+                    bad.append((line_no, f"non-integer start_time {start_s!r}"))
+                    continue
+                if abs(start_time) >= 10**_MAX_WS_DIGITS:
+                    bad.append((line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits"))
+                    continue
+                try:
+                    duration = float(dur_s)
+                except ValueError:
+                    bad.append((line_no, f"non-numeric duration {dur_s!r}"))
+                    continue
+                if not math.isfinite(duration):
+                    bad.append((line_no, f"non-finite duration {dur_s!r}"))
+                    continue
+                if duration < 0:
+                    bad.append((line_no, f"negative duration {duration}"))
+                    continue
+                if dropped_s not in ("0", "1"):
+                    bad.append((line_no, f"dropped must be 0 or 1, got {dropped_s!r}"))
+                    continue
+                rows.append((cell_id, start_time, duration, dropped_s == "1", src, dst))
+    except (UnicodeDecodeError, MalformedHeader):
+        # The text reader's offset is within its last chunk, and a bad header
+        # ends the read early: the block reader names the file offset.
+        for _ in _blocks(path):
+            pass
+        raise
     if bad:
         raise MalformedRow(bad[0][0], bad[0][1], all_lines=[ln for ln, _ in bad])
     return CdrCalls(*zip(*rows)) if rows else CdrCalls()
@@ -249,30 +258,76 @@ def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Metric CSVs are read in blocks of this many bytes, each cut after its last
+# line feed, so a parse holds three arrays per row and one block of the file.
+BLOCK_SIZE = 1 << 22
+
 # Metric CSV grammar limits. Windows of at most this many bytes are cut out
-# of the file buffer per row, so the limits also bound the parser's memory.
+# of the block buffer per row, so the limits also bound the parser's memory.
 _MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid arithmetic (CDR start_time too)
 _MAX_VALUE_BYTES = 40  # repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
 _PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1
+_LEAD = _MAX_WS_DIGITS  # the window_start digits are read back from the comma after them
 _WS_RE = re.compile(rb"-?[0-9]+")
 _NL, _CR, _COMMA, _MINUS, _ZERO = (ord(c) for c in "\n\r,-0")
 
 
-def _read_padded(path: str | Path) -> tuple[bytearray, int]:
-    """File bytes followed by zero padding, and the content size.
+def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
+    """The file as blocks of whole lines in file order: a buffer and the end of its content.
 
-    The padding lets a fixed-width window start at any content byte and
-    leaves room for a final newline.
+    The content starts at _LEAD, after zero bytes, and zero padding follows
+    it, so a fixed-width window may end or start at any content byte. Each
+    read takes BLOCK_SIZE bytes and the block ends after its last line feed;
+    the bytes after that start the next block. A block whose reads find no
+    line feed reads on, doubling its buffer when it is full. The last block
+    ends with a line feed even when the file does not. Each read is checked
+    as UTF-8 text as it arrives, and a byte that is not raises NotUtf8 with
+    its offset in the file.
     """
+    offset = 0  # file offset of the block's content
+    carry = b""
+    checked = 0  # bytes of the carry that are known to be UTF-8 text
     with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size + _PAD + 1)
-        size = fh.readinto(data)
-        rest = fh.read()  # the file grew, or is not a regular file
-    if rest:
-        data[size:] = rest + bytes(_PAD + 1)
-        size += len(rest)
-    return data, size
+        while True:
+            data = bytearray(_LEAD + len(carry) + BLOCK_SIZE + _PAD + 1)
+            size = _LEAD + len(carry)
+            data[_LEAD:size] = carry
+            checked += _LEAD
+            while True:
+                got = fh.readinto(memoryview(data)[size : size + BLOCK_SIZE])
+                searched, size = size, size + got
+                checked = _check_utf8(path, data, checked, size, offset - _LEAD, final=not got)
+                end = data.rfind(b"\n", searched, size) + 1 if got else size
+                if end:
+                    break
+                if len(data) < size + BLOCK_SIZE + _PAD + 1:
+                    grown = bytearray(2 * len(data))
+                    grown[:size] = memoryview(data)[:size]
+                    data = grown
+            if end == _LEAD:
+                return
+            carry = bytes(data[end:size])
+            checked -= end
+            data[end:size] = bytes(size - end)
+            if data[end - 1] != _NL:
+                data[end] = _NL
+                end += 1
+            yield data, end
+            offset += end - _LEAD
+
+
+def _check_utf8(path: str | Path, data: bytearray, lo: int, hi: int, offset: int, final: bool) -> int:
+    """Check data[lo:hi] as UTF-8 text; return where the check stopped.
+
+    That is ``hi``, or the start of a character that the end of the read
+    cuts when more reads follow (not ``final``). ``offset`` is the file
+    offset of data[0]; NotUtf8 names the bad byte's offset in the file.
+    """
+    try:
+        return lo + codecs.utf_8_decode(memoryview(data)[lo:hi], "strict", final)[1]
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(path, exc, offset + lo) from None
 
 
 def _windows(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
@@ -403,12 +458,13 @@ def _locate_rows(data: bytearray, size: int, body: int) -> _Rows:
 
 
 def _key_runs(
-    data: bytearray, rows: _Rows, kind: MetricKind, catalog: Catalog
-) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    data: bytearray, rows: _Rows, kind: MetricKind, catalog: Catalog, key_ids: dict[tuple[str, str], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group rows into runs of one (cell, metric) key and check each metric.
 
-    Returns the keys (index = key id), the key id of each run and the run
-    lengths. A run whose metric is unknown or of the wrong kind cuts the rows.
+    ``key_ids`` maps each key seen so far to its id, and gains the new keys.
+    Returns the key id, window length and row count of each run. A run whose
+    metric is unknown or of the wrong kind cuts the rows.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     n = len(rows)
@@ -423,8 +479,8 @@ def _key_runs(
             new_run[i] = here != data[rows.start[i - 1] : rows.c2[i - 1]]
     run_first = np.flatnonzero(new_run)
 
-    key_ids: dict[tuple[str, str], int] = {}
     run_key: list[int] = []
+    run_window: list[int] = []
     for i, a, b, e in zip(
         run_first.tolist(),
         rows.start[run_first].tolist(),
@@ -438,8 +494,9 @@ def _key_runs(
             break
         key = (data[a:b].decode("utf-8"), metric_name)
         run_key.append(key_ids.setdefault(key, len(key_ids)))
+        run_window.append(info.window_len)
     run_len = np.diff(run_first[: len(run_key)], append=len(rows))
-    return list(key_ids), np.array(run_key, dtype=np.int64), run_len
+    return np.array(run_key, dtype=np.int64), np.array(run_window, dtype=np.int64), run_len
 
 
 def _window_starts(buf: np.ndarray, rows: _Rows, window_len: np.ndarray) -> np.ndarray:
@@ -494,6 +551,13 @@ def _values(buf: np.ndarray, rows: _Rows) -> np.ndarray:
     return values[: len(rows)]
 
 
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """The blocks' arrays of one column as one array; empties ``parts`` to free them."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
 def _is_float(s: bytes) -> bool:
     try:
         float(s)
@@ -509,55 +573,70 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     grid gaps are filled with MISSING so that cleaning can see and report
     them. An empty value field also denotes MISSING.
 
-    The file is read once into a byte buffer and each check runs as an
-    array operation over all rows; a check that fails drops its first bad
-    row and all later ones from the rows the next checks see. The first bad
-    line is then re-checked by ``_row_error``, which names the error as a
-    row-by-row reader would. A duplicate (cell, metric, window_start) before
-    that line raises DuplicatePoint instead. A fill of more than
-    MAX_GRID_FILL MISSING windows raises GridTooLarge.
+    The file is read in blocks of whole lines (``_blocks``), and each check
+    runs as an array operation over a block's rows; a check that fails drops
+    its first bad row and all later ones from the rows the next checks see,
+    and no later block is parsed. Only the key id, window start and value of
+    each row are kept. The first bad line is then re-checked by
+    ``_row_error``, which names the error as a row-by-row reader would. A
+    duplicate (cell, metric, window_start) before that line raises
+    DuplicatePoint instead. A fill of more than MAX_GRID_FILL MISSING windows
+    raises GridTooLarge. A byte anywhere in the file that is not UTF-8 text
+    raises NotUtf8 in place of any other error.
     """
-    data, size = _read_padded(path)
-    if not data.isascii():
-        bytes(data[:size]).decode("utf-8")  # the UnicodeDecodeError a text read raises
     header: list[str] | None = None
-    if size:
-        header_end = data.find(b"\n", 0, size)
-        line = data[: size if header_end < 0 else header_end].removesuffix(b"\r")
-        header = line.decode("utf-8").split(",") if line else []
+    bad_line: tuple[int, bytes] | None = None
+    key_ids: dict[tuple[str, str], int] = {}
+    key_parts: list[np.ndarray] = []
+    ws_parts: list[np.ndarray] = []
+    value_parts: list[np.ndarray] = []
+    lines_before = 1  # the header
+    for data, size in _blocks(path):
+        body = _LEAD
+        if header is None:
+            body = data.find(b"\n", _LEAD) + 1
+            line = data[_LEAD : body - 1].removesuffix(b"\r")
+            header = line.decode("utf-8").split(",") if line else []
+        if header != METRIC_HEADER or bad_line is not None:
+            continue  # the rest of the file is only checked for UTF-8
+        buf = np.frombuffer(data, dtype=np.uint8)
+        rows = _locate_rows(data, size, body)
+        run_key, run_window, run_len = _key_runs(data, rows, kind, catalog, key_ids)
+        ws = _window_starts(buf, rows, np.repeat(run_window, run_len))
+        values = _values(buf, rows)
+        n = len(rows)
+        key_parts.append(np.repeat(run_key, run_len)[:n])
+        ws_parts.append(ws[:n])
+        value_parts.append(values)
+        if rows.bad_line < len(rows.newlines):
+            i = rows.bad_line
+            start = int(rows.newlines[i - 1]) + 1 if i else body
+            bad_line = (lines_before + i + 1, bytes(data[start : rows.newlines[i]]).removesuffix(b"\r"))
+        lines_before += len(rows.newlines)
     if header != METRIC_HEADER:
         raise MalformedHeader(f"expected columns {METRIC_HEADER}, got {header}")
-    if data[size - 1] != _NL:
-        data[size] = _NL
-        size += 1
-
-    buf = np.frombuffer(data, dtype=np.uint8)
-    body = data.find(b"\n") + 1
-    rows = _locate_rows(data, size, body)
-    keys, run_key, run_len = _key_runs(data, rows, kind, catalog)
-    window_of_key = np.array([catalog[m].window_len for _, m in keys], dtype=np.int64)
-    ws = _window_starts(buf, rows, np.repeat(window_of_key[run_key], run_len))
-    values = _values(buf, rows)
-    n = len(rows)
-    ws = ws[:n]
 
     # Stable sort by (key rank, window_start); equal neighbours are duplicates.
+    # Columns are joined and reordered one at a time to bound the peak memory.
+    keys = list(key_ids)
+    window_of_key = np.array([catalog[m].window_len for _, m in keys], dtype=np.int64)
     key_of_rank = sorted(range(len(keys)), key=keys.__getitem__)
     rank_of_key = np.empty(len(keys), dtype=np.int64)
     rank_of_key[key_of_rank] = np.arange(len(keys))
-    rank = np.repeat(rank_of_key[run_key], run_len)[:n]
+    rank = rank_of_key[_join(key_parts)]
+    ws = _join(ws_parts)
     order = np.lexsort((ws, rank))
-    rank, ws, values = rank[order], ws[order], values[order]
+    rank = rank[order]
+    ws = ws[order]
+    values = _join(value_parts)[order]
+    n = len(rank)
     dup = np.flatnonzero((rank[1:] == rank[:-1]) & (ws[1:] == ws[:-1])) + 1
     if len(dup):
         at = dup[np.argmin(order[dup])]  # the duplicate that comes first in the file
         cell_id, metric_name = keys[key_of_rank[rank[at]]]
         raise DuplicatePoint((cell_id, metric_name, int(ws[at])))
-    if rows.bad_line < len(rows.newlines):
-        i = rows.bad_line
-        start = int(rows.newlines[i - 1]) + 1 if i else body
-        line = bytes(data[start : rows.newlines[i]]).removesuffix(b"\r")
-        raise _row_error(i + 2, line, kind, catalog)
+    if bad_line is not None:
+        raise _row_error(*bad_line, kind, catalog)
 
     # Grid-fill each key from its first to its last window.
     seg = np.flatnonzero(np.diff(rank, prepend=-1))

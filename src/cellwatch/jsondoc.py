@@ -5,8 +5,9 @@ types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``;
 ``decode`` builds its plan once per type, a closure for each dataclass,
 container, union, enum and leaf type in it. A field's JSON key is its name
 unless ``field(metadata={"json": key})`` says otherwise. ``read`` parses a
-document file, raising ``MalformedJson`` when it is not UTF-8 text or not
-JSON; ``write`` stores a dataclass as an indented, key-sorted document.
+document file, raising ``NotUtf8`` when it is not UTF-8 text and
+``MalformedJson`` when it is not JSON; ``write`` stores a dataclass as an
+indented, key-sorted document.
 A float field takes any finite JSON number (not ``NaN``, ``Infinity`` or a
 literal beyond the float range); an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
@@ -175,30 +176,35 @@ def encode(obj: Any) -> Any:
     return obj.value if isinstance(obj, Enum) else obj
 
 
+class NotUtf8(ValueError):
+    """A file that should be text holds bytes that are not UTF-8; the message names the file and the byte.
+
+    ``offset`` is where in the file the bytes that ``exc`` decoded begin.
+    """
+
+    def __init__(self, path: str | Path, exc: UnicodeDecodeError, offset: int = 0):
+        super().__init__(f"{path}: not UTF-8 text at byte {offset + exc.start}: {exc.reason}")
+
+
 class MalformedJson(ValueError):
-    """A file's text is not UTF-8 JSON; the message names the file and the position.
+    """A file's text is not JSON; the message names the file and the position.
 
     ``lines_before`` counts the file's lines ahead of the text that failed to
     parse, for a JSON Lines file parsed one line at a time.
     """
 
-    def __init__(
-        self, path: str | Path, exc: json.JSONDecodeError | UnicodeDecodeError, lines_before: int = 0
-    ):
-        if isinstance(exc, UnicodeDecodeError):
-            super().__init__(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}")
-        else:
-            line = lines_before + exc.lineno
-            super().__init__(f"{path}: malformed JSON at line {line} column {exc.colno}: {exc.msg}")
+    def __init__(self, path: str | Path, exc: json.JSONDecodeError, lines_before: int = 0):
+        line = lines_before + exc.lineno
+        super().__init__(f"{path}: malformed JSON at line {line} column {exc.colno}: {exc.msg}")
 
 
 def read_text(path: str | Path) -> str:
-    """The text of the file at ``path``; MalformedJson naming the byte offset when it is not UTF-8."""
+    """The text of the file at ``path``; NotUtf8 naming the byte offset when it is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()  # one decode of the whole file, so the error's offset is the file's
         except UnicodeDecodeError as exc:
-            raise MalformedJson(path, exc) from None
+            raise NotUtf8(path, exc) from None
 
 
 def read(path: str | Path) -> Any:

@@ -9,7 +9,7 @@ import pytest
 from cellwatch.baseline import DetectorConfig
 from cellwatch.cleaning import CleanConfig
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
-from cellwatch import synth
+from cellwatch import ingest, synth
 from cellwatch.fingerprints import MineConfig
 from cellwatch.fogsim import default_topology_doc
 from cellwatch.postfilter import FilterConfig
@@ -341,6 +341,21 @@ class TestExitCodes:
         rc = main([arg.format(tmp=tmp_path) for arg in argv])
         assert rc == 2
         assert f"io error: {tmp_path / name}: not UTF-8 text at byte {offset}: invalid start byte" in caplog.text
+
+    @pytest.mark.parametrize("flag, name", [("--kqi", "kqi.csv"), ("--cdr", "cdr.csv")])
+    def test_non_utf8_csv_names_the_file_and_byte(self, workspace, tmp_path, caplog, monkeypatch, flag, name):
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 4096)
+        data = workspace / "data"
+        header, first, rest = (data / name).read_bytes().split(b"\n", 2)
+        text = header + b"\n" + first + b",extra\n" + rest  # line 2 is a bad row
+        at = text.index(b"\n", 9000) + 1  # past the first block and the text reader's first chunk
+        bad = tmp_path / name
+        bad.write_bytes(text[:at] + b"\xff" + text[at:])
+        argv = ["train", "--kqi", str(data / "kqi.csv"), "--out", str(tmp_path / "m.json"),
+                "--catalog", str(data / "catalog.json"), flag, str(bad)]
+        caplog.clear()
+        assert main(argv) == 2
+        assert f"io error: {bad}: not UTF-8 text at byte {at}: invalid start byte" in caplog.text
 
     def test_bad_config_value_is_exit_2(self, tmp_path):
         catalog = tmp_path / "catalog.json"

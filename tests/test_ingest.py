@@ -1,14 +1,23 @@
 import json
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellwatch import ingest
-from cellwatch.errors import DuplicatePoint, GridTooLarge, MalformedHeader, MalformedRow, UnknownMetric
+from cellwatch.errors import (
+    CellwatchError,
+    DuplicatePoint,
+    GridTooLarge,
+    MalformedHeader,
+    MalformedRow,
+    UnknownMetric,
+)
 from cellwatch.ingest import (
     CdrCalls,
     MetricInfo,
@@ -23,6 +32,7 @@ from cellwatch.ingest import (
     write_cdr_csv,
     write_metric_csv,
 )
+from cellwatch.jsondoc import NotUtf8
 from cellwatch.synth import default_spec, generate_series
 
 
@@ -102,6 +112,23 @@ class TestParseCdr:
         calls = parse_cdr(p)
         assert calls.start_time.tolist() == [1000, 1001, 1002, 1003, 1004]
         assert calls.source_hash.tolist() == [f"h{i}" for i in range(5)]
+
+    def test_non_utf8_byte_is_named_with_its_file_offset(self, tmp_path):
+        # a bad row first, then the bad byte past the text reader's first 8 KiB chunk
+        rows = "".join(f"c1,{1000 + i},10,0,h{i},g{i}\n" for i in range(400))
+        text = f"{CDR_HEADER}\nc1,1000,x,0,h,g\n{rows}".encode()
+        at = text.index(b"\n", 9000) + 1
+        p = tmp_path / "cdr.csv"
+        p.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(NotUtf8) as exc:
+            parse_cdr(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text at byte {at}: invalid start byte"
+
+    def test_non_utf8_byte_outranks_a_bad_header(self, tmp_path):
+        p = tmp_path / "cdr.csv"
+        p.write_bytes(b"cell,start\n" + b"c1,1000,10,0,h,g\n" * 1000 + b"c1,\xe9\n")
+        with pytest.raises(NotUtf8, match=f"at byte {11 + 17 * 1000 + 3}: invalid continuation byte"):
+            parse_cdr(p)
 
     def test_parse_of_written_calls_equals_them_column_for_column(self, tmp_path):
         spec = default_spec(n_cells=3, days=1.0, window_len=1800, seed=99, anomaly_count=2, calls_per_window=4.0)
@@ -249,6 +276,9 @@ PARITY_ACCEPTED = {
 }
 
 
+FLOAT_LIKE_TEXT = st.text(alphabet="0123456789.eE+-_ abinfINF", min_size=1, max_size=12)
+
+
 @pytest.fixture
 def parity_catalog(catalog):
     return {**catalog, "loss": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300)}
@@ -307,7 +337,7 @@ class TestParserParity:
         assert str(exc.value) == f"line 3: {message}"
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="0123456789.eE+-_ abinfINF", min_size=1, max_size=12))
+    @given(FLOAT_LIKE_TEXT)
     def test_value_accepted_iff_float_accepts_it(self, tmp_path_factory, value):
         p = tmp_path_factory.mktemp("v") / "m.csv"
         p.write_bytes(f"{self.HEADER}\nc1,rtt,0,1.5\nc1,rtt,300,{value}\n".encode())
@@ -323,6 +353,240 @@ class TestParserParity:
         else:
             (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
             assert series.values[1:].tobytes() == np.array([expected]).tobytes()
+
+
+class SmallBlocks:
+    """Mixed into a test class, runs its tests with metric CSVs read in 7-byte blocks.
+
+    Most lines are longer than 7 bytes, so most blocks hold one line.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 7)
+
+
+class TestParseMetricCsvInSmallBlocks(SmallBlocks, TestParseMetricCsv):
+    pass
+
+
+class TestParserParityInSmallBlocks(SmallBlocks, TestParserParity):
+    # Hypothesis runs a @given method from one test instance only, so this
+    # class wraps the same test body again.
+    test_value_accepted_iff_float_accepts_it = settings(max_examples=200, deadline=None)(
+        given(FLOAT_LIKE_TEXT)(
+            TestParserParity.test_value_accepted_iff_float_accepts_it.hypothesis.inner_test
+        )
+    )
+
+
+def parse_outcome(path, catalog, block_size=None):
+    """The series parse_metric_csv returns, or its error as (class, line_no, message)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_size is not None:
+            mp.setattr(ingest, "BLOCK_SIZE", block_size)
+        try:
+            return parse_metric_csv(path, MetricKind.KPI, catalog)
+        except (CellwatchError, NotUtf8) as exc:
+            return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+def assert_same_in_every_block_size(path, catalog):
+    """Every block size from 1 byte to the file's length parses like one block; returns that result."""
+    whole = parse_outcome(path, catalog)
+    for size in range(1, len(path.read_bytes()) + 1):
+        assert parse_outcome(path, catalog, size) == whole, f"block size {size}"
+    return whole
+
+
+class CountingReader:
+    """A binary file opened for reading that counts the bytes read from it."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.bytes_read = 0
+
+    def readinto(self, buffer):
+        got = self.fh.readinto(buffer)
+        self.bytes_read += got
+        return got
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestBlocks:
+    HEADER = b"cell_id,metric_name,window_start,value\n"
+
+    def parse_in(self, tmp_path, catalog, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text)
+        return assert_same_in_every_block_size(p, catalog)
+
+    def test_key_run_spans_blocks(self, tmp_path, catalog):
+        rows = b"".join(b"c1,rtt,%d,%d.5\n" % (300 * w, w) for w in range(12))
+        (series,) = self.parse_in(tmp_path, catalog, self.HEADER + rows)
+        assert series.points == [(300 * w, w + 0.5) for w in range(12)]
+
+    def test_bad_row_first_in_its_block(self, tmp_path, catalog):
+        good = b"c1,rtt,0,1.5\n"
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.HEADER + good + b"c1,rtt,450,1.0\nc1,rtt,mystery\n")
+        expected = (MalformedRow, 3, "line 3: window_start 450 not aligned to window_len 300")
+        # the first read ends at the good row's line feed, so the bad row starts block 2
+        assert parse_outcome(p, catalog, len(self.HEADER + good)) == expected
+        assert assert_same_in_every_block_size(p, catalog) == expected
+
+    def test_duplicate_across_blocks(self, tmp_path, catalog):
+        # the misaligned last row comes after the duplicate, which is reported
+        text = self.HEADER + b"c1,rtt,0,1\nc1,rtt,300,2\nc2,rtt,0,3\nc1,rtt,0,4\nc1,rtt,7,5\n"
+        expected = (DuplicatePoint, None, "duplicate point for ('c1', 'rtt', 0)")
+        assert self.parse_in(tmp_path, catalog, text) == expected
+
+    def test_last_line_without_newline(self, tmp_path, catalog):
+        (series,) = self.parse_in(tmp_path, catalog, self.HEADER + b"c1,rtt,0,1.5\nc1,rtt,600,2.5")
+        assert series.points == [(0, 1.5), (300, None), (600, 2.5)]
+
+    def test_crlf_rows(self, tmp_path, catalog):
+        text = self.HEADER.replace(b"\n", b"\r\n") + b"c1,rtt,0,1.5\r\n\r\nc1,rtt,300,\r\nc1,rtt,600,2.5\r"
+        (series,) = self.parse_in(tmp_path, catalog, text)
+        assert series.points == [(0, 1.5), (300, None), (600, 2.5)]
+
+    @pytest.mark.parametrize("text", [HEADER, HEADER.rstrip(b"\n"), HEADER.replace(b"\n", b"\r\n")])
+    def test_header_only(self, tmp_path, catalog, text):
+        assert self.parse_in(tmp_path, catalog, text) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"", "got None"),
+            (b"\n", "got []"),
+            (
+                b"cell_id,metric,window_start,value\nc1,rtt,0,1\n",
+                "got ['cell_id', 'metric', 'window_start', 'value']",
+            ),
+        ],
+    )
+    def test_bad_header(self, tmp_path, catalog, text, message):
+        cls, _, got = self.parse_in(tmp_path, catalog, text)
+        assert cls is MalformedHeader and got.endswith(message)
+
+    def test_non_utf8_byte_past_a_bad_row_and_the_first_block(self, tmp_path, catalog, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 64)
+        rows = b"".join(b"c1,rtt,%d,1.0\n" % (300 * w) for w in range(1, 20))
+        text = self.HEADER + b"c1,rtt,0,1.0.0\n" + rows
+        at = text.index(b"\n", 150) + 1
+        p = tmp_path / "m.csv"
+        p.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(NotUtf8) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert str(exc.value) == f"{p}: not UTF-8 text at byte {at}: invalid start byte"
+
+    @pytest.mark.parametrize(
+        "tail, reason",
+        [(b"c1,rtt,300,\xc3", "unexpected end of data"), (b"c1,rtt,300,\xc3\n", "invalid continuation byte")],
+    )
+    def test_non_utf8_byte_outranks_every_other_error(self, tmp_path, catalog, tail, reason):
+        # a bad header and a duplicate point come first
+        text = b"cell_id,metric\nc1,rtt,0,1\nc1,rtt,0,1\n" + tail
+        at = len(text) - len(tail) + len(b"c1,rtt,300,")
+        cls, _, message = self.parse_in(tmp_path, catalog, text)
+        assert (cls, message) == (NotUtf8, f"{tmp_path / 'm.csv'}: not UTF-8 text at byte {at}: {reason}")
+
+    def test_short_row_ahead_of_a_long_window_start(self, tmp_path, catalog):
+        # window_start digits are read right-aligned at the comma after them,
+        # in a window as wide as the block's longest window_start
+        text = self.HEADER + b"c,rtt,0,1\nd,rtt,300000000,2\n"
+        series = self.parse_in(tmp_path, catalog, text)
+        assert [(s.cell_id, s.points) for s in series] == [("c", [(0, 1.0)]), ("d", [(300000000, 2.0)])]
+
+    def test_line_longer_than_many_blocks(self, tmp_path, catalog, monkeypatch):
+        # each read adds to the line without copying or searching what came before
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 16)
+        cell_id = "c" * (1 << 21)
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.HEADER + f"{cell_id},rtt,0,1.5\nc1,rtt,0,2.5\n".encode())
+        began = time.perf_counter()
+        series = parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert time.perf_counter() - began < 10
+        assert [(s.cell_id, s.points) for s in series] == [("c1", [(0, 2.5)]), (cell_id, [(0, 1.5)])]
+
+    def test_non_utf8_byte_stops_the_read(self, tmp_path, catalog, monkeypatch):
+        # a binary file without line feeds is not read past its first bad byte
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 64)
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.HEADER + b"c1,rtt,0,\xff" + bytes(1 << 20))
+        readers = []
+        monkeypatch.setattr(ingest, "open", lambda *a: readers.append(CountingReader(*a)) or readers[-1], raising=False)
+        with pytest.raises(NotUtf8, match=f"at byte {len(self.HEADER) + 9}: invalid start byte"):
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert [r.bytes_read for r in readers] == [64]
+
+    def test_parse_holds_less_than_twice_the_file(self, tmp_path, monkeypatch):
+        # A whole-file parse holds the file, six offset arrays per row and a
+        # row x value-width byte matrix at once: about 3.9 times the file.
+        _, _, kpi, catalog, _ = generate_series(default_spec(n_cells=6, seed=3))
+        p = tmp_path / "kpi.csv"
+        write_metric_csv(kpi, p)
+        size = p.stat().st_size
+        assert size > 4_000_000
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 1 << 16)
+        tracemalloc.start()
+        try:
+            series = parse_metric_csv(p, MetricKind.KPI, catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series == kpi
+        assert peak < 2 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+# Rows for generated files: good rows over three cells (one not ASCII), two
+# metrics with colliding window starts and a third whose window starts have
+# the most digits allowed, and rows that break each rule of the grammar.
+def good_row(cell_id, metric_name, window, value):
+    window_start = 300 * (window + 10**15 * (metric_name == "jitter"))
+    return f"{cell_id},{metric_name},{window_start},{value}".encode()
+
+
+GOOD_ROW = st.builds(
+    good_row,
+    st.sampled_from(["c1", "c2", "cé"]),
+    st.sampled_from(["rtt", "loss", "jitter"]),
+    st.integers(-3, 12),
+    st.sampled_from(["", "1.5", "-0.0", "2e3", "7"]),
+)
+BAD_ROW = st.sampled_from(
+    [row.encode() for row in PARITY_BAD_ROWS.values()]
+    + [b'"c1",rtt,0,1', b"c1,rtt,0,1\r2", b"c1,rtt,+300,1", b"c1,rtt,0," + b"1" * 41]
+    + [b"c1,rtt,0,\xff", b"c1,rtt,0,\xc3"]  # not UTF-8
+)
+
+
+@st.composite
+def metric_files(draw):
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    header = draw(st.sampled_from([b"cell_id,metric_name,window_start,value"] * 4 + [b"cell_id,metric"]))
+    rows = draw(st.lists(st.one_of(GOOD_ROW, GOOD_ROW, GOOD_ROW, BAD_ROW, st.just(b"")), max_size=8))
+    return eol.join([header, *rows]) + draw(st.sampled_from([eol, b""]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric_files())
+@example(b"cell_id,metric_name,window_start,value\nc1,rtt,0,7\nc1,jitter,300000000000000000,7\n")
+def test_every_block_size_parses_like_one_block(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("blocks") / "m.csv"
+    p.write_bytes(text)
+    catalog = {
+        "rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+        "loss": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+        "jitter": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+        "load_ms": MetricInfo(MetricKind.KQI, Polarity.HIGHER_IS_WORSE, 300),
+    }
+    assert_same_in_every_block_size(p, catalog)
 
 
 finite_floats = st.one_of(
