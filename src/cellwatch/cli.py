@@ -204,6 +204,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not series:
         raise CellwatchError("no input series; pass --kqi/--kpi/--cdr")
     cleaned, report = _split_train(series, cfg.pipeline.train_fraction, cfg.clean)
+    del series  # free the parsed series before the fit; the cleaned training spans are all it needs
     model = fit_baseline(cleaned, cfg.detector.with_catalog_bounds(catalog))
     save_model(model, args.out)
     if args.clean_report:
@@ -211,7 +212,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     log.info(
         "trained %d keys over %d series (removed %d missing, %d extremes)",
         len(model.sketches),
-        len(series),
+        len(cleaned),
         report.missing_removed,
         report.extremes_removed,
     )

@@ -1,17 +1,20 @@
 """Deterministic simulator for three deployment strategies of the pipeline.
 
 The simulator runs the identical analytics pipeline under three placements
-and accounts bytes per link and response latency per event:
+and accounts bytes per link and response latency per event. A strategy is
+two placement facts, and every cost follows from them:
 
-* CENTRALIZED   -- every raw record ships edge -> fog -> cloud; training,
-                   inference and mining all happen at the cloud.
-* EDGE_INFERENCE -- raw training data ships to the cloud once, the trained
-                   model ships back to the edges, inference is local;
-                   symptom transactions still ship up for mining.
-* FOG           -- edges aggregate CDR locally and ship only training
-                   series to their fog node; fog nodes fit partition models
-                   and partial itemset count tables; the cloud merges both
-                   and broadcasts the merged model back for edge inference.
+* Training runs at the cloud, or at the fog (FOG). At the cloud, edges
+  relay raw records edge -> fog -> cloud for one fit. At the fog, edges
+  aggregate CDR and ship training rows to their fog node only; fog nodes
+  fit partition models (``summary_upload``) and count their edges'
+  itemsets (``counts_upload``), and the cloud merges both.
+* Inference runs at the cloud (CENTRALIZED), or at the edge. At the cloud,
+  whole series ship up (``data_upload``), alerts ship down
+  (``alert_downlink``) and an event waits for both. At the edge, only the
+  training span ships (``train_upload``), the model is broadcast
+  (``model_broadcast``), transactions ship to where training runs
+  (``transaction_upload``) and events cost no link time.
 
 Accounting is static flow accounting (transfer time = bytes/bandwidth +
 link latency per hop), not packet simulation, and node compute time is
@@ -163,6 +166,11 @@ class RecordSizes:
     transaction_bytes: int = 96
     alert_bytes: int = 128
 
+    def __post_init__(self) -> None:
+        for name, size in vars(self).items():
+            if size < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class Scenario:
@@ -211,18 +219,17 @@ class _Accounting:
 
 @dataclass
 class _Prepared:
-    """Strategy-independent pipeline state."""
+    """Pipeline state of one placement."""
 
     train_clean: list[MetricSeries]
-    tests: list[MetricSeries]
+    tests: list[MetricSeries]  # KQI test spans, the series inference scores
     kpi_series: list[MetricSeries]
-    cells: list[str]
-    upload_bytes: dict[Strategy, dict[str, int]]  # strategy -> cell -> bytes shipped up for training
-    window_bytes: dict[str, int]  # cell -> one window of all its series, the CENTRALIZED event upload
+    upload_bytes: dict[str, int]  # cell -> bytes shipped up for training
+    window_bytes: dict[str, int]  # cell -> one window of all its series, an event's upload to the cloud
     detector_cfg: DetectorConfig
 
 
-def _prepare(scenario: Scenario) -> _Prepared:
+def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Prepared:
     spec = scenario.spec
     calls, kqi_series, kpi_series, catalog, _ = synth.generate_series(spec)
     derived = aggregate_cdr(calls, spec.window_len)
@@ -231,33 +238,31 @@ def _prepare(scenario: Scenario) -> _Prepared:
 
     row, record = scenario.sizes.metric_row_bytes, scenario.sizes.cdr_record_bytes
     cells = spec.cell_ids()
-    upload_bytes = {strategy: dict.fromkeys(cells, 0) for strategy in Strategy}
+    upload_bytes = dict.fromkeys(cells, 0)
     window_bytes = dict.fromkeys(cells, 0)
     train_clean: list[MetricSeries] = []
     tests: list[MetricSeries] = []
     for aggregated, group in ((True, derived), (False, kqi_series + kpi_series)):
         for series in group:
             train_raw, test = chrono_split(series, spec.train_fraction)
-            train_bytes = len(train_raw.values) * row
-            # bytes shipped under CENTRALIZED, EDGE_INFERENCE and FOG
-            if not aggregated:
-                shipped = (len(series.values) * row, train_bytes, train_bytes)
-            elif series.metric_name == "call_attempts":  # per-cell call totals, from aggregates only
-                train_calls = series.values[series.window_starts < spec.train_cutoff_window]
-                shipped = (int(series.values.sum()) * record, int(train_calls.sum()) * record, train_bytes)
-            else:
-                shipped = (0, 0, train_bytes)
-            for strategy, n_bytes in zip(Strategy, shipped):
-                upload_bytes[strategy][series.cell_id] += n_bytes
+            if train_at_fog:  # the edge aggregates its CDR and ships the training rows
+                upload_bytes[series.cell_id] += len(train_raw.values) * row
+            elif not aggregated:  # raw rows: the training span, or all of them for cloud inference
+                upload_bytes[series.cell_id] += len((train_raw if infer_at_edge else series).values) * row
+            elif series.metric_name == "call_attempts":  # CDR records, counted from the aggregates
+                calls_shipped = series.values
+                if infer_at_edge:  # the calls that start before the test span
+                    calls_shipped = calls_shipped[series.window_starts < spec.train_cutoff_window]
+                upload_bytes[series.cell_id] += int(calls_shipped.sum()) * record
             window_bytes[series.cell_id] += row
             cleaned, _ = clean(train_raw, scenario.clean_cfg)
             train_clean.append(cleaned)
-            tests.append(test)
+            if test.kind == MetricKind.KQI:
+                tests.append(test)
     return _Prepared(
         train_clean=train_clean,
         tests=tests,
         kpi_series=kpi_series,
-        cells=cells,
         upload_bytes=upload_bytes,
         window_bytes=window_bytes,
         detector_cfg=detector_cfg,
@@ -267,8 +272,6 @@ def _prepare(scenario: Scenario) -> _Prepared:
 def _detect(model: BaselineModel, prepared: _Prepared, scenario: Scenario) -> list[AnomalyEvent]:
     events: list[AnomalyEvent] = []
     for test in prepared.tests:
-        if test.kind != MetricKind.KQI:
-            continue
         scored = score_series(model, test)
         events.extend(
             apply_filters(
@@ -293,11 +296,14 @@ def simulate(
     produced (merged ones for FOG); compare_models/compare_dbs check the
     distributed-equals-centralized property between strategies.
     """
-    for cell in scenario.spec.cell_ids():
+    cells = scenario.spec.cell_ids()
+    for cell in cells:
         if cell not in topology.cell_assignment:
             raise UnassignedCell(cell)
 
-    prepared = _prepare(scenario)
+    train_at_fog = strategy == Strategy.FOG
+    infer_at_edge = strategy in (Strategy.EDGE_INFERENCE, Strategy.FOG)
+    prepared = _prepare(scenario, train_at_fog, infer_at_edge)
     cloud = topology.cloud_id
     acct = _Accounting()
     sizes = scenario.sizes
@@ -311,55 +317,42 @@ def simulate(
         return parent
 
     cells_by_edge: dict[str, list[str]] = {}
-    for cell in prepared.cells:
+    for cell in cells:
         cells_by_edge.setdefault(edge_of(cell), []).append(cell)
     active_edges = sorted(cells_by_edge)
     active_fogs = sorted({fog_of(e) for e in active_edges})
 
-    def relay_up(phase: str, edge: str, n_bytes: int) -> None:
+    def up(phase: str, edge: str, n_bytes: int) -> None:
+        """Ship from an edge to where training runs: its fog node, or on to the cloud."""
         fog = fog_of(edge)
         acct.add(phase, edge, fog, up=n_bytes)
-        acct.add(phase, fog, cloud, up=n_bytes)
-
-    def broadcast_model(phase: str, n_bytes: int) -> None:
-        if n_bytes == 0:
-            return
-        for fog in active_fogs:
-            acct.add(phase, fog, cloud, down=n_bytes)
-        for edge in active_edges:
-            acct.add(phase, edge, fog_of(edge), down=n_bytes)
+        if not train_at_fog:
+            acct.add(phase, fog, cloud, up=n_bytes)
 
     # --- training + model placement -------------------------------------
+    model = BaselineModel.empty(prepared.detector_cfg)
     partials_by_fog: dict[str, BaselineModel] = {}
-    if strategy in (Strategy.CENTRALIZED, Strategy.EDGE_INFERENCE):
-        model = (
-            fit_baseline(prepared.train_clean, prepared.detector_cfg)
-            if prepared.train_clean
-            else BaselineModel.empty(prepared.detector_cfg)
-        )
-    else:
+    if train_at_fog:
         for fog in active_fogs:
-            fog_cells = {c for e in topology.edges_of(fog) for c in cells_by_edge.get(e, [])}
-            partition = [s for s in prepared.train_clean if s.cell_id in fog_cells]
+            partition = [s for s in prepared.train_clean if fog_of(edge_of(s.cell_id)) == fog]
             if partition:
                 partials_by_fog[fog] = fit_baseline(partition, prepared.detector_cfg)
-        model = (
-            merge_baselines(list(partials_by_fog.values()))
-            if partials_by_fog
-            else BaselineModel.empty(prepared.detector_cfg)
-        )
+        if partials_by_fog:
+            model = merge_baselines(list(partials_by_fog.values()))
+    elif prepared.train_clean:
+        model = fit_baseline(prepared.train_clean, prepared.detector_cfg)
 
-    phase = "data_upload" if strategy == Strategy.CENTRALIZED else "train_upload"
+    phase = "train_upload" if infer_at_edge else "data_upload"
     for edge in active_edges:
-        n_bytes = sum(prepared.upload_bytes[strategy][c] for c in cells_by_edge[edge])
-        if strategy == Strategy.FOG:  # training series stop at the fog node
-            acct.add(phase, edge, fog_of(edge), up=n_bytes)
-        else:
-            relay_up(phase, edge, n_bytes)
+        up(phase, edge, sum(prepared.upload_bytes[c] for c in cells_by_edge[edge]))
     for fog, partial in partials_by_fog.items():
         acct.add("summary_upload", fog, cloud, up=_model_bytes(partial))
-    if strategy != Strategy.CENTRALIZED:
-        broadcast_model("model_broadcast", _model_bytes(model))
+    if infer_at_edge:
+        model_bytes = _model_bytes(model)
+        for fog in active_fogs:
+            acct.add("model_broadcast", fog, cloud, down=model_bytes)
+        for edge in active_edges:
+            acct.add("model_broadcast", edge, fog_of(edge), down=model_bytes)
 
     # --- detection + transactions ----------------------------------------
     events = _detect(model, prepared, scenario)
@@ -368,26 +361,14 @@ def simulate(
     tx_by_edge: dict[str, list[Transaction]] = {e: [] for e in active_edges}
     for t in transactions:
         tx_by_edge[edge_of(t.key[0])].append(t)
-
-    total = len(transactions)
-    if strategy == Strategy.CENTRALIZED:
-        rules = mine_rare_rules(transactions, scenario.mine_cfg)
-        for event in events:
-            acct.add("alert_downlink", edge_of(event.cell_id), fog_of(edge_of(event.cell_id)), down=sizes.alert_bytes)
-            acct.add("alert_downlink", fog_of(edge_of(event.cell_id)), cloud, down=sizes.alert_bytes)
-    elif strategy == Strategy.EDGE_INFERENCE:
+    if infer_at_edge:
         for edge in active_edges:
-            relay_up("transaction_upload", edge, len(tx_by_edge[edge]) * sizes.transaction_bytes)
-        rules = mine_rare_rules(transactions, scenario.mine_cfg)
-    else:  # FOG
+            up("transaction_upload", edge, len(tx_by_edge[edge]) * sizes.transaction_bytes)
+
+    if train_at_fog:  # each fog node counts its edges' itemsets; the cloud mines the merged counts
         tables = []
         for fog in active_fogs:
-            fog_tx: list[Transaction] = []
-            for edge in topology.edges_of(fog):
-                if edge in tx_by_edge:
-                    n_bytes = len(tx_by_edge[edge]) * sizes.transaction_bytes
-                    acct.add("transaction_upload", edge, fog, up=n_bytes)
-                    fog_tx.extend(tx_by_edge[edge])
+            fog_tx = [t for edge in topology.edges_of(fog) for t in tx_by_edge.get(edge, [])]
             table = itemset_count_tables(fog_tx, scenario.mine_cfg.max_antecedent)
             tables.append(table)
             if table.total:
@@ -396,33 +377,25 @@ def simulate(
         merged = merge_count_tables(tables) if tables else None
         rules = mine_from_counts(merged, scenario.mine_cfg) if merged else []
         total = merged.total if merged else 0
+    else:
+        rules = mine_rare_rules(transactions, scenario.mine_cfg)
+        total = len(transactions)
     built_at = max((t.key[1] for t in transactions), default=0)
     db = update_db(empty_db(), rules, built_at=built_at, transaction_total=total)
 
-    # --- per-event response latency ---------------------------------------
-    latencies: list[float] = []
-    for event in events:
-        if strategy != Strategy.CENTRALIZED:
-            # inference is local to the edge; no link time on the event path
-            latencies.append(0.0)
-            continue
-        edge = edge_of(event.cell_id)
-        edge_link, fog_link = topology.links[edge], topology.links[fog_of(edge)]
-        window_bytes = prepared.window_bytes[event.cell_id]
-        up = edge_link.transfer_time(window_bytes) + fog_link.transfer_time(window_bytes)
-        down = fog_link.transfer_time(sizes.alert_bytes) + edge_link.transfer_time(sizes.alert_bytes)
-        latencies.append(up + down)
-
-    locations = {
-        Strategy.CENTRALIZED: {"training": "cloud", "inference": "cloud", "mining": "cloud"},
-        Strategy.EDGE_INFERENCE: {"training": "cloud", "inference": "edge", "mining": "cloud"},
-        Strategy.FOG: {
-            "training": "fog",
-            "merge": "cloud",
-            "inference": "edge",
-            "mining": "cloud",
-        },
-    }[strategy]
+    # --- alerts + per-event response latency ------------------------------
+    latencies = [0.0] * len(events)  # inference at the edge: no link time on the event path
+    if not infer_at_edge:  # the event's window travels up to the cloud, its alert back down
+        for i, event in enumerate(events):
+            edge = edge_of(event.cell_id)
+            fog = fog_of(edge)
+            acct.add("alert_downlink", edge, fog, down=sizes.alert_bytes)
+            acct.add("alert_downlink", fog, cloud, down=sizes.alert_bytes)
+            edge_link, fog_link = topology.links[edge], topology.links[fog]
+            window_bytes = prepared.window_bytes[event.cell_id]
+            up_s = edge_link.transfer_time(window_bytes) + fog_link.transfer_time(window_bytes)
+            down_s = fog_link.transfer_time(sizes.alert_bytes) + edge_link.transfer_time(sizes.alert_bytes)
+            latencies[i] = up_s + down_s
 
     report = CostReport(
         strategy=strategy,
@@ -432,7 +405,12 @@ def simulate(
         event_latencies=latencies,
         mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
         max_latency=max(latencies) if latencies else 0.0,
-        model_location=locations,
+        model_location={
+            "training": "fog" if train_at_fog else "cloud",
+            **({"merge": "cloud"} if train_at_fog else {}),
+            "inference": "edge" if infer_at_edge else "cloud",
+            "mining": "cloud",
+        },
     )
     return report, model, db
 

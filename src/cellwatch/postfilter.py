@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .baseline import Direction, ScoredWindow
 
 
@@ -52,22 +54,15 @@ def _persistence_survivors(flags: list[bool], m: int, n: int) -> list[int]:
     """Indices of flagged windows covered by an n-window span with >= m flags.
 
     Spans are clipped at the stream boundaries; windows outside the stream
-    count as unflagged.
+    count as unflagged, so a stream shorter than n is a single span.
     """
-    total = len(flags)
-    survivors = []
-    for i, flagged in enumerate(flags):
-        if not flagged:
-            continue
-        for start in range(max(0, i - n + 1), min(i, total - n) + 1):
-            if sum(flags[start : start + n]) >= m:
-                survivors.append(i)
-                break
-        else:
-            # stream shorter than n: single clipped span
-            if total < n and sum(flags) >= m:
-                survivors.append(i)
-    return survivors
+    if not flags:
+        return []
+    flagged = np.asarray(flags, dtype=np.int64)
+    span = np.ones(min(n, len(flags)), dtype=np.int64)
+    dense = np.convolve(flagged, span, "valid") >= m  # by span start
+    covered = np.convolve(dense, span)[: len(flags)] > 0  # by window: some dense span holds it
+    return np.flatnonzero(flagged & covered).tolist()
 
 
 def apply_filters(

@@ -9,7 +9,8 @@ Jaccard distance and a full sort; it never touches the bitmask index that
 time and walks one histogram's positions in order; it never touches the
 arrays of ``SketchTable``. The exact statistics take the median and MAD of
 the raw values, with the lower-median convention that the sketch estimates
-follow.
+follow. The persistence scan sums every span of flags; it never touches the
+convolutions of ``postfilter._persistence_survivors``.
 """
 
 from __future__ import annotations
@@ -270,6 +271,20 @@ def make_series(
         window_starts=start + window_len * np.arange(len(values), dtype=np.int64),
         values=np.array([np.nan if v is None else v for v in values], dtype=np.float64),
     )
+
+
+def persistence_survivors_scan(flags: list[bool], m: int, n: int) -> list[int]:
+    """Flagged windows inside some n-window span with >= m flags, by summing every span.
+
+    The spans are those that fit in the stream, or the whole stream when it
+    is shorter than n.
+    """
+    spans = [range(s, s + n) for s in range(len(flags) - n + 1)] or [range(len(flags))]
+    return [
+        i
+        for i, flagged in enumerate(flags)
+        if flagged and any(i in span and sum(flags[j] for j in span) >= m for span in spans)
+    ]
 
 
 def nodes_of(topology: FogTopology, tier: Tier) -> list[str]:

@@ -11,7 +11,7 @@ from cellwatch.cleaning import CleanConfig
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
 from cellwatch import ingest, synth
 from cellwatch.fingerprints import MineConfig
-from cellwatch.fogsim import default_topology_doc
+from cellwatch.fogsim import RecordSizes, default_topology_doc
 from cellwatch.postfilter import FilterConfig
 from cellwatch.jsondoc import decode, encode
 
@@ -731,11 +731,23 @@ class TestConfigChecks:
             (FilterConfig, "min_peak_score", float("-inf")),
             (MineConfig, "lift_min", float("nan")),
             (MineConfig, "lift_min", float("inf")),
+            (RecordSizes, "cdr_record_bytes", -64),
+            (RecordSizes, "metric_row_bytes", -1),
+            (RecordSizes, "transaction_bytes", -1),
+            (RecordSizes, "alert_bytes", -1),
         ],
     )
     def test_rejected(self, cls, name, value):
         with pytest.raises(ValueError, match=name):
             cls(**{name: value})
+
+    def test_negative_record_size_is_exit_2(self, tmp_path, caplog):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"sizes": {"cdr_record_bytes": -64, "metric_row_bytes": -32}}))
+        out = tmp_path / "r.json"
+        assert main(["fogsim", "--scenario", str(scenario), "--strategy", "CENTRALIZED", "--out", str(out)]) == 2
+        assert "cdr_record_bytes must be >= 0" in caplog.text
+        assert not out.exists()
 
     def test_any_finite_min_peak_score_is_accepted(self):
         assert FilterConfig(min_peak_score=-1.0).min_peak_score == -1.0

@@ -166,12 +166,21 @@ class TestSimulate:
     def test_relay_phases_conserve_bytes(self):
         topo = default_topology()
         scenario = default_scenario()
-        for strategy, phases in [
-            (Strategy.CENTRALIZED, ["data_upload"]),
-            (Strategy.EDGE_INFERENCE, ["train_upload", "transaction_upload"]),
+        fog_uplinks = {f"{fog}->cloud" for fog in nodes_of(topo, Tier.FOG)}
+        # relayed phases, phases that stop at the fog node, phases sent from the fog nodes
+        for strategy, relayed, to_fog, from_fog in [
+            (Strategy.CENTRALIZED, ["data_upload"], [], []),
+            (Strategy.EDGE_INFERENCE, ["train_upload", "transaction_upload"], [], []),
+            (Strategy.FOG, [], ["train_upload", "transaction_upload"], ["summary_upload", "counts_upload"]),
         ]:
             report, _, _ = simulate(topo, strategy, scenario)
-            for phase in phases:
+            for phase in to_fog:
+                assert report.phases[phase]
+                assert not any(link.endswith("->cloud") for link in report.phases[phase])
+            for phase in from_fog:
+                assert report.phases[phase]
+                assert set(report.phases[phase]) <= fog_uplinks
+            for phase in relayed:
                 per_link = report.phases[phase]
                 for fog in nodes_of(topo, Tier.FOG):
                     from_edges = sum(
@@ -287,12 +296,13 @@ class TestSimulate:
     def test_model_locations_reported(self):
         topo = default_topology()
         scenario = default_scenario()
-        report, _, _ = simulate(topo, Strategy.EDGE_INFERENCE, scenario)
-        assert report.model_location == {
-            "training": "cloud",
-            "inference": "edge",
-            "mining": "cloud",
-        }
+        for strategy, locations in [
+            (Strategy.CENTRALIZED, {"training": "cloud", "inference": "cloud", "mining": "cloud"}),
+            (Strategy.EDGE_INFERENCE, {"training": "cloud", "inference": "edge", "mining": "cloud"}),
+            (Strategy.FOG, {"training": "fog", "merge": "cloud", "inference": "edge", "mining": "cloud"}),
+        ]:
+            report, _, _ = simulate(topo, strategy, scenario)
+            assert report.model_location == locations, strategy
 
 
 def test_default_topology_doc_is_valid():

@@ -5,6 +5,8 @@ from cellwatch.baseline import AnomalyScore, Direction, ScoredWindow
 from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent, FilterConfig, _persistence_survivors, apply_filters
 
+from helpers import persistence_survivors_scan
+
 
 def stream(flags, scores=None, window_len=300):
     """Scored windows from a 0/1 flag list; flagged windows default to score 8."""
@@ -59,6 +61,14 @@ class TestPersistence:
                 len(_persistence_survivors(flags, m, n)) for m in range(1, n + 1)
             ]
             assert counts == sorted(counts, reverse=True)
+
+    def test_matches_span_scan(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            flags = [bool(v) for v in rng.random(int(rng.integers(0, 25))) < rng.uniform(0, 1)]
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(1, n + 1))
+            assert _persistence_survivors(flags, m, n) == persistence_survivors_scan(flags, m, n)
 
 
 class TestMergeAndPeak:
