@@ -17,16 +17,15 @@ class MalformedHeader(CellwatchError):
 
 
 class MalformedRow(CellwatchError):
-    """One or more CSV rows failed to parse.
+    """A CSV row failed to parse: the first bad row in file order.
 
-    ``line_no`` is the 1-based line number of the first bad row (the header
-    is line 1); ``all_lines`` lists every offending line.
+    ``line_no`` is its 1-based line number (the header is line 1), and the
+    message names the first fault of the row, checked in column order.
     """
 
-    def __init__(self, line_no: int, message: str, all_lines: list[int] | None = None):
+    def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-        self.all_lines = all_lines or [line_no]
 
 
 class UnknownMetric(CellwatchError):

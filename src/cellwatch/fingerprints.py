@@ -436,27 +436,22 @@ def update_db(
     """Fold freshly mined rules into a database.
 
     New rules replace old ones with the same (antecedent, consequent) key
-    but inherit the old cause label unless ``labels`` provides one. Rules
-    not re-mined stay untouched. Pass the mining run's transaction count as
+    but inherit the old cause label; rules not re-mined stay as they are.
+    ``labels`` then sets the cause label of every rule it names, new or
+    retained. Pass the mining run's transaction count as
     ``transaction_total``; the stored total never shrinks, keeping the
     support_count <= transaction_total invariant across updates.
     """
-    labels = labels or {}
     merged: dict[tuple[Itemset, str], Fingerprint] = {
         (r.antecedent, r.consequent): r for r in db.rules
     }
     for rule in new_rules:
         rule_key = (rule.antecedent, rule.consequent)
         old = merged.get(rule_key)
-        label = labels.get(rule_key)
-        if label is None:
-            label = old.cause_label if old is not None else rule.cause_label
-        merged[rule_key] = replace(rule, cause_label=label)
-    # apply labels to retained rules as well
-    for rule_key, rule in merged.items():
-        label = labels.get(rule_key)
-        if label is not None and rule.cause_label != label:
-            merged[rule_key] = replace(rule, cause_label=label)
+        merged[rule_key] = rule if old is None else replace(rule, cause_label=old.cause_label)
+    for rule_key, label in (labels or {}).items():
+        if rule_key in merged:
+            merged[rule_key] = replace(merged[rule_key], cause_label=label)
     rules = sorted(merged.values(), key=_rule_sort_key)
     total = max(
         [db.transaction_total, transaction_total or 0] + [r.support_count for r in rules]

@@ -188,14 +188,13 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 def parse_cdr(path: str | Path) -> CdrCalls:
     """Parse a CDR CSV file, preserving row order.
 
-    Row errors are collected across the whole file; if any row fails the
-    parse fails with a MalformedRow naming the first bad line. Like the
-    metric grammar, it takes start times of at most 18 digits and only
-    finite durations. A byte anywhere in the file that is not UTF-8 text
-    raises NotUtf8 in place of any other error.
+    The first bad row fails the parse with a MalformedRow naming its line.
+    Like the metric grammar, it takes as start times only an optional '-'
+    and 1 to 18 ASCII digits, and only finite durations. A byte
+    anywhere in the file that is not UTF-8 text raises NotUtf8 in place of
+    any other error.
     """
     rows: list[tuple[str, int, float, bool, str, str]] = []
-    bad: list[tuple[int, str]] = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -206,40 +205,29 @@ def parse_cdr(path: str | Path) -> CdrCalls:
                 if not row:
                     continue
                 if len(row) != len(CDR_HEADER):
-                    bad.append((line_no, f"expected {len(CDR_HEADER)} fields, got {len(row)}"))
-                    continue
+                    raise MalformedRow(line_no, f"expected {len(CDR_HEADER)} fields, got {len(row)}")
                 cell_id, start_s, dur_s, dropped_s, src, dst = row
-                try:
-                    start_time = int(start_s)
-                except ValueError:
-                    bad.append((line_no, f"non-integer start_time {start_s!r}"))
-                    continue
-                if abs(start_time) >= 10**_MAX_WS_DIGITS:
-                    bad.append((line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits"))
-                    continue
+                if not _WS_RE.fullmatch(start_s):
+                    raise MalformedRow(line_no, f"non-integer start_time {start_s!r}")
+                if len(start_s.lstrip("-")) > _MAX_WS_DIGITS:
+                    raise MalformedRow(line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits")
                 try:
                     duration = float(dur_s)
                 except ValueError:
-                    bad.append((line_no, f"non-numeric duration {dur_s!r}"))
-                    continue
+                    raise MalformedRow(line_no, f"non-numeric duration {dur_s!r}") from None
                 if not math.isfinite(duration):
-                    bad.append((line_no, f"non-finite duration {dur_s!r}"))
-                    continue
+                    raise MalformedRow(line_no, f"non-finite duration {dur_s!r}")
                 if duration < 0:
-                    bad.append((line_no, f"negative duration {duration}"))
-                    continue
+                    raise MalformedRow(line_no, f"negative duration {duration}")
                 if dropped_s not in ("0", "1"):
-                    bad.append((line_no, f"dropped must be 0 or 1, got {dropped_s!r}"))
-                    continue
-                rows.append((cell_id, start_time, duration, dropped_s == "1", src, dst))
-    except (UnicodeDecodeError, MalformedHeader):
+                    raise MalformedRow(line_no, f"dropped must be 0 or 1, got {dropped_s!r}")
+                rows.append((cell_id, int(start_s), duration, dropped_s == "1", src, dst))
+    except (UnicodeDecodeError, MalformedHeader, MalformedRow):
         # The text reader's offset is within its last chunk, and a bad header
-        # ends the read early: the block reader names the file offset.
+        # or row ends the read early: the block reader names the file offset.
         for _ in _blocks(path):
             pass
         raise
-    if bad:
-        raise MalformedRow(bad[0][0], bad[0][1], all_lines=[ln for ln, _ in bad])
     return CdrCalls(*zip(*rows)) if rows else CdrCalls()
 
 
@@ -269,7 +257,7 @@ _MAX_VALUE_BYTES = 40  # repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
 _PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1
 _LEAD = _MAX_WS_DIGITS  # the window_start digits are read back from the comma after them
-_WS_RE = re.compile(rb"-?[0-9]+")
+_WS_RE = re.compile(r"-?[0-9]+")  # the window_start grammar as a regex, for CDR start_time
 _NL, _CR, _COMMA, _MINUS, _ZERO = (ord(c) for c in "\n\r,-0")
 
 
@@ -337,90 +325,56 @@ def _windows(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: in
     return out
 
 
-def _row_error(
-    line_no: int, line: bytes, kind: MetricKind, catalog: Catalog
-) -> CellwatchError | None:
-    """The first thing wrong with one data row, checked in column order.
-
-    This is the scalar statement of the row grammar; ``parse_metric_csv``
-    flags rows with array operations and calls this on the first flagged
-    line to name the error.
-    """
-    for ch in (b'"', b"\0", b"\r"):
-        if ch in line:
-            return MalformedRow(line_no, f"unsupported character {ch.decode()!r}")
-    fields = line.split(b",")
-    if len(fields) != len(METRIC_HEADER):
-        return MalformedRow(line_no, f"expected {len(METRIC_HEADER)} fields, got {len(fields)}")
-    _, metric_b, ws_b, value_b = fields
-    metric_name = metric_b.decode("utf-8")
-    info = catalog.get(metric_name)
-    if info is None:
-        return UnknownMetric(metric_name)
-    if info.kind != kind:
-        return MalformedRow(
-            line_no, f"metric {metric_name!r} is {info.kind.value}, expected {kind.value}"
-        )
-    ws_s = ws_b.decode("utf-8")
-    if not _WS_RE.fullmatch(ws_b):
-        return MalformedRow(line_no, f"non-integer window_start {ws_s!r}")
-    if len(ws_b.lstrip(b"-")) > _MAX_WS_DIGITS:
-        return MalformedRow(line_no, f"window_start {ws_s} has more than {_MAX_WS_DIGITS} digits")
-    ws = int(ws_b)
-    if ws % info.window_len != 0:
-        return MalformedRow(
-            line_no, f"window_start {ws} not aligned to window_len {info.window_len}"
-        )
-    if value_b:
-        value_s = value_b.decode("utf-8")
-        if len(value_b) > _MAX_VALUE_BYTES:
-            return MalformedRow(line_no, f"value longer than {_MAX_VALUE_BYTES} bytes")
-        try:
-            value = float(value_b)
-        except ValueError:
-            return MalformedRow(line_no, f"non-numeric value {value_s!r}")
-        if not math.isfinite(value):
-            return MalformedRow(line_no, f"non-finite value {value_s!r}")
-    return None
-
-
 @dataclass
 class _Rows:
     """Byte offsets of the data rows that come before the first bad line.
 
-    Lines are counted from 0 after the header. ``newlines`` holds every
-    line's terminating LF and ``bad_line`` the first line known to be bad
-    (the line count when none is). The row arrays are parallel: the row's
-    line, the start and end of its content (CR LF or LF excluded) and its
-    three commas.
+    Lines are counted from 0 after the header, and line 0 is line
+    ``first_line`` of the file; ``lines`` is the block's line count. The
+    row arrays are parallel: the row's line, the start and end of its
+    content (CR LF or LF excluded) and its three commas. ``error`` names
+    the first bad line, or is None while no line is known to be bad.
     """
 
-    newlines: np.ndarray
-    bad_line: int
+    first_line: int
+    lines: int
     line: np.ndarray
     start: np.ndarray
     end: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
+    error: CellwatchError | None = None
 
     def __len__(self) -> int:
         return len(self.line)
 
-    def truncate(self, k: int) -> None:
+    def line_no(self, k: int) -> int:
+        return self.first_line + int(self.line[k])
+
+    def truncate(self, k: int, error: CellwatchError) -> None:
         """Drop row k, whose line is now the first bad one, and all later rows."""
-        self.bad_line = int(self.line[k])
+        self.error = error
         for name in ("line", "start", "end", "c1", "c2", "c3"):
             setattr(self, name, getattr(self, name)[:k])
 
-    def cut(self, bad: np.ndarray) -> None:
-        """Truncate at the first row flagged in ``bad``, if any."""
+    def cut(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, *checks: tuple) -> None:
+        """Truncate at the first row that a check flags.
+
+        A check is a flag per row and a message function. Of the checks, given
+        in column order, the first that flags the row names its MalformedRow,
+        from the row and the text of its field, ``buf[lo:hi]``.
+        """
+        bad = np.logical_or.reduce([flags for flags, _ in checks])
         if bad.any():
-            self.truncate(int(np.argmax(bad)))
+            k = int(np.argmax(bad))
+            message = next(message for flags, message in checks if flags[k])
+            text = bytes(buf[lo[k] : hi[k]]).decode("utf-8")
+            self.truncate(k, MalformedRow(self.line_no(k), message(k, text)))
 
 
-def _locate_rows(data: bytearray, size: int, body: int) -> _Rows:
-    """Find lines and commas; flag unsupported bytes and wrong field counts."""
+def _locate_rows(data: bytearray, size: int, body: int, first_line: int) -> _Rows:
+    """Find lines and commas; cut at the first unsupported byte or wrong field count."""
     buf = np.frombuffer(data, dtype=np.uint8)
     text = buf[body:size]
     delims = np.flatnonzero((text == _COMMA) | (text == _NL)) + body
@@ -430,30 +384,36 @@ def _locate_rows(data: bytearray, size: int, body: int) -> _Rows:
     starts[:1] = body
     starts[1:] = newlines[:-1] + 1
     ends = newlines.copy()
-    bad_pos = [data.find(b'"', body, size), data.find(b"\0", body, size)]
+    first_at = {ch: data.find(ch.encode(), body, size) for ch in ('"', "\0")}
     if data.find(b"\r", body, size) >= 0:
         crs = np.flatnonzero(text == _CR) + body
         stray = crs[buf[crs + 1] != _NL]
-        bad_pos.append(int(stray[0]) if len(stray) else -1)
+        first_at["\r"] = int(stray[0]) if len(stray) else -1
         ends -= (ends > starts) & (buf[ends - 1] == _CR)
-    bad_line = min([int(np.searchsorted(newlines, p)) for p in bad_pos if p >= 0] + [len(newlines)])
-
+    faults = [  # (line, message) of each fault's first line, in the order a line is checked
+        (int(np.searchsorted(newlines, at)), f"unsupported character {ch!r}")
+        for ch, at in first_at.items()
+        if at >= 0
+    ]
     blank = ends == starts
     n_commas = np.diff(nl_at, prepend=-1) - 1
     wrong_count = ~blank & (n_commas != len(METRIC_HEADER) - 1)
     if wrong_count.any():
-        bad_line = min(bad_line, int(np.argmax(wrong_count)))
+        i = int(np.argmax(wrong_count))
+        faults.append((i, f"expected {len(METRIC_HEADER)} fields, got {n_commas[i] + 1}"))
+    bad_line, message = min(faults, key=lambda fault: fault[0], default=(len(newlines), None))
     line = np.flatnonzero(~blank[:bad_line])
     last = nl_at[line]
     return _Rows(
-        newlines=newlines,
-        bad_line=bad_line,
+        first_line=first_line,
+        lines=len(newlines),
         line=line,
         start=starts[line],
         end=ends[line],
         c1=delims[last - 3],
         c2=delims[last - 2],
         c3=delims[last - 1],
+        error=None if message is None else MalformedRow(first_line + bad_line, message),
     )
 
 
@@ -489,8 +449,12 @@ def _key_runs(
     ):
         metric_name = data[b + 1 : e].decode("utf-8")
         info = catalog.get(metric_name)
-        if info is None or info.kind != kind:
-            rows.truncate(i)
+        if info is None:
+            rows.truncate(i, UnknownMetric(metric_name))
+            break
+        if info.kind != kind:
+            message = f"metric {metric_name!r} is {info.kind.value}, expected {kind.value}"
+            rows.truncate(i, MalformedRow(rows.line_no(i), message))
             break
         key = (data[a:b].decode("utf-8"), metric_name)
         run_key.append(key_ids.setdefault(key, len(key_ids)))
@@ -504,19 +468,32 @@ def _window_starts(buf: np.ndarray, rows: _Rows, window_len: np.ndarray) -> np.n
     n = len(rows)
     neg = buf[rows.c2 + 1] == _MINUS
     n_digits = rows.c3 - (rows.c2 + 1) - neg
-    good = (n_digits >= 1) & (n_digits <= _MAX_WS_DIGITS)
+    integer = n_digits >= 1
+    long = n_digits > _MAX_WS_DIGITS
     ws = np.zeros(n, dtype=np.int64)
     if n:
         # Right-aligned at the comma after the field; bytes before it count as 0.
         width = int(min(max(n_digits.max(), 1), _MAX_WS_DIGITS))
         digits = sliding_window_view(buf, width)[rows.c3 - width] - np.uint8(_ZERO)
         digits *= np.arange(width) >= width - n_digits[:, None]
-        good &= (digits <= 9).all(axis=1)
+        integer &= (digits <= 9).all(axis=1)
         for col in range(width):
             ws *= 10
             ws += digits[:, col]
+    if long.any():
+        # The window holds only a long field's last digits. Every long field is
+        # bad, so only the first can be the first bad row: check all of that one.
+        k = int(np.argmax(long))
+        integer[k] = bytes(buf[rows.c2[k] + 1 + neg[k] : rows.c3[k]]).isdigit()
     np.negative(ws, out=ws, where=neg)
-    rows.cut(~good | (ws % window_len != 0))
+    rows.cut(
+        buf,
+        rows.c2 + 1,
+        rows.c3,
+        (~integer, lambda k, text: f"non-integer window_start {text!r}"),
+        (long, lambda k, text: f"window_start {text} has more than {_MAX_WS_DIGITS} digits"),
+        (ws % window_len != 0, lambda k, _: f"window_start {ws[k]} not aligned to window_len {window_len[k]}"),
+    )
     return ws[: len(rows)]
 
 
@@ -532,22 +509,29 @@ def _values(buf: np.ndarray, rows: _Rows) -> np.ndarray:
     values = np.full(n, np.nan)
     if not present.any():
         return values
-    bad = value_len > _MAX_VALUE_BYTES
+    long = value_len > _MAX_VALUE_BYTES
     width = int(min(value_len.max(), _MAX_VALUE_BYTES))
-    raw = _windows(buf, rows.c3 + 1, np.where(bad, 0, value_len), width)
-    raw[~present | bad, 0] = _ZERO  # placeholder so the cast succeeds
+    raw = _windows(buf, rows.c3 + 1, np.where(long, 0, value_len), width)
+    raw[~present | long, 0] = _ZERO  # placeholder so the cast succeeds
     strings = raw.view(f"S{width}").ravel()
-    try:
-        with np.errstate(over="ignore"):
+    numeric = np.ones(n, dtype=bool)
+    with np.errstate(over="ignore"):
+        try:
             parsed = strings.astype(np.float64)
-    except ValueError:
-        # Some field is not a number and the file will be rejected; find the
-        # first such row so that the error names the right line.
-        parsed = np.zeros(n)
-        bad[next(i for i, s in enumerate(strings.tolist()) if not _is_float(s))] = True
-    bad |= present & ~np.isfinite(parsed)
+        except ValueError:
+            # Some field is not a number: find which, and cast the rest for the other checks.
+            numeric = np.array([_is_float(s) for s in strings.tolist()])
+            strings[~numeric] = b"0"
+            parsed = strings.astype(np.float64)
     values[present] = parsed[present]
-    rows.cut(bad)
+    rows.cut(
+        buf,
+        rows.c3 + 1,
+        rows.end,
+        (long, lambda k, _: f"value longer than {_MAX_VALUE_BYTES} bytes"),
+        (~numeric, lambda k, text: f"non-numeric value {text!r}"),
+        (present & ~np.isfinite(parsed), lambda k, text: f"non-finite value {text!r}"),
+    )
     return values[: len(rows)]
 
 
@@ -574,18 +558,19 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     them. An empty value field also denotes MISSING.
 
     The file is read in blocks of whole lines (``_blocks``), and each check
-    runs as an array operation over a block's rows; a check that fails drops
-    its first bad row and all later ones from the rows the next checks see,
-    and no later block is parsed. Only the key id, window start and value of
-    each row are kept. The first bad line is then re-checked by
-    ``_row_error``, which names the error as a row-by-row reader would. A
-    duplicate (cell, metric, window_start) before that line raises
-    DuplicatePoint instead. A fill of more than MAX_GRID_FILL MISSING windows
+    runs as an array operation over a block's rows, in column order. A check
+    that fails drops its first bad row and all later ones from the rows the
+    next checks see, records that row's error, and no later block is parsed.
+    The error of the first bad line is thus named by the first check it
+    fails, as a row-by-row reader would name it. Only the key id, window
+    start and value of each row are kept. A duplicate (cell, metric,
+    window_start) before the first bad line raises DuplicatePoint in place
+    of that line's error. A fill of more than MAX_GRID_FILL MISSING windows
     raises GridTooLarge. A byte anywhere in the file that is not UTF-8 text
     raises NotUtf8 in place of any other error.
     """
     header: list[str] | None = None
-    bad_line: tuple[int, bytes] | None = None
+    error: CellwatchError | None = None
     key_ids: dict[tuple[str, str], int] = {}
     key_parts: list[np.ndarray] = []
     ws_parts: list[np.ndarray] = []
@@ -597,10 +582,10 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
             body = data.find(b"\n", _LEAD) + 1
             line = data[_LEAD : body - 1].removesuffix(b"\r")
             header = line.decode("utf-8").split(",") if line else []
-        if header != METRIC_HEADER or bad_line is not None:
+        if header != METRIC_HEADER or error is not None:
             continue  # the rest of the file is only checked for UTF-8
         buf = np.frombuffer(data, dtype=np.uint8)
-        rows = _locate_rows(data, size, body)
+        rows = _locate_rows(data, size, body, lines_before + 1)
         run_key, run_window, run_len = _key_runs(data, rows, kind, catalog, key_ids)
         ws = _window_starts(buf, rows, np.repeat(run_window, run_len))
         values = _values(buf, rows)
@@ -608,11 +593,8 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
         key_parts.append(np.repeat(run_key, run_len)[:n])
         ws_parts.append(ws[:n])
         value_parts.append(values)
-        if rows.bad_line < len(rows.newlines):
-            i = rows.bad_line
-            start = int(rows.newlines[i - 1]) + 1 if i else body
-            bad_line = (lines_before + i + 1, bytes(data[start : rows.newlines[i]]).removesuffix(b"\r"))
-        lines_before += len(rows.newlines)
+        error = rows.error
+        lines_before += rows.lines
     if header != METRIC_HEADER:
         raise MalformedHeader(f"expected columns {METRIC_HEADER}, got {header}")
 
@@ -635,8 +617,8 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
         at = dup[np.argmin(order[dup])]  # the duplicate that comes first in the file
         cell_id, metric_name = keys[key_of_rank[rank[at]]]
         raise DuplicatePoint((cell_id, metric_name, int(ws[at])))
-    if bad_line is not None:
-        raise _row_error(*bad_line, kind, catalog)
+    if error is not None:
+        raise error
 
     # Grid-fill each key from its first to its last window.
     seg = np.flatnonzero(np.diff(rank, prepend=-1))

@@ -10,21 +10,25 @@ time and walks one histogram's positions in order; it never touches the
 arrays of ``SketchTable``. The exact statistics take the median and MAD of
 the raw values, with the lower-median convention that the sketch estimates
 follow. The persistence scan sums every span of flags; it never touches the
-convolutions of ``postfilter._persistence_survivors``.
+convolutions of ``postfilter._persistence_survivors``. The row grammar
+checks one metric CSV line at a time with ``bytes`` and ``float()``; it
+never touches the array checks of ``ingest.parse_metric_csv``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig
 from cellwatch.cleaning import CleanConfig
+from cellwatch.errors import CellwatchError, MalformedRow, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology
-from cellwatch.ingest import MetricKind, MetricSeries, Polarity
+from cellwatch.ingest import Catalog, MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
@@ -285,6 +289,47 @@ def persistence_survivors_scan(flags: list[bool], m: int, n: int) -> list[int]:
         for i, flagged in enumerate(flags)
         if flagged and any(i in span and sum(flags[j] for j in span) >= m for span in spans)
     ]
+
+
+def row_error(line_no: int, line: bytes, kind: MetricKind, catalog: Catalog) -> CellwatchError | None:
+    """The first thing wrong with one metric CSV data row, checked in column order.
+
+    ``line`` is the row without its LF or CR LF. A row has four fields: a
+    metric of the file's kind in the catalog, a window_start of an optional
+    '-' and 1 to 18 decimal digits aligned to the metric's window, and an
+    empty value or a finite float() literal of at most 40 bytes.
+    """
+    for ch in (b'"', b"\0", b"\r"):
+        if ch in line:
+            return MalformedRow(line_no, f"unsupported character {ch.decode()!r}")
+    fields = line.split(b",")
+    if len(fields) != 4:
+        return MalformedRow(line_no, f"expected 4 fields, got {len(fields)}")
+    _, metric_b, ws_b, value_b = fields
+    metric_name = metric_b.decode("utf-8")
+    info = catalog.get(metric_name)
+    if info is None:
+        return UnknownMetric(metric_name)
+    if info.kind != kind:
+        return MalformedRow(line_no, f"metric {metric_name!r} is {info.kind.value}, expected {kind.value}")
+    ws_s = ws_b.decode("utf-8")
+    if not re.fullmatch(rb"-?[0-9]+", ws_b):
+        return MalformedRow(line_no, f"non-integer window_start {ws_s!r}")
+    if len(ws_b.lstrip(b"-")) > 18:
+        return MalformedRow(line_no, f"window_start {ws_s} has more than 18 digits")
+    if int(ws_b) % info.window_len != 0:
+        return MalformedRow(line_no, f"window_start {int(ws_b)} not aligned to window_len {info.window_len}")
+    if value_b:
+        value_s = value_b.decode("utf-8")
+        if len(value_b) > 40:
+            return MalformedRow(line_no, "value longer than 40 bytes")
+        try:
+            value = float(value_b)
+        except ValueError:
+            return MalformedRow(line_no, f"non-numeric value {value_s!r}")
+        if not math.isfinite(value):
+            return MalformedRow(line_no, f"non-finite value {value_s!r}")
+    return None
 
 
 def nodes_of(topology: FogTopology, tier: Tier) -> list[str]:

@@ -34,6 +34,7 @@ from cellwatch.ingest import (
 )
 from cellwatch.jsondoc import NotUtf8
 from cellwatch.synth import default_spec, generate_series
+from helpers import row_error
 
 
 def write(path, text):
@@ -79,7 +80,23 @@ class TestParseCdr:
         )
         with pytest.raises(MalformedRow, match=f"line 2: start_time {start} ") as exc:
             parse_cdr(p)
-        assert exc.value.all_lines == [2, 4]
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ("+300", "non-integer start_time '+300'"),
+            (" 600", "non-integer start_time ' 600'"),
+            ("9_00", "non-integer start_time '9_00'"),
+            ("٣٠٠", "non-integer start_time '٣٠٠'"),
+            ("", "non-integer start_time ''"),
+            ("0000000000000000000300", "start_time 0000000000000000000300 has more than 18 digits"),
+        ],
+    )
+    def test_start_time_follows_the_window_start_grammar(self, tmp_path, start, message):
+        p = write(tmp_path / "cdr.csv", CDR_HEADER + f"\nc1,1000,30,0,h1,h2\nc1,{start},30,0,h1,h2\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse_cdr(p)
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_start_time_at_the_grid_limit_parses(self, tmp_path):
         rows = "\nc1,999999999999999999,30,0,h1,h2\nc1,-999999999999999999,30,0,h1,h2\n"
@@ -94,7 +111,6 @@ class TestParseCdr:
         with pytest.raises(MalformedRow) as exc:
             parse_cdr(p)
         assert exc.value.line_no == 3
-        assert exc.value.all_lines == [3, 4]
 
     def test_wrong_header_rejected(self, tmp_path):
         p = write(tmp_path / "cdr.csv", "cell,start,dur,drop,src,dst\n")
@@ -587,6 +603,68 @@ def test_every_block_size_parses_like_one_block(tmp_path_factory, text):
         "load_ms": MetricInfo(MetricKind.KQI, Polarity.HIGHER_IS_WORSE, 300),
     }
     assert_same_in_every_block_size(p, catalog)
+
+
+# Field choices for rows checked against the scalar grammar, as (good, bad):
+# each bad choice breaks a rule, and one row may draw several.
+ORACLE_CELLS = (["c1", "cé", ""], ["c1,x", ",c1,", '"c1"', "c\r1"])
+ORACLE_METRICS = (["rtt", "loss"], ["mystery", "load_ms", "r\x00tt"])
+ORACLE_VALUES = (
+    ["1.5", "", "-2e3", "1_0", " 7"],
+    ["abc", "1.0.0", "nan", "-inf", "1e999", "1" * 41, "x" * 41, "1,5", '"1"'],
+)
+ORACLE_EOLS = ([b"\n", b"\r\n"], [b"\r\r\n"])
+ORACLE_CATALOG = {
+    "rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300),
+    "loss": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 60),
+    "load_ms": MetricInfo(MetricKind.KQI, Polarity.HIGHER_IS_WORSE, 300),
+}
+
+
+def oracle_window_starts(i):
+    """window_start choices for row i; the integers are unique to the row, so no point repeats."""
+    w = 300 * (i + 1)
+    good = [f"{w}", f"-{w}", f"{w:018d}", f"{w + 60}"]  # the last is aligned for loss only
+    bad = [f"{w + 7}", f"+{w}", f" {w}", "3e2", "", "-", "9_00", "٣٠٠"]
+    long = ["1" * 19, f"-{'9' * 19}", f"x{'1' * 19}", f"{'1' * 18}x", f"{'0' * 19}{w}"]
+    return good, bad + long
+
+
+@st.composite
+def oracle_files(draw):
+    """A metric CSV of 1 to 6 rows, and the error the scalar grammar names for its first bad row."""
+
+    def pick(choices, one_in=5):  # bad once in one_in picks
+        good, bad = choices
+        return draw(st.sampled_from(draw(st.sampled_from([good] * (one_in - 1) + [bad]))))
+
+    lines = [b"cell_id,metric_name,window_start,value\n"]
+    for i in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            lines.append(pick(ORACLE_EOLS, 20))  # a blank line, or a stray CR
+        fields = (ORACLE_CELLS, ORACLE_METRICS, oracle_window_starts(i), ORACLE_VALUES)
+        lines.append(",".join(pick(choices) for choices in fields).encode() + pick(ORACLE_EOLS, 20))
+    contents = [line.removesuffix(b"\n").removesuffix(b"\r") for line in lines]
+    errors = [row_error(n, line, MetricKind.KPI, ORACLE_CATALOG) for n, line in enumerate(contents[1:], 2) if line]
+    text = b"".join(lines)
+    return text if draw(st.booleans()) else text.removesuffix(b"\n"), next((e for e in errors if e), None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle_files())
+@example(  # a non-finite value ahead of a non-numeric one in the same block
+    (b"cell_id,metric_name,window_start,value\nc1,rtt,0,inf\nc1,rtt,300,abc\n", MalformedRow(2, "non-finite value 'inf'"))
+)
+def test_first_bad_row_named_as_the_scalar_grammar_names_it(tmp_path_factory, case):
+    text, error = case
+    p = tmp_path_factory.mktemp("oracle") / "m.csv"
+    p.write_bytes(text)
+    for block_size in (7, 40, 1 << 22):
+        outcome = parse_outcome(p, ORACLE_CATALOG, block_size)
+        if error is None:
+            assert isinstance(outcome, list), block_size
+        else:
+            assert outcome == (type(error), getattr(error, "line_no", None), str(error)), block_size
 
 
 finite_floats = st.one_of(
