@@ -11,10 +11,8 @@ never part of the schema.
 from __future__ import annotations
 
 import codecs
-import csv
 import math
-import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -188,47 +186,38 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 def parse_cdr(path: str | Path) -> CdrCalls:
     """Parse a CDR CSV file, preserving row order.
 
-    The first bad row fails the parse with a MalformedRow naming its line.
-    Like the metric grammar, it takes as start times only an optional '-'
-    and 1 to 18 ASCII digits, and only finite durations. A byte
+    The CDR follows the metric CSV grammar and goes through the same block
+    reader (``_read_rows``). start_time is read as window_start is, with no
+    alignment; duration as value is, except that it must be present and
+    not negative; dropped is the one byte 0 or 1. The id columns are taken
+    as they are. The first bad row fails the parse with a MalformedRow
+    naming its line, from the first check it fails in column order. A byte
     anywhere in the file that is not UTF-8 text raises NotUtf8 in place of
     any other error.
     """
-    rows: list[tuple[str, int, float, bool, str, str]] = []
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CDR_HEADER:
-                raise MalformedHeader(f"expected columns {CDR_HEADER}, got {header}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(CDR_HEADER):
-                    raise MalformedRow(line_no, f"expected {len(CDR_HEADER)} fields, got {len(row)}")
-                cell_id, start_s, dur_s, dropped_s, src, dst = row
-                if not _WS_RE.fullmatch(start_s):
-                    raise MalformedRow(line_no, f"non-integer start_time {start_s!r}")
-                if len(start_s.lstrip("-")) > _MAX_WS_DIGITS:
-                    raise MalformedRow(line_no, f"start_time {start_s} has more than {_MAX_WS_DIGITS} digits")
-                try:
-                    duration = float(dur_s)
-                except ValueError:
-                    raise MalformedRow(line_no, f"non-numeric duration {dur_s!r}") from None
-                if not math.isfinite(duration):
-                    raise MalformedRow(line_no, f"non-finite duration {dur_s!r}")
-                if duration < 0:
-                    raise MalformedRow(line_no, f"negative duration {duration}")
-                if dropped_s not in ("0", "1"):
-                    raise MalformedRow(line_no, f"dropped must be 0 or 1, got {dropped_s!r}")
-                rows.append((cell_id, int(start_s), duration, dropped_s == "1", src, dst))
-    except (UnicodeDecodeError, MalformedHeader, MalformedRow):
-        # The text reader's offset is within its last chunk, and a bad header
-        # or row ends the read early: the block reader names the file offset.
-        for _ in _blocks(path):
-            pass
-        raise
-    return CdrCalls(*zip(*rows)) if rows else CdrCalls()
+
+    def columns(data: bytearray, rows: _Rows) -> tuple[np.ndarray, ...]:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        start_time = _window_starts(buf, rows, 1, "start_time", 1)
+        duration = _values(buf, rows, 2, "duration")
+        rows.cut(
+            buf,
+            *rows.field(2),
+            (np.isnan(duration), lambda k, text: f"non-numeric duration {text!r}"),
+            (duration < 0, lambda k, _: f"negative duration {duration[k]}"),
+        )
+        lo, hi = rows.field(3)
+        dropped = buf[lo] == _ONE
+        bad = (hi - lo != 1) | ((buf[lo] != _ZERO) & ~dropped)
+        rows.cut(buf, lo, hi, (bad, lambda k, text: f"dropped must be 0 or 1, got {text!r}"))
+        n = len(rows)
+        cell_id, source_hash, dest_hash = (_texts(data, *rows.field(i)) for i in (0, 4, 5))
+        return cell_id, start_time[:n], duration[:n], dropped[:n], source_hash, dest_hash
+
+    parts, error = _read_rows(path, CDR_HEADER, columns)
+    if error is not None:
+        raise error
+    return CdrCalls(*map(_join, parts))
 
 
 def _check_grid_fill(keys: list, fill: list[int]) -> None:
@@ -240,25 +229,25 @@ def _check_grid_fill(keys: list, fill: list[int]) -> None:
 
 
 def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
+    """Serialize calls to the CDR schema; a duration is its repr() less any '.0', so parse(write(x)) == x."""
     lines = [",".join(CDR_HEADER)]
     for cell_id, start, dur, dropped, src, dst in zip(*(c.tolist() for c in vars(calls).values())):
-        lines.append(f"{cell_id},{start},{int(dur) if dur.is_integer() else dur},{int(dropped)},{src},{dst}")
+        lines.append(f"{cell_id},{start},{repr(dur).removesuffix('.0')},{int(dropped)},{src},{dst}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Metric CSVs are read in blocks of this many bytes, each cut after its last
-# line feed, so a parse holds three arrays per row and one block of the file.
+# CSVs are read in blocks of this many bytes, each cut after its last line
+# feed, so a parse holds its parsed columns and one block of the file.
 BLOCK_SIZE = 1 << 22
 
-# Metric CSV grammar limits. Windows of at most this many bytes are cut out
-# of the block buffer per row, so the limits also bound the parser's memory.
+# CSV grammar limits. Windows of at most this many bytes are cut out of the
+# block buffer per row, so the limits also bound the parser's memory.
 _MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid arithmetic (CDR start_time too)
-_MAX_VALUE_BYTES = 40  # repr() of a float64 needs at most 24
+_MAX_VALUE_BYTES = 40  # a value or a duration; repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
 _PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1
 _LEAD = _MAX_WS_DIGITS  # the window_start digits are read back from the comma after them
-_WS_RE = re.compile(r"-?[0-9]+")  # the window_start grammar as a regex, for CDR start_time
-_NL, _CR, _COMMA, _MINUS, _ZERO = (ord(c) for c in "\n\r,-0")
+_NL, _CR, _COMMA, _MINUS, _ZERO, _ONE = (ord(c) for c in "\n\r,-01")
 
 
 def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
@@ -332,7 +321,8 @@ class _Rows:
     Lines are counted from 0 after the header, and line 0 is line
     ``first_line`` of the file; ``lines`` is the block's line count. The
     row arrays are parallel: the row's line, the start and end of its
-    content (CR LF or LF excluded) and its three commas. ``error`` names
+    content (CR LF or LF excluded), and ``commas``, which holds one
+    contiguous array per comma of a row (commas x rows). ``error`` names
     the first bad line, or is None while no line is known to be bad.
     """
 
@@ -341,9 +331,7 @@ class _Rows:
     line: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
+    commas: np.ndarray
     error: CellwatchError | None = None
 
     def __len__(self) -> int:
@@ -352,11 +340,17 @@ class _Rows:
     def line_no(self, k: int) -> int:
         return self.first_line + int(self.line[k])
 
+    def field(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end offsets of field i of each row."""
+        lo = self.start if i == 0 else self.commas[i - 1] + 1
+        hi = self.end if i == len(self.commas) else self.commas[i]
+        return lo, hi
+
     def truncate(self, k: int, error: CellwatchError) -> None:
         """Drop row k, whose line is now the first bad one, and all later rows."""
         self.error = error
-        for name in ("line", "start", "end", "c1", "c2", "c3"):
-            setattr(self, name, getattr(self, name)[:k])
+        self.line, self.start, self.end = self.line[:k], self.start[:k], self.end[:k]
+        self.commas = self.commas[:, :k]
 
     def cut(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, *checks: tuple) -> None:
         """Truncate at the first row that a check flags.
@@ -373,8 +367,8 @@ class _Rows:
             self.truncate(k, MalformedRow(self.line_no(k), message(k, text)))
 
 
-def _locate_rows(data: bytearray, size: int, body: int, first_line: int) -> _Rows:
-    """Find lines and commas; cut at the first unsupported byte or wrong field count."""
+def _locate_rows(data: bytearray, size: int, body: int, first_line: int, fields: int) -> _Rows:
+    """Find lines and commas; cut at the first unsupported byte or a count other than ``fields``."""
     buf = np.frombuffer(data, dtype=np.uint8)
     text = buf[body:size]
     delims = np.flatnonzero((text == _COMMA) | (text == _NL)) + body
@@ -397,10 +391,10 @@ def _locate_rows(data: bytearray, size: int, body: int, first_line: int) -> _Row
     ]
     blank = ends == starts
     n_commas = np.diff(nl_at, prepend=-1) - 1
-    wrong_count = ~blank & (n_commas != len(METRIC_HEADER) - 1)
+    wrong_count = ~blank & (n_commas != fields - 1)
     if wrong_count.any():
         i = int(np.argmax(wrong_count))
-        faults.append((i, f"expected {len(METRIC_HEADER)} fields, got {n_commas[i] + 1}"))
+        faults.append((i, f"expected {fields} fields, got {n_commas[i] + 1}"))
     bad_line, message = min(faults, key=lambda fault: fault[0], default=(len(newlines), None))
     line = np.flatnonzero(~blank[:bad_line])
     last = nl_at[line]
@@ -410,9 +404,7 @@ def _locate_rows(data: bytearray, size: int, body: int, first_line: int) -> _Row
         line=line,
         start=starts[line],
         end=ends[line],
-        c1=delims[last - 3],
-        c2=delims[last - 2],
-        c3=delims[last - 1],
+        commas=delims[last + np.arange(1 - fields, 0)[:, None]],
         error=None if message is None else MalformedRow(first_line + bad_line, message),
     )
 
@@ -428,15 +420,16 @@ def _key_runs(
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     n = len(rows)
-    key_len = rows.c2 - rows.start
+    key_end = rows.commas[1]
+    key_len = key_end - rows.start
     new_run = np.ones(n, dtype=bool)
     if n > 1:
         width = int(min(key_len.max(), _MAX_KEY_WINDOW))
         keys = _windows(buf, rows.start, key_len, width).view(f"S{width}").ravel()
         new_run[1:] = (key_len[1:] != key_len[:-1]) | (keys[1:] != keys[:-1])
         for i in np.flatnonzero(~new_run & (key_len > width)).tolist():
-            here = data[rows.start[i] : rows.c2[i]]
-            new_run[i] = here != data[rows.start[i - 1] : rows.c2[i - 1]]
+            here = data[rows.start[i] : key_end[i]]
+            new_run[i] = here != data[rows.start[i - 1] : key_end[i - 1]]
     run_first = np.flatnonzero(new_run)
 
     run_key: list[int] = []
@@ -444,8 +437,8 @@ def _key_runs(
     for i, a, b, e in zip(
         run_first.tolist(),
         rows.start[run_first].tolist(),
-        rows.c1[run_first].tolist(),
-        rows.c2[run_first].tolist(),
+        rows.commas[0][run_first].tolist(),
+        key_end[run_first].tolist(),
     ):
         metric_name = data[b + 1 : e].decode("utf-8")
         info = catalog.get(metric_name)
@@ -463,18 +456,19 @@ def _key_runs(
     return np.array(run_key, dtype=np.int64), np.array(run_window, dtype=np.int64), run_len
 
 
-def _window_starts(buf: np.ndarray, rows: _Rows, window_len: np.ndarray) -> np.ndarray:
-    """Parse window_start: an optional '-' and 1..18 digits, aligned to window_len."""
+def _window_starts(buf: np.ndarray, rows: _Rows, i: int, name: str, window_len: np.ndarray | int) -> np.ndarray:
+    """Parse field i, ``name`` in messages: an optional '-' and 1..18 digits, aligned to window_len."""
     n = len(rows)
-    neg = buf[rows.c2 + 1] == _MINUS
-    n_digits = rows.c3 - (rows.c2 + 1) - neg
+    lo, hi = rows.field(i)
+    neg = buf[lo] == _MINUS
+    n_digits = hi - lo - neg
     integer = n_digits >= 1
     long = n_digits > _MAX_WS_DIGITS
     ws = np.zeros(n, dtype=np.int64)
     if n:
         # Right-aligned at the comma after the field; bytes before it count as 0.
         width = int(min(max(n_digits.max(), 1), _MAX_WS_DIGITS))
-        digits = sliding_window_view(buf, width)[rows.c3 - width] - np.uint8(_ZERO)
+        digits = sliding_window_view(buf, width)[hi - width] - np.uint8(_ZERO)
         digits *= np.arange(width) >= width - n_digits[:, None]
         integer &= (digits <= 9).all(axis=1)
         for col in range(width):
@@ -484,34 +478,35 @@ def _window_starts(buf: np.ndarray, rows: _Rows, window_len: np.ndarray) -> np.n
         # The window holds only a long field's last digits. Every long field is
         # bad, so only the first can be the first bad row: check all of that one.
         k = int(np.argmax(long))
-        integer[k] = bytes(buf[rows.c2[k] + 1 + neg[k] : rows.c3[k]]).isdigit()
+        integer[k] = bytes(buf[lo[k] + neg[k] : hi[k]]).isdigit()
     np.negative(ws, out=ws, where=neg)
     rows.cut(
         buf,
-        rows.c2 + 1,
-        rows.c3,
-        (~integer, lambda k, text: f"non-integer window_start {text!r}"),
-        (long, lambda k, text: f"window_start {text} has more than {_MAX_WS_DIGITS} digits"),
-        (ws % window_len != 0, lambda k, _: f"window_start {ws[k]} not aligned to window_len {window_len[k]}"),
+        lo,
+        hi,
+        (~integer, lambda k, text: f"non-integer {name} {text!r}"),
+        (long, lambda k, text: f"{name} {text} has more than {_MAX_WS_DIGITS} digits"),
+        (ws % window_len != 0, lambda k, _: f"{name} {ws[k]} not aligned to window_len {window_len[k]}"),
     )
     return ws[: len(rows)]
 
 
-def _values(buf: np.ndarray, rows: _Rows) -> np.ndarray:
-    """Parse value fields: empty is MISSING (NaN), else a finite float() literal.
+def _values(buf: np.ndarray, rows: _Rows, i: int, name: str) -> np.ndarray:
+    """Parse field i, ``name`` in messages: empty is MISSING (NaN), else a finite float() literal.
 
     All fields go through one bytes-to-float64 cast, which accepts exactly
     the bytes ``float()`` accepts and rounds the same way.
     """
     n = len(rows)
-    value_len = rows.end - rows.c3 - 1
+    lo, hi = rows.field(i)
+    value_len = hi - lo
     present = value_len > 0
     values = np.full(n, np.nan)
     if not present.any():
         return values
     long = value_len > _MAX_VALUE_BYTES
     width = int(min(value_len.max(), _MAX_VALUE_BYTES))
-    raw = _windows(buf, rows.c3 + 1, np.where(long, 0, value_len), width)
+    raw = _windows(buf, lo, np.where(long, 0, value_len), width)
     raw[~present | long, 0] = _ZERO  # placeholder so the cast succeeds
     strings = raw.view(f"S{width}").ravel()
     numeric = np.ones(n, dtype=bool)
@@ -526,13 +521,18 @@ def _values(buf: np.ndarray, rows: _Rows) -> np.ndarray:
     values[present] = parsed[present]
     rows.cut(
         buf,
-        rows.c3 + 1,
-        rows.end,
-        (long, lambda k, _: f"value longer than {_MAX_VALUE_BYTES} bytes"),
-        (~numeric, lambda k, text: f"non-numeric value {text!r}"),
-        (present & ~np.isfinite(parsed), lambda k, text: f"non-finite value {text!r}"),
+        lo,
+        hi,
+        (long, lambda k, _: f"{name} longer than {_MAX_VALUE_BYTES} bytes"),
+        (~numeric, lambda k, text: f"non-numeric {name} {text!r}"),
+        (present & ~np.isfinite(parsed), lambda k, text: f"non-finite {name} {text!r}"),
     )
     return values[: len(rows)]
+
+
+def _texts(data: bytearray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The UTF-8 text of each row's field ``data[lo:hi]``, as a str array."""
+    return np.array([data[a:b].decode("utf-8") for a, b in zip(lo.tolist(), hi.tolist())], dtype=str)
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -550,6 +550,43 @@ def _is_float(s: bytes) -> bool:
     return True
 
 
+def _read_rows(
+    path: str | Path, header: list[str], columns: Callable[[bytearray, _Rows], tuple[np.ndarray, ...]]
+) -> tuple[list[list[np.ndarray]], CellwatchError | None]:
+    """Read a CSV with this header in blocks of whole lines: each column's arrays, and the first error.
+
+    ``_locate_rows`` finds a block's rows, one field per header column, and
+    ``columns(data, rows)`` parses them into arrays cut to the rows it
+    leaves. Its checks run as array operations over the rows, in column
+    order; one that fails drops its first bad row and all later ones from
+    the rows the next checks see, and records that row's error
+    (``_Rows.cut``). So the first bad line is named by the first check it
+    fails, as a row-by-row reader would name it. No later block is parsed;
+    the rest of the file is only checked as UTF-8 text. A wrong header
+    raises MalformedHeader, and a byte anywhere in the file that is not
+    UTF-8 text raises NotUtf8 in place of any other error.
+    """
+    got: list[str] | None = None
+    blocks: list[tuple[np.ndarray, ...]] = []
+    error: CellwatchError | None = None
+    lines_before = 1  # the header
+    for data, size in _blocks(path):
+        body = _LEAD
+        if got is None:
+            body = data.find(b"\n", _LEAD) + 1
+            line = data[_LEAD : body - 1].removesuffix(b"\r")
+            got = line.decode("utf-8").split(",") if line else []
+        if got != header or error is not None:
+            continue  # the rest of the file is only checked for UTF-8
+        rows = _locate_rows(data, size, body, lines_before + 1, len(header))
+        blocks.append(columns(data, rows))
+        error = rows.error
+        lines_before += rows.lines
+    if got != header:
+        raise MalformedHeader(f"expected columns {header}, got {got}")
+    return [list(parts) for parts in zip(*blocks)], error
+
+
 def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> list[MetricSeries]:
     """Parse a metric CSV into grid-complete series.
 
@@ -557,46 +594,25 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     grid gaps are filled with MISSING so that cleaning can see and report
     them. An empty value field also denotes MISSING.
 
-    The file is read in blocks of whole lines (``_blocks``), and each check
-    runs as an array operation over a block's rows, in column order. A check
-    that fails drops its first bad row and all later ones from the rows the
-    next checks see, records that row's error, and no later block is parsed.
-    The error of the first bad line is thus named by the first check it
-    fails, as a row-by-row reader would name it. Only the key id, window
-    start and value of each row are kept. A duplicate (cell, metric,
-    window_start) before the first bad line raises DuplicatePoint in place
-    of that line's error. A fill of more than MAX_GRID_FILL MISSING windows
-    raises GridTooLarge. A byte anywhere in the file that is not UTF-8 text
-    raises NotUtf8 in place of any other error.
+    The file is read by ``_read_rows``, which names the first bad line by
+    the first check it fails, and only the key id, window start and value
+    of each row are kept. A duplicate (cell, metric, window_start) before
+    the first bad line raises DuplicatePoint in place of that line's error.
+    A fill of more than MAX_GRID_FILL MISSING windows raises GridTooLarge.
+    A byte anywhere in the file that is not UTF-8 text raises NotUtf8 in
+    place of any other error.
     """
-    header: list[str] | None = None
-    error: CellwatchError | None = None
     key_ids: dict[tuple[str, str], int] = {}
-    key_parts: list[np.ndarray] = []
-    ws_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    lines_before = 1  # the header
-    for data, size in _blocks(path):
-        body = _LEAD
-        if header is None:
-            body = data.find(b"\n", _LEAD) + 1
-            line = data[_LEAD : body - 1].removesuffix(b"\r")
-            header = line.decode("utf-8").split(",") if line else []
-        if header != METRIC_HEADER or error is not None:
-            continue  # the rest of the file is only checked for UTF-8
+
+    def columns(data: bytearray, rows: _Rows) -> tuple[np.ndarray, ...]:
         buf = np.frombuffer(data, dtype=np.uint8)
-        rows = _locate_rows(data, size, body, lines_before + 1)
         run_key, run_window, run_len = _key_runs(data, rows, kind, catalog, key_ids)
-        ws = _window_starts(buf, rows, np.repeat(run_window, run_len))
-        values = _values(buf, rows)
+        ws = _window_starts(buf, rows, 2, "window_start", np.repeat(run_window, run_len))
+        values = _values(buf, rows, 3, "value")
         n = len(rows)
-        key_parts.append(np.repeat(run_key, run_len)[:n])
-        ws_parts.append(ws[:n])
-        value_parts.append(values)
-        error = rows.error
-        lines_before += rows.lines
-    if header != METRIC_HEADER:
-        raise MalformedHeader(f"expected columns {METRIC_HEADER}, got {header}")
+        return np.repeat(run_key, run_len)[:n], ws[:n], values
+
+    (key_parts, ws_parts, value_parts), error = _read_rows(path, METRIC_HEADER, columns)
 
     # Stable sort by (key rank, window_start); equal neighbours are duplicates.
     # Columns are joined and reordered one at a time to bound the peak memory.

@@ -10,9 +10,13 @@ time and walks one histogram's positions in order; it never touches the
 arrays of ``SketchTable``. The exact statistics take the median and MAD of
 the raw values, with the lower-median convention that the sketch estimates
 follow. The persistence scan sums every span of flags; it never touches the
-convolutions of ``postfilter._persistence_survivors``. The row grammar
-checks one metric CSV line at a time with ``bytes`` and ``float()``; it
-never touches the array checks of ``ingest.parse_metric_csv``.
+convolutions of ``postfilter._persistence_survivors``. The row grammars
+check one metric CSV or CDR line at a time with ``bytes`` and ``float()``;
+they never touch the array checks that ``ingest.parse_metric_csv`` and
+``ingest.parse_cdr`` run over the blocks of ``ingest._read_rows``. Both
+formats share one grammar for characters, field counts, integers and
+numbers, stated once here by ``_split_row``, ``_integer_error`` and
+``_float_error``.
 """
 
 from __future__ import annotations
@@ -291,6 +295,41 @@ def persistence_survivors_scan(flags: list[bool], m: int, n: int) -> list[int]:
     ]
 
 
+def _split_row(line_no: int, line: bytes, count: int) -> list[bytes] | MalformedRow:
+    """The fields of a CSV row, or its error: a '"', NUL or CR byte, then a field count other than ``count``."""
+    for ch in (b'"', b"\0", b"\r"):
+        if ch in line:
+            return MalformedRow(line_no, f"unsupported character {ch.decode()!r}")
+    fields = line.split(b",")
+    if len(fields) != count:
+        return MalformedRow(line_no, f"expected {count} fields, got {len(fields)}")
+    return fields
+
+
+def _integer_error(line_no: int, name: str, field: bytes) -> MalformedRow | None:
+    """What keeps a field from being an optional '-' and 1 to 18 decimal digits, if anything."""
+    text = field.decode("utf-8")
+    if not re.fullmatch(rb"-?[0-9]+", field):
+        return MalformedRow(line_no, f"non-integer {name} {text!r}")
+    if len(field.lstrip(b"-")) > 18:
+        return MalformedRow(line_no, f"{name} {text} has more than 18 digits")
+    return None
+
+
+def _float_error(line_no: int, name: str, field: bytes) -> MalformedRow | None:
+    """What keeps a field from being a finite float() literal of at most 40 bytes, if anything."""
+    text = field.decode("utf-8")
+    if len(field) > 40:
+        return MalformedRow(line_no, f"{name} longer than 40 bytes")
+    try:
+        value = float(field)
+    except ValueError:
+        return MalformedRow(line_no, f"non-numeric {name} {text!r}")
+    if not math.isfinite(value):
+        return MalformedRow(line_no, f"non-finite {name} {text!r}")
+    return None
+
+
 def row_error(line_no: int, line: bytes, kind: MetricKind, catalog: Catalog) -> CellwatchError | None:
     """The first thing wrong with one metric CSV data row, checked in column order.
 
@@ -299,12 +338,9 @@ def row_error(line_no: int, line: bytes, kind: MetricKind, catalog: Catalog) -> 
     '-' and 1 to 18 decimal digits aligned to the metric's window, and an
     empty value or a finite float() literal of at most 40 bytes.
     """
-    for ch in (b'"', b"\0", b"\r"):
-        if ch in line:
-            return MalformedRow(line_no, f"unsupported character {ch.decode()!r}")
-    fields = line.split(b",")
-    if len(fields) != 4:
-        return MalformedRow(line_no, f"expected 4 fields, got {len(fields)}")
+    fields = _split_row(line_no, line, 4)
+    if isinstance(fields, MalformedRow):
+        return fields
     _, metric_b, ws_b, value_b = fields
     metric_name = metric_b.decode("utf-8")
     info = catalog.get(metric_name)
@@ -312,23 +348,33 @@ def row_error(line_no: int, line: bytes, kind: MetricKind, catalog: Catalog) -> 
         return UnknownMetric(metric_name)
     if info.kind != kind:
         return MalformedRow(line_no, f"metric {metric_name!r} is {info.kind.value}, expected {kind.value}")
-    ws_s = ws_b.decode("utf-8")
-    if not re.fullmatch(rb"-?[0-9]+", ws_b):
-        return MalformedRow(line_no, f"non-integer window_start {ws_s!r}")
-    if len(ws_b.lstrip(b"-")) > 18:
-        return MalformedRow(line_no, f"window_start {ws_s} has more than 18 digits")
+    error = _integer_error(line_no, "window_start", ws_b)
+    if error is not None:
+        return error
     if int(ws_b) % info.window_len != 0:
         return MalformedRow(line_no, f"window_start {int(ws_b)} not aligned to window_len {info.window_len}")
-    if value_b:
-        value_s = value_b.decode("utf-8")
-        if len(value_b) > 40:
-            return MalformedRow(line_no, "value longer than 40 bytes")
-        try:
-            value = float(value_b)
-        except ValueError:
-            return MalformedRow(line_no, f"non-numeric value {value_s!r}")
-        if not math.isfinite(value):
-            return MalformedRow(line_no, f"non-finite value {value_s!r}")
+    return _float_error(line_no, "value", value_b) if value_b else None
+
+
+def cdr_row_error(line_no: int, line: bytes) -> MalformedRow | None:
+    """The first thing wrong with one CDR data row, checked in column order.
+
+    ``line`` is the row without its LF or CR LF. A row has six fields: a
+    cell id, a start_time of an optional '-' and 1 to 18 decimal digits, a
+    duration that is a finite, non-negative float() literal of at most 40
+    bytes, a dropped flag of 0 or 1, and two endpoint hashes.
+    """
+    fields = _split_row(line_no, line, 6)
+    if isinstance(fields, MalformedRow):
+        return fields
+    _, start_b, duration_b, dropped_b, _, _ = fields
+    error = _integer_error(line_no, "start_time", start_b) or _float_error(line_no, "duration", duration_b)
+    if error is not None:
+        return error
+    if float(duration_b) < 0:
+        return MalformedRow(line_no, f"negative duration {float(duration_b)}")
+    if dropped_b not in (b"0", b"1"):
+        return MalformedRow(line_no, f"dropped must be 0 or 1, got {dropped_b.decode('utf-8')!r}")
     return None
 
 

@@ -6,12 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from cellwatch.baseline import DetectorConfig
+from cellwatch.baseline import DetectorConfig, load_model
 from cellwatch.cleaning import CleanConfig
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
 from cellwatch import ingest, synth
-from cellwatch.fingerprints import MineConfig
-from cellwatch.fogsim import RecordSizes, default_topology_doc
+from cellwatch.fingerprints import MineConfig, load_db
+from cellwatch.fogsim import (
+    RecordSizes,
+    Strategy,
+    compare_dbs,
+    compare_models,
+    default_scenario,
+    default_topology,
+    default_topology_doc,
+    simulate,
+)
 from cellwatch.postfilter import FilterConfig
 from cellwatch.jsondoc import decode, encode
 
@@ -413,6 +422,38 @@ class TestFogsimCommand:
         )
         assert rc == 0
         assert json.loads(out.read_text())["strategy"] == "CENTRALIZED"
+
+
+@pytest.mark.parametrize("seed", [1, 424242])
+def test_cli_pipeline_equals_the_centralized_simulation(tmp_path, seed):
+    # The CLI reads gen's CSVs back, CDR included; fogsim runs the same
+    # stages on the generated arrays. Both must give one model, event count and rule set.
+    scenario = default_scenario(seed)
+    synth.save_spec(scenario.spec, tmp_path / "spec.json")
+    data = tmp_path / "data"
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    doc = encode(scenario)
+    config = {
+        "pipeline": {"train_fraction": scenario.spec.train_fraction},
+        "clean": doc["clean"],
+        "detector": {k: v for k, v in doc["detector"].items() if k != "bounds"},
+        "filters": doc["filters"],
+        "mine": doc["mine"],
+        "rca": {"z_symptom": doc["z_symptom"]},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    common = ["--catalog", str(data / "catalog.json"), "--config", str(tmp_path / "config.json")]
+    model, events, db = (str(tmp_path / name) for name in ("model.json", "events.jsonl", "db.json"))
+    kqi, kpi, cdr = (str(data / name) for name in ("kqi.csv", "kpi.csv", "cdr.csv"))
+    assert main(["train", "--kqi", kqi, "--kpi", kpi, "--cdr", cdr, "--out", model, *common]) == 0
+    assert main(["detect", "--kqi", kqi, "--cdr", cdr, "--model", model, "--out", events, *common]) == 0
+    assert main(["mine", "--events", events, "--kpi", kpi, "--model", model, "--out", db, *common]) == 0
+
+    report, sim_model, sim_db = simulate(default_topology(), Strategy.CENTRALIZED, scenario)
+    assert report.event_latencies and sim_db.rules  # 5 events and 4 rules at both seeds
+    assert compare_models(load_model(model), sim_model)
+    assert len(Path(events).read_text().splitlines()) == len(report.event_latencies)
+    assert compare_dbs(load_db(db), sim_db)
 
 
 def test_config_file_overridden_by_flags(tmp_path):

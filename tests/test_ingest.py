@@ -34,7 +34,7 @@ from cellwatch.ingest import (
 )
 from cellwatch.jsondoc import NotUtf8
 from cellwatch.synth import default_spec, generate_series
-from helpers import row_error
+from helpers import cdr_row_error, row_error
 
 
 def write(path, text):
@@ -94,6 +94,21 @@ class TestParseCdr:
     )
     def test_start_time_follows_the_window_start_grammar(self, tmp_path, start, message):
         p = write(tmp_path / "cdr.csv", CDR_HEADER + f"\nc1,1000,30,0,h1,h2\nc1,{start},30,0,h1,h2\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse_cdr(p)
+        assert str(exc.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('c1,300,1,0,"h,x",g', "unsupported character '\"'"),
+            ("c1\x00,300,1,0,h,g", "unsupported character '\\x00'"),
+            ("c1,300,1,0,h,g\rc1,600,1,0,h,g", "unsupported character '\\r'"),
+            (f"c1,300,{'1' * 45},0,h,g", "duration longer than 40 bytes"),
+        ],
+    )
+    def test_row_outside_the_metric_csv_grammar_is_malformed_row(self, tmp_path, line, message):
+        p = write(tmp_path / "cdr.csv", f"{CDR_HEADER}\nc1,0,1,0,h,g\n{line}\n")
         with pytest.raises(MalformedRow) as exc:
             parse_cdr(p)
         assert str(exc.value) == f"line 3: {message}"
@@ -372,7 +387,7 @@ class TestParserParity:
 
 
 class SmallBlocks:
-    """Mixed into a test class, runs its tests with metric CSVs read in 7-byte blocks.
+    """Mixed into a test class, runs its tests with CSVs read in 7-byte blocks.
 
     Most lines are longer than 7 bytes, so most blocks hold one line.
     """
@@ -380,6 +395,10 @@ class SmallBlocks:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK_SIZE", 7)
+
+
+class TestParseCdrInSmallBlocks(SmallBlocks, TestParseCdr):
+    pass
 
 
 class TestParseMetricCsvInSmallBlocks(SmallBlocks, TestParseMetricCsv):
@@ -559,6 +578,24 @@ class TestBlocks:
         assert series == kpi
         assert peak < 2 * size, f"peak {peak} bytes for a {size}-byte file"
 
+    def test_cdr_parse_holds_less_than_twice_its_output(self, tmp_path, monkeypatch):
+        # A row-by-row parse holds a tuple of Python objects per call, about
+        # 4.25 times the arrays it returns. The file is no bound: the arrays
+        # take 2.7 times its size, as str arrays hold 4 bytes a character.
+        calls = generate_series(default_spec(n_cells=6, seed=3, calls_per_window=4.0))[0]
+        p = tmp_path / "cdr.csv"
+        write_cdr_csv(calls, p)
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 1 << 16)
+        tracemalloc.start()
+        try:
+            parsed = parse_cdr(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == calls
+        output = sum(column.nbytes for column in vars(parsed).values())
+        assert peak < 2 * output, f"peak {peak} bytes for {output} bytes of arrays"
+
 
 # Rows for generated files: good rows over three cells (one not ASCII), two
 # metrics with colliding window starts and a third whose window starts have
@@ -665,6 +702,82 @@ def test_first_bad_row_named_as_the_scalar_grammar_names_it(tmp_path_factory, ca
             assert isinstance(outcome, list), block_size
         else:
             assert outcome == (type(error), getattr(error, "line_no", None), str(error)), block_size
+
+
+# Field choices for CDR rows checked against the scalar grammar, as (good, bad).
+CDR_IDS = (["c1", "cé", ""], ["c1,x", '"c1"', "c\x001", "c\r1"])
+CDR_START_TIMES = (
+    ["300", "-300", "0", f"{300:018d}", "9" * 18],
+    ["+300", " 600", "3e2", "", "-", "9_00", "٣٠٠", "1" * 19, f"x{'1' * 19}", f"{'0' * 19}300"],
+)
+CDR_DURATIONS = (
+    ["30", "1.5", "0", "-0", " 7", "1_0", "5e-324", "1e+300"],
+    ["", "-5", "-0.5", "abc", "1.0.0", "nan", "-INF", "1e999", "1" * 41, "x" * 41, "٣٠٠", '"1"'],
+)
+CDR_DROPPED = (["0", "1"], ["", "yes", "01", "2", "1 "])
+CDR_FIELDS = (CDR_IDS, CDR_START_TIMES, CDR_DURATIONS, CDR_DROPPED, CDR_IDS, CDR_IDS)
+# (field, bad text) pairs: a row draws up to two, so one row may break two rules
+CDR_FAULTS = [(i, text) for i, (_, bad) in enumerate(CDR_FIELDS) for text in bad]
+CDR_EOLS = st.sampled_from([b"\n", b"\r\n"] * 10 + [b"\r\r\n"])  # a stray CR once in 21 line ends
+
+
+@st.composite
+def cdr_oracle_files(draw):
+    """A CDR of 1 to 6 rows, and what the scalar grammar makes of it: the calls, or its first bad row's error."""
+    lines = [CDR_HEADER.encode() + b"\n"]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            lines.append(draw(CDR_EOLS))  # a blank line
+        fields = [draw(st.sampled_from(good)) for good, _ in CDR_FIELDS]
+        for i, text in draw(st.lists(st.sampled_from(CDR_FAULTS), max_size=2)):
+            fields[i] = text
+        lines.append(",".join(fields).encode() + draw(CDR_EOLS))
+    rows = [line.removesuffix(b"\n").removesuffix(b"\r") for line in lines[1:]]
+    rows = [(n, row) for n, row in enumerate(rows, 2) if row]
+    error = next((e for e in (cdr_row_error(n, row) for n, row in rows) if e), None)
+    if error is None:
+        fields = [row.decode().split(",") for _, row in rows]
+        expected = cdr(*((c, int(t), float(d), flag == "1", a, b) for c, t, d, flag, a, b in fields))
+    else:
+        expected = (MalformedRow, error.line_no, str(error))
+    text = b"".join(lines)
+    return text if draw(st.booleans()) else text.removesuffix(b"\n"), expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cdr_oracle_files())
+@example((f"{CDR_HEADER}\nc1,0,1,01,h,g\n".encode(), (MalformedRow, 2, "line 2: dropped must be 0 or 1, got '01'")))
+def test_first_bad_cdr_row_named_as_the_scalar_grammar_names_it(tmp_path_factory, case):
+    text, expected = case
+    p = tmp_path_factory.mktemp("cdr_oracle") / "cdr.csv"
+    p.write_bytes(text)
+    for block_size in (7, 40, 1 << 22):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "BLOCK_SIZE", block_size)
+            try:
+                outcome = parse_cdr(p)
+            except MalformedRow as exc:
+                outcome = (type(exc), exc.line_no, str(exc))
+        assert outcome == expected, block_size
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, 1e16, 1e300, 1.7976931348623157e308]),
+        ),
+        max_size=12,
+    )
+)
+@example([-0.0, 1e300])
+def test_written_calls_parse_back_to_them(tmp_path_factory, durations):
+    n = len(durations)
+    calls = CdrCalls(["c1"] * n, 300 * np.arange(n), durations, np.arange(n) % 2 == 1, ["h"] * n, ["g"] * n)
+    p = tmp_path_factory.mktemp("cdr_rt") / "cdr.csv"
+    write_cdr_csv(calls, p)
+    assert parse_cdr(p) == calls
 
 
 finite_floats = st.one_of(
