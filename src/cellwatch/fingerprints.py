@@ -526,8 +526,12 @@ def _rule_problem(rule: Fingerprint, transaction_total: int) -> str | None:
         return f"support {rule.support} outside (0, 1]"
     if not 0 < rule.lift < math.inf:
         return f"lift {rule.lift} must be > 0 and finite"
+    if rule.support_count < 1:
+        return f"support_count {rule.support_count} below 1"
     if rule.support_count > transaction_total:
         return "support_count exceeds transaction_total"
-    if rule.antecedent_count and rule.confidence != rule.support_count / rule.antecedent_count:
+    if rule.antecedent_count < rule.support_count:
+        return "antecedent_count below support_count"
+    if rule.confidence != rule.support_count / rule.antecedent_count:
         return "confidence inconsistent with counts"
     return None

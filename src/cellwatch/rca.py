@@ -7,24 +7,25 @@ total: (distance, confidence desc, support desc, antecedent), so results
 never depend on database ordering.
 
 ``diagnose`` ranks against an index built once per database, on its first
-call, and cached on the db. The index numbers every antecedent item of the
-db as one bit and buckets the rules by consequent; each bucket holds its
-rules' antecedents as int bitmasks with their sizes, already in the static
-tie-break order (confidence desc, support desc, antecedent). A call encodes
-the symptom set as a mask (items the db never mentions set no bit but still
-count in its size), takes ``inter = popcount(mask & query)`` and ``union =
-|antecedent| + |query| - inter`` per candidate, which is the same IEEE
-division of the same integers as ``jaccard_distance``, and keeps the k
-smallest by (distance, bucket position) with a heap. That is the same
-total order as sorting every candidate, at O(candidates) integer operations
-per call after an O(rules) build. The index is rebuilt when ``db.rules`` is
-replaced by another list or changes length.
+call, and cached on the db. The index buckets the rules by consequent, in
+the static tie-break order (confidence desc, support desc, antecedent). A
+bucket holds postings (for each antecedent item, the positions of the rules
+that hold it) and an int64 array of antecedent sizes. A call counts the
+concatenated postings of the query's items with ``np.bincount``, which is
+``inter`` for every candidate (an item the bucket never mentions selects no
+posting but still counts in ``|query|``), and takes ``union = |antecedent|
++ |query| - inter`` and ``1 - inter / union``. int64 converts to float64
+exactly, so that is the same IEEE division of the same integers as
+``jaccard_distance``. A stable argsort then ranks by (distance, position),
+the same total order as sorting every candidate. The index is rebuilt when
+``db.rules`` is replaced by another list or changes length.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baseline import BaselineModel
 from .fingerprints import (
@@ -104,35 +105,40 @@ def jaccard_distance(a: frozenset[SymptomItem], b: frozenset[SymptomItem]) -> fl
 
 @dataclass
 class _Bucket:
-    """The rules of one consequent in tie-break order, with antecedent masks and sizes."""
+    """The rules of one consequent in tie-break order, as item postings and antecedent sizes."""
 
     rules: list[Fingerprint]
-    masks: list[int]
-    sizes: list[int]
+    postings: dict[SymptomItem, np.ndarray]  # item -> positions of the rules holding it (intp)
+    sizes: np.ndarray  # int64 antecedent sizes
 
 
 @dataclass
 class _Index:
     rules: list[Fingerprint]  # the db.rules list this index was built from
     rule_count: int
-    bits: dict[SymptomItem, int]  # item -> its one-bit mask
     buckets: dict[str, _Bucket]
 
 
+_NO_RULES = np.empty(0, dtype=np.intp)
+
+
+def _build_bucket(rules: list[Fingerprint]) -> _Bucket:
+    positions: dict[SymptomItem, list[int]] = {}
+    for position, rule in enumerate(rules):
+        for item in rule.antecedent:
+            positions.setdefault(item, []).append(position)
+    postings = {item: np.array(p, dtype=np.intp) for item, p in positions.items()}
+    return _Bucket(rules, postings, np.array([len(r.antecedent) for r in rules], dtype=np.int64))
+
+
 def _build_index(rules: list[Fingerprint]) -> _Index:
-    bits: dict[SymptomItem, int] = {}
-    buckets: dict[str, _Bucket] = {}
+    by_consequent: dict[str, list[Fingerprint]] = {}
     # a stable sort: within one consequent the key is (-confidence,
     # -support_count, tokens) and equal rules keep their db order
     for rule in sorted(rules, key=_rule_sort_key):
-        mask = 0
-        for item in rule.antecedent:
-            mask |= bits.setdefault(item, 1 << len(bits))
-        bucket = buckets.setdefault(rule.consequent, _Bucket([], [], []))
-        bucket.rules.append(rule)
-        bucket.masks.append(mask)
-        bucket.sizes.append(len(rule.antecedent))
-    return _Index(rules, len(rules), bits, buckets)
+        by_consequent.setdefault(rule.consequent, []).append(rule)
+    buckets = {consequent: _build_bucket(members) for consequent, members in by_consequent.items()}
+    return _Index(rules, len(rules), buckets)
 
 
 def diagnose(
@@ -157,19 +163,16 @@ def diagnose(
     bucket = index.buckets.get(symptoms.consequent)
     ranked: list[RankedCause] = []
     if bucket is not None:
-        query = 0
-        for item in symptoms.items:
-            query |= index.bits.get(item, 0)
-        query_size = len(symptoms.items)
-        distances = []
-        for mask, size in zip(bucket.masks, bucket.sizes):
-            inter = (mask & query).bit_count()
-            union = size + query_size - inter
-            distances.append(0.0 if union == 0 else 1.0 - inter / union)
-        # nsmallest breaks key ties by input order, so this ranks by (distance, position)
-        for position in heapq.nsmallest(k, range(len(distances)), key=distances.__getitem__):
+        hits = [bucket.postings.get(item, _NO_RULES) for item in symptoms.items]
+        inter = np.bincount(np.concatenate([_NO_RULES, *hits]), minlength=len(bucket.rules))
+        union = bucket.sizes + len(symptoms.items) - inter
+        # union is 0 only for an empty antecedent and an empty query: ratio 1, distance 0
+        distances = 1.0 - np.divide(inter, union, out=np.ones(len(union)), where=union != 0)
+        # a stable sort breaks distance ties by position, so this ranks by (distance, position)
+        top = np.argsort(distances, kind="stable")[:k]
+        for position, distance in zip(top.tolist(), distances[top].tolist()):
             rule = bucket.rules[position]
-            ranked.append(RankedCause(rule.cause_label, distances[position], rule))
+            ranked.append(RankedCause(rule.cause_label, distance, rule))
     matched = bool(ranked) and ranked[0].distance <= match_threshold
     return Diagnosis(ranked=ranked, matched=matched, match_threshold=match_threshold)
 

@@ -4,7 +4,7 @@ The Apriori oracle counts itemsets by scanning transactions for every
 candidate subset of the item universe; it never touches the count tables
 that ``mine_rare_rules`` mines, so mining results can be checked against it
 exactly. The diagnosis oracle ranks every candidate rule by frozenset
-Jaccard distance and a full sort; it never touches the bitmask index that
+Jaccard distance and a full sort; it never touches the postings index that
 ``rca.diagnose`` ranks against. The sketch oracle inserts one value at a
 time and walks one histogram's positions in order; it never touches the
 arrays of ``SketchTable``. The exact statistics take the median and MAD of

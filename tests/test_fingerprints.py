@@ -403,6 +403,22 @@ class TestPersistence:
         with pytest.raises(CorruptDb):
             load_db(path)
 
+    @pytest.mark.parametrize(
+        "counts, problem",
+        [
+            ({"support_count": -5, "antecedent_count": 0, "confidence": 1.0}, "support_count -5 below 1"),
+            ({"support_count": 0, "antecedent_count": 0, "confidence": 1.0}, "support_count 0 below 1"),
+            ({"support_count": 2, "antecedent_count": 0, "confidence": 0.5}, "antecedent_count below support_count"),
+        ],
+    )
+    def test_counts_no_mining_run_produces_rejected(self, tmp_path, counts, problem):
+        doc = json.loads(db_to_json(self.make_db()))
+        doc["rules"][0].update(counts)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptDb, match=re.escape(problem)):
+            load_db(path)
+
     def test_support_count_above_total_rejected(self, tmp_path):
         db = self.make_db()
         doc = json.loads(db_to_json(db))

@@ -199,6 +199,40 @@ class TestIndexAgainstBruteForce:
         assert result.matched
 
 
+# The fleet's shape: 40 KPIs x HIGH/LOW is more items than one 64-bit word
+# holds, buckets of up to a few hundred rules with 1-3 item antecedents, and
+# queries of up to 15 items, some of them outside the db's vocabulary.
+WIDE_POOL = [f"k{i:02d}={state}" for i in range(40) for state in ("HIGH", "LOW")]
+WIDE_OUTSIDE = [f"x{i}=HIGH" for i in range(6)]
+
+
+class TestWideVocabularyAgainstBruteForce:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 600), st.integers(1, 16))
+    def test_ranking_equals_filter_and_full_sort(self, seed, n_rules, k):
+        rng = np.random.default_rng(seed)
+        rules = [
+            rule(
+                rng.choice(WIDE_POOL, size=int(rng.integers(1, 4)), replace=False),
+                consequent=str(rng.choice(["Q0", "Q1"])),
+                label=str(rng.choice(["a", "b", "c"])),
+                confidence=float(rng.choice([0.5, 0.8, 1.0])),
+                count=int(rng.integers(1, 4)),
+            )
+            for _ in range(n_rules)
+        ]
+        db = make_db(rules)
+        for _ in range(20):  # later queries run against the cached index
+            tokens = set(rng.choice(WIDE_POOL + WIDE_OUTSIDE, size=int(rng.integers(0, 13)), replace=False))
+            if rng.random() < 0.5:  # near a rule, so that small distances rank too
+                tokens |= {item.token for item in rules[int(rng.integers(n_rules))].antecedent}
+            query = symptoms(tokens, consequent=str(rng.choice(["Q0", "Q1", "Q2"])))
+            assert_same_diagnosis(
+                diagnose(db, query, k=k, match_threshold=0.5),
+                brute_force_diagnose(db, query, k, 0.5),
+            )
+
+
 class TestIndexCache:
     def test_appended_rule_is_seen(self):
         db = make_db([rule(["a=HIGH"], label="far")])
