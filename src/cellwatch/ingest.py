@@ -690,6 +690,13 @@ def write_metric_csv(series: list[MetricSeries], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _intern(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)``, sorting one id per run of equal adjacent ids."""
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    unique, inverse = np.unique(ids[heads], return_inverse=True)
+    return unique, np.repeat(inverse, np.diff(heads, append=len(ids)))
+
+
 def aggregate_cdr(calls: CdrCalls, window_len: int) -> list[MetricSeries]:
     """Aggregate per-call records into cell-level KQI series.
 
@@ -704,7 +711,7 @@ def aggregate_cdr(calls: CdrCalls, window_len: int) -> list[MetricSeries]:
         raise ValueError("window_len must be positive")
     if not len(calls):
         return []
-    cells, cell = np.unique(calls.cell_id, return_inverse=True)
+    cells, cell = _intern(calls.cell_id)
     ws = calls.start_time // window_len * window_len
     first = np.full(len(cells), np.iinfo(np.int64).max)
     last = np.full(len(cells), np.iinfo(np.int64).min)

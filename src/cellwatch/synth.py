@@ -149,6 +149,13 @@ class ScenarioSpec:
         # an empty metric dict is allowed: it describes a vacuous scenario
         if self.metrics and self.n_windows < 2:
             raise InvalidSpec("grid needs at least two windows")
+        # written so that NaN fails each check
+        if not 0 <= self.cdr.calls_per_window < math.inf:
+            raise InvalidSpec("cdr.calls_per_window must be finite and >= 0")
+        if not 0 <= self.cdr.drop_prob <= 1:
+            raise InvalidSpec("cdr.drop_prob must be in [0, 1]")
+        if not 0 < self.cdr.duration_mean < math.inf:
+            raise InvalidSpec("cdr.duration_mean must be finite and > 0")
         for name, m in self.metrics.items():
             if m.sigma <= 0:
                 raise InvalidSpec(f"metric {name!r}: sigma must be > 0")
@@ -430,27 +437,56 @@ def generate_series(
     return calls, kqi_series, kpi_series, spec.catalog(), truth
 
 
+# each byte value's two hex digits as UCS4 code points, so 4 of them view as one "U8" string
+_HEX_PAIRS = np.array([f"{b:02x}" for b in range(256)]).view(np.uint64)
+
+
 def _generate_calls(spec: ScenarioSpec, cells: list[str], starts: np.ndarray) -> CdrCalls:
-    """Poisson call traffic per (cell, window), drawn window by window from each cell's stream."""
+    """Poisson call traffic per (cell, window), drawn from each cell's own stream.
+
+    The draws are the data contract. Cell ``ci`` draws from a PCG64 stream
+    seeded with ``(seed, 2, ci)``: first its call count for every window,
+    ``poisson(calls_per_window, n_windows)``; then, for each window holding
+    c > 0 calls, in window order: ``integers(0, window_len, c)`` start
+    offsets, c standard exponentials, c uniforms and 2c uint32 endpoint
+    words (source then destination, call by call). Only these draws run per
+    window: they cannot be batched across windows, because the exponential
+    ziggurat and the bounded-integer rejection take a variable number of
+    words. Everything else is one array pass over all calls: sorting the
+    offsets within each window, adding the window starts, scaling durations
+    by ``duration_mean`` (the one multiply that ``exponential(scale)``
+    makes) and rounding them to 0.1 s, comparing the uniforms with
+    ``drop_prob``, and writing each endpoint word as 8 hex digits, most
+    significant first.
+    """
     cdr = spec.cdr
     rngs = [np.random.default_rng([spec.seed, 2, ci]) for ci in range(len(cells))]
     counts = np.array([rng.poisson(cdr.calls_per_window, len(starts)) for rng in rngs])
-    ends = np.cumsum(counts)  # calls are in (cell, window) order
-    n = int(counts.sum())
-    start_time, duration = np.empty(n, dtype=np.int64), np.empty(n)
-    dropped, endpoints = np.empty(n, dtype=bool), np.empty((n, 2), dtype=np.uint32)
-    active = np.flatnonzero(counts)
-    for k, lo, hi in zip(active.tolist(), (ends - counts.ravel())[active].tolist(), ends[active].tolist()):
-        rng, wi, c = rngs[k // len(starts)], k % len(starts), hi - lo
-        start_time[lo:hi] = np.sort(rng.integers(0, spec.window_len, c)) + starts[wi]
-        duration[lo:hi] = rng.exponential(cdr.duration_mean, c)
-        dropped[lo:hi] = rng.random(c) < cdr.drop_prob
-        endpoints[lo:hi] = rng.integers(0, 2**32, (c, 2), dtype=np.uint64)
-    # endpoint hashes: each value's 8 hex digits, most significant first
-    nibbles = (endpoints[..., None] >> np.arange(28, -1, -4, dtype=np.uint32)) & 15
-    hashes = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[nibbles].view("S8")[..., 0].astype(str)
-    cell_id = np.repeat(np.array(cells), counts.sum(axis=1))
-    return CdrCalls(cell_id, start_time, np.round(duration, 1), dropped, hashes[:, 0], hashes[:, 1])
+    per_cell = counts.sum(axis=1)
+    n = int(per_cell.sum())
+    start_time, duration, uniform = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    endpoints = np.empty(2 * n, dtype=np.uint32)
+    lo = 0
+    for rng, row in zip(rngs, counts):
+        integers, exponential, random = rng.integers, rng.standard_exponential, rng.random
+        for c in row[row > 0].tolist():
+            hi = lo + c
+            start_time[lo:hi] = integers(0, spec.window_len, c)
+            exponential(out=duration[lo:hi])
+            random(out=uniform[lo:hi])
+            endpoints[2 * lo : 2 * hi] = integers(0, 2**32, 2 * c, dtype=np.uint32)
+            lo = hi
+    # calls are in (cell, window) order; a cell's start times fall in disjoint
+    # windows in increasing order, so one sort per cell sorts each window
+    start_time += np.repeat(np.tile(starts, len(cells)), counts.ravel())
+    cell_end = np.cumsum(per_cell).tolist()
+    for lo, hi in zip([0, *cell_end], cell_end):
+        start_time[lo:hi].sort()
+    # each word's 4 bytes, most significant first, as 2 hex digits apiece
+    hashes = _HEX_PAIRS.take(endpoints.astype(">u4").view(np.uint8).reshape(-1, 4)).view("U8")[:, 0]
+    cell_id = np.repeat(np.array(cells), per_cell)
+    duration = np.round(duration * cdr.duration_mean, 1)
+    return CdrCalls(cell_id, start_time, duration, uniform < cdr.drop_prob, hashes[0::2], hashes[1::2])
 
 
 @dataclass

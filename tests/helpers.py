@@ -16,7 +16,9 @@ they never touch the array checks that ``ingest.parse_metric_csv`` and
 ``ingest.parse_cdr`` run over the blocks of ``ingest._read_rows``. Both
 formats share one grammar for characters, field counts, integers and
 numbers, stated once here by ``_split_row``, ``_integer_error`` and
-``_float_error``.
+``_float_error``. The call oracle draws each (cell, window) block of CDR
+calls with its own numpy calls, one window at a time, in the stream order
+that ``synth._generate_calls`` fixes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from cellwatch.cleaning import CleanConfig
 from cellwatch.errors import CellwatchError, MalformedRow, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology
-from cellwatch.ingest import Catalog, MetricKind, MetricSeries, Polarity
+from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
@@ -442,3 +444,25 @@ def random_fog_case(seed: int):
         z_symptom=2.5,
     )
     return topology, scenario
+
+
+def calls_by_window(spec: synth.ScenarioSpec) -> CdrCalls:
+    """Reference CDR calls: each active window's draws sorted, scaled, compared and hex-formatted on their own."""
+    cdr = spec.cdr
+    starts = np.arange(spec.n_windows, dtype=np.int64) * spec.window_len
+    rngs = [np.random.default_rng([spec.seed, 2, ci]) for ci in range(spec.n_cells)]
+    counts = np.array([rng.poisson(cdr.calls_per_window, len(starts)) for rng in rngs])
+    ends = np.cumsum(counts)  # calls are in (cell, window) order
+    n = int(counts.sum())
+    start_time, duration = np.empty(n, dtype=np.int64), np.empty(n)
+    dropped, endpoints = np.empty(n, dtype=bool), np.empty((n, 2), dtype=np.uint32)
+    active = np.flatnonzero(counts)
+    for k, lo, hi in zip(active.tolist(), (ends - counts.ravel())[active].tolist(), ends[active].tolist()):
+        rng, wi, c = rngs[k // len(starts)], k % len(starts), hi - lo
+        start_time[lo:hi] = np.sort(rng.integers(0, spec.window_len, c)) + starts[wi]
+        duration[lo:hi] = rng.exponential(cdr.duration_mean, c)
+        dropped[lo:hi] = rng.random(c) < cdr.drop_prob
+        endpoints[lo:hi] = rng.integers(0, 2**32, (c, 2), dtype=np.uint64)
+    hashes = np.array([[f"{v:08x}" for v in pair] for pair in endpoints.tolist()], dtype="U8").reshape(n, 2)
+    cell_id = np.repeat(np.array(spec.cell_ids()), counts.sum(axis=1))
+    return CdrCalls(cell_id, start_time, np.round(duration, 1), dropped, hashes[:, 0], hashes[:, 1])

@@ -553,6 +553,12 @@ class TestMalformedDocuments:
             (lambda d: d["cdr"].update(drop_prb=0.5), "cdr.drop_prb: unknown key"),
             (lambda d: d.pop("seed"), "seed: missing required key"),
             (lambda d: d["metrics"]["rtt_ms"].update(kind="KPIX"), "metrics.rtt_ms.kind: expected one of"),
+            (lambda d: d["cdr"].update(calls_per_window=-1.0), "cdr.calls_per_window must be finite and >= 0"),
+            (lambda d: d["cdr"].update(drop_prob=2.0), "cdr.drop_prob must be in [0, 1]"),
+            (lambda d: d["cdr"].update(drop_prob=-0.5), "cdr.drop_prob must be in [0, 1]"),
+            (lambda d: d["cdr"].update(duration_mean=0.0), "cdr.duration_mean must be finite and > 0"),
+            (lambda d: d["cdr"].update(calls_per_window=4.0, duration_mean=-120.0),
+             "cdr.duration_mean must be finite and > 0"),
         ],
     )
     def test_gen_spec(self, tmp_path, caplog, edit, message):
@@ -561,6 +567,26 @@ class TestMalformedDocuments:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         rc, log = self.run(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")], caplog)
+        assert rc == 1
+        assert message in log
+
+    @pytest.mark.parametrize(
+        "cdr, message",
+        [
+            ({"calls_per_window": -4.0}, "cdr.calls_per_window must be finite and >= 0"),
+            ({"drop_prob": 2.0}, "cdr.drop_prob must be in [0, 1]"),
+            ({"duration_mean": -120.0}, "cdr.duration_mean must be finite and > 0"),
+        ],
+    )
+    def test_fogsim_scenario_cdr(self, tmp_path, caplog, cdr, message):
+        spec = encode(synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=5, calls_per_window=4.0))
+        spec["cdr"].update(cdr)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"spec": spec}))
+        rc, log = self.run(
+            ["fogsim", "--scenario", str(scenario), "--strategy", "CENTRALIZED", "--out", str(tmp_path / "r.json")],
+            caplog,
+        )
         assert rc == 1
         assert message in log
 

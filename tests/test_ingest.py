@@ -911,6 +911,15 @@ class TestAggregateCdr:
         rng.shuffle(shuffled)
         assert aggregate_cdr(cdr(*rows), 300) == aggregate_cdr(cdr(*shuffled), 300)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["c1", "c10", "c2", "b", ""]), min_size=1, max_size=40))
+    def test_ids_interned_by_runs_as_unique_interns_them(self, ids):
+        array = np.array(ids)
+        cells, inverse = ingest._intern(array)
+        expected_cells, expected_inverse = np.unique(array, return_inverse=True)
+        assert np.array_equal(cells, expected_cells) and cells.dtype == expected_cells.dtype
+        assert np.array_equal(inverse, expected_inverse) and inverse.dtype == expected_inverse.dtype
+
     def test_attempt_totals_match_record_count(self):
         rng = random.Random(5)
         records = cdr(*[("c1", rng.randrange(0, 6000), 10, False, "s", "d") for _ in range(137)])

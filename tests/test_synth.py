@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellwatch.baseline import Direction, hour_bucket
 from cellwatch.errors import InvalidSpec
@@ -11,6 +13,7 @@ from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent
 from cellwatch.synth import (
     AutoPlan,
+    CdrTraffic,
     DiagnosisOutcome,
     GroundTruth,
     PlantedAnomaly,
@@ -23,7 +26,7 @@ from cellwatch.synth import (
     save_spec,
 )
 
-from helpers import exact_robust_score
+from helpers import calls_by_window, exact_robust_score
 
 
 def small_spec(**kw):
@@ -137,6 +140,27 @@ class TestGenerate:
         spec = small_spec()
         spec.anomalies = [PlantedAnomaly("cell-000", "nope", spec.train_cutoff_window, 2, 8.0)]
         with pytest.raises(InvalidSpec):
+            generate_series(spec)
+
+    @pytest.mark.parametrize(
+        "traffic, message",
+        [
+            (dict(calls_per_window=-1.0), "calls_per_window"),
+            (dict(calls_per_window=math.nan), "calls_per_window"),
+            (dict(calls_per_window=math.inf), "calls_per_window"),
+            (dict(drop_prob=-0.01), "drop_prob"),
+            (dict(drop_prob=1.01), "drop_prob"),
+            (dict(drop_prob=math.nan), "drop_prob"),
+            (dict(duration_mean=0.0), "duration_mean"),
+            (dict(duration_mean=-120.0), "duration_mean"),
+            (dict(duration_mean=math.inf), "duration_mean"),
+            (dict(duration_mean=math.nan), "duration_mean"),
+        ],
+    )
+    def test_validation_rejects_bad_cdr_traffic(self, traffic, message):
+        spec = small_spec()
+        spec.cdr = CdrTraffic(**{**vars(spec.cdr), **traffic})
+        with pytest.raises(InvalidSpec, match=message):
             generate_series(spec)
 
     def test_spec_json_round_trip(self, tmp_path):
@@ -254,6 +278,35 @@ class TestEvaluate:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             evaluate([self.event("c", "m", 0, 0)], [], self.truth())
+
+
+@st.composite
+def call_specs(draw):
+    """Small CDR specs: odd and even call counts, all drop extremes, and a window_len whose bounded draws reject."""
+    window_len = draw(st.sampled_from([300, 900, 3_000_000_000]))
+    # 70000 days is two 3e9 s windows; about 30 % of the 32-bit draws below 3e9 reject
+    windows = 2 if window_len == 3_000_000_000 else draw(st.integers(2, 48))
+    spec = default_spec(
+        n_cells=draw(st.integers(1, 4)),
+        days=70000.0 if window_len == 3_000_000_000 else (windows + 0.5) * window_len / 86400,
+        window_len=window_len,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        anomaly_count=0,
+        calls_per_window=draw(st.sampled_from([0.05, 0.7, 3.0, 24.0])),
+    )
+    spec.cdr = CdrTraffic(spec.cdr.calls_per_window, drop_prob=draw(st.sampled_from([0.0, 0.02, 1.0])))
+    assert spec.n_windows == windows
+    return spec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(call_specs())
+def test_generated_calls_equal_the_window_by_window_draws(spec):
+    calls = generate_series(spec)[0]
+    expected = calls_by_window(spec)
+    assert calls == expected
+    for name, column in vars(calls).items():
+        assert column.dtype == getattr(expected, name).dtype, name
 
 
 def test_truth_json_round_trip(tmp_path):
