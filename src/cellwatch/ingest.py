@@ -245,9 +245,17 @@ BLOCK_SIZE = 1 << 22
 _MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid arithmetic (CDR start_time too)
 _MAX_VALUE_BYTES = 40  # a value or a duration; repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
+_MAX_DECIMAL_BYTES = 19  # a plain decimal of at most 19 digits has a mantissa below 10**19 < 2**64
 _PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1
-_LEAD = _MAX_WS_DIGITS  # the window_start digits are read back from the comma after them
-_NL, _CR, _COMMA, _MINUS, _ZERO, _ONE = (ord(c) for c in "\n\r,-01")
+_LEAD = max(_MAX_WS_DIGITS, _MAX_DECIMAL_BYTES)  # digit windows are read back from the end of their field
+_NL, _CR, _COMMA, _MINUS, _DOT, _ZERO, _ONE = (ord(c) for c in "\n\r,-.01")
+
+# A plain decimal m / 10**f is converted by one long-double division, which
+# is exact only where long double is IEEE: x87 extended (63 stored mantissa
+# bits) or binary128 (112). Elsewhere (64-bit long double on Windows and
+# macOS arm64, double-double on POWER) every value goes through the cast.
+_EXACT_DIVISION = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = (np.uint64(10) ** np.arange(_MAX_DECIMAL_BYTES, dtype=np.uint64)).astype(np.longdouble)
 
 
 def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
@@ -491,41 +499,101 @@ def _window_starts(buf: np.ndarray, rows: _Rows, i: int, name: str, window_len: 
     return ws[: len(rows)]
 
 
+def _decimals(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convert the fields of ``n_bytes`` bytes that end at ``hi`` as plain decimals.
+
+    Returns float64 values and a mask of the fields converted: those of the
+    shape ``[0-9]+(\\.[0-9]+)?``, at most _MAX_DECIMAL_BYTES long, whose
+    quotient is not a midpoint. A field with f digits after the dot is
+    ``m / 10**f``. m < 10**19 < 2**64 and 10**f are exact long doubles, and
+    the division rounds once to at least 64 bits, so rounding the quotient
+    to float64 gives ``float()``'s value unless the quotient lies exactly
+    halfway between two doubles, where ties to even may pick the wrong one.
+    """
+    # Row j of text holds byte j of every field's window, right-aligned at
+    # hi: a field starts at byte width - n_bytes, and earlier bytes read as 0.
+    width = int(min(max(n_bytes.max(), 1), _MAX_DECIMAL_BYTES))
+    text = np.ascontiguousarray(sliding_window_view(buf, width)[hi - width].T)
+    col = np.arange(width, dtype=np.uint8)[:, None]
+    inside = col >= np.clip(width - n_bytes, 0, width).astype(np.uint8)
+    dot = (text == _DOT) & inside
+    text -= np.uint8(_ZERO)
+    text *= inside
+    ok = ((text <= 9) | dot).all(axis=0)
+    del inside  # the last block's temporaries are part of the parse's peak
+    dots = dot.sum(axis=0, dtype=np.uint8)
+    fraction = ((width - 1 - col) * dot).sum(axis=0, dtype=np.uint8)  # digits after the dot
+    ok &= (n_bytes >= 1) & (n_bytes <= width)
+    ok &= (dots == 0) | ((dots == 1) & (fraction >= 1) & (fraction < n_bytes - 1))  # not 5. or .5
+    # The dot reads as digit 0 with no multiply by 10.
+    text *= ~dot
+    scale = dot.view(np.uint8) * np.uint8(9)
+    np.subtract(np.uint8(10), scale, out=scale)
+    del dot
+    m = np.zeros(len(hi), dtype=np.uint64)
+    for j in range(width):
+        m *= scale[j]
+        m += text[j]
+    del text, scale
+    q = m.astype(np.longdouble)
+    del m
+    q /= _POW10[fraction * ok]  # a row left to the caller may count several dots
+    values = q.astype(np.float64)
+    # q - values is exact; with x87's 64 bits it has at most 11 significant
+    # bits, so float64 holds it (a wider q may round it, which can only flag
+    # more rows). A midpoint is half the gap above values, or half the
+    # smaller gap below a power of two; quarter gaps elsewhere are flagged too.
+    off = np.abs((q - values).astype(np.float64))
+    del q
+    gap = np.spacing(values)
+    ok &= (4 * off != gap) & (2 * off != gap)
+    return values, ok
+
+
 def _values(buf: np.ndarray, rows: _Rows, i: int, name: str) -> np.ndarray:
     """Parse field i, ``name`` in messages: empty is MISSING (NaN), else a finite float() literal.
 
-    All fields go through one bytes-to-float64 cast, which accepts exactly
-    the bytes ``float()`` accepts and rounds the same way.
+    A plain decimal (``-?[0-9]+(\\.[0-9]+)?``, at most 19 bytes after the
+    sign) is converted exactly by ``_decimals``, where long double division
+    is exact. Every other field goes through one bytes-to-float64 cast,
+    which accepts exactly the bytes ``float()`` accepts and rounds the same
+    way, and names the bad rows.
     """
     n = len(rows)
     lo, hi = rows.field(i)
     value_len = hi - lo
     present = value_len > 0
-    values = np.full(n, np.nan)
-    if not present.any():
-        return values
     long = value_len > _MAX_VALUE_BYTES
-    width = int(min(value_len.max(), _MAX_VALUE_BYTES))
-    raw = _windows(buf, lo, np.where(long, 0, value_len), width)
-    raw[~present | long, 0] = _ZERO  # placeholder so the cast succeeds
-    strings = raw.view(f"S{width}").ravel()
     numeric = np.ones(n, dtype=bool)
-    with np.errstate(over="ignore"):
-        try:
-            parsed = strings.astype(np.float64)
-        except ValueError:
-            # Some field is not a number: find which, and cast the rest for the other checks.
-            numeric = np.array([_is_float(s) for s in strings.tolist()])
-            strings[~numeric] = b"0"
-            parsed = strings.astype(np.float64)
-    values[present] = parsed[present]
+    values = np.full(n, np.nan)
+    cast = present
+    if _EXACT_DIVISION and present.any():
+        neg = buf[lo] == _MINUS
+        plain, done = _decimals(buf, hi, value_len - neg)
+        np.negative(plain, out=plain, where=neg)
+        np.copyto(values, plain, where=done)
+        cast = present & ~done
+    at = np.flatnonzero(cast)
+    if len(at):
+        width = int(min(value_len[at].max(), _MAX_VALUE_BYTES))
+        raw = _windows(buf, lo[at], np.where(long[at], 0, value_len[at]), width)
+        raw[long[at], 0] = _ZERO  # placeholder so the cast succeeds
+        strings = raw.view(f"S{width}").ravel()
+        with np.errstate(over="ignore"):
+            try:
+                values[at] = strings.astype(np.float64)
+            except ValueError:
+                # Some field is not a number: find which, and cast the rest for the other checks.
+                numeric[at] = [_is_float(s) for s in strings.tolist()]
+                strings[~numeric[at]] = b"0"
+                values[at] = strings.astype(np.float64)
     rows.cut(
         buf,
         lo,
         hi,
         (long, lambda k, _: f"{name} longer than {_MAX_VALUE_BYTES} bytes"),
         (~numeric, lambda k, text: f"non-numeric {name} {text!r}"),
-        (present & ~np.isfinite(parsed), lambda k, text: f"non-finite {name} {text!r}"),
+        (present & ~np.isfinite(values), lambda k, text: f"non-finite {name} {text!r}"),
     )
     return values[: len(rows)]
 
@@ -595,12 +663,16 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     them. An empty value field also denotes MISSING.
 
     The file is read by ``_read_rows``, which names the first bad line by
-    the first check it fails, and only the key id, window start and value
-    of each row are kept. A duplicate (cell, metric, window_start) before
-    the first bad line raises DuplicatePoint in place of that line's error.
-    A fill of more than MAX_GRID_FILL MISSING windows raises GridTooLarge.
-    A byte anywhere in the file that is not UTF-8 text raises NotUtf8 in
-    place of any other error.
+    the first check it fails. Only the window start and value of each row
+    are kept, with one key id per run of rows of one key. Rows that are
+    already in order, key rank never decreasing and window_start strictly
+    increasing within each key (as ``write_metric_csv`` writes them), are
+    taken as they are; other files are sorted. A duplicate (cell, metric,
+    window_start) before the first bad line raises DuplicatePoint, naming
+    the first in file order, in place of that line's error. A fill of more
+    than MAX_GRID_FILL MISSING windows raises GridTooLarge. A byte anywhere
+    in the file that is not UTF-8 text raises NotUtf8 in place of any other
+    error.
     """
     key_ids: dict[tuple[str, str], int] = {}
 
@@ -610,35 +682,49 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
         ws = _window_starts(buf, rows, 2, "window_start", np.repeat(run_window, run_len))
         values = _values(buf, rows, 3, "value")
         n = len(rows)
-        return np.repeat(run_key, run_len)[:n], ws[:n], values
+        run_len = np.diff(np.minimum(np.cumsum(run_len), n), prepend=0)
+        runs = np.count_nonzero(run_len)  # the runs that keep rows come first
+        return run_key[:runs], run_len[:runs], ws[:n], values
 
-    (key_parts, ws_parts, value_parts), error = _read_rows(path, METRIC_HEADER, columns)
+    (key_parts, len_parts, ws_parts, value_parts), error = _read_rows(path, METRIC_HEADER, columns)
 
-    # Stable sort by (key rank, window_start); equal neighbours are duplicates.
-    # Columns are joined and reordered one at a time to bound the peak memory.
     keys = list(key_ids)
     window_of_key = np.array([catalog[m].window_len for _, m in keys], dtype=np.int64)
     key_of_rank = sorted(range(len(keys)), key=keys.__getitem__)
     rank_of_key = np.empty(len(keys), dtype=np.int64)
     rank_of_key[key_of_rank] = np.arange(len(keys))
-    rank = rank_of_key[_join(key_parts)]
+    run_rank = rank_of_key[_join(key_parts)]
+    run_len = _join(len_parts)
+    run_start = np.cumsum(run_len) - run_len
     ws = _join(ws_parts)
-    order = np.lexsort((ws, rank))
-    rank = rank[order]
-    ws = ws[order]
-    values = _join(value_parts)[order]
-    n = len(rank)
-    dup = np.flatnonzero((rank[1:] == rank[:-1]) & (ws[1:] == ws[:-1])) + 1
-    if len(dup):
-        at = dup[np.argmin(order[dup])]  # the duplicate that comes first in the file
-        cell_id, metric_name = keys[key_of_rank[rank[at]]]
-        raise DuplicatePoint((cell_id, metric_name, int(ws[at])))
+    n = len(ws)
+    key_runs = np.flatnonzero(np.diff(run_rank, prepend=-1))  # each key's first run
+    rising = ws[1:] > ws[:-1]
+    rising[run_start[key_runs[1:]] - 1] = True  # a new key may start anywhere
+    if (np.diff(run_rank) >= 0).all() and rising.all():
+        values = _join(value_parts)
+        seg = run_start[key_runs]
+        seg_rank = run_rank[key_runs]
+    else:
+        # Stable sort by (key rank, window_start); equal neighbours are duplicates.
+        # Columns are reordered one at a time to bound the peak memory.
+        rank = np.repeat(run_rank, run_len)
+        order = np.lexsort((ws, rank))
+        rank = rank[order]
+        ws = ws[order]
+        values = _join(value_parts)[order]
+        dup = np.flatnonzero((rank[1:] == rank[:-1]) & (ws[1:] == ws[:-1])) + 1
+        if len(dup):
+            at = dup[np.argmin(order[dup])]  # the duplicate that comes first in the file
+            cell_id, metric_name = keys[key_of_rank[rank[at]]]
+            raise DuplicatePoint((cell_id, metric_name, int(ws[at])))
+        seg = np.flatnonzero(np.diff(rank, prepend=-1))
+        seg_rank = rank[seg]
     if error is not None:
         raise error
 
     # Grid-fill each key from its first to its last window.
-    seg = np.flatnonzero(np.diff(rank, prepend=-1))
-    seg_key = [key_of_rank[r] for r in rank[seg].tolist()]
+    seg_key = [key_of_rank[r] for r in seg_rank.tolist()]
     seg_len = np.diff(seg, append=n)
     seg_window = window_of_key[seg_key]
     seg_first = ws[seg]

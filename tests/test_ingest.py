@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import random
@@ -233,6 +234,35 @@ class TestParseMetricCsv:
         p = write(tmp_path / "m.csv", f"{self.HEADER}\nc1,rtt,150,1\n")
         with pytest.raises(MalformedRow):
             parse_metric_csv(p, MetricKind.KPI, catalog)
+
+    def test_shuffled_rows_parse_to_the_written_series(self, tmp_path):
+        spec = default_spec(n_cells=2, days=1.0, window_len=1800, seed=5, anomaly_count=2)
+        _, _, kpi, catalog, _ = generate_series(spec)
+        kpi[0].values[3] = np.nan  # an empty field
+        in_order = tmp_path / "in_order.csv"
+        write_metric_csv(kpi, in_order)
+        header, *rows = in_order.read_text().splitlines()
+        random.Random(5).shuffle(rows)
+        shuffled = write(tmp_path / "shuffled.csv", "\n".join([header, *rows]) + "\n")
+        reversed_keys = tmp_path / "reversed_keys.csv"  # each key's rows in order, the keys not
+        write_metric_csv(kpi[::-1], reversed_keys)
+        for p in (in_order, shuffled, reversed_keys):
+            assert parse_metric_csv(p, MetricKind.KPI, catalog) == kpi, p.name
+
+    @pytest.mark.parametrize(
+        "rows, key",
+        [
+            # in order but for the repeat
+            ("c1,rtt,0,1\nc1,rtt,300,2\nc1,rtt,300,3\nc2,rtt,0,1\n", ("c1", "rtt", 300)),
+            # c2's repeat comes first in the file, c1's first in key order
+            ("c2,rtt,0,1\nc2,rtt,0,2\nc1,rtt,300,1\nc1,rtt,300,2\n", ("c2", "rtt", 0)),
+        ],
+    )
+    def test_repeated_point_named_first_in_file_order(self, tmp_path, catalog, rows, key):
+        p = write(tmp_path / "m.csv", f"{self.HEADER}\n{rows}")
+        with pytest.raises(DuplicatePoint) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value.key == key
 
     def test_round_trip_exact(self, tmp_path, catalog):
         rng = random.Random(7)
@@ -759,6 +789,70 @@ def test_first_bad_cdr_row_named_as_the_scalar_grammar_names_it(tmp_path_factory
             except MalformedRow as exc:
                 outcome = (type(exc), exc.line_no, str(exc))
         assert outcome == expected, block_size
+
+
+@st.composite
+def dotted_digits(draw):
+    """1 to 20 digits, leading zeros included, with a dot anywhere or none, and a sign or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=20))
+    dot = draw(st.integers(-1, len(digits)))  # -1: no dot
+    text = digits if dot < 0 else f"{digits[:dot]}.{digits[dot:]}"
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+@st.composite
+def near_midpoints(draw):
+    """15 to 19 significant digits, rounded down or up from the midpoint of two adjacent doubles."""
+    low = draw(st.floats(min_value=2.0**-20, max_value=2.0**63))
+    if draw(st.booleans()):  # the midpoint above a power of two, or the one below it
+        low = math.ldexp(0.5, math.frexp(low)[1])
+        low = math.nextafter(low, 0) if draw(st.booleans()) else low
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        mid = (decimal.Decimal(low) + decimal.Decimal(math.nextafter(low, math.inf))) / 2
+        digits = draw(st.integers(15, 19))
+        rounding = draw(st.sampled_from([decimal.ROUND_DOWN, decimal.ROUND_UP]))
+        text = format(mid.quantize(decimal.Decimal(1).scaleb(mid.adjusted() - digits + 1), rounding), "f")
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+VALUE_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    dotted_digits(),
+    near_midpoints(),
+    st.sampled_from(["-0", "-0.0"]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(VALUE_TEXTS, min_size=1, max_size=60))
+@example(["9007199254740993", "9007199254740991.5", "1.000000000000000111", "0000.5000"])
+@example(["0.12345678901234567", "0.123456789012345678", "-1234567890123456789", "12345678901234567890"])
+@example(["2268.044626227658"])  # 17 bytes whose long-double quotient is a midpoint
+def test_every_value_is_float_of_its_field(tmp_path_factory, texts):
+    p = tmp_path_factory.mktemp("values") / "m.csv"
+    rows = "".join(f"c1,rtt,{300 * i},{t}\n" for i, t in enumerate(texts))
+    p.write_text(f"cell_id,metric_name,window_start,value\n{rows}")
+    catalog = {"rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300)}
+    expected = np.array([float(t) for t in texts]).tobytes()
+    for block_size in (7, 40, 1 << 22):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "BLOCK_SIZE", block_size)
+            (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert series.values.tobytes() == expected, block_size
+
+
+def test_cast_only_route_parses_like_the_plain_decimal_route(tmp_path, monkeypatch):
+    # Where long double division is not exact, every value goes through the cast.
+    calls, _, kpi, catalog, _ = generate_series(default_spec(n_cells=2, seed=4, anomaly_count=2, calls_per_window=4.0))
+    write_metric_csv(kpi, tmp_path / "kpi.csv")
+    write_cdr_csv(calls, tmp_path / "cdr.csv")
+    parsed = parse_metric_csv(tmp_path / "kpi.csv", MetricKind.KPI, catalog), parse_cdr(tmp_path / "cdr.csv")
+    monkeypatch.setattr(ingest, "_EXACT_DIVISION", False)
+    cast = parse_metric_csv(tmp_path / "kpi.csv", MetricKind.KPI, catalog), parse_cdr(tmp_path / "cdr.csv")
+    assert parsed == cast == (kpi, calls)
+    assert [s.values.tobytes() for s in parsed[0]] == [s.values.tobytes() for s in cast[0]]
+    assert parsed[1].duration.tobytes() == cast[1].duration.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
