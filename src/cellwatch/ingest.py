@@ -246,9 +246,8 @@ _MAX_WS_DIGITS = 18  # |window_start| < 10**18: fits int64 with room for grid ar
 _MAX_VALUE_BYTES = 40  # a value or a duration; repr() of a float64 needs at most 24
 _MAX_KEY_WINDOW = 64  # longer (cell_id, metric) keys are compared byte for byte
 _MAX_DECIMAL_BYTES = 19  # a plain decimal of at most 19 digits has a mantissa below 10**19 < 2**64
-_PAD = max(_MAX_VALUE_BYTES, _MAX_KEY_WINDOW) + 1
-_LEAD = max(_MAX_WS_DIGITS, _MAX_DECIMAL_BYTES)  # digit windows are read back from the end of their field
-_NL, _CR, _COMMA, _MINUS, _DOT, _ZERO, _ONE = (ord(c) for c in "\n\r,-.01")
+_LEAD = max(_MAX_WS_DIGITS, _MAX_VALUE_BYTES, _MAX_KEY_WINDOW, _MAX_DECIMAL_BYTES)  # windows end at a field end
+_NL, _CR, _SPACE, _COMMA, _MINUS, _DOT, _ZERO, _ONE = (ord(c) for c in "\n\r ,-.01")
 
 # A plain decimal m / 10**f is converted by one long-double division, which
 # is exact only where long double is IEEE: x87 extended (63 stored mantissa
@@ -261,21 +260,20 @@ _POW10 = (np.uint64(10) ** np.arange(_MAX_DECIMAL_BYTES, dtype=np.uint64)).astyp
 def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
     """The file as blocks of whole lines in file order: a buffer and the end of its content.
 
-    The content starts at _LEAD, after zero bytes, and zero padding follows
-    it, so a fixed-width window may end or start at any content byte. Each
-    read takes BLOCK_SIZE bytes and the block ends after its last line feed;
-    the bytes after that start the next block. A block whose reads find no
-    line feed reads on, doubling its buffer when it is full. The last block
-    ends with a line feed even when the file does not. Each read is checked
-    as UTF-8 text as it arrives, and a byte that is not raises NotUtf8 with
-    its offset in the file.
+    The content starts at _LEAD, after zero bytes, so a fixed-width window may
+    end at any content byte. Each read takes BLOCK_SIZE bytes and the block
+    ends after its last line feed; the bytes after that start the next block.
+    A block whose reads find no line feed reads on, doubling its buffer when
+    it is full. The last block ends with a line feed even when the file does
+    not. Each read is checked as UTF-8 text as it arrives, and a byte that is
+    not raises NotUtf8 with its offset in the file.
     """
     offset = 0  # file offset of the block's content
     carry = b""
     checked = 0  # bytes of the carry that are known to be UTF-8 text
     with open(path, "rb") as fh:
         while True:
-            data = bytearray(_LEAD + len(carry) + BLOCK_SIZE + _PAD + 1)
+            data = bytearray(_LEAD + len(carry) + BLOCK_SIZE + 1)  # + the line feed that may end the file
             size = _LEAD + len(carry)
             data[_LEAD:size] = carry
             checked += _LEAD
@@ -286,7 +284,7 @@ def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
                 end = data.rfind(b"\n", searched, size) + 1 if got else size
                 if end:
                     break
-                if len(data) < size + BLOCK_SIZE + _PAD + 1:
+                if len(data) < size + BLOCK_SIZE + 1:
                     grown = bytearray(2 * len(data))
                     grown[:size] = memoryview(data)[:size]
                     data = grown
@@ -315,11 +313,19 @@ def _check_utf8(path: str | Path, data: bytearray, lo: int, hi: int, offset: int
         raise NotUtf8(path, exc, offset + lo) from None
 
 
-def _windows(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
-    """(rows, width) uint8 copy of buf[start:start+width], zeroed past each length."""
-    out = sliding_window_view(buf, width)[starts]
-    out *= np.arange(width) < lengths[:, None]
-    return out
+def _tails(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray, limit: int, fill: int) -> np.ndarray:
+    """The last ``width = min(max(n_bytes), limit)`` bytes (at least 1) of each field that ends at ``hi``.
+
+    Row j of the (width, rows) uint8 matrix holds byte j of every field's window; bytes before a field read as ``fill``.
+    """
+    width = int(min(n_bytes.max(initial=1), limit))
+    text = np.ascontiguousarray(sliding_window_view(buf, width)[hi - width].T)
+    inside = np.arange(width, dtype=np.uint8)[:, None] >= np.clip(width - n_bytes, 0, width).astype(np.uint8)
+    # uint8 wraps around, so (byte - fill) * inside + fill is the byte inside a field and fill before it.
+    text -= np.uint8(fill)
+    text *= inside
+    text += np.uint8(fill)
+    return text
 
 
 @dataclass
@@ -422,22 +428,22 @@ def _key_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group rows into runs of one (cell, metric) key and check each metric.
 
-    ``key_ids`` maps each key seen so far to its id, and gains the new keys.
-    Returns the key id, window length and row count of each run. A run whose
-    metric is unknown or of the wrong kind cuts the rows.
+    A run starts where the key ``cell_id,metric_name`` differs from the row
+    before in length or in a byte row of its ``_tails`` window; a longer key
+    is compared byte for byte. ``key_ids`` maps each key seen so far to its
+    id, and gains the new keys. Returns the key id, window length and row
+    count of each run. A run whose metric is unknown or of the wrong kind
+    cuts the rows.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    n = len(rows)
     key_end = rows.commas[1]
     key_len = key_end - rows.start
-    new_run = np.ones(n, dtype=bool)
-    if n > 1:
-        width = int(min(key_len.max(), _MAX_KEY_WINDOW))
-        keys = _windows(buf, rows.start, key_len, width).view(f"S{width}").ravel()
-        new_run[1:] = (key_len[1:] != key_len[:-1]) | (keys[1:] != keys[:-1])
-        for i in np.flatnonzero(~new_run & (key_len > width)).tolist():
-            here = data[rows.start[i] : key_end[i]]
-            new_run[i] = here != data[rows.start[i - 1] : key_end[i - 1]]
+    keys = _tails(buf, key_end, key_len, _MAX_KEY_WINDOW, 0)
+    new_run = np.ones(len(rows), dtype=bool)
+    new_run[1:] = (key_len[1:] != key_len[:-1]) | (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    for i in np.flatnonzero(~new_run & (key_len > len(keys))).tolist():
+        here = data[rows.start[i] : key_end[i]]
+        new_run[i] = here != data[rows.start[i - 1] : key_end[i - 1]]
     run_first = np.flatnonzero(new_run)
 
     run_key: list[int] = []
@@ -465,23 +471,21 @@ def _key_runs(
 
 
 def _window_starts(buf: np.ndarray, rows: _Rows, i: int, name: str, window_len: np.ndarray | int) -> np.ndarray:
-    """Parse field i, ``name`` in messages: an optional '-' and 1..18 digits, aligned to window_len."""
-    n = len(rows)
+    """Parse field i, ``name`` in messages: an optional '-' and 1..18 digits, aligned to window_len.
+
+    The digits come from ``_tails``, where the sign and the bytes before the field read as '0'.
+    """
     lo, hi = rows.field(i)
     neg = buf[lo] == _MINUS
     n_digits = hi - lo - neg
-    integer = n_digits >= 1
     long = n_digits > _MAX_WS_DIGITS
-    ws = np.zeros(n, dtype=np.int64)
-    if n:
-        # Right-aligned at the comma after the field; bytes before it count as 0.
-        width = int(min(max(n_digits.max(), 1), _MAX_WS_DIGITS))
-        digits = sliding_window_view(buf, width)[hi - width] - np.uint8(_ZERO)
-        digits *= np.arange(width) >= width - n_digits[:, None]
-        integer &= (digits <= 9).all(axis=1)
-        for col in range(width):
-            ws *= 10
-            ws += digits[:, col]
+    digits = _tails(buf, hi, n_digits, _MAX_WS_DIGITS, _ZERO)
+    digits -= np.uint8(_ZERO)
+    integer = (n_digits >= 1) & (digits <= 9).all(axis=0)
+    ws = np.zeros(len(rows), dtype=np.int64)
+    for row in digits:
+        ws *= 10
+        ws += row
     if long.any():
         # The window holds only a long field's last digits. Every long field is
         # bad, so only the first can be the first bad row: check all of that one.
@@ -509,20 +513,15 @@ def _decimals(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray) -> tuple[np.
     the division rounds once to at least 64 bits, so rounding the quotient
     to float64 gives ``float()``'s value unless the quotient lies exactly
     halfway between two doubles, where ties to even may pick the wrong one.
+    The fields come from ``_tails``, where the bytes before a field read as '0'.
     """
-    # Row j of text holds byte j of every field's window, right-aligned at
-    # hi: a field starts at byte width - n_bytes, and earlier bytes read as 0.
-    width = int(min(max(n_bytes.max(), 1), _MAX_DECIMAL_BYTES))
-    text = np.ascontiguousarray(sliding_window_view(buf, width)[hi - width].T)
-    col = np.arange(width, dtype=np.uint8)[:, None]
-    inside = col >= np.clip(width - n_bytes, 0, width).astype(np.uint8)
-    dot = (text == _DOT) & inside
+    text = _tails(buf, hi, n_bytes, _MAX_DECIMAL_BYTES, _ZERO)
+    width = len(text)
+    dot = text == _DOT
     text -= np.uint8(_ZERO)
-    text *= inside
     ok = ((text <= 9) | dot).all(axis=0)
-    del inside  # the last block's temporaries are part of the parse's peak
     dots = dot.sum(axis=0, dtype=np.uint8)
-    fraction = ((width - 1 - col) * dot).sum(axis=0, dtype=np.uint8)  # digits after the dot
+    fraction = (np.arange(width, dtype=np.uint8)[::-1, None] * dot).sum(axis=0, dtype=np.uint8)  # digits after the dot
     ok &= (n_bytes >= 1) & (n_bytes <= width)
     ok &= (dots == 0) | ((dots == 1) & (fraction >= 1) & (fraction < n_bytes - 1))  # not 5. or .5
     # The dot reads as digit 0 with no multiply by 10.
@@ -557,7 +556,8 @@ def _values(buf: np.ndarray, rows: _Rows, i: int, name: str) -> np.ndarray:
     sign) is converted exactly by ``_decimals``, where long double division
     is exact. Every other field goes through one bytes-to-float64 cast,
     which accepts exactly the bytes ``float()`` accepts and rounds the same
-    way, and names the bad rows.
+    way, and names the bad rows. The cast reads the fields as ``_tails``
+    gives them, right-aligned with leading spaces, which both skip.
     """
     n = len(rows)
     lo, hi = rows.field(i)
@@ -574,19 +574,17 @@ def _values(buf: np.ndarray, rows: _Rows, i: int, name: str) -> np.ndarray:
         np.copyto(values, plain, where=done)
         cast = present & ~done
     at = np.flatnonzero(cast)
-    if len(at):
-        width = int(min(value_len[at].max(), _MAX_VALUE_BYTES))
-        raw = _windows(buf, lo[at], np.where(long[at], 0, value_len[at]), width)
-        raw[long[at], 0] = _ZERO  # placeholder so the cast succeeds
-        strings = raw.view(f"S{width}").ravel()
-        with np.errstate(over="ignore"):
-            try:
-                values[at] = strings.astype(np.float64)
-            except ValueError:
-                # Some field is not a number: find which, and cast the rest for the other checks.
-                numeric[at] = [_is_float(s) for s in strings.tolist()]
-                strings[~numeric[at]] = b"0"
-                values[at] = strings.astype(np.float64)
+    raw = _tails(buf, hi[at], np.where(long[at], 0, value_len[at]), _MAX_VALUE_BYTES, _SPACE)
+    raw[-1, long[at]] = _ZERO  # placeholder so the cast succeeds
+    strings = np.ascontiguousarray(raw.T).view(f"S{len(raw)}").ravel()
+    with np.errstate(over="ignore"):
+        try:
+            values[at] = strings.astype(np.float64)
+        except ValueError:
+            # Some field is not a number: find which, and cast the rest for the other checks.
+            numeric[at] = [_is_float(s) for s in strings.tolist()]
+            strings[~numeric[at]] = b"0"
+            values[at] = strings.astype(np.float64)
     rows.cut(
         buf,
         lo,

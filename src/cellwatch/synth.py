@@ -138,6 +138,8 @@ class ScenarioSpec:
         return cat
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.n_cells < 1:
             raise InvalidSpec("n_cells must be >= 1")
         if self.days <= 0 or self.window_len <= 0:
@@ -182,9 +184,16 @@ class ScenarioSpec:
         else:
             cells = set(self.cell_ids())
             end = self.n_windows * self.window_len
-            for a in self.anomalies:
+            for i, a in enumerate(self.anomalies):
                 if a.magnitude <= 0:
                     raise InvalidSpec("planted magnitudes must be > 0")
+                if a.n_windows < 1:
+                    raise InvalidSpec(f"anomalies[{i}].n_windows must be >= 1, got {a.n_windows}")
+                if a.start_window % self.window_len:
+                    raise InvalidSpec(
+                        f"anomalies[{i}].start_window {a.start_window}"
+                        f" is not a multiple of window_len {self.window_len}"
+                    )
                 if a.metric not in kqis:
                     raise InvalidSpec(f"anomaly targets non-KQI metric {a.metric!r}")
                 if a.cell_id not in cells:

@@ -483,6 +483,12 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert doc["config"]["min_samples"] == 3
 
 
+def planted(start_window, n_windows):
+    """A spec document's explicit anomaly on cell-000's page_load_ms."""
+    return {"cell_id": "cell-000", "metric": "page_load_ms", "start_window": start_window,
+            "n_windows": n_windows, "magnitude": 8.0}
+
+
 class TestMalformedDocuments:
     """Every malformed config or data document exits 1 and names the key path."""
 
@@ -559,6 +565,12 @@ class TestMalformedDocuments:
             (lambda d: d["cdr"].update(duration_mean=0.0), "cdr.duration_mean must be finite and > 0"),
             (lambda d: d["cdr"].update(calls_per_window=4.0, duration_mean=-120.0),
              "cdr.duration_mean must be finite and > 0"),
+            (lambda d: d.update(seed=-3), "seed must be >= 0, got -3"),
+            # 61200 is the first test window of this spec
+            (lambda d: d.update(anomalies=[planted(61200, 0)]), "anomalies[0].n_windows must be >= 1, got 0"),
+            (lambda d: d.update(anomalies=[planted(61200, -3)]), "anomalies[0].n_windows must be >= 1, got -3"),
+            (lambda d: d.update(anomalies=[planted(61207, 2)]),
+             "anomalies[0].start_window 61207 is not a multiple of window_len 1800"),
         ],
     )
     def test_gen_spec(self, tmp_path, caplog, edit, message):
@@ -569,6 +581,13 @@ class TestMalformedDocuments:
         rc, log = self.run(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")], caplog)
         assert rc == 1
         assert message in log
+
+    def test_gen_negative_seed_override(self, tmp_path, caplog):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(encode(synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=5))))
+        rc, log = self.run(["gen", "--spec", str(spec), "--seed", "-3", "--out", str(tmp_path / "d")], caplog)
+        assert rc == 1
+        assert "seed must be >= 0, got -3" in log
 
     @pytest.mark.parametrize(
         "cdr, message",
@@ -589,6 +608,17 @@ class TestMalformedDocuments:
         )
         assert rc == 1
         assert message in log
+
+    def test_fogsim_scenario_negative_seed(self, tmp_path, caplog):
+        spec = encode(synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=-3))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"spec": spec}))
+        rc, log = self.run(
+            ["fogsim", "--scenario", str(scenario), "--strategy", "CENTRALIZED", "--out", str(tmp_path / "r.json")],
+            caplog,
+        )
+        assert rc == 1
+        assert "seed must be >= 0, got -3" in log
 
     def test_gen_spec_list(self, tmp_path, caplog):
         spec = tmp_path / "spec.json"

@@ -334,6 +334,15 @@ PARITY_ACCEPTED = {
             ("x" * 70 + "b", "rtt", [(0, 2.0), (300, 3.0)]),
         ],
     ),
+    "long_keys_differing_at_the_start": (
+        "cell_id,metric_name,window_start,value\n"
+        f"a{'x' * 70},rtt,0,1.0\nb{'x' * 70},rtt,0,2.0\nb{'x' * 70},rtt,300,3.0\n"
+        f"a{'x' * 70},rtt,300,4.0\na{'x' * 70},rtt,600,5.0\n",
+        [
+            ("a" + "x" * 70, "rtt", [(0, 1.0), (300, 4.0), (600, 5.0)]),
+            ("b" + "x" * 70, "rtt", [(0, 2.0), (300, 3.0)]),
+        ],
+    ),
 }
 
 

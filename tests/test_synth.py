@@ -141,6 +141,20 @@ class TestGenerate:
         spec.anomalies = [PlantedAnomaly("cell-000", "nope", spec.train_cutoff_window, 2, 8.0)]
         with pytest.raises(InvalidSpec):
             generate_series(spec)
+        for offset, n_windows, message in [
+            (0, 0, r"anomalies\[0\]\.n_windows must be >= 1, got 0"),
+            (0, -3, r"anomalies\[0\]\.n_windows must be >= 1, got -3"),
+            (7, 2, r"anomalies\[0\]\.start_window \d+ is not a multiple of window_len 1800"),
+        ]:
+            spec = small_spec()
+            start = spec.train_cutoff_window + offset
+            spec.anomalies = [PlantedAnomaly("cell-000", "page_load_ms", start, n_windows, 8.0)]
+            with pytest.raises(InvalidSpec, match=message):
+                generate_series(spec)
+        with pytest.raises(InvalidSpec, match="seed must be >= 0, got -3"):
+            generate_series(small_spec(seed=-3))
+        with pytest.raises(InvalidSpec, match="seed must be >= 0, got -3"):
+            generate_series(small_spec(), seed=-3)
 
     @pytest.mark.parametrize(
         "traffic, message",
