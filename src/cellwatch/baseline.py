@@ -36,6 +36,9 @@ SCALE_EPSILON = 1e-9
 
 MODEL_SCHEMA_VERSION = 2
 
+# a fit and a loaded model hold a keys x bin_count matrix
+MAX_BIN_COUNT = 4096
+
 BaselineKey = tuple[str, str, int]  # (cell_id, metric_name, hour 0..23)
 
 
@@ -123,8 +126,8 @@ class DetectorConfig:
     bounds: dict[str, tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
-        if self.bin_count < 8:
-            raise ValueError("bin_count must be >= 8")
+        if not 8 <= self.bin_count <= MAX_BIN_COUNT:
+            raise ValueError(f"bin_count must be in [8, {MAX_BIN_COUNT}], got {self.bin_count}")
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be > 0 and finite")
         if self.min_samples < 1:

@@ -296,6 +296,33 @@ class TestExitCodes:
         assert rc == 1
         assert "zero total mass" in caplog.text
 
+    def test_model_bin_count_over_the_limit_is_exit_1(self, workspace, tmp_path, caplog):
+        # one key and no bins: only bin_count would size the keys x bins matrix
+        doc = {
+            "schema_version": 2,
+            "config": {"bin_count": 10**15, "tau": 5.0, "min_samples": 1, "bounds": None},
+            "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
+            "keys": {"cell_names": ["c1"], "metric_names": ["m1"], "cell": [0], "metric": [0], "hour": [0]},
+            "sketches": {"bin_count": 10**15, "lo": [0.0], "hi": [1.0], "underflow": [1], "overflow": [0],
+                         "nbins": [0], "bins": [], "counts": []},
+        }
+        data, bad = workspace / "data", tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        caplog.clear()
+        rc = main(
+            ["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--model", str(bad), "--out", str(tmp_path / "events.jsonl")]
+        )
+        assert rc == 1
+        assert "bin_count must be in [8, 4096], got 1000000000000000" in caplog.text
+        caplog.clear()
+        rc = main(
+            ["train", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+             "--out", str(tmp_path / "m.json"), "--bins", "4097"]
+        )
+        assert rc == 2  # a flag out of range, as for every detector setting
+        assert "bin_count must be in [8, 4096], got 4097" in caplog.text
+
     def test_v1_model_asks_for_retraining(self, workspace, tmp_path, caplog):
         data = workspace / "data"
         v1 = {"schema_version": 1, "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
@@ -571,6 +598,8 @@ class TestMalformedDocuments:
             (lambda d: d.update(anomalies=[planted(61200, -3)]), "anomalies[0].n_windows must be >= 1, got -3"),
             (lambda d: d.update(anomalies=[planted(61207, 2)]),
              "anomalies[0].start_window 61207 is not a multiple of window_len 1800"),
+            (lambda d: d.update(days=1e12), "points per metric, more than 16777216"),
+            (lambda d: d["cdr"].update(calls_per_window=1e15), "expects more than 16777216 calls"),
         ],
     )
     def test_gen_spec(self, tmp_path, caplog, edit, message):
