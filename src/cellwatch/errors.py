@@ -59,6 +59,17 @@ class GridTooLarge(CellwatchError):
         self.key = key
 
 
+class TooManyItemsets(CellwatchError):
+    """Counting the itemsets of the transactions would enumerate more subsets than the limit."""
+
+    def __init__(self, subsets: int, limit: int, widest: int, max_len: int):
+        super().__init__(
+            f"counting itemsets of up to {max_len} symptoms would enumerate {subsets} subsets, "
+            f"more than {limit}; the widest transaction has {widest} symptoms"
+        )
+        self.subsets = subsets
+
+
 class TooFewPoints(CellwatchError):
     """A series does not carry enough usable points for the operation."""
 

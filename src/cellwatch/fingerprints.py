@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .baseline import BaselineModel, Direction, hour_bucket, robust_score
-from .errors import CorruptDb, SchemaMismatch, UnknownKey
+from .errors import CorruptDb, SchemaMismatch, TooManyItemsets, UnknownKey
 from .ingest import MetricKind, MetricSeries
 from .jsondoc import decode, dumps, read, require_object
 from .postfilter import AnomalyEvent
@@ -35,6 +35,10 @@ from .postfilter import AnomalyEvent
 log = logging.getLogger(__name__)
 
 DB_SCHEMA_VERSION = 1
+
+# itemset_count_tables enumerates at most this many subsets of transactions
+# in one call; a larger count is refused before any subset is built.
+MAX_ITEMSETS = 2**24
 
 
 class SymptomState(str, Enum):
@@ -312,7 +316,9 @@ def itemset_count_tables(transactions: list[Transaction], max_len: int) -> Count
 
     Transactions of one consequent and width w share one id matrix; its
     C(w, k) column combinations for each k <= max_len give every subset key,
-    and one ``np.unique`` per consequent counts them.
+    and one ``np.unique`` per consequent counts them. If the subsets of all
+    transactions, Σ_{k≤max_len} C(w, k) each, number more than MAX_ITEMSETS,
+    TooManyItemsets is raised before any is enumerated.
     """
     vocab = sorted({it for t in transactions for it in t.items}, key=lambda it: it.token)
     widest = max((len(t.items) for t in transactions), default=0)
@@ -324,6 +330,13 @@ def itemset_count_tables(transactions: list[Transaction], max_len: int) -> Count
         tables.consequent_totals[t.consequent] = tables.consequent_totals.get(t.consequent, 0) + 1
         by_width = groups.setdefault(t.consequent, {})
         by_width.setdefault(len(t.items), []).append(sorted(index[it] for it in t.items))
+    subsets = sum(
+        len(rows) * sum(math.comb(w, k) for k in range(1, min(max_len, w) + 1))
+        for by_width in groups.values()
+        for w, rows in by_width.items()
+    )
+    if subsets > MAX_ITEMSETS:
+        raise TooManyItemsets(subsets, MAX_ITEMSETS, widest, max_len)
 
     for q, by_width in groups.items():
         found = [np.empty(0, tables.key_dtype)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import math
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -237,8 +238,9 @@ def write_cdr_csv(calls: CdrCalls, path: str | Path) -> None:
 
 
 # CSVs are read in blocks of this many bytes, each cut after its last line
-# feed, so a parse holds its parsed columns and one block of the file.
-BLOCK_SIZE = 1 << 22
+# feed. Two blocks are parsed at a time, one by the caller and one by a
+# worker thread, so a parse holds its parsed columns and two blocks of the file.
+BLOCK_SIZE = 1 << 21
 
 # CSV grammar limits. Windows of at most this many bytes are cut out of the
 # block buffer per row, so the limits also bound the parser's memory.
@@ -266,7 +268,9 @@ def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
     A block whose reads find no line feed reads on, doubling its buffer when
     it is full. The last block ends with a line feed even when the file does
     not. Each read is checked as UTF-8 text as it arrives, and a byte that is
-    not raises NotUtf8 with its offset in the file.
+    not raises NotUtf8 with its offset in the file. Each block is a new
+    buffer that the generator does not touch once it is yielded, so another
+    thread may parse it while the next block is read.
     """
     offset = 0  # file offset of the block's content
     carry = b""
@@ -424,16 +428,15 @@ def _locate_rows(data: bytearray, size: int, body: int, first_line: int, fields:
 
 
 def _key_runs(
-    data: bytearray, rows: _Rows, kind: MetricKind, catalog: Catalog, key_ids: dict[tuple[str, str], int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    data: bytearray, rows: _Rows, kind: MetricKind, catalog: Catalog
+) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
     """Group rows into runs of one (cell, metric) key and check each metric.
 
     A run starts where the key ``cell_id,metric_name`` differs from the row
     before in length or in a byte row of its ``_tails`` window; a longer key
-    is compared byte for byte. ``key_ids`` maps each key seen so far to its
-    id, and gains the new keys. Returns the key id, window length and row
-    count of each run. A run whose metric is unknown or of the wrong kind
-    cuts the rows.
+    is compared byte for byte. Returns the (cell_id, metric_name) key,
+    window length and row count of each run. A run whose metric is unknown
+    or of the wrong kind cuts the rows.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     key_end = rows.commas[1]
@@ -446,7 +449,7 @@ def _key_runs(
         new_run[i] = here != data[rows.start[i - 1] : key_end[i - 1]]
     run_first = np.flatnonzero(new_run)
 
-    run_key: list[int] = []
+    run_key: list[tuple[str, str]] = []
     run_window: list[int] = []
     for i, a, b, e in zip(
         run_first.tolist(),
@@ -463,11 +466,10 @@ def _key_runs(
             message = f"metric {metric_name!r} is {info.kind.value}, expected {kind.value}"
             rows.truncate(i, MalformedRow(rows.line_no(i), message))
             break
-        key = (data[a:b].decode("utf-8"), metric_name)
-        run_key.append(key_ids.setdefault(key, len(key_ids)))
+        run_key.append((data[a:b].decode("utf-8"), metric_name))
         run_window.append(info.window_len)
     run_len = np.diff(run_first[: len(run_key)], append=len(rows))
-    return np.array(run_key, dtype=np.int64), np.array(run_window, dtype=np.int64), run_len
+    return run_key, np.array(run_window, dtype=np.int64), run_len
 
 
 def _window_starts(buf: np.ndarray, rows: _Rows, i: int, name: str, window_len: np.ndarray | int) -> np.ndarray:
@@ -617,37 +619,65 @@ def _is_float(s: bytes) -> bool:
 
 
 def _read_rows(
-    path: str | Path, header: list[str], columns: Callable[[bytearray, _Rows], tuple[np.ndarray, ...]]
-) -> tuple[list[list[np.ndarray]], CellwatchError | None]:
-    """Read a CSV with this header in blocks of whole lines: each column's arrays, and the first error.
+    path: str | Path, header: list[str], columns: Callable[[bytearray, _Rows], tuple]
+) -> tuple[list[list], CellwatchError | None]:
+    """Read a CSV with this header in blocks of whole lines: each column's parts, and the first error.
 
     ``_locate_rows`` finds a block's rows, one field per header column, and
-    ``columns(data, rows)`` parses them into arrays cut to the rows it
+    ``columns(data, rows)`` parses them into parts cut to the rows it
     leaves. Its checks run as array operations over the rows, in column
     order; one that fails drops its first bad row and all later ones from
     the rows the next checks see, and records that row's error
     (``_Rows.cut``). So the first bad line is named by the first check it
-    fails, as a row-by-row reader would name it. No later block is parsed;
-    the rest of the file is only checked as UTF-8 text. A wrong header
-    raises MalformedHeader, and a byte anywhere in the file that is not
-    UTF-8 text raises NotUtf8 in place of any other error.
+    fails, as a row-by-row reader would name it.
+
+    The caller reads the blocks and checks them as UTF-8 text. It hands
+    every other block to one worker thread and parses the block in between
+    itself, then takes the two results in file order; each block's first
+    line number is counted before it is parsed. Once a block's rows carry
+    an error, the results of later blocks are dropped and no further block
+    is parsed; the rest of the file is only checked as UTF-8 text. So the
+    parts and the error are those of a reader that parses one block after
+    another. A wrong header raises MalformedHeader, and a byte anywhere in
+    the file that is not UTF-8 text raises NotUtf8 in place of any other
+    error. An exception raised by a parse reaches the caller unchanged.
     """
     got: list[str] | None = None
-    blocks: list[tuple[np.ndarray, ...]] = []
+    blocks: list[tuple] = []
     error: CellwatchError | None = None
     lines_before = 1  # the header
-    for data, size in _blocks(path):
-        body = _LEAD
-        if got is None:
-            body = data.find(b"\n", _LEAD) + 1
-            line = data[_LEAD : body - 1].removesuffix(b"\r")
-            got = line.decode("utf-8").split(",") if line else []
-        if got != header or error is not None:
-            continue  # the rest of the file is only checked for UTF-8
-        rows = _locate_rows(data, size, body, lines_before + 1, len(header))
-        blocks.append(columns(data, rows))
-        error = rows.error
-        lines_before += rows.lines
+
+    def parse(data: bytearray, size: int, body: int, first_line: int) -> tuple[tuple, CellwatchError | None]:
+        rows = _locate_rows(data, size, body, first_line, len(header))
+        return columns(data, rows), rows.error
+
+    def take(parts: tuple, block_error: CellwatchError | None) -> None:
+        nonlocal error
+        if error is None:
+            blocks.append(parts)
+            error = block_error
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None  # the worker's block, which comes before the caller's
+        for data, size in _blocks(path):
+            body = _LEAD
+            if got is None:
+                body = data.find(b"\n", _LEAD) + 1
+                line = data[_LEAD : body - 1].removesuffix(b"\r")
+                got = line.decode("utf-8").split(",") if line else []
+            if got != header or error is not None:
+                continue  # the rest of the file is only checked for UTF-8
+            first_line = lines_before + 1
+            lines_before += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[body:size] == _NL))
+            if pending is None:
+                pending = worker.submit(parse, data, size, body, first_line)
+            else:
+                mine = parse(data, size, body, first_line)
+                take(*pending.result())
+                take(*mine)
+                pending = None
+        if pending is not None:
+            take(*pending.result())
     if got != header:
         raise MalformedHeader(f"expected columns {header}, got {got}")
     return [list(parts) for parts in zip(*blocks)], error
@@ -660,23 +690,23 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     grid gaps are filled with MISSING so that cleaning can see and report
     them. An empty value field also denotes MISSING.
 
-    The file is read by ``_read_rows``, which names the first bad line by
-    the first check it fails. Only the window start and value of each row
-    are kept, with one key id per run of rows of one key. Rows that are
-    already in order, key rank never decreasing and window_start strictly
-    increasing within each key (as ``write_metric_csv`` writes them), are
-    taken as they are; other files are sorted. A duplicate (cell, metric,
-    window_start) before the first bad line raises DuplicatePoint, naming
-    the first in file order, in place of that line's error. A fill of more
-    than MAX_GRID_FILL MISSING windows raises GridTooLarge. A byte anywhere
-    in the file that is not UTF-8 text raises NotUtf8 in place of any other
-    error.
+    The file is read by ``_read_rows``, which names the first bad line by the
+    first check it fails and parses two blocks at a time. Only the window
+    start and value of each row are kept, with one (cell, metric) key per run
+    of rows of one key; the keys are numbered here, in file order, once the
+    blocks are read. Rows that are already in order, key rank never decreasing
+    and window_start strictly increasing within each key (as
+    ``write_metric_csv`` writes them), are taken as they are; other files are
+    sorted. A duplicate (cell, metric, window_start) before the first bad line
+    raises DuplicatePoint, naming the first in file order, in place of that
+    line's error. A fill of more than MAX_GRID_FILL MISSING windows raises
+    GridTooLarge. A byte anywhere in the file that is not UTF-8 text raises
+    NotUtf8 in place of any other error.
     """
-    key_ids: dict[tuple[str, str], int] = {}
 
-    def columns(data: bytearray, rows: _Rows) -> tuple[np.ndarray, ...]:
+    def columns(data: bytearray, rows: _Rows) -> tuple:
         buf = np.frombuffer(data, dtype=np.uint8)
-        run_key, run_window, run_len = _key_runs(data, rows, kind, catalog, key_ids)
+        run_key, run_window, run_len = _key_runs(data, rows, kind, catalog)
         ws = _window_starts(buf, rows, 2, "window_start", np.repeat(run_window, run_len))
         values = _values(buf, rows, 3, "value")
         n = len(rows)
@@ -686,12 +716,14 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
 
     (key_parts, len_parts, ws_parts, value_parts), error = _read_rows(path, METRIC_HEADER, columns)
 
+    key_ids: dict[tuple[str, str], int] = {}
+    run_key = [key_ids.setdefault(key, len(key_ids)) for part in key_parts for key in part]
     keys = list(key_ids)
     window_of_key = np.array([catalog[m].window_len for _, m in keys], dtype=np.int64)
     key_of_rank = sorted(range(len(keys)), key=keys.__getitem__)
     rank_of_key = np.empty(len(keys), dtype=np.int64)
     rank_of_key[key_of_rank] = np.arange(len(keys))
-    run_rank = rank_of_key[_join(key_parts)]
+    run_rank = rank_of_key[np.array(run_key, dtype=np.int64)]
     run_len = _join(len_parts)
     run_start = np.cumsum(run_len) - run_len
     ws = _join(ws_parts)

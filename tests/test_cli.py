@@ -9,7 +9,7 @@ import pytest
 from cellwatch.baseline import DetectorConfig, load_model
 from cellwatch.cleaning import CleanConfig
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
-from cellwatch import ingest, synth
+from cellwatch import fingerprints, ingest, synth
 from cellwatch.fingerprints import MineConfig, load_db
 from cellwatch.fogsim import (
     RecordSizes,
@@ -263,6 +263,21 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "('c1', 'm') alone spans 999999999999999 windows without data" in caplog.text
+
+    def test_itemsets_over_the_limit_are_exit_1(self, workspace, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(fingerprints, "MAX_ITEMSETS", 0)
+        data = workspace / "data"
+        caplog.clear()
+        rc = main(
+            ["mine", "--events", str(workspace / "events.jsonl"), "--kpi", str(data / "kpi.csv"),
+             "--model", str(workspace / "model.json"), "--out", str(tmp_path / "db.json"),
+             "--catalog", str(data / "catalog.json")]
+        )
+        assert rc == 1
+        assert "subsets, more than 0" in caplog.text
+        caplog.clear()
+        assert main(["fogsim", "--strategy", "FOG", "--out", str(tmp_path / "r.json")]) == 1
+        assert "subsets, more than 0" in caplog.text
 
     @pytest.mark.parametrize("doc", [{"schema_version": 1}, [1, 2, 3]])
     def test_malformed_model_is_exit_1(self, workspace, tmp_path, doc):

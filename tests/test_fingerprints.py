@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellwatch.baseline import Direction
-from cellwatch.errors import CorruptDb, SchemaMismatch
+from cellwatch import fingerprints
+from cellwatch.errors import CorruptDb, SchemaMismatch, TooManyItemsets
 from cellwatch.fingerprints import (
     Fingerprint,
     FingerprintDb,
@@ -175,6 +176,19 @@ class TestCountTables:
             assert mine_from_counts(merged, cfg) == mine_rare_rules(transactions, cfg)
             vocabularies_differed += len({tuple(p.vocab) for p in parts}) > 1
         assert vocabularies_differed
+
+    def test_subsets_over_the_limit_are_refused_before_any_is_enumerated(self, monkeypatch):
+        transactions = [tx(["a=HIGH", "b=HIGH", "c=HIGH", "d=HIGH"]), tx(["a=HIGH", "b=LOW"], "R")]
+        monkeypatch.setattr(fingerprints, "MAX_ITEMSETS", 18)  # 15 + 3 subsets
+        assert itemset_count_tables(transactions, 4).total == 2
+        monkeypatch.setattr(fingerprints, "MAX_ITEMSETS", 17)
+        monkeypatch.setattr(fingerprints, "combinations", None)  # an enumeration would fail on it
+        message = "up to 4 symptoms would enumerate 18 subsets, more than 17; the widest transaction has 4 symptoms"
+        with pytest.raises(TooManyItemsets, match=message):
+            itemset_count_tables(transactions, 4)
+        monkeypatch.setattr(fingerprints, "MAX_ITEMSETS", 12)  # 4 + 6 + 2 + 1 subsets of at most 2 symptoms
+        with pytest.raises(TooManyItemsets, match="enumerate 13 subsets, more than 12"):
+            mine_rare_rules(transactions, MineConfig(max_antecedent=2))
 
     def test_table_json_is_deterministic(self):
         rng = np.random.default_rng(2)

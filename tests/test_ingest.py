@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import random
+import threading
 import time
 import tracemalloc
 
@@ -636,6 +637,162 @@ class TestBlocks:
         assert peak < 2 * output, f"peak {peak} bytes for {output} bytes of arrays"
 
 
+def in_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+class WorkerLast:
+    """Wraps a function that a block's parse calls once: in the worker thread, the
+    call runs only after the caller's call for the block after it has returned.
+
+    So the worker's block finishes last, and results taken in completion order
+    come out of file order. The worker's i-th call waits for the caller's i-th.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.caller_done = threading.Semaphore(0)
+
+    def __call__(self, *args):
+        if not in_worker():
+            out = self.inner(*args)
+            self.caller_done.release()
+            return out
+        assert self.caller_done.acquire(timeout=10), "the caller parsed no block after the worker's"
+        return self.inner(*args)
+
+
+class TestTwoThreads:
+    """The caller parses every other block and one worker thread the blocks in between.
+
+    At BLOCK_SIZE 64, a file of 16-byte rows is read as blocks of line counts
+    [2, 4, 4, ...]: the header and row 0, then four rows a block.
+    """
+
+    HEADER = b"cell_id,metric_name,window_start,value\n"
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_64_bytes(self, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_SIZE", 64)
+
+    @pytest.fixture
+    def threads_at_start(self):
+        return threading.active_count()
+
+    def write_rows(self, tmp_path, rows):
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.HEADER + b"".join(rows))
+        assert [bytes(d[ingest._LEAD : s]).count(b"\n") for d, s in ingest._blocks(p)] == [
+            2,
+            *[4] * ((len(rows) - 1) // 4),
+        ], "rows do not fill whole blocks"
+        return p
+
+    @staticmethod
+    def row(w, metric=b"rtt", offset=0):
+        return b"c1,%s,%04d,1.0\n" % (metric, 300 * w + offset)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_error_of_block_k_outranks_a_different_error_in_block_k_plus_1(
+        self, tmp_path, catalog, monkeypatch, threads_at_start, k
+    ):
+        bad = 0 if k == 0 else 4 * k - 3  # the first row of block k
+        rows = [self.row(w) for w in range(4 * k + 5)]
+        rows[bad] = self.row(bad, offset=150)
+        rows[bad + (1 if k == 0 else 4)] = self.row(0, b"xyz")  # block k + 1
+        p = self.write_rows(tmp_path, rows)
+        monkeypatch.setattr(ingest, "_values", WorkerLast(ingest._values))
+        with pytest.raises(MalformedRow) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert str(exc.value) == f"line {bad + 2}: window_start {300 * bad + 150} not aligned to window_len 300"
+        assert threading.active_count() == threads_at_start
+
+    def test_exception_in_the_worker_reaches_the_caller_unchanged(
+        self, tmp_path, catalog, monkeypatch, threads_at_start
+    ):
+        p = self.write_rows(tmp_path, [self.row(w) for w in range(9)])
+        boom = RuntimeError("boom")
+        locate = ingest._locate_rows
+
+        def located(*args):
+            if in_worker():
+                raise boom
+            return locate(*args)
+
+        monkeypatch.setattr(ingest, "_locate_rows", located)
+        with pytest.raises(RuntimeError) as exc:
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert exc.value is boom
+        assert threading.active_count() == threads_at_start
+
+    def test_not_utf8_in_a_later_block_is_raised_while_the_worker_parses(
+        self, tmp_path, catalog, monkeypatch, threads_at_start
+    ):
+        rows = [self.row(0, offset=150), *(self.row(w) for w in range(1, 9))]
+        rows[2] = rows[2].replace(b"1.0", b"\xff.0")  # in block 1, read while the worker parses block 0
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.HEADER + b"".join(rows))
+        parsing, release, busy = threading.Event(), threading.Event(), []
+        locate, check = ingest._locate_rows, ingest._check_utf8
+
+        def located(*args):
+            if in_worker():
+                parsing.set()
+                assert release.wait(10), "the caller read no later block while the worker parsed"
+            return locate(*args)
+
+        def checked(*args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except NotUtf8:
+                busy.append(parsing.wait(10) and not release.is_set())
+                release.set()
+                raise
+
+        monkeypatch.setattr(ingest, "_locate_rows", located)
+        monkeypatch.setattr(ingest, "_check_utf8", checked)
+        at = len(self.HEADER) + 2 * 16 + len(b"c1,rtt,0600,")
+        with pytest.raises(NotUtf8, match=f"at byte {at}: invalid start byte"):
+            parse_metric_csv(p, MetricKind.KPI, catalog)
+        assert busy == [True]
+        assert threading.active_count() == threads_at_start
+
+    def test_blocks_are_parsed_on_two_threads_and_taken_in_file_order(self, tmp_path, threads_at_start):
+        p = self.write_rows(tmp_path, [self.row(w) for w in range(13)])
+        threads = []
+
+        def columns(data, rows):
+            threads.append(threading.get_ident())
+            return (rows.first_line + rows.line,)
+
+        (lines,), error = ingest._read_rows(p, ingest.METRIC_HEADER, WorkerLast(columns))
+        assert error is None
+        assert len(threads) == 4 and len(set(threads)) == 2
+        assert np.concatenate(lines).tolist() == list(range(2, 15))
+        assert threading.active_count() == threads_at_start
+
+    def test_cdr_columns_come_back_in_file_order(self, tmp_path, monkeypatch, threads_at_start):
+        calls = cdr(*((f"c{i % 3}", 300 * i, i, i % 2, "aa", "bb") for i in range(18)))
+        p = tmp_path / "cdr.csv"
+        write_cdr_csv(calls, p)
+        blocks = sum(1 for _ in ingest._blocks(p))
+        assert blocks >= 4 and blocks % 2 == 0  # the worker's last block has a caller's block after it
+        monkeypatch.setattr(ingest, "_values", WorkerLast(ingest._values))
+        assert parse_cdr(p) == calls
+        assert threading.active_count() == threads_at_start
+
+
+# _key_runs may run in the worker: it numbers no keys, so no dict is shared.
+def test_key_runs_name_their_keys_for_the_caller_to_number(tmp_path, catalog):
+    p = tmp_path / "m.csv"
+    p.write_bytes(TestTwoThreads.HEADER + b"c1,rtt,0,1\nc2,rtt,0,1\nc1,rtt,300,1\n")
+    data, size = next(ingest._blocks(p))
+    rows = ingest._locate_rows(data, size, ingest._LEAD + len(TestTwoThreads.HEADER), 2, 4)
+    keys, windows, lengths = ingest._key_runs(data, rows, MetricKind.KPI, catalog)
+    assert keys == [("c1", "rtt"), ("c2", "rtt"), ("c1", "rtt")]
+    assert windows.tolist() == [300] * 3 and lengths.tolist() == [1] * 3
+
+
 # Rows for generated files: good rows over three cells (one not ASCII), two
 # metrics with colliding window starts and a third whose window starts have
 # the most digits allowed, and rows that break each rule of the grammar.
@@ -735,7 +892,7 @@ def test_first_bad_row_named_as_the_scalar_grammar_names_it(tmp_path_factory, ca
     text, error = case
     p = tmp_path_factory.mktemp("oracle") / "m.csv"
     p.write_bytes(text)
-    for block_size in (7, 40, 1 << 22):
+    for block_size in (7, 40, ingest.BLOCK_SIZE):  # the size that ships, read before any patch
         outcome = parse_outcome(p, ORACLE_CATALOG, block_size)
         if error is None:
             assert isinstance(outcome, list), block_size
@@ -790,7 +947,7 @@ def test_first_bad_cdr_row_named_as_the_scalar_grammar_names_it(tmp_path_factory
     text, expected = case
     p = tmp_path_factory.mktemp("cdr_oracle") / "cdr.csv"
     p.write_bytes(text)
-    for block_size in (7, 40, 1 << 22):
+    for block_size in (7, 40, ingest.BLOCK_SIZE):  # the size that ships, read before any patch
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "BLOCK_SIZE", block_size)
             try:
@@ -844,7 +1001,7 @@ def test_every_value_is_float_of_its_field(tmp_path_factory, texts):
     p.write_text(f"cell_id,metric_name,window_start,value\n{rows}")
     catalog = {"rtt": MetricInfo(MetricKind.KPI, Polarity.HIGHER_IS_WORSE, 300)}
     expected = np.array([float(t) for t in texts]).tobytes()
-    for block_size in (7, 40, 1 << 22):
+    for block_size in (7, 40, ingest.BLOCK_SIZE):  # the size that ships, read before any patch
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "BLOCK_SIZE", block_size)
             (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
