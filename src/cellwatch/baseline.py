@@ -34,7 +34,7 @@ MAD_CONSISTENCY = 1.4826
 # guard against zero MAD on constant baselines
 SCALE_EPSILON = 1e-9
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 # a fit and a loaded model hold a keys x bin_count matrix
 MAX_BIN_COUNT = 4096
@@ -154,6 +154,7 @@ class BaselineModel:
     config: DetectorConfig
     metric_meta: dict[str, tuple[MetricKind, Polarity]]
     sketches: SketchTable
+    trained_through: int | None = None  # the latest window start of a value in the sketches
 
     @classmethod
     def empty(cls, config: DetectorConfig) -> "BaselineModel":
@@ -199,16 +200,19 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
     nb = cfg.bin_count
     keys: list[BaselineKey] = []
     columns: list[tuple[np.ndarray, ...]] = []
+    lasts: list[int] = []
     # Count rows go straight into one matrix with room for every hour of every
     # pair; joining per-pair pieces would fragment a long-lived process's heap.
     counts = np.zeros((24 * len(per_pair), nb), dtype=np.int64)
     for cell_id, metric in sorted(per_pair):
         group = per_pair[(cell_id, metric)]
         values = np.concatenate([s.values for s in group])
-        hours = hour_bucket(np.concatenate([s.window_starts for s in group]))
         present = ~np.isnan(values)
-        seen, row = np.unique(hours[present], return_inverse=True)
-        values, n = values[present], len(seen)
+        starts, values = np.concatenate([s.window_starts for s in group])[present], values[present]
+        seen, row = np.unique(hour_bucket(starts), return_inverse=True)
+        n = len(seen)
+        if n:
+            lasts.append(int(starts.max()))
         if fixed.get(metric):
             lo, hi = (np.full(n, float(bound)) for bound in fixed[metric])
         else:
@@ -230,42 +234,32 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
     counts.resize((len(keys), nb), refcheck=False)  # in place; nothing else refers to it
     lo, hi, underflow, overflow = (np.concatenate(column) for column in zip(*columns))
     table = SketchTable(keys, lo, hi, counts, underflow, overflow)
-    return BaselineModel(config=cfg, metric_meta=metric_meta, sketches=table)
-
-
-def robust_score(model: BaselineModel, key: BaselineKey, value: float) -> AnomalyScore:
-    """Score one value against its key's histogram baseline.
-
-    score = |value - median| / (1.4826 * MAD + eps); the direction compares
-    the value to the estimated median, and ``degrading`` is true only when
-    that direction is the metric's declared worsening direction. A NaN value
-    scores like a MISSING point in ``score_series``.
-    """
-    keys = model.sketches.keys
-    row = bisect_left(keys, key)
-    if row == len(keys) or keys[row] != key or key[1] not in model.metric_meta:
-        raise UnknownKey(key)
-    hours, values = np.array([key[2]]), np.array([value], dtype=float)
-    scored = _score_values(model, slice(row, row + 1), key[1], hours, values)
-    score, direction, degrading, sufficient = (column.tolist()[0] for column in scored)
-    return AnomalyScore(score, _DIRECTIONS[direction], degrading, sufficient)
+    return BaselineModel(cfg, metric_meta, table, trained_through=max(lasts, default=None))
 
 
 def _score_values(
-    model: BaselineModel, rows: slice, metric_name: str, hours: np.ndarray, values: np.ndarray
+    model: BaselineModel, cell_id: str, metric_name: str, starts: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Score, direction index (0 NONE, 1 UP, 2 DOWN), degrading and sufficiency per value.
 
-    Each value is scored against the row of its hour among ``rows``. A NaN
-    value, or one whose hour has no row (or whose metric has no metadata),
-    scores 0 with no direction and insufficient data.
+    Each value is scored against the sketch of its window start's hour:
+    score = |value - median| / (1.4826 * MAD + eps), the direction compares
+    the value to the estimated median, and degrading means that direction
+    is the metric's declared worsening direction. A NaN value, or one whose
+    hour has no sketch (or whose metric has no metadata), scores 0 with no
+    direction and insufficient data. Raises UnknownKey when the (cell,
+    metric) has no sketch at all.
     """
+    keys = model.sketches.keys
+    rows = slice(*(bisect_left(keys, (cell_id, metric_name, h)) for h in (0, 24)))
+    if rows.start == rows.stop:
+        raise UnknownKey((cell_id, metric_name, hour_bucket(int(starts[0])) if len(starts) else 0))
     total, med, mad = model.sketches.stats(rows)
     meta = model.metric_meta.get(metric_name)
     row_h = np.full(24, -1)  # -1: no sketch for the hour; masked out below
     if meta is not None:
         row_h[[hour for _, _, hour in model.sketches.keys[rows]]] = np.arange(len(med))
-    r = row_h[hours]
+    r = row_h[hour_bucket(starts)]
     scored = ~np.isnan(values) & (r >= 0)
     med = med[r]
     score = np.where(scored, np.abs(values - med) / (MAD_CONSISTENCY * mad[r] + SCALE_EPSILON), 0.0)
@@ -296,13 +290,9 @@ def score_series(
     threshold = model.config.tau if tau is None else tau
     if not 0 < threshold < math.inf:
         raise ValueError("tau must be > 0 and finite")
-    starts, values = test.window_starts, test.values
-    keys = model.sketches.keys
-    rows = slice(*(bisect_left(keys, (test.cell_id, test.metric_name, h)) for h in (0, 24)))
-    if rows.start == rows.stop:
-        raise UnknownKey((test.cell_id, test.metric_name, hour_bucket(int(starts[0])) if len(starts) else 0))
+    starts = test.window_starts
     score, direction, worse, sufficient = _score_values(
-        model, rows, test.metric_name, hour_bucket(starts), values
+        model, test.cell_id, test.metric_name, starts, test.values
     )
     flagged = (score >= threshold) & worse & sufficient
     return [
@@ -323,7 +313,8 @@ def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
 
     All models must share the same config; a key present in several models
     must carry identical bounds and bin count (guaranteed when bounds come
-    from a shared config). The empty model is the identity.
+    from a shared config). The merge is trained through the latest window
+    any model is trained through. The empty model is the identity.
     """
     if not models:
         raise ValueError("nothing to merge")
@@ -353,13 +344,15 @@ def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
         raise IncompatibleSketch(f"sketch geometry differs for key {keys[np.argmax(differs) + 1]}")
     sums = (np.add.reduceat(column, starts) for column in (counts, underflow, overflow))
     table = SketchTable([keys[i] for i in starts], lo[starts], hi[starts], *sums)
-    return BaselineModel(config=config, metric_meta=metric_meta, sketches=table)
+    through = max((m.trained_through for m in models if m.trained_through is not None), default=None)
+    return BaselineModel(config=config, metric_meta=metric_meta, sketches=table, trained_through=through)
 
 
 def model_to_json(model: BaselineModel) -> str:
     """Versioned columnar JSON document; byte-stable for identical models.
 
-    ``keys`` names each table row by its indices into the sorted
+    ``trained_through`` is the last trained window start, null without
+    keys. ``keys`` names each table row by its indices into the sorted
     ``cell_names`` and ``metric_names`` plus its hour. ``sketches`` holds one
     value per row in ``lo``, ``hi``, ``underflow``, ``overflow`` and
     ``nbins``, and the rows' nonzero bins back to back in ``bins`` and
@@ -373,6 +366,7 @@ def model_to_json(model: BaselineModel) -> str:
     rows, bins = np.nonzero(t.counts)
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
+        "trained_through": model.trained_through,
         "config": encode(model.config),
         "metrics": {
             name: {"kind": kind.value, "polarity": polarity.value}
@@ -458,10 +452,14 @@ def _model_from_doc(doc: dict) -> BaselineModel:
     empty = table.sum(axis=1) + underflow + overflow == 0
     if empty.any():
         raise ValueError(f"key {keys[np.argmax(empty)]} has zero total mass")
+    through = doc["trained_through"]
+    if not (through is None if n == 0 else type(through) is int and -(2**63) <= through < 2**63):
+        raise ValueError("trained_through: need an int64 window start, null only for a model without keys")
     return BaselineModel(
         config=cfg,
         metric_meta=metric_meta,
         sketches=SketchTable(keys, lo, hi, table, underflow, overflow),
+        trained_through=through,
     )
 
 

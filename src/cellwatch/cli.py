@@ -120,15 +120,16 @@ def _read_config_doc(path: str | Path) -> dict:
     return doc
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    """Dataclass defaults <- --config file <- command-line flags (flags win)."""
-    cfg = decode(RunConfig, _read_config_doc(args.config)) if args.config else RunConfig()
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """Dataclass defaults <- --config file <- flags (flags win), and the file's document."""
+    doc = _read_config_doc(args.config) if args.config else {}
+    cfg = decode(RunConfig, doc)
     for section in fields(RunConfig):
         values = getattr(cfg, section.name)
         flags = {f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name), None) for f in fields(values)}
         flags = {name: value for name, value in flags.items() if value is not None}
         cfg = replace(cfg, **{section.name: replace(values, **flags)})
-    return cfg
+    return cfg, doc
 
 
 def _write_jsonl(objs: list, path: str | Path) -> None:
@@ -180,8 +181,14 @@ def _split_train(
     return cleaned_all, report
 
 
-def _split_test(series: list[MetricSeries], train_fraction: float) -> list[MetricSeries]:
-    return [chrono_split(s, train_fraction)[1] for s in series]
+def _after_training(series: list[MetricSeries], trained_through: int | None) -> list[MetricSeries]:
+    """Each series' windows after ``trained_through``, without the series that have none.
+    A model without keys has no such window (None): every series stays, for scoring to reject."""
+    if trained_through is None:
+        return series
+    cut = [replace(s, window_starts=s.window_starts[after], values=s.values[after])
+           for s in series for after in [s.window_starts > trained_through]]
+    return [s for s in cut if len(s.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +204,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     catalog = load_catalog(args.catalog)
     series = _load_all_series(args, catalog, MetricKind.KQI)
     series += _load_all_series(args, catalog, MetricKind.KPI)
@@ -220,16 +227,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, doc = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     series = _load_all_series(args, catalog, MetricKind.KQI)
     if not series:
         raise CellwatchError("no KQI series; pass --kqi and/or --cdr")
-    tests = _split_test(series, cfg.pipeline.train_fraction)
+    tests = _after_training(series, model.trained_through)
+    if len(tests) < len(series):
+        log.warning("%d of %d series have no window after %s, the model's last trained window",
+                    len(series) - len(tests), len(series), model.trained_through)
     # the model's own tau, unless this run names one
-    config_detector = _read_config_doc(args.config).get("detector", {}) if args.config else {}
-    tau = cfg.detector.tau if args.tau is not None or "tau" in config_detector else None
+    tau = cfg.detector.tau if args.tau is not None or "tau" in doc.get("detector", {}) else None
     filter_cfg = cfg.filters
     events: list[AnomalyEvent] = []
     for test in tests:
@@ -268,7 +277,7 @@ def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], s
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     events = _load_events(args.events)
@@ -292,7 +301,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     catalog = load_catalog(args.catalog)
     model = load_model(args.model)
     db = load_db(args.db)
@@ -411,7 +420,8 @@ def _summarize(path: Path) -> list[str]:
     if "keys" in doc and "metrics" in doc:
         model = load_model(path)
         return [
-            f"baseline model: {len(model.sketches)} keys over {len(model.metric_meta)} metrics",
+            f"baseline model: {len(model.sketches)} keys over {len(model.metric_meta)} metrics,"
+            f" trained through {model.trained_through}",
             f"  config: {json.dumps(encode(model.config), sort_keys=True)}",
         ]
     if "rules" in doc:
@@ -475,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_gen)
 
-    def common_pipeline_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="config JSON overriding built-in defaults")
-        p.add_argument("--train-fraction", dest="train_fraction", type=float)
-
     p = sub.add_parser("train", help="clean, split and fit the baseline model")
     p.add_argument("--kqi", help="KQI metric CSV")
     p.add_argument("--kpi", help="KPI metric CSV")
@@ -486,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True, help="metric catalog JSON")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--clean-report", dest="clean_report", help="clean report JSON output path")
-    common_pipeline_flags(p)
+    p.add_argument("--config", help="config JSON overriding built-in defaults")
+    p.add_argument("--train-fraction", dest="train_fraction", type=float)
     p.add_argument("--iqr-k", dest="iqr_k", type=float)
     p.add_argument("--min-points", dest="min_points", type=int)
     p.add_argument("--bins", dest="bins", type=int)
@@ -494,13 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", dest="min_samples", type=int)
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("detect", help="score the test span and emit anomaly events")
+    p = sub.add_parser("detect", help="score the windows after the model's last trained window")
     p.add_argument("--kqi", help="KQI metric CSV")
     p.add_argument("--cdr", help="CDR CSV to aggregate into derived KQIs")
     p.add_argument("--catalog", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="events JSON Lines output path")
-    common_pipeline_flags(p)
+    p.add_argument("--config", help="config JSON overriding built-in defaults")
     p.add_argument("--tau", type=float)
     p.add_argument("--persistence-m", dest="persistence_m", type=int)
     p.add_argument("--persistence-n", dest="persistence_n", type=int)

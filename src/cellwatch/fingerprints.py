@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .baseline import BaselineModel, Direction, hour_bucket, robust_score
+from .baseline import BaselineModel, _score_values
 from .errors import CorruptDb, SchemaMismatch, TooManyItemsets, UnknownKey
 from .ingest import MetricKind, MetricSeries
 from .jsondoc import decode, dumps, read, require_object
@@ -135,15 +135,6 @@ def empty_db() -> FingerprintDb:
     return FingerprintDb(rules=[], transaction_total=0)
 
 
-def _value_at(series: MetricSeries, window_start: int) -> float | None:
-    """The series value at one window, or None when absent or MISSING."""
-    i = int(np.searchsorted(series.window_starts, window_start))
-    if i == len(series.window_starts) or series.window_starts[i] != window_start:
-        return None
-    value = float(series.values[i])
-    return None if math.isnan(value) else value
-
-
 def build_transactions(
     events: list[AnomalyEvent],
     kpi_series: list[MetricSeries],
@@ -154,52 +145,44 @@ def build_transactions(
 
     A KPI contributes (kpi, HIGH) when its value at the event's peak window
     scores >= z_symptom above its baseline median, (kpi, LOW) when below.
+    Each (cell, KPI) scores the peak windows of all its cell's events at once.
     A cell with no KPI data at that window yields an empty transaction and a
     warning; that is diagnostic-data loss, not a fatal condition.
     """
     if not 0 < z_symptom < math.inf:
         raise ValueError("z_symptom must be > 0 and finite")
-    by_key: dict[tuple[str, str], MetricSeries] = {}
-    kpis_by_cell: dict[str, list[str]] = {}
+    kpis_by_cell: dict[str, dict[str, MetricSeries]] = {}
     for s in kpi_series:
-        if s.kind != MetricKind.KPI:
-            continue
-        by_key[(s.cell_id, s.metric_name)] = s
-        kpis_by_cell.setdefault(s.cell_id, []).append(s.metric_name)
+        if s.kind == MetricKind.KPI and len(s.window_starts):
+            kpis_by_cell.setdefault(s.cell_id, {})[s.metric_name] = s
+    events_by_cell: dict[str, list[int]] = {}
+    for i, event in enumerate(events):
+        events_by_cell.setdefault(event.cell_id, []).append(i)
 
-    transactions: list[Transaction] = []
-    for event in events:
-        items: set[SymptomItem] = set()
-        saw_value = False
-        for kpi in sorted(kpis_by_cell.get(event.cell_id, [])):
-            value = _value_at(by_key[(event.cell_id, kpi)], event.peak_window)
-            if value is None:
-                continue
-            saw_value = True
-            key = (event.cell_id, kpi, hour_bucket(event.peak_window))
+    items: list[set[SymptomItem]] = [set() for _ in events]
+    saw_value = np.zeros(len(events), dtype=bool)
+    for cell_id, ids in events_by_cell.items():
+        peaks = np.array([events[i].peak_window for i in ids], dtype=np.int64)
+        for kpi, series in kpis_by_cell.get(cell_id, {}).items():
+            # the value at each peak window, NaN where the window is absent or MISSING
+            at = np.minimum(np.searchsorted(series.window_starts, peaks), len(series.window_starts) - 1)
+            values = np.where(series.window_starts[at] == peaks, series.values[at], np.nan)
+            saw_value[ids] |= ~np.isnan(values)
             try:
-                sc = robust_score(model, key, value)
+                score, direction, _, _ = _score_values(model, cell_id, kpi, peaks, values)
             except UnknownKey:
-                log.debug("no baseline for %s, skipping symptom", key)
+                log.debug("no baseline for %s/%s, skipping its symptoms", cell_id, kpi)
                 continue
-            if sc.score >= z_symptom and sc.direction == Direction.UP:
-                items.add(SymptomItem(kpi, SymptomState.HIGH))
-            elif sc.score >= z_symptom and sc.direction == Direction.DOWN:
-                items.add(SymptomItem(kpi, SymptomState.LOW))
-        if not saw_value:
-            log.warning(
-                "cell %s has no KPI data at window %s; emitting empty transaction",
-                event.cell_id,
-                event.peak_window,
-            )
-        transactions.append(
-            Transaction(
-                items=frozenset(items),
-                consequent=event.metric_name,
-                key=(event.cell_id, event.peak_window),
-            )
-        )
-    return transactions
+            for j in np.flatnonzero(score >= z_symptom).tolist():  # a score > 0 has a direction
+                state = SymptomState.HIGH if direction[j] == 1 else SymptomState.LOW
+                items[ids[j]].add(SymptomItem(kpi, state))
+
+    for event, saw in zip(events, saw_value.tolist()):
+        if not saw:
+            log.warning("cell %s has no KPI data at window %s; emitting empty transaction",
+                        event.cell_id, event.peak_window)
+    return [Transaction(frozenset(found), event.metric_name, (event.cell_id, event.peak_window))
+            for event, found in zip(events, items)]
 
 
 # ---------------------------------------------------------------------------

@@ -416,8 +416,8 @@ def simulate(
 
 
 def compare_models(a: BaselineModel, b: BaselineModel) -> bool:
-    """Field-exact model equality (config, metadata, sketch counts)."""
-    return a.config == b.config and a.metric_meta == b.metric_meta and a.sketches == b.sketches
+    """Field-exact model equality (config, metadata, sketch counts, last trained window)."""
+    return a == b
 
 
 def compare_dbs(a: FingerprintDb, b: FingerprintDb) -> bool:

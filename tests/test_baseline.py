@@ -19,7 +19,6 @@ from cellwatch.baseline import (
     load_model,
     merge_baselines,
     model_to_json,
-    robust_score,
     save_model,
     score_series,
 )
@@ -137,10 +136,16 @@ class TestFitBaseline:
         assert (model.sketches.lo.tolist(), model.sketches.hi.tolist()) == ([0.0], [100.0])
 
 
+def score_at_hour_0(model, value):
+    """The score of ``value`` in a one-window (c1, m1) series at window start 0."""
+    (scored,) = score_series(model, make_series([value]))
+    return scored.score
+
+
 class TestRobustScore:
     def test_zero_deviation_scores_zero(self):
         model = fit_one([7.0] * 30, window_len=3600)
-        score = robust_score(model, ("c1", "m1", 0), 7.0)
+        score = score_at_hour_0(model, 7.0)
         assert score.score == 0.0
         assert score.direction == Direction.NONE
         assert not score.degrading
@@ -148,7 +153,7 @@ class TestRobustScore:
     def test_agrees_with_reference_scorer_to_bin_resolution(self):
         values = [1.0, 2.0, 3.0, 4.0, 100.0]
         model = fit_one(values, window_len=300)
-        got = robust_score(model, ("c1", "m1", 0), 100.0).score
+        got = score_at_hour_0(model, 100.0).score
         want = exact_robust_score(values, 100.0)
         assert want == pytest.approx(97 / 1.4826, rel=1e-9)
         # reconstruct the bin-resolution tolerance from the one-bin bounds
@@ -159,16 +164,11 @@ class TestRobustScore:
 
     def test_degrading_follows_polarity(self):
         model = fit_one([10.0] * 30, window_len=3600, polarity=Polarity.HIGHER_IS_WORSE)
-        assert robust_score(model, ("c1", "m1", 0), 11.0).degrading
-        assert not robust_score(model, ("c1", "m1", 0), 9.0).degrading
+        assert score_at_hour_0(model, 11.0).degrading
+        assert not score_at_hour_0(model, 9.0).degrading
         lower = fit_one([10.0] * 30, window_len=3600, polarity=Polarity.LOWER_IS_WORSE)
         assert lower is not None
-        assert robust_score(lower, ("c1", "m1", 0), 9.0).degrading
-
-    def test_unknown_key(self):
-        model = fit_one([1.0] * 10)
-        with pytest.raises(UnknownKey):
-            robust_score(model, ("nope", "m1", 0), 1.0)
+        assert score_at_hour_0(lower, 9.0).degrading
 
 
 class TestScoreSeries:
@@ -232,7 +232,7 @@ class TestScoreSeries:
 
 
 def oracle_score(model, key, value):
-    """robust_score written with the one-sketch oracle; None for an untrained key."""
+    """One value's score from the one-sketch oracle; None for an untrained key."""
     if key not in model.sketches.keys or key[1] not in model.metric_meta:
         return None
     sketch = table_sketch(model.sketches, model.sketches.keys.index(key))
@@ -244,7 +244,7 @@ def oracle_score(model, key, value):
 
 
 def reference_scores(model, test, tau):
-    """score_series written window by window with the oracle; checks robust_score on the way."""
+    """score_series written window by window with the oracle."""
     out = []
     for ws, value in test.points:
         key = (test.cell_id, test.metric_name, hour_bucket(ws))
@@ -252,8 +252,6 @@ def reference_scores(model, test, tau):
         if want is None:
             out.append((ws, 0.0, Direction.NONE, False, False, False))
             continue
-        sc = robust_score(model, key, value)
-        assert (sc.score, sc.direction, sc.degrading, sc.sufficient_data) == want
         score, direction, degrading, sufficient = want
         out.append((ws, score, direction, degrading, sufficient, score >= tau and degrading and sufficient))
     return out
@@ -300,7 +298,7 @@ class TestArrayStagesAgainstLoops:
                 ref.insert(v)
             assert fitted == ref
 
-    def test_scores_equal_robust_score_loop(self):
+    def test_scores_equal_oracle_loop(self):
         rng = np.random.default_rng(23)
         series = self.random_series(rng)
         cfg = DetectorConfig(bin_count=32, min_samples=12)
@@ -458,7 +456,8 @@ def one_key_model_doc(copies=1, keys=None, **sketches):
     """
     sketch = {"lo": [0.0], "hi": [1.0], "underflow": [0], "overflow": [0], "nbins": [1], "bins": [2], "counts": [3]}
     return {
-        "schema_version": 2,
+        "schema_version": 3,
+        "trained_through": 0 if copies else None,
         "config": {"bin_count": 8, "tau": 5.0, "min_samples": 1, "bounds": None},
         "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
         "keys": {"cell_names": ["c1"], "metric_names": ["m1"], "cell": [0] * copies, "metric": [0] * copies,
@@ -524,7 +523,8 @@ def random_models(draw):
             np.array(underflow, dtype=np.int64),
             np.array(overflow, dtype=np.int64),
         )
-        return BaselineModel(config=cfg, metric_meta=meta, sketches=table)
+        through = draw(st.integers(-(2**63), 2**63 - 1)) if keys else None
+        return BaselineModel(config=cfg, metric_meta=meta, sketches=table, trained_through=through)
 
     n_parts = draw(st.integers(1, 3))
     parts = [part([key for key in bounds if n_parts == 1 or draw(st.booleans())]) for _ in range(n_parts)]
@@ -633,6 +633,14 @@ class TestSerialization:
             one_key_model_doc(counts=[2**63]),
             one_key_model_doc(lo=["0"]),
             one_key_model_doc(hi=None),
+            # no last trained window, or one that is not an int64 window start
+            {k: v for k, v in one_key_model_doc().items() if k != "trained_through"},
+            {**one_key_model_doc(), "trained_through": None},
+            {**one_key_model_doc(), "trained_through": True},
+            {**one_key_model_doc(), "trained_through": 0.0},
+            {**one_key_model_doc(), "trained_through": "0"},
+            {**one_key_model_doc(), "trained_through": 2**63},
+            {**one_key_model_doc(copies=0), "trained_through": 0},
         ],
     )
     def test_malformed_document_is_schema_mismatch(self, tmp_path, doc):
@@ -646,15 +654,15 @@ class TestSerialization:
         path.write_text(json.dumps(one_key_model_doc()))
         model = load_model(path)
         assert len(model.sketches) == 1
-        assert robust_score(model, ("c1", "m1", 0), 0.3125).score == 0.0
+        assert score_at_hour_0(model, 0.3125).score == 0.0
 
     @pytest.mark.parametrize(
         "case, sha256",
         [
-            ("fixed_bounds", "132f7d90b265bd75f99c53b809206c649a4d071bee1036f9a397b1d92cc5ad60"),
-            ("data_driven_bounds", "8935713b2bb0431d8660ebc14d530c84a362ea07ef5ed4dbbf955525149d75ff"),
+            ("fixed_bounds", "4b90e78d16156c399b09b08b04f65a0b20a5c5c4dc28b2f75b4af4f5a7f11ad0"),
+            ("data_driven_bounds", "c687a56b15c9a65bae0b771781e17c7147dd7b6c15d3e3a2e071e5eafc962a78"),
             # merging is exact, so the merged partitions pin the pooled fit's bytes
-            ("merged", "132f7d90b265bd75f99c53b809206c649a4d071bee1036f9a397b1d92cc5ad60"),
+            ("merged", "4b90e78d16156c399b09b08b04f65a0b20a5c5c4dc28b2f75b4af4f5a7f11ad0"),
         ],
     )
     def test_model_json_is_pinned(self, case, sha256):

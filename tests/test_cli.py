@@ -1,7 +1,8 @@
 import hashlib
 import json
 import re
-from dataclasses import fields
+import shlex
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from cellwatch.baseline import DetectorConfig, load_model
 from cellwatch.cleaning import CleanConfig
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
-from cellwatch import fingerprints, ingest, synth
+from cellwatch import fingerprints, ingest, jsondoc, synth
 from cellwatch.fingerprints import MineConfig, load_db
 from cellwatch.fogsim import (
     RecordSizes,
@@ -146,7 +147,7 @@ class TestPinnedOutput:
         "eval.json": "f3436fd9f0459502acd06a5396c7336a82e304a0d1ae77f66b78f63d3f6b0751",
     }
     REPORTS = {
-        "model.json": "f71978b79bf0dd9fce72195f363cd012defa26bb8fea40b034687bd0cd07ebef",
+        "model.json": "d7a461d9dbf4e6d04a448447a1b1e97f369b1a29d7b3f7d5b440815da8157c56",
         "clean.json": "381f024abe274bbe4ce8ed666635b1f61d9f209726bbd0eaf3307f6ad11d2825",
         "events.jsonl": "5a99cb6f5fec62d49b3c0a96799e7eba443ea1170252b8980b3ad63e70d47488",
         "db.json": "3052d941d85ce88c4f3d489e1aa70e621edf1b869790c5bb2a5df9366ce0cd65",
@@ -212,6 +213,96 @@ class TestDetectTau:
         named = detect("flag5.jsonl", "--tau", "5.0")
         assert named != model_tau
         assert detect("config5.jsonl", "--config", str(config)) == named
+
+    def test_detect_reads_its_config_once(self, workspace, tmp_path, monkeypatch):
+        data = workspace / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": {"tau": 4.5}}), encoding="utf-8")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(jsondoc, "open", counting_open, raising=False)
+        rc = main(["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+                   "--model", str(workspace / "model.json"), "--out", str(tmp_path / "events.jsonl"),
+                   "--config", str(config)])
+        assert rc == 0
+        assert opened.count(str(config)) == 1
+
+
+class TestDetectSpan:
+    """detect scores the windows that start after the model's last trained window."""
+
+    @staticmethod
+    def kqi_windows(workspace, path, keep):
+        """The workspace's KQI file cut to the windows where ``keep(window_starts, trained_through)``."""
+        data = workspace / "data"
+        through = load_model(workspace / "model.json").trained_through
+        series = ingest.parse_metric_csv(data / "kqi.csv", ingest.MetricKind.KQI,
+                                         ingest.load_catalog(data / "catalog.json"))
+        cut = [replace(s, window_starts=s.window_starts[kept], values=s.values[kept])
+               for s in series for kept in [keep(s.window_starts, through)]]
+        ingest.write_metric_csv([s for s in cut if len(s.values)], path)
+        return through
+
+    @staticmethod
+    def detect(workspace, kqi, out):
+        data = workspace / "data"
+        rc = main(["detect", "--kqi", str(kqi), "--catalog", str(data / "catalog.json"),
+                   "--model", str(workspace / "model.json"), "--out", str(out)])
+        return rc, out.read_text() if rc == 0 else None
+
+    def test_events_before_the_default_split_are_found(self, tmp_path):
+        # 384 windows: train's 0.5 ends at window 192, the default 0.7 at window 269
+        doc = encode(synth.default_spec(n_cells=2, days=4.0, window_len=900, seed=7, anomaly_count=0))
+        doc.update(train_fraction=0.5, anomalies=[planted(220 * 900, 6)])
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+        catalog, model = ["--catalog", str(data / "catalog.json")], tmp_path / "model.json"
+        assert main(["train", "--kqi", str(data / "kqi.csv"), "--kpi", str(data / "kpi.csv"), *catalog,
+                     "--out", str(model), "--train-fraction", "0.5", "--min-samples", "6"]) == 0
+        assert load_model(model).trained_through == 191 * 900
+        events = tmp_path / "events.jsonl"
+        assert main(["detect", "--kqi", str(data / "kqi.csv"), *catalog, "--model", str(model),
+                     "--out", str(events)]) == 0
+        found = [json.loads(line) for line in events.read_text().splitlines()]
+        assert any(e["cell_id"] == "cell-000" and e["metric"] == "page_load_ms"
+                   and 220 * 900 <= e["peak_window"] < 226 * 900 for e in found), found
+
+    def test_a_file_of_fresh_windows_gives_the_same_events(self, workspace, tmp_path):
+        self.kqi_windows(workspace, tmp_path / "fresh.csv", lambda starts, through: starts > through)
+        rc, full = self.detect(workspace, workspace / "data" / "kqi.csv", tmp_path / "full.jsonl")
+        assert rc == 0 and full
+        assert self.detect(workspace, tmp_path / "fresh.csv", tmp_path / "fresh.jsonl") == (0, full)
+
+    def test_no_window_after_training_warns_and_finds_nothing(self, workspace, tmp_path, caplog):
+        through = self.kqi_windows(workspace, tmp_path / "old.csv", lambda starts, through: starts <= through)
+        caplog.clear()
+        assert self.detect(workspace, tmp_path / "old.csv", tmp_path / "events.jsonl") == (0, "")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert any(f"no window after {through}" in message for message in warnings), warnings
+
+    def test_detect_takes_no_train_fraction(self, workspace, tmp_path):
+        data = workspace / "data"
+        rc = main(["detect", "--kqi", str(data / "kqi.csv"), "--catalog", str(data / "catalog.json"),
+                   "--model", str(workspace / "model.json"), "--out", str(tmp_path / "events.jsonl"),
+                   "--train-fraction", "0.5"])
+        assert rc == 2
+
+    def test_schema_2_model_asks_for_retraining(self, workspace, tmp_path, caplog):
+        doc = json.loads((workspace / "model.json").read_text())
+        del doc["trained_through"]
+        doc["schema_version"] = 2
+        (tmp_path / "v2.json").write_text(json.dumps(doc))
+        caplog.clear()
+        rc = main(["detect", "--kqi", str(workspace / "data" / "kqi.csv"),
+                   "--catalog", str(workspace / "data" / "catalog.json"),
+                   "--model", str(tmp_path / "v2.json"), "--out", str(tmp_path / "events.jsonl")])
+        assert rc == 1
+        assert "unsupported model schema 2" in caplog.text and "retrain" in caplog.text
 
 
 class TestGen:
@@ -314,7 +405,8 @@ class TestExitCodes:
     def test_model_bin_count_over_the_limit_is_exit_1(self, workspace, tmp_path, caplog):
         # one key and no bins: only bin_count would size the keys x bins matrix
         doc = {
-            "schema_version": 2,
+            "schema_version": 3,
+            "trained_through": 0,
             "config": {"bin_count": 10**15, "tau": 5.0, "min_samples": 1, "bounds": None},
             "metrics": {"m1": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE"}},
             "keys": {"cell_names": ["c1"], "metric_names": ["m1"], "cell": [0], "metric": [0], "hour": [0]},
@@ -925,6 +1017,17 @@ class TestConfigChecks:
         argv = [command, *inputs[command], "--catalog", str(data / "catalog.json"), "--out", str(out), *rest]
         assert main(argv) == 2
         assert not out.exists()
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Pipeline walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert [argv[0] for argv in commands] == ["cellwatch"] * 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_readme_config_table_matches_dataclass_defaults():

@@ -28,7 +28,7 @@ from cellwatch.fingerprints import (
     save_db,
     update_db,
 )
-from cellwatch.baseline import DetectorConfig, fit_baseline
+from cellwatch.baseline import DetectorConfig, fit_baseline, hour_bucket
 from cellwatch.ingest import MetricKind
 from cellwatch.postfilter import AnomalyEvent
 
@@ -38,6 +38,7 @@ from helpers import (
     random_mine_config,
     random_transactions,
     rules_as_oracle_set,
+    table_sketch,
 )
 
 
@@ -251,6 +252,41 @@ class TestBuildTransactions:
         events = [self.event(600), self.event(900)]
         txs = build_transactions(events, kpis, model, z_symptom=3.0)
         assert [t.key[1] for t in txs] == [600, 900]
+
+    def test_symptoms_equal_a_per_event_oracle_loop(self):
+        # several events per cell; peaks on MISSING or absent windows, in hours
+        # without a sketch, and on a (cell, KPI) without any
+        rng = np.random.default_rng(8)
+        train, tests = [], []
+        for cell in ("c1", "c2"):
+            for name in ("rtt", "loss", "prb"):
+                kw = dict(cell_id=cell, metric_name=name, kind=MetricKind.KPI)
+                if (cell, name) != ("c2", "prb"):  # 240 windows of 300 s: hours 0..19
+                    train.append(make_series([float(v) for v in rng.normal(10, 1, 240)], **kw))
+                values = rng.normal(10, 4, 288)
+                tests.append(make_series([None if rng.random() < 0.1 else float(v) for v in values], **kw))
+        model = fit_baseline(train, DetectorConfig(bin_count=32, min_samples=3))
+        events = [
+            AnomalyEvent(str(rng.choice(["c1", "c2", "c3"])), "kqi_x", w, w, 9.0, w, Direction.UP)
+            for w in (300 * rng.integers(0, 300, 60)).tolist()
+        ]
+
+        def oracle(event):
+            items = set()
+            for s in tests:
+                at = np.flatnonzero(s.window_starts == event.peak_window)
+                key = (s.cell_id, s.metric_name, hour_bucket(event.peak_window))
+                if s.cell_id != event.cell_id or not len(at) or key not in model.sketches.keys:
+                    continue
+                value = float(s.values[at[0]])
+                med, mad = table_sketch(model.sketches, model.sketches.keys.index(key)).estimate_median_mad()
+                if abs(value - med) / (1.4826 * mad + 1e-9) >= 3.0:  # False for NaN
+                    items.add(SymptomItem(s.metric_name, SymptomState.HIGH if value > med else SymptomState.LOW))
+            return frozenset(items)
+
+        txs = build_transactions(events, tests, model, z_symptom=3.0)
+        assert [t.items for t in txs] == [oracle(e) for e in events]
+        assert {it.state for t in txs for it in t.items} == {SymptomState.HIGH, SymptomState.LOW}
 
 
 class TestUpdateDb:

@@ -254,8 +254,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1f4f2613165a90eb3c1277f84beff9ba8a93874e70010fc986a1232b3220e004"),
-            (Strategy.EDGE_INFERENCE, "36455af7722dda955188ea3b343b2c795413ebf8d0f7e1cf848b7df79372b988"),
-            (Strategy.FOG, "8979934c852302eb9d0432e6a39adc16daeb6df2841b03fd2b3f70105c9ecd79"),
+            (Strategy.EDGE_INFERENCE, "3b900e644385e03b3bd07ca093a5a77116a17d68a31f8b9b17565bbbb654f8bd"),
+            (Strategy.FOG, "13fd23a04b1a4344bf16b3e43f123b1ac968368742b854faa8d22c3b124c9c4f"),
         ],
     )
     def test_default_scenario_report_is_pinned(self, strategy, sha256):
@@ -266,8 +266,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1780ce4e86017a628946d4103ce1ef734c7358f523bd1f5432462305b7fc548f"),
-            (Strategy.EDGE_INFERENCE, "56e3d35fc1b8a894171e6491857d7bc53789fd225801aae221ccbaa9f71ce8db"),
-            (Strategy.FOG, "066b50ddc31ed59197d7c300db99fa7c166b12edb609405b07bca908a81f7e4f"),
+            (Strategy.EDGE_INFERENCE, "c5a18e519890e20db6404ff1f46b2854e41dee8a5b404f275e7826aa52291f7c"),
+            (Strategy.FOG, "9f1ae4a84be6511c0a7aec7947a779646753375d3f70360effc86604a3500e8c"),
         ],
     )
     def test_sparse_traffic_report_is_pinned(self, strategy, sha256):
