@@ -1,9 +1,10 @@
-"""Training-data cleaning and chronological train/test splitting.
+"""Training-data cleaning, the training span, and the windows after training.
 
 Cleaning is meant for the training side only: the detection stream keeps its
 extremes, since those may be exactly the anomalies being hunted. Fences are
 computed once over the incoming series (single pass, no recomputation after
-removal), so the operation is deterministic and cheap.
+removal), so the operation is deterministic and cheap. Every tier that runs
+inference scores the windows after the model's last trained one.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanRe
     return cleaned, report
 
 
-def chrono_split(series: MetricSeries, train_fraction: float) -> tuple[MetricSeries, MetricSeries]:
-    """Split a series chronologically: first ceil(n * fraction) points train.
+def train_span(series: MetricSeries, train_fraction: float) -> MetricSeries:
+    """The first ceil(n * fraction) points of a series: its training span.
 
-    No shuffling: baselines are temporal. Raises TooFewPoints if either part
-    would be empty.
+    No shuffling: baselines are temporal. Raises TooFewPoints if the span or
+    the points after it would be empty.
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
@@ -120,7 +121,14 @@ def chrono_split(series: MetricSeries, train_fraction: float) -> tuple[MetricSer
         raise TooFewPoints(
             f"{series.cell_id}/{series.metric_name}: split {cut}/{n - cut} leaves an empty part"
         )
-    return (
-        replace(series, window_starts=series.window_starts[:cut], values=series.values[:cut]),
-        replace(series, window_starts=series.window_starts[cut:], values=series.values[cut:]),
-    )
+    return replace(series, window_starts=series.window_starts[:cut], values=series.values[:cut])
+
+
+def after_training(series: list[MetricSeries], trained_through: int | None) -> list[MetricSeries]:
+    """Each series' windows after ``trained_through``, without the series that have none.
+    A model without keys has no such window (None): every series stays, for scoring to reject."""
+    if trained_through is None:
+        return series
+    cut = [replace(s, window_starts=s.window_starts[after], values=s.values[after])
+           for s in series for after in [s.window_starts > trained_through]]
+    return [s for s in cut if len(s.values)]

@@ -31,7 +31,7 @@ from .baseline import (
     save_model,
     score_series,
 )
-from .cleaning import CleanConfig, CleanReport, chrono_split, clean
+from .cleaning import CleanConfig, CleanReport, after_training, clean, train_span
 from .errors import CellwatchError, SchemaMismatch
 from .fingerprints import (
     MineConfig,
@@ -174,21 +174,10 @@ def _split_train(
     cleaned_all: list[MetricSeries] = []
     report = CleanReport(0, 0, [])
     for s in series:
-        train_raw, _ = chrono_split(s, train_fraction)
-        cleaned, part = clean(train_raw, clean_cfg)
+        cleaned, part = clean(train_span(s, train_fraction), clean_cfg)
         cleaned_all.append(cleaned)
         report.add(part)
     return cleaned_all, report
-
-
-def _after_training(series: list[MetricSeries], trained_through: int | None) -> list[MetricSeries]:
-    """Each series' windows after ``trained_through``, without the series that have none.
-    A model without keys has no such window (None): every series stays, for scoring to reject."""
-    if trained_through is None:
-        return series
-    cut = [replace(s, window_starts=s.window_starts[after], values=s.values[after])
-           for s in series for after in [s.window_starts > trained_through]]
-    return [s for s in cut if len(s.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     series = _load_all_series(args, catalog, MetricKind.KQI)
     if not series:
         raise CellwatchError("no KQI series; pass --kqi and/or --cdr")
-    tests = _after_training(series, model.trained_through)
+    tests = after_training(series, model.trained_through)
     if len(tests) < len(series):
         log.warning("%d of %d series have no window after %s, the model's last trained window",
                     len(series) - len(tests), len(series), model.trained_through)

@@ -16,6 +16,10 @@ two placement facts, and every cost follows from them:
   (``model_broadcast``), transactions ship to where training runs
   (``transaction_upload``) and events cost no link time.
 
+Wherever inference runs, it scores each KQI series' windows after the
+fitted model's last trained window (``trained_through``), as ``cellwatch
+detect`` does.
+
 Accounting is static flow accounting (transfer time = bytes/bandwidth +
 link latency per hop), not packet simulation, and node compute time is
 zero everywhere so the reports isolate network cost. Because baseline
@@ -32,7 +36,7 @@ from pathlib import Path
 
 from . import synth
 from .baseline import BaselineModel, DetectorConfig, fit_baseline, merge_baselines, model_to_json, score_series
-from .cleaning import CleanConfig, chrono_split, clean
+from .cleaning import CleanConfig, after_training, clean, train_span
 from .errors import InvalidTopology, UnassignedCell
 from .fingerprints import (
     FingerprintDb,
@@ -222,7 +226,7 @@ class _Prepared:
     """Pipeline state of one placement."""
 
     train_clean: list[MetricSeries]
-    tests: list[MetricSeries]  # KQI test spans, the series inference scores
+    kqi_series: list[MetricSeries]  # generated and CDR-derived, the series inference scores
     kpi_series: list[MetricSeries]
     upload_bytes: dict[str, int]  # cell -> bytes shipped up for training
     window_bytes: dict[str, int]  # cell -> one window of all its series, an event's upload to the cloud
@@ -241,10 +245,9 @@ def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Pr
     upload_bytes = dict.fromkeys(cells, 0)
     window_bytes = dict.fromkeys(cells, 0)
     train_clean: list[MetricSeries] = []
-    tests: list[MetricSeries] = []
     for aggregated, group in ((True, derived), (False, kqi_series + kpi_series)):
         for series in group:
-            train_raw, test = chrono_split(series, spec.train_fraction)
+            train_raw = train_span(series, spec.train_fraction)
             if train_at_fog:  # the edge aggregates its CDR and ships the training rows
                 upload_bytes[series.cell_id] += len(train_raw.values) * row
             elif not aggregated:  # raw rows: the training span, or all of them for cloud inference
@@ -257,11 +260,9 @@ def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Pr
             window_bytes[series.cell_id] += row
             cleaned, _ = clean(train_raw, scenario.clean_cfg)
             train_clean.append(cleaned)
-            if test.kind == MetricKind.KQI:
-                tests.append(test)
     return _Prepared(
         train_clean=train_clean,
-        tests=tests,
+        kqi_series=[s for s in derived if s.kind == MetricKind.KQI] + kqi_series,
         kpi_series=kpi_series,
         upload_bytes=upload_bytes,
         window_bytes=window_bytes,
@@ -271,7 +272,7 @@ def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Pr
 
 def _detect(model: BaselineModel, prepared: _Prepared, scenario: Scenario) -> list[AnomalyEvent]:
     events: list[AnomalyEvent] = []
-    for test in prepared.tests:
+    for test in after_training(prepared.kqi_series, model.trained_through):
         scored = score_series(model, test)
         events.extend(
             apply_filters(

@@ -110,7 +110,7 @@ class ScenarioSpec:
 
     @property
     def train_cutoff_window(self) -> int:
-        """First test window; matches chrono_split over the full grid."""
+        """Start of the first window after the training span of a full-grid series."""
         return math.ceil(self.n_windows * self.train_fraction) * self.window_len
 
     def cell_ids(self) -> list[str]:
@@ -349,7 +349,7 @@ def _materialize_plan(spec: ScenarioSpec) -> list[tuple[PlantedAnomaly, CauseSpe
         plan = spec.anomalies
         rng = np.random.default_rng([spec.seed, 0xA110])
         cells = spec.cell_ids()
-        cut_idx = math.ceil(spec.n_windows * spec.train_fraction)
+        cut_idx = spec.train_cutoff_window // spec.window_len
         placed: list[tuple[PlantedAnomaly, CauseSpec | None]] = []
         used: set[tuple[str, str]] = set()
         attempts = 0

@@ -33,7 +33,7 @@ from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig
 from cellwatch.cleaning import CleanConfig
 from cellwatch.errors import CellwatchError, MalformedRow, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
-from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology
+from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology, default_scenario
 from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
 from cellwatch.postfilter import FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
@@ -444,6 +444,22 @@ def random_fog_case(seed: int):
         z_symptom=2.5,
     )
     return topology, scenario
+
+
+def tiny_scenario(**spec_kw) -> Scenario:
+    """The default scenario's knobs on a small spec: 4 cells, 1 day of 30-minute windows."""
+    base = default_scenario()
+    defaults = dict(n_cells=4, days=1.0, window_len=1800, seed=77, anomaly_count=1, calls_per_window=3.0)
+    defaults.update(spec_kw)
+    base.spec = synth.default_spec(**defaults)
+    base.clean_cfg = CleanConfig(min_points=8)
+    base.detector_cfg = DetectorConfig(bin_count=32, tau=3.5, min_samples=2)
+    return base
+
+
+def sparse_traffic_scenario() -> Scenario:
+    """0.3 calls per window on the default topology's 8 cells."""
+    return tiny_scenario(n_cells=8, days=2.0, seed=2, calls_per_window=0.3)
 
 
 def calls_by_window(spec: synth.ScenarioSpec) -> CdrCalls:

@@ -21,7 +21,7 @@ from cellwatch.baseline import (
     save_model,
     score_series,
 )
-from cellwatch.cleaning import CleanConfig, chrono_split, clean
+from cellwatch.cleaning import CleanConfig, after_training, clean, train_span
 from cellwatch.cli import main
 from cellwatch.fingerprints import (
     SymptomItem,
@@ -202,19 +202,12 @@ def test_criterion_5_false_alarm_floor():
         detector_cfg = DetectorConfig(bounds=bounds)  # stock thresholds
         clean_cfg = CleanConfig()
         filter_cfg = FilterConfig()
-        train = []
-        tests = []
-        for series in kqi_series + kpi_series:
-            train_raw, test = chrono_split(series, spec.train_fraction)
-            train.append(clean(train_raw, clean_cfg)[0])
-            tests.append(test)
+        train = [clean(train_span(s, spec.train_fraction), clean_cfg)[0] for s in kqi_series + kpi_series]
         model = fit_baseline(train, detector_cfg)
         covered = 0
         total = 0
         n_events = 0
-        for test in tests:
-            if test.kind != MetricKind.KQI:
-                continue
+        for test in after_training(kqi_series, model.trained_through):
             total += len(test.points)
             events = apply_filters(
                 score_series(model, test), filter_cfg,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellwatch.cleaning import CleanConfig, CleanDetail, CleanReport, chrono_split, clean
+from cellwatch.cleaning import CleanConfig, CleanDetail, CleanReport, after_training, clean, train_span
 from cellwatch.errors import TooFewPoints
 from cellwatch.jsondoc import encode
 
@@ -72,24 +72,38 @@ class TestClean:
         assert clean(series, CFG)[0] == clean(series, CFG)[0]
 
 
-class TestChronoSplit:
+class TestTrainSpan:
     def test_seven_three(self):
-        train, test = chrono_split(make_series(list(range(10))), 0.7)
-        assert len(train.points) == 7
-        assert len(test.points) == 3
-        assert train.points[-1][0] < test.points[0][0]
+        train = train_span(make_series(list(range(10))), 0.7)
+        assert [ws for ws, _ in train.points] == [300 * i for i in range(7)]
 
     def test_ceiling_can_empty_test_part(self):
         with pytest.raises(TooFewPoints):
-            chrono_split(make_series(list(range(10))), 0.95)
+            train_span(make_series(list(range(10))), 0.95)
 
     def test_two_points_split_in_half(self):
-        train, test = chrono_split(make_series([1.0, 2.0]), 0.5)
-        assert len(train.points) == len(test.points) == 1
+        assert train_span(make_series([1.0, 2.0]), 0.5).points == [(0, 1.0)]
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            chrono_split(make_series([1.0, 2.0]), 1.0)
+            train_span(make_series([1.0, 2.0]), 1.0)
+
+
+class TestAfterTraining:
+    def test_none_keeps_every_series(self):
+        series = [make_series([1.0, 2.0]), make_series([3.0], cell_id="c2")]
+        assert after_training(series, None) is series
+
+    def test_series_ending_at_trained_through_is_dropped(self):
+        ends_at, goes_past = make_series([1.0, 2.0]), make_series([1.0, 2.0, 3.0], cell_id="c2")
+        assert after_training([ends_at, goes_past], 300) == [make_series([3.0], cell_id="c2", start=600)]
+
+    def test_series_of_different_extents_cut_at_one_window_start(self):
+        short = make_series([1.0, 2.0, 3.0], start=600)  # windows 600..1200
+        long = make_series(list(range(8)), cell_id="c2")  # windows 0..2100
+        cut = after_training([short, long], 900)
+        assert [[ws for ws, _ in s.points] for s in cut] == [[1200], [1200, 1500, 1800, 2100]]
+        assert cut[1].values.tolist() == [4.0, 5.0, 6.0, 7.0]
 
 
 def test_report_merge_accumulates():

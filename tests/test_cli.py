@@ -25,6 +25,8 @@ from cellwatch.fogsim import (
 from cellwatch.postfilter import FilterConfig
 from cellwatch.jsondoc import decode, encode
 
+from helpers import sparse_traffic_scenario
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -558,11 +560,15 @@ class TestFogsimCommand:
         assert json.loads(out.read_text())["strategy"] == "CENTRALIZED"
 
 
-@pytest.mark.parametrize("seed", [1, 424242])
-def test_cli_pipeline_equals_the_centralized_simulation(tmp_path, seed):
+@pytest.mark.parametrize(
+    "scenario",
+    [default_scenario(1), default_scenario(424242), sparse_traffic_scenario()],
+    ids=["1", "424242", "sparse"],
+)
+def test_cli_pipeline_equals_the_centralized_simulation(tmp_path, scenario):
     # The CLI reads gen's CSVs back, CDR included; fogsim runs the same
-    # stages on the generated arrays. Both must give one model, event count and rule set.
-    scenario = default_scenario(seed)
+    # stages on the generated arrays. Both must give one model, event count and rule set,
+    # also when sparse traffic leaves the CDR-derived series on grids of different extents.
     synth.save_spec(scenario.spec, tmp_path / "spec.json")
     data = tmp_path / "data"
     assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
@@ -584,7 +590,7 @@ def test_cli_pipeline_equals_the_centralized_simulation(tmp_path, seed):
     assert main(["mine", "--events", events, "--kpi", kpi, "--model", model, "--out", db, *common]) == 0
 
     report, sim_model, sim_db = simulate(default_topology(), Strategy.CENTRALIZED, scenario)
-    assert report.event_latencies and sim_db.rules  # 5 events and 4 rules at both seeds
+    assert report.event_latencies and sim_db.rules  # 5 events and 4 rules at both seeds, 39 and 12 on sparse traffic
     assert compare_models(load_model(model), sim_model)
     assert len(Path(events).read_text().splitlines()) == len(report.event_latencies)
     assert compare_dbs(load_db(db), sim_db)
