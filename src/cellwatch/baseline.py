@@ -140,14 +140,6 @@ class DetectorConfig:
 
 
 @dataclass
-class AnomalyScore:
-    score: float
-    direction: Direction
-    degrading: bool
-    sufficient_data: bool
-
-
-@dataclass
 class BaselineModel:
     """Per-key sketches plus per-metric classification; immutable after fit."""
 
@@ -269,43 +261,31 @@ def _score_values(
     return score, up + 2 * down, worse, scored & (total[r] >= model.config.min_samples)
 
 
-@dataclass
-class ScoredWindow:
-    window_start: int
-    score: AnomalyScore
-    flagged: bool
-
-
 def score_series(
     model: BaselineModel, test: MetricSeries, tau: float | None = None
-) -> list[ScoredWindow]:
+) -> np.recarray:
     """Score every window of a test series; flag degrading outliers.
 
-    flagged = score >= tau AND degrading AND sufficient data. MISSING points
-    yield unflagged entries with score 0 and sufficient_data False. Raises
-    UnknownKey when the (cell, metric) was never trained at all; a single
-    hour bucket that ended up empty (e.g. cleaning removed all its values)
-    is not a training gap worth aborting on and scores like a MISSING point.
+    One record per window, in window order, with the fields window_start,
+    score, direction (the _DIRECTIONS index), degrading, sufficient_data and
+    flagged; ``scored.flagged`` reads a whole column. flagged = score >= tau
+    AND degrading AND sufficient data. MISSING points yield unflagged records
+    with score 0 and sufficient_data False. Raises UnknownKey when the (cell,
+    metric) was never trained at all; a single hour bucket that ended up
+    empty (e.g. cleaning removed all its values) is not a training gap worth
+    aborting on and scores like a MISSING point.
     """
     threshold = model.config.tau if tau is None else tau
     if not 0 < threshold < math.inf:
         raise ValueError("tau must be > 0 and finite")
-    starts = test.window_starts
     score, direction, worse, sufficient = _score_values(
-        model, test.cell_id, test.metric_name, starts, test.values
+        model, test.cell_id, test.metric_name, test.window_starts, test.values
     )
     flagged = (score >= threshold) & worse & sufficient
-    return [
-        ScoredWindow(ws, AnomalyScore(sc, _DIRECTIONS[d], dg, sf), fl)
-        for ws, sc, d, dg, sf, fl in zip(
-            starts.tolist(),
-            score.tolist(),
-            direction.tolist(),
-            worse.tolist(),
-            sufficient.tolist(),
-            flagged.tolist(),
-        )
-    ]
+    return np.rec.fromarrays(
+        [test.window_starts, score, direction, worse, sufficient, flagged],
+        names="window_start,score,direction,degrading,sufficient_data,flagged",
+    )
 
 
 def merge_baselines(models: list[BaselineModel]) -> BaselineModel:

@@ -375,9 +375,9 @@ def simulate(
             if table.total:
                 payload = json.dumps(table.to_json_dict(), sort_keys=True).encode("utf-8")
                 acct.add("counts_upload", fog, cloud, up=len(payload))
-        merged = merge_count_tables(tables) if tables else None
-        rules = mine_from_counts(merged, scenario.mine_cfg) if merged else []
-        total = merged.total if merged else 0
+        merged = merge_count_tables(tables)
+        rules = mine_from_counts(merged, scenario.mine_cfg)
+        total = merged.total
     else:
         rules = mine_rare_rules(transactions, scenario.mine_cfg)
         total = len(transactions)

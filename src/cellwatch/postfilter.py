@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import Direction, ScoredWindow
+from .baseline import _DIRECTIONS, Direction
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,23 @@ class AnomalyEvent:
     direction: Direction
 
 
-def _persistence_survivors(flags: list[bool], m: int, n: int) -> list[int]:
+def _persistence_survivors(flags: np.ndarray | list[bool], m: int, n: int) -> np.ndarray:
     """Indices of flagged windows covered by an n-window span with >= m flags.
 
     Spans are clipped at the stream boundaries; windows outside the stream
     count as unflagged, so a stream shorter than n is a single span.
     """
-    if not flags:
-        return []
-    flagged = np.asarray(flags, dtype=np.int64)
-    span = np.ones(min(n, len(flags)), dtype=np.int64)
+    flagged = np.asarray(flags, dtype=bool)
+    if not len(flagged):
+        return np.zeros(0, dtype=np.intp)
+    span = np.ones(min(n, len(flagged)), dtype=np.int64)
     dense = np.convolve(flagged, span, "valid") >= m  # by span start
-    covered = np.convolve(dense, span)[: len(flags)] > 0  # by window: some dense span holds it
-    return np.flatnonzero(flagged & covered).tolist()
+    covered = np.convolve(dense, span)[: len(flagged)] > 0  # by window: some dense span holds it
+    return np.flatnonzero(flagged & covered)
 
 
 def apply_filters(
-    scored: list[ScoredWindow],
+    scored: np.recarray,
     cfg: FilterConfig,
     *,
     cell_id: str,
@@ -76,41 +76,34 @@ def apply_filters(
 
     ``scored`` must be window-ordered and grid-contiguous (score_series
     output). Events come back in chronological order; every event span
-    contains at least one raw-flagged window and the peak is taken over the
-    raw-flagged windows inside the span.
+    contains at least one raw-flagged window and the peak is the first
+    maximum score among the raw-flagged windows inside the span.
     """
-    if not scored:
-        return []
-    flags = [sw.flagged for sw in scored]
+    flags = scored.flagged
     survivors = _persistence_survivors(flags, cfg.persistence_m, cfg.persistence_n)
-    if not survivors:
+    if not len(survivors):
         return []
-
-    # coalesce survivor indices separated by at most merge_gap quiet windows
-    groups: list[list[int]] = [[survivors[0]]]
-    for idx in survivors[1:]:
-        if idx - groups[-1][-1] - 1 <= cfg.merge_gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
+    # survivors at most merge_gap quiet windows apart coalesce into one event
+    cuts = np.flatnonzero(np.diff(survivors) > cfg.merge_gap + 1)
+    firsts = survivors[np.concatenate(([0], cuts + 1))].tolist()
+    lasts = survivors[np.append(cuts, len(survivors) - 1)].tolist()
+    candidates = np.where(flags, scored.score, -np.inf)  # only a flagged window can be the peak
+    starts = scored.window_start
 
     events: list[AnomalyEvent] = []
-    for group in groups:
-        lo, hi = group[0], group[-1]
-        flagged_in_span = [i for i in range(lo, hi + 1) if flags[i]]
-        peak_idx = max(flagged_in_span, key=lambda i: scored[i].score.score)
-        peak = scored[peak_idx]
-        if peak.score.score < cfg.min_peak_score:
+    for lo, hi in zip(firsts, lasts):
+        peak = lo + int(np.argmax(candidates[lo : hi + 1]))
+        if candidates[peak] < cfg.min_peak_score:
             continue
         events.append(
             AnomalyEvent(
                 cell_id=cell_id,
                 metric_name=metric_name,
-                start_window=scored[lo].window_start,
-                end_window=scored[hi].window_start,
-                peak_score=peak.score.score,
-                peak_window=peak.window_start,
-                direction=peak.score.direction,
+                start_window=int(starts[lo]),
+                end_window=int(starts[hi]),
+                peak_score=float(candidates[peak]),
+                peak_window=int(starts[peak]),
+                direction=_DIRECTIONS[scored.direction[peak]],
             )
         )
     return events

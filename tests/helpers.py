@@ -10,7 +10,9 @@ time and walks one histogram's positions in order; it never touches the
 arrays of ``SketchTable``. The exact statistics take the median and MAD of
 the raw values, with the lower-median convention that the sketch estimates
 follow. The persistence scan sums every span of flags; it never touches the
-convolutions of ``postfilter._persistence_survivors``. The row grammars
+convolutions of ``postfilter._persistence_survivors``. The filter pass runs
+that scan, then merges and picks peaks in Python lists; it never touches the
+record columns that ``postfilter.apply_filters`` reads. The row grammars
 check one metric CSV or CDR line at a time with ``bytes`` and ``float()``;
 they never touch the array checks that ``ingest.parse_metric_csv`` and
 ``ingest.parse_cdr`` run over the blocks of ``ingest._read_rows``. Both
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig
+from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig, Direction
 from cellwatch.cleaning import CleanConfig
 from cellwatch.errors import CellwatchError, MalformedRow, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology, default_scenario
 from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
-from cellwatch.postfilter import FilterConfig
+from cellwatch.postfilter import AnomalyEvent, FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
 
@@ -295,6 +297,37 @@ def persistence_survivors_scan(flags: list[bool], m: int, n: int) -> list[int]:
         for i, flagged in enumerate(flags)
         if flagged and any(i in span and sum(flags[j] for j in span) >= m for span in spans)
     ]
+
+
+def filter_events_scan(
+    window_starts: list[int],
+    flags: list[bool],
+    scores: list[float],
+    directions: list[Direction],
+    cfg: FilterConfig,
+    *,
+    cell_id: str,
+    metric_name: str,
+) -> list[AnomalyEvent]:
+    """The events of one stream by the span scan, a merge and a peak pick, window by window.
+
+    Survivors at most ``merge_gap`` quiet windows apart share a group, and
+    each group's peak is the first maximum score among its flagged windows.
+    """
+    groups: list[list[int]] = []
+    for i in persistence_survivors_scan(flags, cfg.persistence_m, cfg.persistence_n):
+        if groups and i - groups[-1][-1] - 1 <= cfg.merge_gap:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    events = []
+    for group in groups:
+        lo, hi = group[0], group[-1]
+        peak = max((i for i in range(lo, hi + 1) if flags[i]), key=lambda i: scores[i])
+        if scores[peak] >= cfg.min_peak_score:
+            events.append(AnomalyEvent(cell_id, metric_name, window_starts[lo], window_starts[hi],
+                                       scores[peak], window_starts[peak], directions[peak]))
+    return events
 
 
 def _split_row(line_no: int, line: bytes, count: int) -> list[bytes] | MalformedRow:

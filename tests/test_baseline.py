@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellwatch.baseline import (
+    _DIRECTIONS,
     BaselineModel,
     DetectorConfig,
     Direction,
@@ -137,9 +138,9 @@ class TestFitBaseline:
 
 
 def score_at_hour_0(model, value):
-    """The score of ``value`` in a one-window (c1, m1) series at window start 0."""
+    """The scored record of ``value`` in a one-window (c1, m1) series at window start 0."""
     (scored,) = score_series(model, make_series([value]))
-    return scored.score
+    return scored
 
 
 class TestRobustScore:
@@ -147,7 +148,7 @@ class TestRobustScore:
         model = fit_one([7.0] * 30, window_len=3600)
         score = score_at_hour_0(model, 7.0)
         assert score.score == 0.0
-        assert score.direction == Direction.NONE
+        assert _DIRECTIONS[score.direction] == Direction.NONE
         assert not score.degrading
 
     def test_agrees_with_reference_scorer_to_bin_resolution(self):
@@ -179,7 +180,7 @@ class TestScoreSeries:
     def test_values_at_baseline_never_flag(self):
         model, _ = self.build([10.0] * 50)
         test = make_series([10.0] * 20, window_len=300, start=50 * 300)
-        assert not any(sw.flagged for sw in score_series(model, test))
+        assert not score_series(model, test).flagged.any()
 
     def test_planted_spike_flags_on_degrading_side_only(self):
         rng = np.random.default_rng(17)
@@ -198,8 +199,8 @@ class TestScoreSeries:
         model, _ = self.build([10.0] * 50)
         test = make_series([None, 10.0], window_len=300, start=0)
         scored = score_series(model, test)
-        assert scored[0].score.score == 0.0
-        assert not scored[0].score.sufficient_data
+        assert scored[0].score == 0.0
+        assert not scored[0].sufficient_data
         assert not scored[0].flagged
 
     def test_insufficient_samples_never_flag(self):
@@ -207,8 +208,17 @@ class TestScoreSeries:
         model = fit_baseline([make_series([10.0] * 10, window_len=300)], cfg)
         test = make_series([99.0], window_len=300)
         (scored,) = score_series(model, test)
-        assert scored.score.score > 2.0
+        assert scored.score > 2.0
         assert not scored.flagged
+
+    def test_records_read_as_columns(self):
+        model, _ = self.build([10.0] * 50)
+        test = make_series([10.0, 30.0, None, 9.0, 40.0], window_len=300, start=0)
+        scored = score_series(model, test, tau=2.0)
+        assert len(scored) == len(test.window_starts)
+        assert scored.window_start.tolist() == test.window_starts.tolist()
+        assert scored.flagged.any()
+        assert [record.flagged for record in scored] == scored.flagged.tolist()
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
@@ -228,7 +238,7 @@ class TestScoreSeries:
         test = make_series([10.0], window_len=300, start=12 * 3600)
         (scored,) = score_series(model, test)
         assert not scored.flagged
-        assert not scored.score.sufficient_data
+        assert not scored.sufficient_data
 
 
 def oracle_score(model, key, value):
@@ -305,11 +315,12 @@ class TestArrayStagesAgainstLoops:
         model = fit_baseline([s for s in series if s.cell_id != "c2"], cfg)
         for s in series[:2] + series[3:]:
             test = replace(s, values=s.values + rng.normal(0, 4, len(s.values)))
-            got = [
-                (w.window_start, w.score.score, w.score.direction, w.score.degrading,
-                 w.score.sufficient_data, w.flagged)
-                for w in score_series(model, test, tau=3.0)
-            ]
+            scored = score_series(model, test, tau=3.0)
+            got = list(zip(
+                scored.window_start.tolist(), scored.score.tolist(),
+                [_DIRECTIONS[d] for d in scored.direction.tolist()], scored.degrading.tolist(),
+                scored.sufficient_data.tolist(), scored.flagged.tolist(),
+            ))
             assert got == reference_scores(model, test, 3.0)
 
 
@@ -664,6 +675,7 @@ class TestSerialization:
             # merging is exact, so the merged partitions pin the pooled fit's bytes
             ("merged", "4b90e78d16156c399b09b08b04f65a0b20a5c5c4dc28b2f75b4af4f5a7f11ad0"),
         ],
+        ids=["fixed_bounds", "data_driven_bounds", "merged"],
     )
     def test_model_json_is_pinned(self, case, sha256):
         text = model_to_json(pinned_model(case))

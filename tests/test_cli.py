@@ -713,6 +713,36 @@ class TestMalformedDocuments:
              "anomalies[0].start_window 61207 is not a multiple of window_len 1800"),
             (lambda d: d.update(days=1e12), "points per metric, more than 16777216"),
             (lambda d: d["cdr"].update(calls_per_window=1e15), "expects more than 16777216 calls"),
+            (lambda d: d.update(n_cells=0), "n_cells must be >= 1"),
+            (lambda d: d.update(train_fraction=1.0), "train_fraction must be in (0, 1)"),
+            (lambda d: d.update(missing_rate=1.0), "missing_rate must be in [0, 1)"),
+            (lambda d: d.update(days=0.03), "grid needs at least two windows"),
+            (lambda d: d["metrics"]["rtt_ms"].update(sigma=0.0), "metric 'rtt_ms': sigma must be > 0"),
+            (lambda d: d["metrics"]["rtt_ms"].update(value_range=[5.0, 5.0]), "metric 'rtt_ms': bad value_range"),
+            (lambda d: d["causes"][0].update(kqi="rtt_ms"), "cause 'congestion' targets unknown KQI 'rtt_ms'"),
+            (lambda d: d["causes"][0]["pattern"].update(jitter_ms="HIGH"),
+             "cause 'congestion' references unknown KPIs ['jitter_ms']"),
+            (lambda d: d["causes"][0].update(symptom_magnitude=0.0),
+             "cause 'congestion': symptom_magnitude must be > 0"),
+            (lambda d: d["anomalies"].update(count=-1), "auto plan needs count >= 0 and magnitude > 0"),
+            (lambda d: d["anomalies"].update(magnitude=0.0), "auto plan needs count >= 0 and magnitude > 0"),
+            (lambda d: d["anomalies"].update(min_windows=0), "auto plan window range invalid"),
+            (lambda d: d["anomalies"].update(min_windows=5, max_windows=4), "auto plan window range invalid"),
+            (lambda d: d.update(causes=[], metrics={k: v for k, v in d["metrics"].items() if v["kind"] == "KPI"}),
+             "cannot plant anomalies without KQI metrics"),
+            (lambda d: d.update(anomalies=[{**planted(61200, 2), "magnitude": 0.0}]), "planted magnitudes must be > 0"),
+            (lambda d: d.update(anomalies=[{**planted(61200, 2), "metric": "rtt_ms"}]),
+             "anomaly targets non-KQI metric 'rtt_ms'"),
+            (lambda d: d.update(anomalies=[{**planted(61200, 2), "cell_id": "cell-009"}]),
+             "anomaly targets unknown cell 'cell-009'"),
+            (lambda d: d.update(anomalies=[planted(0, 2)]), "planted anomalies must lie inside the test span"),
+            # the grid ends at 48 windows of 1800 s, 86400
+            (lambda d: d.update(anomalies=[planted(84600, 2)]), "planted anomaly extends past the grid"),
+            # 2 cells x 2 KQIs hold at most 4 anomalies
+            (lambda d: d["anomalies"].update(count=5), "could not place the requested anomaly count"),
+            # the test span holds 14 of the 48 windows
+            (lambda d: d["anomalies"].update(min_windows=20, max_windows=20),
+             "test span too short for the planned anomaly durations"),
         ],
     )
     def test_gen_spec(self, tmp_path, caplog, edit, message):
@@ -926,6 +956,16 @@ class TestMalformedDocuments:
              "line 3: non-finite duration 'inf'"),
             (TRAIN_CDR, CDR_HEADER + "cell-000,99999999999999999999,30,0,aa,bb\n", 1,
              "line 2: start_time 99999999999999999999 "),
+            (["train", "--catalog", "{data}/catalog.json", "--out", "{tmp}/m.json"], "", 1,
+             "no input series; pass --kqi/--kpi/--cdr"),
+            (["detect", "--catalog", "{data}/catalog.json", "--model", "{ws}/model.json",
+              "--out", "{tmp}/e.jsonl"], "", 1, "no KQI series; pass --kqi and/or --cdr"),
+            (
+                ["train", "--cdr", "{data}/cdr.csv", "--catalog", "{doc}", "--out", "{tmp}/m.json"],
+                '{"m": {"kind": "KQI", "polarity": "LOWER_IS_WORSE", "window_len_seconds": 300}}',
+                1,
+                "catalog must declare the CDR-derived metrics",
+            ),
         ],
         ids=[
             "catalog_missing_key", "catalog_window_len_string", "catalog_window_len_float",
@@ -935,6 +975,7 @@ class TestMalformedDocuments:
             "report_eval_precision_string", "report_fogsim_bytes_string", "report_clean_missing_key",
             "report_fogsim_missing_phases", "report_clean_unknown_key",
             "cdr_nan_duration", "cdr_inf_duration", "cdr_start_time_beyond_int64",
+            "train_no_input", "detect_no_kqi", "cdr_catalog_without_derived_metrics",
         ],
     )
     def test_data_document(self, workspace, tmp_path, caplog, argv, text, rc, message):
@@ -974,6 +1015,14 @@ class TestConfigChecks:
             (RecordSizes, "metric_row_bytes", -1),
             (RecordSizes, "transaction_bytes", -1),
             (RecordSizes, "alert_bytes", -1),
+            (CleanConfig, "min_points", 3),
+            (DetectorConfig, "min_samples", 0),
+            (MineConfig, "s_min_count", 0),
+            (MineConfig, "s_max_fraction", 0.0),
+            (MineConfig, "s_max_fraction", 1.5),
+            (MineConfig, "c_min", 0.0),
+            (MineConfig, "c_min", 1.5),
+            (MineConfig, "max_antecedent", 0),
         ],
     )
     def test_rejected(self, cls, name, value):

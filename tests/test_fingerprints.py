@@ -459,6 +459,11 @@ class TestPersistence:
             ({"support_count": -5, "antecedent_count": 0, "confidence": 1.0}, "support_count -5 below 1"),
             ({"support_count": 0, "antecedent_count": 0, "confidence": 1.0}, "support_count 0 below 1"),
             ({"support_count": 2, "antecedent_count": 0, "confidence": 0.5}, "antecedent_count below support_count"),
+            ({"support_count": 2, "antecedent_count": 4, "confidence": 0.75}, "confidence inconsistent with counts"),
+            ({"antecedent": []}, "empty antecedent"),
+            ({"support": 0.0}, "support 0.0 outside (0, 1]"),
+            ({"support": 1.5}, "support 1.5 outside (0, 1]"),
+            ({"lift": 0.0}, "lift 0.0 must be > 0 and finite"),
         ],
     )
     def test_counts_no_mining_run_produces_rejected(self, tmp_path, counts, problem):

@@ -82,6 +82,24 @@ class TestBuildTopology:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            (lambda d: d["nodes"].append({"id": "edge-0", "tier": "EDGE", "parent": "fog-0"}),
+             "duplicate node id 'edge-0'"),
+            (lambda d: d["nodes"][0].update(parent="fog-0"), "the CLOUD node cannot have a parent"),
+            (lambda d: d["nodes"][2].update(parent="fog-9"), "node 'edge-0' has no valid parent"),
+            (lambda d: d["links"]["edge-0"].update(bandwidth_bps=0.0), "node 'edge-0' has a non-physical uplink"),
+            (lambda d: d["links"]["fog-0"].update(latency_s=-0.01), "node 'fog-0' has a non-physical uplink"),
+        ],
+        ids=["duplicate_id", "cloud_with_parent", "parent_not_a_node", "zero_bandwidth", "negative_latency"],
+    )
+    def test_invalid_tree_names_the_fault(self, edit, message):
+        doc = minimal_topology_doc()
+        edit(doc)
+        with pytest.raises(InvalidTopology, match=re.escape(message)):
+            build_topology(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
             (lambda d: d["nodes"][1].update(tier="MIST"), "nodes[1].tier: expected one of"),
             (lambda d: d["nodes"][2].pop("id"), "nodes[2].id: missing required key"),
             (lambda d: d["links"]["edge-0"].update(bandwidth_bps="1e6"),
@@ -247,6 +265,7 @@ class TestSimulate:
             (Strategy.EDGE_INFERENCE, "3b900e644385e03b3bd07ca093a5a77116a17d68a31f8b9b17565bbbb654f8bd"),
             (Strategy.FOG, "13fd23a04b1a4344bf16b3e43f123b1ac968368742b854faa8d22c3b124c9c4f"),
         ],
+        ids=["CENTRALIZED", "EDGE_INFERENCE", "FOG"],
     )
     def test_default_scenario_report_is_pinned(self, strategy, sha256):
         report, _, _ = simulate(default_topology(), strategy, default_scenario())
@@ -259,6 +278,7 @@ class TestSimulate:
             (Strategy.EDGE_INFERENCE, "c5a18e519890e20db6404ff1f46b2854e41dee8a5b404f275e7826aa52291f7c"),
             (Strategy.FOG, "58e5b1dab5095eae57736f2acc8c099348aa2be4e4d50da6a206f9642caa4b7a"),
         ],
+        ids=["CENTRALIZED", "EDGE_INFERENCE", "FOG"],
     )
     def test_sparse_traffic_report_is_pinned(self, strategy, sha256):
         # Some cells have no calls in their first or last windows, so their

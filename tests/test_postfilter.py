@@ -1,34 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellwatch.baseline import AnomalyScore, Direction, ScoredWindow
+from cellwatch.baseline import Direction
 from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent, FilterConfig, _persistence_survivors, apply_filters
 
-from helpers import persistence_survivors_scan
+from helpers import filter_events_scan, persistence_survivors_scan
+
+DIRECTIONS = (Direction.NONE, Direction.UP, Direction.DOWN)  # by direction index
 
 
-def stream(flags, scores=None, window_len=300):
-    """Scored windows from a 0/1 flag list; flagged windows default to score 8."""
-    out = []
-    for i, f in enumerate(flags):
-        score = scores[i] if scores else (8.0 if f else 0.5)
-        direction = Direction.UP if f else Direction.NONE
-        out.append(
-            ScoredWindow(
-                window_start=i * window_len,
-                score=AnomalyScore(score, direction, bool(f), True),
-                flagged=bool(f),
-            )
-        )
-    return out
+def stream(flags, scores=None, directions=None, window_len=300):
+    """score_series records from a 0/1 flag list; flagged windows default to score 8 and UP."""
+    flagged = np.asarray(flags, dtype=bool)
+    return np.rec.fromarrays(
+        [
+            window_len * np.arange(len(flagged), dtype=np.int64),
+            np.where(flagged, 8.0, 0.5) if scores is None else np.asarray(scores, dtype=np.float64),
+            flagged.astype(np.int64) if directions is None else np.asarray(directions, dtype=np.int64),
+            flagged,
+            np.ones(len(flagged), dtype=bool),
+            flagged,
+        ],
+        names="window_start,score,direction,degrading,sufficient_data,flagged",
+    )
 
 
 CFG = FilterConfig(persistence_m=2, persistence_n=3, merge_gap=2, min_peak_score=6.0)
 
 
-def run(flags, cfg=CFG, scores=None):
-    return apply_filters(stream(flags, scores), cfg, cell_id="c1", metric_name="kqi")
+def run(flags, cfg=CFG, scores=None, directions=None):
+    return apply_filters(stream(flags, scores, directions), cfg, cell_id="c1", metric_name="kqi")
 
 
 class TestPersistence:
@@ -68,7 +72,7 @@ class TestPersistence:
             flags = [bool(v) for v in rng.random(int(rng.integers(0, 25))) < rng.uniform(0, 1)]
             n = int(rng.integers(1, 8))
             m = int(rng.integers(1, n + 1))
-            assert _persistence_survivors(flags, m, n) == persistence_survivors_scan(flags, m, n)
+            assert _persistence_survivors(flags, m, n).tolist() == persistence_survivors_scan(flags, m, n)
 
 
 class TestMergeAndPeak:
@@ -134,7 +138,35 @@ class TestInvariants:
         assert run(flags) == run(flags)
 
     def test_empty_input(self):
-        assert apply_filters([], CFG, cell_id="c", metric_name="m") == []
+        assert apply_filters(stream([]), CFG, cell_id="c", metric_name="m") == []
+
+
+@st.composite
+def filter_cases(draw):
+    """A flag, score and direction stream (possibly empty or all flagged) and a FilterConfig."""
+    n = draw(st.integers(0, 40))
+    flags = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    # few distinct scores, so that peaks tie
+    scores = draw(st.lists(st.sampled_from([0.0, 2.5, 6.0, 7.5, 11.0]), min_size=n, max_size=n))
+    directions = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    span = draw(st.integers(1, 6))
+    cfg = FilterConfig(
+        persistence_m=draw(st.integers(1, span)),
+        persistence_n=span,
+        merge_gap=draw(st.integers(0, 4)),
+        min_peak_score=draw(st.sampled_from([-1.0, 0.0, 6.0, 7.5, 20.0])),
+    )
+    return flags, scores, directions, cfg
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(filter_cases())
+def test_filters_equal_the_window_by_window_pass(case):
+    flags, scores, directions, cfg = case
+    starts = [300 * i for i in range(len(flags))]
+    want = filter_events_scan(starts, flags, scores, [DIRECTIONS[d] for d in directions], cfg,
+                              cell_id="c1", metric_name="kqi")
+    assert run(flags, cfg, scores, directions) == want
 
 
 def test_event_json_round_trip():
