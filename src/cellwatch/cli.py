@@ -240,8 +240,25 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_event(event: AnomalyEvent, where: str) -> AnomalyEvent:
+    """``event`` if its window starts fit int64 and are in order, else SchemaMismatch naming ``where`` and the field."""
+    for name in ("start_window", "peak_window", "end_window"):
+        value = getattr(event, name)
+        if not -(2**63) <= value < 2**63:
+            raise SchemaMismatch(f"{where}.{name}: {value} is outside the int64 range")
+    if event.peak_window < event.start_window:
+        raise SchemaMismatch(f"{where}.peak_window: {event.peak_window} is before start_window {event.start_window}")
+    if event.end_window < event.peak_window:
+        raise SchemaMismatch(f"{where}.end_window: {event.end_window} is before peak_window {event.peak_window}")
+    return event
+
+
+def _decode_events(docs: list[tuple[str, dict]]) -> list[AnomalyEvent]:
+    return [_check_event(decode(AnomalyEvent, doc, where), where) for where, doc in docs]
+
+
 def _load_events(path: str | Path) -> list[AnomalyEvent]:
-    return [decode(AnomalyEvent, doc, where) for where, doc in _read_jsonl(path)]
+    return _decode_events(_read_jsonl(path))
 
 
 @dataclass
@@ -255,6 +272,14 @@ class _DiagnosisLine:
     matched: bool
     match_threshold: float
     ranked: list[RankedDoc]
+
+
+def _decode_diagnoses(docs: list[tuple[str, dict]]) -> list[_DiagnosisLine]:
+    lines = []
+    for where, doc in docs:
+        lines.append(decode(_DiagnosisLine, doc, where))
+        _check_event(lines[-1].event, f"{where}.event")
+    return lines
 
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
@@ -362,8 +387,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     outcomes: list[DiagnosisOutcome | None] | None = None
     if args.diagnoses:
         by_event = {}
-        for where, doc in _read_jsonl(args.diagnoses):
-            d = decode(_DiagnosisLine, doc, where)
+        for d in _decode_diagnoses(_read_jsonl(args.diagnoses)):
             top = d.ranked[0].cause if d.ranked else None
             key = (d.event.cell_id, d.event.metric_name, d.event.start_window)
             by_event[key] = DiagnosisOutcome(matched=d.matched, top_label=top)
@@ -384,7 +408,7 @@ def _summarize(path: Path) -> list[str]:
         if not docs:
             return ["empty JSON Lines file"]
         if "peak_score" in docs[0][1]:
-            events = [decode(AnomalyEvent, doc, where) for where, doc in docs]
+            events = _decode_events(docs)
             lines = [f"{len(events)} anomaly events"]
             for e in events[:20]:
                 lines.append(
@@ -395,7 +419,7 @@ def _summarize(path: Path) -> list[str]:
                 lines.append(f"  ... and {len(events) - 20} more")
             return lines
         if "matched" in docs[0][1]:
-            diagnoses = [decode(_DiagnosisLine, doc, where) for where, doc in docs]
+            diagnoses = _decode_diagnoses(docs)
             matched = sum(1 for d in diagnoses if d.matched)
             lines = [f"{len(diagnoses)} diagnoses, {matched} matched"]
             for d in diagnoses[:20]:

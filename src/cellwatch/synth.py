@@ -471,21 +471,17 @@ def _generate_calls(spec: ScenarioSpec, cells: list[str], starts: np.ndarray) ->
 
     The draws are the data contract. Cell ``ci`` draws from a PCG64 stream
     seeded with ``(seed, 2, ci)``: first its call count for every window,
-    ``poisson(calls_per_window, n_windows)``; then, for each window holding
-    c > 0 calls, in window order: ``integers(0, window_len, c)`` start
-    offsets, c standard exponentials, c uniforms and 2c uint32 endpoint
-    words (source then destination, call by call).
+    ``poisson(calls_per_window, n_windows)``; then, for its N calls in all,
+    ``integers(0, window_len, N)`` start offsets, N standard exponentials,
+    N uniforms and 2N uint32 endpoint words (source then destination, call
+    by call). The offsets fill the windows in order, as the calls do.
 
-    Only the exponentials go through numpy per window, because the ziggurat
-    takes a variable number of words. The rest is decoded from raw PCG64
-    words (``_draw_cell``), which is exact for a ``window_len`` in
-    [2, 2**32] as long as no offset draw is rejected; otherwise the cell is
-    replayed through numpy's own draws (``_draw_per_call``). Everything
-    after the draws is one array pass over all calls: sorting the offsets
-    within each window, adding the window starts, scaling durations by
-    ``duration_mean`` (the one multiply that ``exponential(scale)`` makes)
-    and rounding them to 0.1 s, comparing the uniforms with ``drop_prob``,
-    and writing each endpoint word as 8 hex digits, most significant first.
+    Everything after the draws is one array pass over all calls: sorting the
+    offsets within each window, adding the window starts, scaling durations
+    by ``duration_mean`` (the one multiply that ``exponential(scale)``
+    makes) and rounding them to 0.1 s, comparing the uniforms with
+    ``drop_prob``, and writing each endpoint word as 8 hex digits, most
+    significant first.
     """
     cdr = spec.cdr
     rngs = [np.random.default_rng([spec.seed, 2, ci]) for ci in range(len(cells))]
@@ -495,9 +491,11 @@ def _generate_calls(spec: ScenarioSpec, cells: list[str], starts: np.ndarray) ->
     start_time, duration, uniform = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
     endpoints = np.empty(2 * n, dtype=np.uint32)
     cell_end = np.cumsum(per_cell).tolist()
-    for rng, row, lo, hi in zip(rngs, counts, [0, *cell_end], cell_end):
-        out = start_time[lo:hi], duration[lo:hi], uniform[lo:hi], endpoints[2 * lo : 2 * hi]
-        _draw_cell(rng, row[row > 0], spec.window_len, *out)
+    for rng, lo, hi in zip(rngs, [0, *cell_end], cell_end):
+        start_time[lo:hi] = rng.integers(0, spec.window_len, hi - lo)
+        rng.standard_exponential(out=duration[lo:hi])
+        rng.random(out=uniform[lo:hi])
+        endpoints[2 * lo : 2 * hi] = rng.integers(0, 2**32, 2 * (hi - lo), dtype=np.uint32)
     # calls are in (cell, window) order; a cell's start times fall in disjoint
     # windows in increasing order, so one sort per cell sorts each window
     start_time += np.repeat(np.tile(starts, len(cells)), counts.ravel())
@@ -508,99 +506,6 @@ def _generate_calls(spec: ScenarioSpec, cells: list[str], starts: np.ndarray) ->
     cell_id = np.repeat(np.array(cells), per_cell)
     duration = np.round(duration * cdr.duration_mean, 1)
     return CdrCalls(cell_id, start_time, duration, uniform < cdr.drop_prob, hashes[0::2], hashes[1::2])
-
-
-def _draw_per_call(
-    rng: np.random.Generator, active: np.ndarray, window_len: int,
-    start_time: np.ndarray, duration: np.ndarray, uniform: np.ndarray, endpoints: np.ndarray,
-) -> None:
-    """One cell's draws for its active windows (call counts ``active``), window by window through numpy."""
-    integers, exponential, random = rng.integers, rng.standard_exponential, rng.random
-    lo = 0
-    for c in active.tolist():
-        hi = lo + c
-        start_time[lo:hi] = integers(0, window_len, c)
-        exponential(out=duration[lo:hi])
-        random(out=uniform[lo:hi])
-        endpoints[2 * lo : 2 * hi] = integers(0, 2**32, 2 * c, dtype=np.uint32)
-        lo = hi
-
-
-def _draw_cell(
-    rng: np.random.Generator, active: np.ndarray, window_len: int,
-    start_time: np.ndarray, duration: np.ndarray, uniform: np.ndarray, endpoints: np.ndarray,
-) -> None:
-    """The draws of ``_draw_per_call``, with two numpy calls per window where the decode holds.
-
-    Per window, ``standard_exponential(out=...)`` runs, then one
-    ``random_raw`` takes this window's uniform and endpoint words and the
-    next window's offset words: the raw words numpy would consume, in order,
-    which ``_decode`` turns into the draws. On a Lemire rejection, and for a
-    ``window_len`` outside [2, 2**32], where numpy draws no word (at 1) or
-    takes its 64-bit path (above 2**32), the cell is replayed from its state
-    before the draws through ``_draw_per_call``.
-    """
-    state = rng.bit_generator.state
-    if 2 <= window_len <= 2**32 and len(active):
-        offset_words, endpoint_words = _word_layout(active)
-        takes = active + endpoint_words
-        takes[:-1] += offset_words[1:]
-        random_raw, exponential = rng.bit_generator.random_raw, rng.standard_exponential
-        chunks = [random_raw(int(offset_words[0]))]
-        lo = 0
-        for c, k in zip(active.tolist(), takes.tolist()):
-            exponential(out=duration[lo : lo + c])
-            chunks.append(random_raw(k))
-            lo += c
-        if _decode(np.concatenate(chunks), active, window_len, start_time, uniform, endpoints):
-            return
-        rng.bit_generator.state = state
-    _draw_per_call(rng, active, window_len, start_time, duration, uniform, endpoints)
-
-
-def _word_layout(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw words that each window's offsets and endpoints take: (offset words, endpoint words).
-
-    numpy's PCG64 hands out a 32-bit word as the low, then the high half of
-    a raw word, and a pending high half carries over to the next call. So a
-    cell's offsets and endpoints are one stream of halves, window j's
-    starting at half 3 * (c_0 + ... + c_{j-1}), and a draw takes a new raw
-    word at each even half.
-    """
-    halves = 3 * np.cumsum(active)
-    after_offsets = (halves - 2 * active + 1) // 2
-    after_endpoints = (halves + 1) // 2
-    offset_words = after_offsets - np.concatenate(([0], after_endpoints[:-1]))
-    return offset_words, after_endpoints - after_offsets
-
-
-def _decode(
-    raw: np.ndarray, active: np.ndarray, window_len: int,
-    start_time: np.ndarray, uniform: np.ndarray, endpoints: np.ndarray,
-) -> bool:
-    """One cell's offsets, uniforms and endpoint words from its raw PCG64 words.
-
-    ``raw`` holds, window by window, the offset words, c uniform words and
-    the endpoint words. A uniform is ``(w >> 11) * 2**-53``, numpy's
-    ``next_double``. The other words split into halves, low first; an
-    offset is Lemire's ``(u * window_len) >> 32`` and an endpoint the half
-    itself. Lemire rejects a half whose low product ``u * window_len mod
-    2**32`` is below ``(2**32 - window_len) % window_len``, and numpy then
-    draws another, shifting every later draw: the result is then False.
-    """
-    offset_words, endpoint_words = _word_layout(active)
-    sizes = np.column_stack([offset_words, active, endpoint_words]).ravel()
-    is_uniform = np.repeat(np.tile([False, True, False], len(active)), sizes)
-    uniform[:] = (raw[is_uniform] >> 11) * 2.0**-53
-    halves = raw[~is_uniform].astype("<u8", copy=False).view("<u4")
-    is_offset = np.repeat(np.tile([True, False], len(active)), np.column_stack([active, 2 * active]).ravel())
-    halves = halves[: len(is_offset)]
-    product = halves[is_offset].astype(np.uint64) * np.uint64(window_len)
-    if ((product & 0xFFFFFFFF) < (2**32 - window_len) % window_len).any():
-        return False
-    start_time[:] = product >> 32
-    endpoints[:] = halves[~is_offset]
-    return True
 
 
 @dataclass

@@ -18,9 +18,10 @@ they never touch the array checks that ``ingest.parse_metric_csv`` and
 ``ingest.parse_cdr`` run over the blocks of ``ingest._read_rows``. Both
 formats share one grammar for characters, field counts, integers and
 numbers, stated once here by ``_split_row``, ``_integer_error`` and
-``_float_error``. The call oracle draws each (cell, window) block of CDR
-calls with its own numpy calls, one window at a time, in the stream order
-that ``synth._generate_calls`` fixes.
+``_float_error``. The call oracle makes each cell's CDR draws with numpy's
+own calls, in the stream order that ``synth._generate_calls`` fixes, and
+sorts, scales, compares and hex-formats them one cell and one window at a
+time.
 """
 
 from __future__ import annotations
@@ -496,22 +497,25 @@ def sparse_traffic_scenario() -> Scenario:
 
 
 def calls_by_window(spec: synth.ScenarioSpec) -> CdrCalls:
-    """Reference CDR calls: each active window's draws sorted, scaled, compared and hex-formatted on their own."""
+    """Reference CDR calls: each cell's draws from numpy, each window's offsets sorted on their own."""
     cdr = spec.cdr
     starts = np.arange(spec.n_windows, dtype=np.int64) * spec.window_len
-    rngs = [np.random.default_rng([spec.seed, 2, ci]) for ci in range(spec.n_cells)]
-    counts = np.array([rng.poisson(cdr.calls_per_window, len(starts)) for rng in rngs])
-    ends = np.cumsum(counts)  # calls are in (cell, window) order
-    n = int(counts.sum())
-    start_time, duration = np.empty(n, dtype=np.int64), np.empty(n)
-    dropped, endpoints = np.empty(n, dtype=bool), np.empty((n, 2), dtype=np.uint32)
-    active = np.flatnonzero(counts)
-    for k, lo, hi in zip(active.tolist(), (ends - counts.ravel())[active].tolist(), ends[active].tolist()):
-        rng, wi, c = rngs[k // len(starts)], k % len(starts), hi - lo
-        start_time[lo:hi] = np.sort(rng.integers(0, spec.window_len, c)) + starts[wi]
-        duration[lo:hi] = rng.exponential(cdr.duration_mean, c)
-        dropped[lo:hi] = rng.random(c) < cdr.drop_prob
-        endpoints[lo:hi] = rng.integers(0, 2**32, (c, 2), dtype=np.uint64)
-    hashes = np.array([[f"{v:08x}" for v in pair] for pair in endpoints.tolist()], dtype="U8").reshape(n, 2)
-    cell_id = np.repeat(np.array(spec.cell_ids()), counts.sum(axis=1))
-    return CdrCalls(cell_id, start_time, np.round(duration, 1), dropped, hashes[:, 0], hashes[:, 1])
+    per_cell, start_time, duration, dropped, endpoints = [], [], [], [], []
+    for ci in range(spec.n_cells):
+        rng = np.random.default_rng([spec.seed, 2, ci])
+        counts = rng.poisson(cdr.calls_per_window, len(starts))
+        n = int(counts.sum())
+        offsets = rng.integers(0, spec.window_len, n)
+        duration.append(rng.exponential(cdr.duration_mean, n))
+        dropped.append(rng.random(n) < cdr.drop_prob)
+        endpoints += rng.integers(0, 2**32, (n, 2), dtype=np.uint64).tolist()
+        ends = np.cumsum(counts)
+        for wi, (lo, hi) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+            offsets[lo:hi] = np.sort(offsets[lo:hi]) + starts[wi]
+        per_cell.append(n)
+        start_time.append(offsets)
+    n = sum(per_cell)
+    hashes = np.array([[f"{v:08x}" for v in pair] for pair in endpoints], dtype="U8").reshape(n, 2)
+    cell_id = np.repeat(np.array(spec.cell_ids()), per_cell)
+    duration = np.round(np.concatenate(duration), 1)
+    return CdrCalls(cell_id, np.concatenate(start_time), duration, np.concatenate(dropped), hashes[:, 0], hashes[:, 1])

@@ -145,16 +145,16 @@ class TestPinnedOutput:
     """Report files and summaries of the workspace scenario, byte for byte."""
 
     FILES = {
-        "clean.json": "578a794581b2cb09d12748a11386648c4e50a052a9cae1825655a24d3288e598",
-        "eval.json": "f3436fd9f0459502acd06a5396c7336a82e304a0d1ae77f66b78f63d3f6b0751",
+        "clean.json": "1e4020fb7dcb478a1f7b73cb2408e0ee046a7b539e0bb23953239b8cbc051456",
+        "eval.json": "7d389ae58a73b3954983de351de99f5e62849869c570c6e9987a16122b10ac2c",
     }
     REPORTS = {
         "model.json": "d7a461d9dbf4e6d04a448447a1b1e97f369b1a29d7b3f7d5b440815da8157c56",
-        "clean.json": "381f024abe274bbe4ce8ed666635b1f61d9f209726bbd0eaf3307f6ad11d2825",
-        "events.jsonl": "5a99cb6f5fec62d49b3c0a96799e7eba443ea1170252b8980b3ad63e70d47488",
-        "db.json": "3052d941d85ce88c4f3d489e1aa70e621edf1b869790c5bb2a5df9366ce0cd65",
-        "diagnoses.jsonl": "793cb6aec26ec9b4085b1a53c750c74b085d48f8dbd2a6b0d23008c4e1a588af",
-        "eval.json": "e7559b7a077c6451e619d92965dd9026e8ff81679caa4429ef4db50aafebb1cd",
+        "clean.json": "671baf704261724dbdf76827f4031eeb33649f4e3925a53840b47d94cfc0923f",
+        "events.jsonl": "15cd5ca446763456dfdfd8f76a7a5b05750861fd4f6b9cfad7177739738d965e",
+        "db.json": "4951029a09b51b009fd71df210aa21c0db3d3cfe0045c2677bb6df1c16476ea1",
+        "diagnoses.jsonl": "cc452c881f62a6c2c84bc3552d4eef4a6f3ff010b0635403766f52ac860b1861",
+        "eval.json": "82e4d7a680eba71c7bb4eb373777802b17d724652f122a52c8ca469f81cd431c",
         "spec.json": "cc6b092ee08dccde8d1fe9b1ca2f7a025bb49de7a7de70a463fce267f04f0087",
         "data/truth.json": "74563c5d61ef2a9ee1bfd0467b096116a4bc7b8110baa233f3aad6a6dfd99161",
         "data/labels.json": "d0901177cfc099841651923653603312f4d042ab975dec397e5ae9997c80fa33",
@@ -858,6 +858,48 @@ class TestMalformedDocuments:
         )
         assert rc == 1
         assert message in log
+
+    EVENT_READERS = {
+        "mine": ["mine", "--events", "{events}", "--kpi", "{data}/kpi.csv", "--model", "{ws}/model.json",
+                 "--out", "{tmp}/db.json", "--catalog", "{data}/catalog.json"],
+        "diagnose": ["diagnose", "--events", "{events}", "--kpi", "{data}/kpi.csv", "--model", "{ws}/model.json",
+                     "--db", "{ws}/db.json", "--out", "{tmp}/d.jsonl", "--catalog", "{data}/catalog.json"],
+        "eval": ["eval", "--events", "{events}", "--truth", "{data}/truth.json"],
+        "report_events": ["report", "{events}"],
+        "eval_diagnoses": ["eval", "--events", "{ws}/events.jsonl", "--diagnoses", "{diagnoses}",
+                           "--truth", "{data}/truth.json"],
+        "report_diagnoses": ["report", "{diagnoses}"],
+    }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"peak_window": 2**63}, "peak_window: 9223372036854775808 is outside the int64 range"),
+            ({"start_window": -(2**63) - 1}, "start_window: -9223372036854775809 is outside the int64 range"),
+            ({"end_window": 2**64}, "end_window: 18446744073709551616 is outside the int64 range"),
+            ({"start_window": 10**15}, "peak_window: {peak_window} is before start_window 1000000000000000"),
+            ({"end_window": 0}, "end_window: 0 is before peak_window {peak_window}"),
+        ],
+        ids=["peak_beyond_int64", "start_below_int64", "end_beyond_int64", "start_after_peak", "end_before_peak"],
+    )
+    @pytest.mark.parametrize("command", sorted(EVENT_READERS))
+    def test_event_windows(self, workspace, tmp_path, caplog, command, edit, message):
+        """An event's window starts fit int64 and are in order, in an events or a diagnoses file."""
+        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path,
+                 "events": workspace / "events.jsonl", "diagnoses": workspace / "diagnoses.jsonl"}
+        source = "diagnoses" if command.endswith("diagnoses") else "events"
+        lines = paths[source].read_text().splitlines()
+        doc = json.loads(lines[1])
+        event = doc["event"] if source == "diagnoses" else doc
+        message = message.format(**event)
+        event.update(edit)
+        lines[1] = json.dumps(doc)
+        paths[source] = tmp_path / f"bad.{source}.jsonl"
+        paths[source].write_text("\n".join(lines) + "\n")
+        rc, log = self.run([arg.format(**paths) for arg in self.EVENT_READERS[command]], caplog)
+        assert rc == 1
+        where = "line 2.event." if source == "diagnoses" else "line 2."
+        assert where + message in log
 
     TRAIN = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{bad}", "--out", "{tmp}/m.json"]
     TRAIN_CDR = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{data}/catalog.json",

@@ -262,8 +262,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1f4f2613165a90eb3c1277f84beff9ba8a93874e70010fc986a1232b3220e004"),
-            (Strategy.EDGE_INFERENCE, "3b900e644385e03b3bd07ca093a5a77116a17d68a31f8b9b17565bbbb654f8bd"),
-            (Strategy.FOG, "13fd23a04b1a4344bf16b3e43f123b1ac968368742b854faa8d22c3b124c9c4f"),
+            (Strategy.EDGE_INFERENCE, "449b510daf216af896615a7c4233c69d6d9c25fedeaec419b3cb0750fc63498a"),
+            (Strategy.FOG, "f9ca647c709ffc6d72042c0c4a42baf59fa97bd3e542163207d3d48ee1d8e441"),
         ],
         ids=["CENTRALIZED", "EDGE_INFERENCE", "FOG"],
     )
@@ -275,8 +275,8 @@ class TestSimulate:
         "strategy, sha256",
         [
             (Strategy.CENTRALIZED, "1780ce4e86017a628946d4103ce1ef734c7358f523bd1f5432462305b7fc548f"),
-            (Strategy.EDGE_INFERENCE, "c5a18e519890e20db6404ff1f46b2854e41dee8a5b404f275e7826aa52291f7c"),
-            (Strategy.FOG, "58e5b1dab5095eae57736f2acc8c099348aa2be4e4d50da6a206f9642caa4b7a"),
+            (Strategy.EDGE_INFERENCE, "fe489e7158d0cb6b5d140972944ca00659f5bde7c61f1a86acc7375013ca8467"),
+            (Strategy.FOG, "e4e744d914044701683200c5c1304dc6fe38669e2e4b380f4dfa16c04d4c329b"),
         ],
         ids=["CENTRALIZED", "EDGE_INFERENCE", "FOG"],
     )
