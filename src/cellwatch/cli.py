@@ -284,8 +284,9 @@ def _decode_diagnoses(docs: list[tuple[str, dict]]) -> list[_DiagnosisLine]:
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
     labels = {}
+    parsed: dict[str, SymptomItem] = {}
     for i, entry in enumerate(decode(synth.Labels, read(path)).labels):
-        antecedent = itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent")
+        antecedent = itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent", parsed)
         labels[(antecedent, entry.consequent)] = entry.cause_label
     return labels
 

@@ -48,12 +48,29 @@ class SymptomState(str, Enum):
 
 @dataclass(frozen=True, order=True)
 class SymptomItem:
+    """One KPI symptom, ordered by (metric_name, state).
+
+    ``token`` (``metric=STATE``) is built once, on construction, and carries
+    the item's hash and equality: a state holds no ``=`` and ``from_token``
+    splits at the last one, so two items are equal exactly when their tokens
+    are. A str caches its own hash, so hashing an item costs no tuple or enum
+    hash, and a pickled item hashes afresh under another hash seed.
+    """
+
     metric_name: str
     state: SymptomState
+    token: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def token(self) -> str:
-        return f"{self.metric_name}={self.state.value}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "token", f"{self.metric_name}={self.state.value}")
+
+    def __hash__(self) -> int:
+        return hash(self.token)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SymptomItem:
+            return NotImplemented
+        return self is other or self.token == other.token
 
     @classmethod
     def from_token(cls, token: str) -> "SymptomItem":
@@ -70,12 +87,25 @@ def _tokens(items: Itemset) -> list[str]:
     return sorted(it.token for it in items)
 
 
-def itemset_from_tokens(tokens: list[str], where: str) -> Itemset:
-    """The itemset of ``metric=STATE`` tokens; SchemaMismatch naming ``where`` if one is bad."""
+def itemset_from_tokens(tokens: list[str], where: str, parsed: dict[str, SymptomItem]) -> Itemset:
+    """The itemset of distinct ``metric=STATE`` tokens; SchemaMismatch naming ``where`` if not.
+
+    ``parsed`` maps each token already parsed to its item, so a document
+    parses each distinct token once and its itemsets share the items.
+    """
+    items = []
     try:
-        return frozenset(SymptomItem.from_token(t) for t in tokens)
-    except (AttributeError, ValueError):
+        for token in tokens:
+            item = parsed.get(token)
+            if item is None:
+                item = parsed[token] = SymptomItem.from_token(token)
+            items.append(item)
+    except (AttributeError, TypeError, ValueError):  # not a str, unhashable, or not a token
         raise SchemaMismatch(f"{where}: bad symptom tokens {tokens}") from None
+    itemset = frozenset(items)
+    if len(itemset) < len(items):
+        raise SchemaMismatch(f"{where}: repeated symptom tokens {tokens}")
+    return itemset
 
 
 @dataclass
@@ -227,12 +257,18 @@ class ItemsetCounts:
 
 
 def _summed(keys: np.ndarray, counts: np.ndarray | None = None) -> ItemsetCounts:
-    """The distinct ``keys`` in ascending order with their summed ``counts`` (default 1 each)."""
-    if counts is None:
-        keys = np.sort(keys)
-    else:
-        order = np.argsort(keys)
-        keys, counts = keys[order], counts[order]
+    """The distinct ``keys`` in ascending order with their summed ``counts`` (default 1 each).
+
+    Keys are ordered by their bytes, the order numpy gives ``S`` values, by
+    one stable lexsort over the byte columns, last byte first: an LSD radix
+    sort, one counting pass per byte, where a comparison sort pays a
+    byte-string compare per step. It gives that order at every key width.
+    """
+    columns = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+    order = np.lexsort(columns.T[::-1])
+    keys = keys[order]
+    if counts is not None:
+        counts = counts[order]
     if not len(keys):
         return ItemsetCounts(keys, np.zeros(0, dtype=np.int64))
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -299,7 +335,8 @@ def itemset_count_tables(transactions: list[Transaction], max_len: int) -> Count
 
     Transactions of one consequent and width w share one id matrix; its
     C(w, k) column combinations for each k <= max_len give every subset key,
-    and one ``np.unique`` per consequent counts them. If the subsets of all
+    and one ``_summed`` per consequent counts them, ordered by a radix sort
+    over the key bytes with no byte-string compare. If the subsets of all
     transactions, Σ_{k≤max_len} C(w, k) each, number more than MAX_ITEMSETS,
     TooManyItemsets is raised before any is enumerated.
     """
@@ -498,8 +535,9 @@ def load_db(path: str | Path) -> FingerprintDb:
     stored = decode(_DbDoc, doc)
     rules: list[Fingerprint] = []
     seen: set[tuple[Itemset, str]] = set()
+    parsed: dict[str, SymptomItem] = {}
     for i, raw in enumerate(stored.rules):
-        antecedent = itemset_from_tokens(raw.antecedent, f"rules[{i}].antecedent")
+        antecedent = itemset_from_tokens(raw.antecedent, f"rules[{i}].antecedent", parsed)
         rule = Fingerprint(**{**vars(raw), "antecedent": antecedent})
         problem = _rule_problem(rule, stored.transaction_total)
         if problem is not None:

@@ -14,11 +14,14 @@ that hold it) and an int64 array of antecedent sizes. A call counts the
 concatenated postings of the query's items with ``np.bincount``, which is
 ``inter`` for every candidate (an item the bucket never mentions selects no
 posting but still counts in ``|query|``), and takes ``union = |antecedent|
-+ |query| - inter`` and ``1 - inter / union``. int64 converts to float64
-exactly, so that is the same IEEE division of the same integers as
-``jaccard_distance``. A stable argsort then ranks by (distance, position),
-the same total order as sorting every candidate. The index is rebuilt when
-``db.rules`` is replaced by another list or changes length.
++ |query| - inter`` and ``1 - inter / union``. A non-empty query makes
+``union >= |query| >= 1``, so the division needs no mask; an empty query is
+at distance 0 from an empty antecedent and 1 from any other, as
+``jaccard_distance`` says. int64 converts to float64 exactly, so that is the
+same IEEE division of the same integers as ``jaccard_distance``. A stable
+argsort then ranks by (distance, position), the same total order as sorting
+every candidate. The index is rebuilt when ``db.rules`` is replaced by
+another list or changes length.
 """
 
 from __future__ import annotations
@@ -163,11 +166,14 @@ def diagnose(
     bucket = index.buckets.get(symptoms.consequent)
     ranked: list[RankedCause] = []
     if bucket is not None:
-        hits = [bucket.postings.get(item, _NO_RULES) for item in symptoms.items]
-        inter = np.bincount(np.concatenate([_NO_RULES, *hits]), minlength=len(bucket.rules))
-        union = bucket.sizes + len(symptoms.items) - inter
-        # union is 0 only for an empty antecedent and an empty query: ratio 1, distance 0
-        distances = 1.0 - np.divide(inter, union, out=np.ones(len(union)), where=union != 0)
+        if symptoms.items:
+            hits = [bucket.postings.get(item, _NO_RULES) for item in symptoms.items]
+            inter = np.bincount(np.concatenate(hits), minlength=len(bucket.rules))
+            # union >= |query| >= 1
+            distances = 1.0 - inter / (bucket.sizes + len(symptoms.items) - inter)
+        else:
+            # an empty query is at distance 0 from an empty antecedent and 1 from any other
+            distances = (bucket.sizes != 0).astype(np.float64)
         # a stable sort breaks distance ties by position, so this ranks by (distance, position)
         top = np.argsort(distances, kind="stable")[:k]
         for position, distance in zip(top.tolist(), distances[top].tolist()):

@@ -844,6 +844,11 @@ class TestMalformedDocuments:
                              "cause_label": "congestion"}]},
                 "labels[0].antecedent: bad symptom tokens",
             ),
+            (
+                {"labels": [{"antecedent": ["rtt_ms=HIGH", "rtt_ms=HIGH"], "consequent": "page_load_ms",
+                             "cause_label": "congestion"}]},
+                "labels[0].antecedent: repeated symptom tokens",
+            ),
         ],
     )
     def test_mine_labels(self, workspace, tmp_path, caplog, doc, message):

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import json
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +51,44 @@ def item(token):
 
 def tx(tokens, consequent="Q", key=("c1", 0)):
     return Transaction(frozenset(item(t) for t in tokens), consequent, key)
+
+
+# metric names with "=" inside and non-ASCII characters
+METRIC_NAMES = st.builds(
+    lambda head, mark, tail: head + mark + tail,
+    st.text(max_size=5),
+    st.sampled_from(["=", "é", "a=b", "π=", "_", "=HIGH"]),
+    st.text(max_size=5),
+)
+
+
+class TestSymptomItem:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(name=METRIC_NAMES, other=METRIC_NAMES, state=st.sampled_from(SymptomState))
+    def test_one_item_however_it_is_built(self, tmp_path_factory, name, other, state):
+        built = SymptomItem(name, state)
+        parsed = SymptomItem.from_token(f"{name}={state.value}")
+        path = tmp_path_factory.mktemp("db") / "db.json"
+        save_db(FingerprintDb([Fingerprint(frozenset([built]), "Q", 1.0, 1, 1, 1.0, 1.0)], 1), path)
+        (loaded,) = load_db(path).rules[0].antecedent
+        for a, b in itertools.permutations([built, parsed, loaded], 2):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert {a: "found"}[b] == "found"
+            assert b in frozenset([a])
+        assert repr(loaded) == f"SymptomItem(metric_name={name!r}, state={state!r})"
+
+        flip = SymptomState.LOW if state is SymptomState.HIGH else SymptomState.HIGH
+        flipped = replace(loaded, state=flip)
+        assert flipped.token == f"{name}={flip.value}"
+        assert flipped == SymptomItem.from_token(flipped.token) and flipped != loaded
+        assert SymptomItem(other, state) != built or other == name
+
+        restored = pickle.loads(pickle.dumps(loaded))
+        assert restored == built and restored in {built} and restored.token == built.token
+
+        items = [loaded, flipped, SymptomItem(other, state), SymptomItem(other, flip)]
+        assert sorted(items) == sorted(items, key=lambda it: (it.metric_name, it.state.value))
 
 
 class TestMineRareRules:
@@ -190,6 +231,32 @@ class TestCountTables:
         monkeypatch.setattr(fingerprints, "MAX_ITEMSETS", 12)  # 4 + 6 + 2 + 1 subsets of at most 2 symptoms
         with pytest.raises(TooManyItemsets, match="enumerate 13 subsets, more than 12"):
             mine_rare_rules(transactions, MineConfig(max_antecedent=2))
+
+    @pytest.mark.parametrize("id_dtype", [">u1", ">u2", ">u4"])
+    def test_summed_orders_and_counts_keys_as_np_unique(self, id_dtype):
+        rng = np.random.default_rng(5)
+        top = {">u1": 255, ">u2": 65535, ">u4": 2**32 - 1}[id_dtype]
+        # ids whose bytes hold 0x00, and their neighbours
+        ids = np.array([1, 2, 255, 256, 257, 512, 513, 65535, 65536, 65537, 2**24], dtype=np.int64)
+        ids = np.concatenate([ids[ids <= top], rng.integers(1, top, 12, endpoint=True)])
+        rows = np.sort(rng.choice(ids, size=(300, 3)), axis=1).astype(id_dtype)
+        rows[::4, 2] = 0  # shorter itemsets, zero-padded
+        if top > 255:
+            # keys equal up to a zero byte inside an id, then different
+            rows[1::7, 0] = rows[1::7, 1] = 256
+            rows[2::7, 0] = 256
+        keys = fingerprints._keys(rows, 4)
+        assert len(np.unique(keys)) < len(keys)
+
+        want_keys, want_counts = np.unique(keys, return_counts=True)
+        assert fingerprints._summed(keys) == fingerprints.ItemsetCounts(want_keys, want_counts)
+
+        counts = rng.integers(1, 50, len(keys))
+        _, inverse = np.unique(keys, return_inverse=True)
+        summed = np.zeros(len(want_keys), dtype=np.int64)
+        np.add.at(summed, inverse, counts)
+        assert fingerprints._summed(keys, counts) == fingerprints.ItemsetCounts(want_keys, summed)
+        assert fingerprints._summed(keys[:0], counts[:0]) == fingerprints.ItemsetCounts(keys[:0], counts[:0])
 
     def test_table_json_is_deterministic(self):
         rng = np.random.default_rng(2)
@@ -427,6 +494,11 @@ class TestPersistence:
             (lambda d: d["rules"][0].update(note="x"), "rules[0].note: unknown key"),
             (lambda d: d["rules"][0].update(antecedent=["rtt_ms=UP"]), "rules[0].antecedent: bad symptom tokens"),
             (lambda d: d["rules"][0].update(antecedent=[5]), "rules[0].antecedent: bad symptom tokens"),
+            (lambda d: d["rules"][0].update(antecedent=[["a=HIGH"]]), "rules[0].antecedent: bad symptom tokens"),
+            (
+                lambda d: d["rules"][0].update(antecedent=["a=HIGH", "a=HIGH"]),
+                "rules[0].antecedent: repeated symptom tokens ['a=HIGH', 'a=HIGH']",
+            ),
         ],
     )
     def test_malformed_document_names_the_key(self, tmp_path, edit, message):
