@@ -19,14 +19,16 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from json.decoder import WHITESPACE, JSONObject
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
-from .ingest import Catalog, MetricKind, MetricSeries, Polarity
+from .ingest import Catalog, MetricKind, MetricSeries, Polarity, _tails
 from .jsondoc import decode, encode, read
 
 MAD_CONSISTENCY = 1.4826
@@ -328,6 +330,13 @@ def merge_baselines(models: list[BaselineModel]) -> BaselineModel:
     return BaselineModel(config=config, metric_meta=metric_meta, sketches=table, trained_through=through)
 
 
+# The model document's integer columns, as (section, key): written and read as whole int64 arrays.
+_INT_COLUMNS = frozenset(
+    [("keys", name) for name in ("cell", "metric", "hour")]
+    + [("sketches", name) for name in ("underflow", "overflow", "nbins", "bins", "counts")]
+)
+
+
 def model_to_json(model: BaselineModel) -> str:
     """Versioned columnar JSON document; byte-stable for identical models.
 
@@ -339,11 +348,17 @@ def model_to_json(model: BaselineModel) -> str:
     ``counts``: row r's ``nbins[r]`` (bin, count) pairs follow row r-1's.
     Compact separators: models are machine artifacts and their serialized
     size doubles as the shipping cost in deployment simulations.
+
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    of the document with every column as a list, byte for byte. The eight
+    integer columns are written from their int64 arrays by ``_digits``, one
+    byte matrix per column, with no Python int per value; every other member
+    goes through ``json.dumps``, so ``lo`` and ``hi`` are floats' ``repr``.
     """
     t = model.sketches
     cells, metrics = (sorted({key[i] for key in t.keys}) for i in (0, 1))
     cell_index, metric_index = ({name: i for i, name in enumerate(names)} for names in (cells, metrics))
-    rows, bins = np.nonzero(t.counts)
+    nonzero = np.flatnonzero(t.counts)  # row by row, as the (bin, count) pairs are listed
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "trained_through": model.trained_through,
@@ -355,22 +370,61 @@ def model_to_json(model: BaselineModel) -> str:
         "keys": {
             "cell_names": cells,
             "metric_names": metrics,
-            "cell": [cell_index[cell] for cell, _, _ in t.keys],
-            "metric": [metric_index[metric] for _, metric, _ in t.keys],
-            "hour": [hour for _, _, hour in t.keys],
+            "cell": np.array([cell_index[cell] for cell, _, _ in t.keys], dtype=np.int64),
+            "metric": np.array([metric_index[metric] for _, metric, _ in t.keys], dtype=np.int64),
+            "hour": np.array([hour for _, _, hour in t.keys], dtype=np.int64),
         },
         "sketches": {
             "bin_count": t.counts.shape[1],
             "lo": t.lo.tolist(),
             "hi": t.hi.tolist(),
-            "underflow": t.underflow.tolist(),
-            "overflow": t.overflow.tolist(),
-            "nbins": np.bincount(rows, minlength=len(t)).tolist(),
-            "bins": bins.tolist(),
-            "counts": t.counts[rows, bins].tolist(),
+            "underflow": t.underflow,
+            "overflow": t.overflow,
+            "nbins": np.count_nonzero(t.counts, axis=1),
+            "bins": nonzero % t.counts.shape[1],
+            "counts": t.counts.reshape(-1)[nonzero],
         },
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _compact(doc) + "\n"
+
+
+def _compact(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with each integer array written by _digits."""
+    if isinstance(value, np.ndarray):
+        return f"[{_digits(value)}]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(key)}:{_compact(value[key])}" for key in sorted(value)) + "}"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digits(column: np.ndarray) -> str:
+    """``",".join(map(str, column.tolist()))`` of an integer array, from one byte matrix.
+
+    Row i holds value i's sign, the ``width`` decimal digits of its magnitude
+    and a comma, with a NUL byte for a positive sign, for each zero before the
+    first nonzero digit (the last digit is always written) and for the last
+    row's comma. The matrix's bytes without the NULs are the text.
+    """
+    if not len(column):
+        return ""
+    column = column.astype(np.int64, copy=False)
+    rest = np.abs(column).view(np.uint64)  # -2**63 wraps to itself, which reads as 2**63
+    width = len(str(int(rest.max())))
+    text = np.zeros((len(column), width + 2), dtype=np.uint8)
+    text[column < 0, 0] = ord("-")
+    text[:-1, -1] = ord(",")
+    # Two buffers serve every digit: a new temporary per operation grew a long fogsim run's peak RSS by 4 MB.
+    ten, zero = np.uint64(10), np.uint64(ord("0"))
+    quotient, digit = np.empty_like(rest), np.empty_like(rest)
+    for j in range(width, 0, -1):
+        np.floor_divide(rest, ten, out=quotient)  # by a constant, cheaper than divmod
+        np.subtract(rest, np.multiply(quotient, ten, out=digit), out=digit)
+        digit += zero
+        if j < width:
+            digit *= rest > 0  # a zero before the first nonzero digit is a NUL
+        text[:, j] = digit
+        rest, quotient = quotient, rest
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_model(model: BaselineModel, path: str | Path) -> None:
@@ -378,8 +432,15 @@ def save_model(model: BaselineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BaselineModel:
-    """Read a model document; any structural defect raises SchemaMismatch."""
-    doc = read(path)
+    """Read a model document; any structural defect raises SchemaMismatch.
+
+    The text is parsed per array by ``_loads_model``: an integer column
+    written as plain digits and commas is decoded by numpy straight to int64,
+    with no Python int per value, and every other array and value goes to
+    the stdlib decoder. So a document in any layout loads as it does under
+    ``json.loads``, and one that is not JSON raises the same MalformedJson.
+    """
+    doc = read(path, _loads_model)
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
@@ -393,12 +454,111 @@ def load_model(path: str | Path) -> BaselineModel:
         raise SchemaMismatch(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
 
+@dataclass(frozen=True)
+class _MetricDoc:
+    kind: MetricKind
+    polarity: Polarity
+
+
+@dataclass(frozen=True)
+class _ModelHeader:
+    """The model document's members besides its ``keys`` and ``sketches`` columns."""
+
+    schema_version: int
+    config: DetectorConfig
+    metrics: dict[str, _MetricDoc]
+    trained_through: int | None
+
+
+_SCAN = json.JSONDecoder().scan_once  # reads one JSON value at an index, as json.loads does
+_MAX_DIGITS = 18  # an integer of at most 18 digits is below 10**18 < 2**63
+
+
+def _loads_model(text: str) -> Any:
+    """``json.loads(text)``, but an integer column of plain digits arrives as an int64 array.
+
+    The dispatch is per array, so any layout parses. The top-level object and
+    its members' objects are read by the stdlib's ``JSONObject``, and every
+    other value, at the index where it starts, by the stdlib's scanner, which
+    recurses no deeper than in ``json.loads``; errors are the stdlib's, at the
+    same positions. Only an array in a member's object that holds nothing but
+    digits and commas goes to ``_int_column``, and it goes back to a list
+    unless it is one of the integer columns. An array written with spaces or
+    newlines takes the stdlib path.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        doc, end = _scan_document(text, WHITESPACE.match(text, 0).end())
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    end = WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    for section, members in doc.items() if isinstance(doc, dict) else ():
+        for key, value in members.items() if isinstance(members, dict) else ():
+            if isinstance(value, np.ndarray) and (section, key) not in _INT_COLUMNS:
+                members[key] = value.tolist()
+    return doc
+
+
+def _scan_column(text: str, idx: int) -> tuple[Any, int]:
+    """The value at ``idx``: by ``_int_column`` when it is an array of plain integers, else by _SCAN."""
+    if text.startswith("[", idx) and "0" <= text[idx + 1 : idx + 2] <= "9":
+        end = text.find("]", idx)
+        column = None if end == -1 else _int_column(text[idx + 1 : end])
+        if column is not None:
+            return column, end + 1
+    return _SCAN(text, idx)
+
+
+def _object_scanner(member: Callable[[str, int], tuple[Any, int]]) -> Callable[[str, int], tuple[Any, int]]:
+    """A scanner that reads an object's values with ``member``, and any other value with _SCAN."""
+
+    def scan(text: str, idx: int) -> tuple[Any, int]:
+        if text.startswith("{", idx):
+            return JSONObject((text, idx + 1), True, member, None, None)
+        return _SCAN(text, idx)
+
+    return scan
+
+
+_scan_document = _object_scanner(_object_scanner(_scan_column))
+
+
+def _int_column(text: str) -> np.ndarray | None:
+    """The items of ``text`` as int64 when it is plain integers joined by ',', else None.
+
+    An item is 0 or 1-18 digits without a leading zero, which JSON reads as
+    the same int. The digits come from ``ingest._tails``, where the bytes
+    before an item read as '0', as ``ingest._window_starts`` reads them.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(bytes(_MAX_DIGITS) + text.encode("ascii"), dtype=np.uint8)
+    body = buf[_MAX_DIGITS:]
+    comma = body == ord(",")
+    if not ((body - np.uint8(ord("0")) <= 9) | comma).all():
+        return None
+    ends = np.append(np.flatnonzero(comma), len(body)) + _MAX_DIGITS
+    lengths = np.diff(ends, prepend=_MAX_DIGITS - 1) - 1
+    if not ((lengths >= 1) & (lengths <= _MAX_DIGITS)).all():
+        return None
+    if ((buf[ends - lengths] == ord("0")) & (lengths > 1)).any():
+        return None
+    digits = _tails(buf, ends, lengths, _MAX_DIGITS, ord("0"))
+    digits -= np.uint8(ord("0"))
+    column = np.zeros(len(ends), dtype=np.int64)
+    for row in digits:
+        column *= 10
+        column += row
+    return column
+
+
 def _model_from_doc(doc: dict) -> BaselineModel:
-    cfg = decode(DetectorConfig, doc["config"], "config")
-    metric_meta = {
-        name: (MetricKind(entry["kind"]), Polarity(entry["polarity"]))
-        for name, entry in doc["metrics"].items()
-    }
+    header = decode(_ModelHeader, {f.name: doc[f.name] for f in fields(_ModelHeader) if f.name in doc})
+    cfg = header.config
+    metric_meta = {name: (entry.kind, entry.polarity) for name, entry in header.metrics.items()}
     columns, sketches, nb = doc["keys"], doc["sketches"], cfg.bin_count
     if not (type(sketches["bin_count"]) is int and sketches["bin_count"] == nb):
         raise ValueError(f"sketches.bin_count differs from the config's {nb}")
@@ -432,7 +592,7 @@ def _model_from_doc(doc: dict) -> BaselineModel:
     empty = table.sum(axis=1) + underflow + overflow == 0
     if empty.any():
         raise ValueError(f"key {keys[np.argmax(empty)]} has zero total mass")
-    through = doc["trained_through"]
+    through = header.trained_through
     if not (through is None if n == 0 else type(through) is int and -(2**63) <= through < 2**63):
         raise ValueError("trained_through: need an int64 window start, null only for a model without keys")
     return BaselineModel(
@@ -450,9 +610,14 @@ def _names(values: list, what: str) -> list[str]:
     raise ValueError(f"{what}: expected strings in strictly rising order")
 
 
-def _array(values: list, what: str, dtype: type) -> np.ndarray:
-    """A JSON array as an array: ints >= 0 for int64, any numbers for float64; never bools."""
+def _array(values: list | np.ndarray, what: str, dtype: type) -> np.ndarray:
+    """A JSON array as an array: ints >= 0 for int64, any numbers for float64; never bools.
+
+    An int64 array from ``_int_column`` holds only such ints and is taken as it is.
+    """
     counting = dtype is np.int64
+    if counting and isinstance(values, np.ndarray):
+        return values
     if isinstance(values, list) and set(map(type, values)) <= ({int} if counting else {int, float}):
         array = np.array(values, dtype=dtype)
         if not (counting and (array < 0).any()):

@@ -64,7 +64,7 @@ from .ingest import (
     parse_cdr,
     parse_metric_csv,
 )
-from .jsondoc import MalformedJson, NotUtf8, decode, dumps, encode, read, read_text, require_object, write
+from .jsondoc import MalformedJson, NotUtf8, decode, dumps, encode, read, read_text, require_object, too_deep, write
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 from .rca import RankedDoc, diagnose, symptom_sets_for_events
 from .synth import DiagnosisOutcome, EvalReport, GroundTruth, evaluate
@@ -146,6 +146,8 @@ def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedJson(path, exc, lines_before=n - 1) from None
+            except RecursionError:
+                raise MalformedJson(path, too_deep(line), lines_before=n - 1) from None
             docs.append((f"line {n}", require_object(doc, f"line {n}")))
     return docs
 

@@ -6,8 +6,9 @@ types and defaults from ``dataclasses.fields`` and ``typing.get_type_hints``;
 container, union, enum and leaf type in it. A field's JSON key is its name
 unless ``field(metadata={"json": key})`` says otherwise. ``read`` parses a
 document file, raising ``NotUtf8`` when it is not UTF-8 text and
-``MalformedJson`` when it is not JSON; ``write`` stores a dataclass as an
-indented, key-sorted document.
+``MalformedJson`` when it is not JSON or nests arrays and objects deeper
+than the decoder can recurse; ``write`` stores a dataclass as an indented,
+key-sorted document.
 A float field takes any finite JSON number (not ``NaN``, ``Infinity`` or a
 literal beyond the float range); an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
@@ -207,12 +208,23 @@ def read_text(path: str | Path) -> str:
             raise NotUtf8(path, exc) from None
 
 
-def read(path: str | Path) -> Any:
-    """The parsed JSON document at ``path``; MalformedJson when its text is not JSON."""
+def too_deep(text: str) -> json.JSONDecodeError:
+    """The error for JSON ``text`` whose nesting exhausts the recursion limit, at its first value."""
+    return json.JSONDecodeError("arrays or objects nested too deeply", text, len(text) - len(text.lstrip(" \t\n\r")))
+
+
+def read(path: str | Path, loads: Callable[[str], Any] = json.loads) -> Any:
+    """The JSON document at ``path``, parsed by ``loads``; MalformedJson when its text is not JSON.
+
+    ``loads`` raises JSONDecodeError or RecursionError where ``json.loads`` does.
+    """
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedJson(path, exc) from None
+    except RecursionError:
+        raise MalformedJson(path, too_deep(text)) from None
 
 
 def dumps(obj: Any) -> str:

@@ -21,23 +21,37 @@ numbers, stated once here by ``_split_row``, ``_integer_error`` and
 ``_float_error``. The call oracle makes each cell's CDR draws with numpy's
 own calls, in the stream order that ``synth._generate_calls`` fixes, and
 sorts, scales, compares and hex-formats them one cell and one window at a
-time.
+time. The model codec oracle writes a model document with ``json.dumps`` of
+its lists and reads one with ``json.loads``, a type check of every value and
+``np.array``; it never touches the digit matrices and the per-array decoder
+of ``baseline.model_to_json`` and ``baseline.load_model``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from cellwatch.baseline import MAD_CONSISTENCY, SCALE_EPSILON, DetectorConfig, Direction
+from cellwatch.baseline import (
+    MAD_CONSISTENCY,
+    MODEL_SCHEMA_VERSION,
+    SCALE_EPSILON,
+    BaselineModel,
+    DetectorConfig,
+    Direction,
+    SketchTable,
+)
 from cellwatch.cleaning import CleanConfig
-from cellwatch.errors import CellwatchError, MalformedRow, UnknownMetric
+from cellwatch.errors import CellwatchError, MalformedRow, SchemaMismatch, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology, default_scenario
 from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
+from cellwatch.jsondoc import decode, encode, read
 from cellwatch.postfilter import AnomalyEvent, FilterConfig
 from cellwatch.rca import Diagnosis, RankedCause, SymptomSet, jaccard_distance
 from cellwatch import synth
@@ -163,6 +177,114 @@ def key_estimate(model, key) -> tuple[float, float, float]:
 
 
 OracleRule = tuple[frozenset[SymptomItem], str, int, int]  # antecedent, consequent, q_count, global_count
+
+
+def oracle_model_to_json(model: BaselineModel) -> str:
+    """The model document as ``json.dumps`` writes it from lists of Python numbers."""
+    t = model.sketches
+    cells, metrics = (sorted({key[i] for key in t.keys}) for i in (0, 1))
+    cell_index, metric_index = ({name: i for i, name in enumerate(names)} for names in (cells, metrics))
+    rows, bins = np.nonzero(t.counts)
+    doc = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "trained_through": model.trained_through,
+        "config": encode(model.config),
+        "metrics": {
+            name: {"kind": kind.value, "polarity": polarity.value}
+            for name, (kind, polarity) in sorted(model.metric_meta.items())
+        },
+        "keys": {
+            "cell_names": cells,
+            "metric_names": metrics,
+            "cell": [cell_index[cell] for cell, _, _ in t.keys],
+            "metric": [metric_index[metric] for _, metric, _ in t.keys],
+            "hour": [hour for _, _, hour in t.keys],
+        },
+        "sketches": {
+            "bin_count": t.counts.shape[1],
+            "lo": t.lo.tolist(),
+            "hi": t.hi.tolist(),
+            "underflow": t.underflow.tolist(),
+            "overflow": t.overflow.tolist(),
+            "nbins": np.bincount(rows, minlength=len(t)).tolist(),
+            "bins": bins.tolist(),
+            "counts": t.counts[rows, bins].tolist(),
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_load_model(path: str | Path) -> BaselineModel:
+    """The model document at ``path`` read by ``json.loads``, with every value's type checked in Python."""
+    doc = read(path)  # json.loads
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model document must be a JSON object, got {type(doc).__name__}")
+    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+        raise SchemaMismatch(f"unsupported model schema {doc.get('schema_version')!r}")
+    try:
+        return _oracle_model_from_doc(doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SchemaMismatch(f"malformed model document: {type(exc).__name__}: {exc}") from None
+
+
+def _oracle_model_from_doc(doc: dict) -> BaselineModel:
+    cfg = decode(DetectorConfig, doc["config"], "config")
+    metric_meta = {
+        name: (MetricKind(entry["kind"]), Polarity(entry["polarity"]))
+        for name, entry in doc["metrics"].items()
+    }
+    columns, sketches, nb = doc["keys"], doc["sketches"], cfg.bin_count
+    if not (type(sketches["bin_count"]) is int and sketches["bin_count"] == nb):
+        raise ValueError(f"sketches.bin_count differs from the config's {nb}")
+    cells, metrics = (_oracle_names(columns[name], name) for name in ("cell_names", "metric_names"))
+    cell, metric, hour = (_oracle_array(columns[name], name, np.int64) for name in ("cell", "metric", "hour"))
+    lo, hi = (_oracle_array(sketches[name], name, np.float64) for name in ("lo", "hi"))
+    underflow, overflow, nbins, bins, counts = (
+        _oracle_array(sketches[name], name, np.int64)
+        for name in ("underflow", "overflow", "nbins", "bins", "counts")
+    )
+    n = len(hour)
+    if any(len(column) != n for column in (cell, metric, lo, hi, underflow, overflow, nbins)):
+        raise ValueError(f"every per-key column needs {n} values, as many as hour has")
+    if (cell >= len(cells)).any() or (metric >= len(metrics)).any() or (hour >= 24).any():
+        raise ValueError("keys: need name indices within cell_names and metric_names, hours 0..23")
+    keys = [(cells[c], metrics[m], h) for c, m, h in zip(cell.tolist(), metric.tolist(), hour.tolist())]
+    order = (cell * len(metrics) + metric) * 24 + hour
+    unsorted = order[1:] <= order[:-1]
+    if unsorted.any():
+        raise ValueError(f"key {keys[np.argmax(unsorted) + 1]} repeats or is out of sorted order")
+    if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():
+        raise ValueError("sketch bounds must be finite with lo < hi")
+    if (nbins > nb).any() or nbins.sum() != len(bins) or len(bins) != len(counts):
+        raise ValueError(f"need nbins <= {nb} per key, summing to the lengths of bins and counts")
+    cells_at = np.repeat(np.arange(0, n * nb, nb), nbins) + bins
+    if (bins >= nb).any() or (cells_at[1:] <= cells_at[:-1]).any():
+        raise ValueError(f"bins: need bins rising within 0..{nb - 1} per key")
+    table = np.zeros((n, nb), dtype=np.int64)
+    table.reshape(-1)[cells_at] = counts
+    empty = table.sum(axis=1) + underflow + overflow == 0
+    if empty.any():
+        raise ValueError(f"key {keys[np.argmax(empty)]} has zero total mass")
+    through = doc["trained_through"]
+    if not (through is None if n == 0 else type(through) is int and -(2**63) <= through < 2**63):
+        raise ValueError("trained_through: need an int64 window start, null only for a model without keys")
+    return BaselineModel(cfg, metric_meta, SketchTable(keys, lo, hi, table, underflow, overflow), through)
+
+
+def _oracle_names(values: list, what: str) -> list[str]:
+    if isinstance(values, list) and set(map(type, values)) <= {str}:
+        if all(a < b for a, b in zip(values, values[1:])):
+            return values
+    raise ValueError(f"{what}: expected strings in strictly rising order")
+
+
+def _oracle_array(values: list, what: str, dtype: type) -> np.ndarray:
+    counting = dtype is np.int64
+    if isinstance(values, list) and set(map(type, values)) <= ({int} if counting else {int, float}):
+        array = np.array(values, dtype=dtype)
+        if not (counting and (array < 0).any()):
+            return array
+    raise ValueError(f"{what}: expected an array of {'non-negative integers' if counting else 'numbers'}")
 
 
 def apriori_rare_rules(transactions: list[Transaction], cfg: MineConfig) -> set[OracleRule]:

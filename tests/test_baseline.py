@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cellwatch.baseline import (
     _DIRECTIONS,
+    _digits,
     BaselineModel,
     DetectorConfig,
     Direction,
@@ -24,6 +26,7 @@ from cellwatch.baseline import (
     score_series,
 )
 from cellwatch.errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
+from cellwatch.jsondoc import MalformedJson
 from cellwatch.fogsim import compare_models
 from cellwatch.ingest import MetricKind, Polarity
 
@@ -33,6 +36,8 @@ from helpers import (
     exact_robust_score,
     key_estimate,
     make_series,
+    oracle_load_model,
+    oracle_model_to_json,
     table_sketch,
 )
 
@@ -501,12 +506,12 @@ NAMES = st.lists(st.text("ab-é", min_size=1, max_size=3), min_size=1, max_size=
 
 
 @st.composite
-def random_models(draw):
+def random_models(draw, names=NAMES):
     """A fit-shaped model: fixed bounds for some metrics, arbitrary finite bounds for the
     rest, rows whose mass lies only in the bins, underflow or overflow, and for 2-3
-    partitions their merge."""
+    partitions their merge. Cell and metric names are drawn from ``names``."""
     nb = draw(st.sampled_from([8, 16]))
-    cells, metrics = draw(NAMES), draw(NAMES)
+    cells, metrics = draw(names), draw(names)
     fixed = {metric: draw(BOUNDS) for metric in metrics if draw(st.booleans())}
     universe = draw(st.sets(st.tuples(st.sampled_from(cells), st.sampled_from(metrics), st.integers(0, 23)),
                             max_size=10))
@@ -680,6 +685,95 @@ class TestSerialization:
     def test_model_json_is_pinned(self, case, sha256):
         text = model_to_json(pinned_model(case))
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+# names that hold the bytes the integer columns are cut at, and non-ASCII text
+AWKWARD_NAMES = st.lists(st.text("a],é", min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
+INT_COLUMNS = ("cell", "metric", "hour", "underflow", "overflow", "nbins", "bins", "counts")
+LAYOUTS = {
+    "compact": lambda text: text,
+    "default": lambda text: json.dumps(json.loads(text), sort_keys=True) + "\n",
+    "indented": lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n",
+}
+# each mutation rewrites one item of an integer column (or puts the text in an empty column)
+ITEM_MUTATIONS = {
+    "leading_zero": lambda item: "0" + item,
+    "minus_zero": lambda item: "-0",
+    "nineteen_digits": lambda item: "1" * 19,
+    "two_to_the_63": lambda item: str(2**63),
+    "float": lambda item: "1.0",
+    "bool": lambda item: "true",
+    "space": lambda item: item + " ",
+    "newline": lambda item: "\n" + item,
+}
+
+
+def _mutate(draw, text: str) -> str:
+    """``text`` with one integer column's item rewritten, cut short, or as it is."""
+    how = draw(st.sampled_from(["none", "truncate", *ITEM_MUTATIONS]))
+    if how == "none":
+        return text
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    start = text.index("[", text.index(f'"{draw(st.sampled_from(INT_COLUMNS))}"')) + 1
+    end = text.index("]", start)
+    items = list(re.finditer("[0-9]+", text[start:end]))
+    if not items:
+        return text[:start] + ITEM_MUTATIONS[how]("7") + text[end:]
+    item = items[draw(st.integers(0, len(items) - 1))]
+    at, to = start + item.start(), start + item.end()
+    return text[:at] + ITEM_MUTATIONS[how](item.group()) + text[to:]
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the exception is the outcome compared
+        return exc
+
+
+class TestCodecAgainstOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_same_bytes_and_same_loads_as_json_lists(self, data):
+        """model_to_json writes json.dumps's bytes; load_model reads every layout and mutation as json.loads does."""
+        model = data.draw(st.one_of(random_models(), random_models(names=AWKWARD_NAMES)))
+        text = model_to_json(model)
+        assert text == oracle_model_to_json(model)
+        with tempfile.TemporaryDirectory() as tmp:
+            for layout, dump in LAYOUTS.items():
+                path = Path(tmp) / f"{layout}.json"
+                path.write_text(_mutate(data.draw, dump(text)), encoding="utf-8")
+                new, old = _outcome(load_model, path), _outcome(oracle_load_model, path)
+                if isinstance(old, Exception):
+                    assert type(new) is type(old), (layout, old, new)
+                    if isinstance(old, MalformedJson):
+                        assert str(new) == str(old)
+                else:
+                    assert not isinstance(new, Exception), (layout, new)
+                    assert new == old
+                    assert model_to_json(new) == oracle_model_to_json(old)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([0, 9, 10, 2**63 - 1, -(2**63)]))))
+    def test_digits_are_each_ints_str(self, values):
+        assert _digits(np.array(values, dtype=np.int64)) == ",".join(map(str, values))
+
+    @pytest.mark.parametrize("depth", [600, 200_000])
+    def test_nesting_reads_as_json_loads_reads_it(self, tmp_path, depth):
+        """No Python frame per level: what json.loads reads is read, and what it cannot is MalformedJson."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(one_key_model_doc()).replace('"cell": [0]', f'"cell": {"[" * depth}{"]" * depth}'))
+        new, old = _outcome(load_model, path), _outcome(oracle_load_model, path)
+        assert type(new) is type(old) is (SchemaMismatch if depth == 600 else MalformedJson)
+        assert depth == 600 or str(new) == str(old)
+
+    def test_integer_arrays_outside_the_integer_columns_stay_lists(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(one_key_model_doc(lo=[0], hi=[1]), separators=(",", ":")))
+        model = load_model(path)
+        assert model == oracle_load_model(path)
+        assert model.sketches.lo.dtype == np.float64 and model.sketches.hi.tolist() == [1.0]
 
 
 def test_hour_bucket_wraps_days():

@@ -471,6 +471,31 @@ class TestExitCodes:
         assert "invalid configuration" not in caplog.text
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["detect", "--kqi", "{data}/kqi.csv", "--catalog", "{data}/catalog.json", "--model", "{deep}",
+              "--out", "{tmp}/events.jsonl"], "deep.json"),
+            (["detect", "--kqi", "{data}/kqi.csv", "--catalog", "{deep}", "--model", "{root}/model.json",
+              "--out", "{tmp}/events.jsonl"], "deep.json"),
+            (["eval", "--events", "{deep_lines}", "--truth", "{data}/truth.json"], "deep.jsonl"),
+        ],
+        ids=["model", "document", "json_lines"],
+    )
+    def test_json_nested_too_deeply_is_malformed(self, workspace, tmp_path, caplog, argv, name):
+        nested = "[" * 200_000 + "]" * 200_000
+        (tmp_path / "deep.json").write_text(nested)
+        first = (workspace / "events.jsonl").read_text().splitlines(keepends=True)[0]
+        (tmp_path / "deep.jsonl").write_text(first + nested + "\n")
+        paths = {"deep": tmp_path / "deep.json", "deep_lines": tmp_path / "deep.jsonl", "tmp": tmp_path,
+                 "root": workspace, "data": workspace / "data"}
+        caplog.clear()
+        rc = main([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        line = 2 if name.endswith(".jsonl") else 1
+        message = f"io error: {tmp_path / name}: malformed JSON at line {line} column 1: arrays or objects nested"
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
         "argv, name, offset",
         [
             (["report", "{tmp}/bin.json"], "bin.json", 0),
