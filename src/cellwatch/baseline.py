@@ -85,8 +85,8 @@ class SketchTable:
             for name in ("lo", "hi", "counts", "underflow", "overflow")
         )
 
-    def stats(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Total mass, median and MAD of each row at bin-midpoint resolution.
+    def stats(self, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Total mass, median and MAD of each row (a slice or an index array) at bin-midpoint resolution.
 
         Underflow/overflow mass is pinned to lo/hi. Each estimate is the
         position of the ceil(n/2)-th unit of mass, in value order for the
@@ -170,13 +170,19 @@ def _data_driven_bounds(
             np.where(spread, vmax + 0.05 * span, flat_lo + bin_count * step))
 
 
+# fit_baseline bins whole (cell, metric) pairs in chunks of at most this many values; a
+# pair with more is a chunk on its own. A chunk's per-value temporaries are its largest.
+CHUNK_VALUES = 2**16
+
+
 def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:
     """Fit per-(cell, metric, hour) sketches over cleaned training series.
 
-    Per (cell, metric) all present values are binned at once: the bin index
-    is ``int((value - lo) / bin_width)``, clipped to the last bin for a value
-    equal to ``hi``, and ``np.bincount`` counts (row, bin) pairs, one row per
-    hour seen. The pairs' rows, in key order, are the model's table.
+    The (cell, metric) pairs go through in key order, many per chunk. Each
+    present value gets its key row from one (pair, hour) code, its bin index
+    ``int((value - lo) / bin_width)``, clipped to the last bin for a value
+    equal to ``hi``, and one ``np.bincount`` per chunk counts the (row, bin)
+    pairs. The keys seen, in key order, are the model's table.
     """
     if not train:
         raise EmptyTraining("no training series given")
@@ -190,32 +196,31 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
             raise ValueError(f"conflicting kind/polarity for metric {series.metric_name!r}")
         per_pair.setdefault((series.cell_id, series.metric_name), []).append(series)
 
-    fixed = cfg.bounds or {}
     nb = cfg.bin_count
     keys: list[BaselineKey] = []
     columns: list[tuple[np.ndarray, ...]] = []
     lasts: list[int] = []
     # Count rows go straight into one matrix with room for every hour of every
-    # pair; joining per-pair pieces would fragment a long-lived process's heap.
+    # pair; joining per-chunk pieces would fragment a long-lived process's heap.
     counts = np.zeros((24 * len(per_pair), nb), dtype=np.int64)
-    for cell_id, metric in sorted(per_pair):
-        group = per_pair[(cell_id, metric)]
-        values = np.concatenate([s.values for s in group])
+    for pairs in _pair_chunks(per_pair):
+        groups = [per_pair[pair] for pair in pairs]
+        values = np.concatenate([s.values for group in groups for s in group])
         present = ~np.isnan(values)
-        starts, values = np.concatenate([s.window_starts for s in group])[present], values[present]
-        seen, row = np.unique(hour_bucket(starts), return_inverse=True)
-        n = len(seen)
+        values = values[present]
+        starts = np.concatenate([s.window_starts for group in groups for s in group])[present]
+        sizes = [sum(len(s.values) for s in group) for group in groups]
+        code = np.repeat(np.arange(0, 24 * len(pairs), 24), sizes)[present] + hour_bucket(starts)
+        seen = np.bincount(code, minlength=24 * len(pairs)) > 0
+        row = (np.cumsum(seen) - 1)[code]
+        codes = np.flatnonzero(seen)
+        n = len(codes)
         if n:
             lasts.append(int(starts.max()))
-        if fixed.get(metric):
-            lo, hi = (np.full(n, float(bound)) for bound in fixed[metric])
-        else:
-            mins, maxs = np.full(n, np.inf), np.full(n, -np.inf)
-            np.minimum.at(mins, row, values)
-            np.maximum.at(maxs, row, values)
-            lo, hi = _data_driven_bounds(mins, maxs, nb)
-        if not (lo < hi).all():
-            raise ValueError(f"need lo < hi in every sketch of {(cell_id, metric)}")
+        lo, hi = _bounds(pairs, codes // 24, row, values, cfg)
+        bad = ~(lo < hi)
+        if bad.any():
+            raise ValueError(f"need lo < hi in every sketch of {pairs[codes[np.argmax(bad)] // 24]}")
         under, over = values < lo[row], values > hi[row]
         inside = ~(under | over)
         width = ((hi - lo) / nb)[row[inside]]
@@ -223,12 +228,44 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
         np.minimum(bins, nb - 1, out=bins)  # value == hi after float division
         binned = np.bincount(row[inside] * nb + bins, minlength=n * nb)
         counts[len(keys) : len(keys) + n] = binned.reshape(n, nb)
-        keys += [(cell_id, metric, h) for h in seen.tolist()]
+        keys += [(*pairs[c // 24], c % 24) for c in codes.tolist()]
         columns.append((lo, hi, *(np.bincount(row[side], minlength=n) for side in (under, over))))
     counts.resize((len(keys), nb), refcheck=False)  # in place; nothing else refers to it
     lo, hi, underflow, overflow = (np.concatenate(column) for column in zip(*columns))
     table = SketchTable(keys, lo, hi, counts, underflow, overflow)
     return BaselineModel(cfg, metric_meta, table, trained_through=max(lasts, default=None))
+
+
+def _pair_chunks(per_pair: dict[tuple[str, str], list[MetricSeries]]):
+    """The pairs in key order, as consecutive runs of at most CHUNK_VALUES values, or one pair."""
+    chunk: list[tuple[str, str]] = []
+    size = 0
+    for pair in sorted(per_pair):
+        n = sum(len(s.values) for s in per_pair[pair])
+        if chunk and size + n > CHUNK_VALUES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(pair)
+        size += n
+    if chunk:
+        yield chunk
+
+
+def _bounds(
+    pairs: list[tuple[str, str]], pair: np.ndarray, row: np.ndarray, values: np.ndarray, cfg: DetectorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi of each key row: its metric's fixed bounds, else data-driven from the row's values."""
+    fixed = [(cfg.bounds or {}).get(metric) for _, metric in pairs]
+    pinned = np.array([bool(bounds) for bounds in fixed])[pair]
+    lo, hi = (np.array([float(bounds[i]) if bounds else 0.0 for bounds in fixed])[pair] for i in (0, 1))
+    if not pinned.all():
+        free = ~pinned
+        at = free[row]
+        mins, maxs = np.full(len(pair), np.inf), np.full(len(pair), -np.inf)
+        np.minimum.at(mins, row[at], values[at])
+        np.maximum.at(maxs, row[at], values[at])
+        lo[free], hi[free] = _data_driven_bounds(mins[free], maxs[free], cfg.bin_count)
+    return lo, hi
 
 
 def _score_values(
@@ -245,22 +282,34 @@ def _score_values(
     metric) has no sketch at all.
     """
     keys = model.sketches.keys
-    rows = slice(*(bisect_left(keys, (cell_id, metric_name, h)) for h in (0, 24)))
-    if rows.start == rows.stop:
+    first, stop = (bisect_left(keys, (cell_id, metric_name, h)) for h in (0, 24))
+    if first == stop:
         raise UnknownKey((cell_id, metric_name, hour_bucket(int(starts[0])) if len(starts) else 0))
-    total, med, mad = model.sketches.stats(rows)
     meta = model.metric_meta.get(metric_name)
-    row_h = np.full(24, -1)  # -1: no sketch for the hour; masked out below
+    row_h = np.full(24, -1)  # -1: no sketch for the hour
     if meta is not None:
-        row_h[[hour for _, _, hour in model.sketches.keys[rows]]] = np.arange(len(med))
-    r = row_h[hour_bucket(starts)]
-    scored = ~np.isnan(values) & (r >= 0)
-    med = med[r]
-    score = np.where(scored, np.abs(values - med) / (MAD_CONSISTENCY * mad[r] + SCALE_EPSILON), 0.0)
+        row_h[[hour for _, _, hour in keys[first:stop]]] = np.arange(first, stop)
+    # statistics only for the hours with a sketch that the window starts hit, read through a
+    # slice (no gather) when that is every row of the pair
+    hours = hour_bucket(starts)
+    hit = np.zeros(24, dtype=bool)
+    hit[hours] = True
+    hit &= row_h >= 0
+    rows = row_h[hit]
+    if not len(rows):
+        nothing = np.zeros(len(values), dtype=bool)
+        return np.zeros(len(values)), np.zeros(len(values), dtype=np.int64), nothing, nothing
+    total, med, mad = model.sketches.stats(slice(first, stop) if len(rows) == stop - first else rows)
+    entry_h = np.full(24, -1)  # -1: no statistics for the hour; masked out below
+    entry_h[hit] = np.arange(len(rows))
+    entry = entry_h[hours]
+    scored = ~np.isnan(values) & (entry >= 0)
+    med = med[entry]
+    score = np.where(scored, np.abs(values - med) / (MAD_CONSISTENCY * mad[entry] + SCALE_EPSILON), 0.0)
     up = scored & (values > med)
     down = scored & (values < med)
     worse = up if meta is not None and meta[1] == Polarity.HIGHER_IS_WORSE else down
-    return score, up + 2 * down, worse, scored & (total[r] >= model.config.min_samples)
+    return score, up + 2 * down, worse, scored & (total[entry] >= model.config.min_samples)
 
 
 def score_series(
@@ -408,13 +457,16 @@ def _digits(column: np.ndarray) -> str:
     if not len(column):
         return ""
     column = column.astype(np.int64, copy=False)
-    rest = np.abs(column).view(np.uint64)  # -2**63 wraps to itself, which reads as 2**63
+    if -(2**32) < column.min() and column.max() < 2**32:  # uint32 buffers, half the memory
+        rest = np.absolute(column, out=np.empty(len(column), dtype=np.uint32), casting="unsafe")
+    else:
+        rest = np.abs(column).view(np.uint64)  # -2**63 wraps to itself, which reads as 2**63
     width = len(str(int(rest.max())))
     text = np.zeros((len(column), width + 2), dtype=np.uint8)
     text[column < 0, 0] = ord("-")
     text[:-1, -1] = ord(",")
     # Two buffers serve every digit: a new temporary per operation grew a long fogsim run's peak RSS by 4 MB.
-    ten, zero = np.uint64(10), np.uint64(ord("0"))
+    ten, zero = rest.dtype.type(10), rest.dtype.type(ord("0"))
     quotient, digit = np.empty_like(rest), np.empty_like(rest)
     for j in range(width, 0, -1):
         np.floor_divide(rest, ten, out=quotient)  # by a constant, cheaper than divmod

@@ -10,9 +10,7 @@ inference scores the windows after the model's last trained one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -48,9 +46,6 @@ class CleanDetail:
     extremes: int
 
 
-_detail_key = attrgetter("cell_id", "metric")
-
-
 @dataclass
 class CleanReport:
     """Removed points, overall and per (cell, metric) in key order: the clean report document."""
@@ -59,52 +54,100 @@ class CleanReport:
     extremes_removed: int
     detail: list[CleanDetail]
 
-    def add(self, other: "CleanReport") -> None:
-        """Add ``other``'s counts; a (cell, metric) in both reports gets their sum."""
-        self.missing_removed += other.missing_removed
-        self.extremes_removed += other.extremes_removed
-        for d in other.detail:
-            i = bisect_left(self.detail, _detail_key(d), key=_detail_key)
-            if i < len(self.detail) and _detail_key(self.detail[i]) == _detail_key(d):
-                mine = self.detail.pop(i)
-                d = replace(d, missing=mine.missing + d.missing, extremes=mine.extremes + d.extremes)
-            self.detail.insert(i, d)
+
+# A chunk of spans holds at most this many cells of its NaN-padded matrix (spans x longest
+# span); a longer span is a chunk on its own. The matrix and its sorted copy are the
+# chunk's largest temporaries.
+CHUNK_VALUES = 2**16
 
 
-def clean(series: MetricSeries, cfg: CleanConfig) -> tuple[MetricSeries, CleanReport]:
-    """Drop MISSING points and gross extremes from one series.
+def clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSeries], CleanReport]:
+    """Drop MISSING points and gross extremes from each training span.
 
-    Extremes lie outside [Q1 - k*IQR, Q3 + k*IQR], with quartiles taken over
-    the non-missing values via linear interpolation. Surviving points keep
-    their order. Raises TooFewPoints if fewer than cfg.min_points survive.
+    Extremes lie outside [Q1 - k*IQR, Q3 + k*IQR], with a span's quartiles
+    taken over its non-missing values via linear interpolation. Surviving
+    points keep their order. Raises TooFewPoints for the first span, in input
+    order, with fewer than cfg.min_points survivors. The report sums the
+    counts of a (cell, metric) that appears more than once.
+
+    The spans go through in chunks: each chunk's values fill one NaN-padded
+    matrix, one row per span, whose row-wise sort gives every span's
+    quartiles at once (``_quartiles``), and one comparison with the fences
+    gives the survivor mask.
     """
-    present = ~np.isnan(series.values)
-    values = series.values[present]
-    missing_removed = len(series.values) - len(values)
-
-    keep = np.ones(len(values), dtype=bool)
-    if len(values):
-        q1, q3 = np.percentile(values, [25.0, 75.0])
+    cleaned: list[MetricSeries] = []
+    removed: dict[tuple[str, str], tuple[int, int]] = {}
+    for chunk in _chunks(spans):
+        matrix = np.full((len(chunk), max(1, *(len(s.values) for s in chunk))), np.nan)
+        for row, s in zip(matrix, chunk):
+            row[: len(s.values)] = s.values
+        ordered = np.sort(matrix, axis=1)  # NaN sorts last
+        present = np.count_nonzero(~np.isnan(ordered), axis=1)
+        q1, q3 = _quartiles(ordered, present)
+        del ordered
         iqr = q3 - q1
-        lo = q1 - cfg.iqr_multiplier * iqr
-        hi = q3 + cfg.iqr_multiplier * iqr
-        keep = (values >= lo) & (values <= hi)
-    n_kept = int(np.count_nonzero(keep))
-    extremes_removed = len(values) - n_kept
-
-    if n_kept < cfg.min_points:
-        raise TooFewPoints(
-            f"{series.cell_id}/{series.metric_name}: {n_kept} points after cleaning, "
-            f"need {cfg.min_points}"
-        )
-
-    cleaned = replace(series, window_starts=series.window_starts[present][keep], values=values[keep])
-    report = CleanReport(
-        missing_removed=missing_removed,
-        extremes_removed=extremes_removed,
-        detail=[CleanDetail(series.cell_id, series.metric_name, missing_removed, extremes_removed)],
+        lo, hi = q1 - cfg.iqr_multiplier * iqr, q3 + cfg.iqr_multiplier * iqr
+        keep = (matrix >= lo[:, None]) & (matrix <= hi[:, None])  # False for NaN
+        kept = np.count_nonzero(keep, axis=1)
+        short = kept < cfg.min_points
+        if short.any():
+            i = int(np.argmax(short))
+            raise TooFewPoints(
+                f"{chunk[i].cell_id}/{chunk[i].metric_name}: {int(kept[i])} points after cleaning, "
+                f"need {cfg.min_points}"
+            )
+        for s, row, n_present, n_kept in zip(chunk, keep, present.tolist(), kept.tolist()):
+            survivors = row[: len(s.values)]
+            cleaned.append(replace(s, window_starts=s.window_starts[survivors], values=s.values[survivors]))
+            key = (s.cell_id, s.metric_name)
+            missing, extremes = removed.get(key, (0, 0))
+            removed[key] = (missing + len(s.values) - n_present, extremes + n_present - n_kept)
+    detail = [CleanDetail(*key, *counts) for key, counts in sorted(removed.items())]
+    return cleaned, CleanReport(
+        missing_removed=sum(d.missing for d in detail),
+        extremes_removed=sum(d.extremes for d in detail),
+        detail=detail,
     )
-    return cleaned, report
+
+
+def _chunks(spans: list[MetricSeries]):
+    """Consecutive runs of spans whose padded matrix has at most CHUNK_VALUES cells, or one span."""
+    chunk: list[MetricSeries] = []
+    width = 0
+    for s in spans:
+        if chunk and (len(chunk) + 1) * max(width, len(s.values)) > CHUNK_VALUES:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append(s)
+        width = max(width, len(s.values))
+    if chunk:
+        yield chunk
+
+
+def _quartiles(ordered: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q1 and Q3 of the first n[i] values of each ascending row, as np.percentile gives them.
+
+    numpy's linear method (Hyndman & Fan's type 7): the virtual index is
+    (n - 1) * q, which for q = 1/4 and 3/4 is exactly numpy 1.x's
+    n*q + (1 - q) - 1, and the value comes from ``_lerp``: a + (b - a) * t,
+    or b - (b - a) * (1 - t) where t >= 0.5. At or past the last value
+    numpy reads it twice with weight index + 1. A row with n = 0 gives NaN.
+    """
+    rows = np.arange(len(ordered))
+    last = np.maximum(n - 1, 0)
+    quartiles = []
+    for q in (0.25, 0.75):
+        index = last * q
+        below = np.floor(index)
+        at = below.astype(np.intp)
+        t = np.where(index >= last, index + 1, index - below)
+        a, b = ordered[rows, at], ordered[rows, np.minimum(at + 1, last)]
+        diff = b - a
+        value = a + diff * t
+        upper = t >= 0.5
+        value[upper] = (b - diff * (1 - t))[upper]
+        quartiles.append(value)
+    return quartiles[0], quartiles[1]
 
 
 def train_span(series: MetricSeries, train_fraction: float) -> MetricSeries:

@@ -32,7 +32,7 @@ from .baseline import (
     score_series,
 )
 from .cleaning import CleanConfig, CleanReport, after_training, clean, train_span
-from .errors import CellwatchError, SchemaMismatch
+from .errors import CellwatchError, SchemaMismatch, TooFewPoints
 from .fingerprints import (
     MineConfig,
     SymptomItem,
@@ -173,13 +173,14 @@ def _load_all_series(args: argparse.Namespace, catalog: Catalog, kind: MetricKin
 def _split_train(
     series: list[MetricSeries], train_fraction: float, clean_cfg: CleanConfig
 ) -> tuple[list[MetricSeries], CleanReport]:
-    cleaned_all: list[MetricSeries] = []
-    report = CleanReport(0, 0, [])
+    spans: list[MetricSeries] = []
     for s in series:
-        cleaned, part = clean(train_span(s, train_fraction), clean_cfg)
-        cleaned_all.append(cleaned)
-        report.add(part)
-    return cleaned_all, report
+        try:
+            spans.append(train_span(s, train_fraction))
+        except TooFewPoints:
+            clean(spans, clean_cfg)  # an earlier span that fails cleaning is the first failure
+            raise
+    return clean(spans, clean_cfg)
 
 
 # ---------------------------------------------------------------------------

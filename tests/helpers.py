@@ -24,7 +24,11 @@ sorts, scales, compares and hex-formats them one cell and one window at a
 time. The model codec oracle writes a model document with ``json.dumps`` of
 its lists and reads one with ``json.loads``, a type check of every value and
 ``np.array``; it never touches the digit matrices and the per-array decoder
-of ``baseline.model_to_json`` and ``baseline.load_model``.
+of ``baseline.model_to_json`` and ``baseline.load_model``. The clean oracle
+takes each span's quartiles with its own ``np.percentile`` call and sums a
+repeated key's counts after a stable sort; the fit oracle bins one (cell,
+metric) pair at a time; neither touches the padded matrices and chunked
+codes of ``cleaning.clean`` and ``baseline.fit_baseline``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +49,11 @@ from cellwatch.baseline import (
     DetectorConfig,
     Direction,
     SketchTable,
+    _data_driven_bounds,
+    hour_bucket,
 )
-from cellwatch.cleaning import CleanConfig
-from cellwatch.errors import CellwatchError, MalformedRow, SchemaMismatch, UnknownMetric
+from cellwatch.cleaning import CleanConfig, CleanDetail, CleanReport
+from cellwatch.errors import CellwatchError, EmptyTraining, MalformedRow, SchemaMismatch, TooFewPoints, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology, default_scenario
 from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
@@ -174,6 +180,81 @@ def key_estimate(model, key) -> tuple[float, float, float]:
     row = table.keys.index(key)
     _, med, mad = table.stats(slice(row, row + 1))
     return float(med[0]), float(mad[0]), float(table.hi[row] - table.lo[row]) / table.counts.shape[1]
+
+
+def oracle_clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSeries], CleanReport]:
+    """``cleaning.clean`` one span at a time, with one ``np.percentile`` call per span.
+
+    Raises TooFewPoints for the first span that keeps too few points. The
+    detail is the per-span details, stably sorted by key, with each run of an
+    equal key summed.
+    """
+    cleaned, details = [], []
+    for span in spans:
+        values = span.values[~np.isnan(span.values)]
+        keep = np.ones(len(values), dtype=bool)
+        if len(values):
+            q1, q3 = np.percentile(values, [25.0, 75.0])
+            iqr = q3 - q1
+            keep = (values >= q1 - cfg.iqr_multiplier * iqr) & (values <= q3 + cfg.iqr_multiplier * iqr)
+        n_kept = int(np.count_nonzero(keep))
+        if n_kept < cfg.min_points:
+            raise TooFewPoints(f"{span.cell_id}/{span.metric_name}: {n_kept} points after cleaning, "
+                               f"need {cfg.min_points}")
+        present = ~np.isnan(span.values)
+        cleaned.append(replace(span, window_starts=span.window_starts[present][keep], values=values[keep]))
+        details.append(CleanDetail(span.cell_id, span.metric_name, len(span.values) - len(values),
+                                   len(values) - n_kept))
+    detail: list[CleanDetail] = []
+    for d in sorted(details, key=lambda d: (d.cell_id, d.metric)):
+        if detail and (detail[-1].cell_id, detail[-1].metric) == (d.cell_id, d.metric):
+            d = replace(d, missing=detail[-1].missing + d.missing, extremes=detail[-1].extremes + d.extremes)
+            detail.pop()
+        detail.append(d)
+    return cleaned, CleanReport(sum(d.missing for d in details), sum(d.extremes for d in details), detail)
+
+
+def oracle_fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:
+    """``baseline.fit_baseline`` one (cell, metric) pair at a time, with an ``np.unique`` and a ``bincount`` each."""
+    if not train:
+        raise EmptyTraining("no training series given")
+    metric_meta, per_pair = {}, {}
+    for series in train:
+        meta = (series.kind, series.polarity)
+        if metric_meta.setdefault(series.metric_name, meta) != meta:
+            raise ValueError(f"conflicting kind/polarity for metric {series.metric_name!r}")
+        per_pair.setdefault((series.cell_id, series.metric_name), []).append(series)
+    fixed, nb = cfg.bounds or {}, cfg.bin_count
+    keys, columns, lasts, rows = [], [], [], []
+    for cell_id, metric in sorted(per_pair):
+        group = per_pair[(cell_id, metric)]
+        values = np.concatenate([s.values for s in group])
+        present = ~np.isnan(values)
+        starts, values = np.concatenate([s.window_starts for s in group])[present], values[present]
+        seen, row = np.unique(hour_bucket(starts), return_inverse=True)
+        n = len(seen)
+        if n:
+            lasts.append(int(starts.max()))
+        if fixed.get(metric):
+            lo, hi = (np.full(n, float(bound)) for bound in fixed[metric])
+        else:
+            mins, maxs = np.full(n, np.inf), np.full(n, -np.inf)
+            np.minimum.at(mins, row, values)
+            np.maximum.at(maxs, row, values)
+            lo, hi = _data_driven_bounds(mins, maxs, nb)
+        if not (lo < hi).all():
+            raise ValueError(f"need lo < hi in every sketch of {(cell_id, metric)}")
+        under, over = values < lo[row], values > hi[row]
+        inside = ~(under | over)
+        width = ((hi - lo) / nb)[row[inside]]
+        bins = ((values[inside] - lo[row[inside]]) / width).astype(np.int64)
+        np.minimum(bins, nb - 1, out=bins)
+        rows.append(np.bincount(row[inside] * nb + bins, minlength=n * nb).reshape(n, nb))
+        keys += [(cell_id, metric, h) for h in seen.tolist()]
+        columns.append((lo, hi, *(np.bincount(row[side], minlength=n) for side in (under, over))))
+    lo, hi, underflow, overflow = (np.concatenate(column) for column in zip(*columns))
+    table = SketchTable(keys, lo, hi, np.concatenate(rows).reshape(len(keys), nb), underflow, overflow)
+    return BaselineModel(cfg, metric_meta, table, trained_through=max(lasts, default=None))
 
 
 OracleRule = tuple[frozenset[SymptomItem], str, int, int]  # antecedent, consequent, q_count, global_count

@@ -202,7 +202,7 @@ def test_criterion_5_false_alarm_floor():
         detector_cfg = DetectorConfig(bounds=bounds)  # stock thresholds
         clean_cfg = CleanConfig()
         filter_cfg = FilterConfig()
-        train = [clean(train_span(s, spec.train_fraction), clean_cfg)[0] for s in kqi_series + kpi_series]
+        train, _ = clean([train_span(s, spec.train_fraction) for s in kqi_series + kpi_series], clean_cfg)
         model = fit_baseline(train, detector_cfg)
         covered = 0
         total = 0

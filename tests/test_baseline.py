@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellwatch import baseline
 from cellwatch.baseline import (
     _DIRECTIONS,
     _digits,
@@ -36,6 +37,7 @@ from helpers import (
     exact_robust_score,
     key_estimate,
     make_series,
+    oracle_fit_baseline,
     oracle_load_model,
     oracle_model_to_json,
     table_sketch,
@@ -327,6 +329,82 @@ class TestArrayStagesAgainstLoops:
                 scored.sufficient_data.tolist(), scored.flagged.tolist(),
             ))
             assert got == reference_scores(model, test, 3.0)
+
+
+FIT_VALUES = st.one_of(
+    st.none(),
+    st.floats(-20, 30, allow_nan=False),
+    st.sampled_from([0.0, 10.0, -5.0]),  # on the fixed bounds, below them
+)
+FIT_BOUNDS = st.sampled_from([None, (0.0, 10.0), (-1.0, 4.0), (5.0, 5.0)])  # (5, 5) cannot fit
+
+
+class TestChunkedFit:
+    """fit_baseline's chunked pass against one (cell, metric) pair at a time."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        drawn=st.lists(
+            st.tuples(
+                st.sampled_from(["c0", "c1", "c2"]),
+                st.sampled_from(["m0", "m1"]),  # a (cell, metric) may repeat
+                st.sampled_from([300, 1800, 3600]),
+                st.integers(-30, 60),
+                st.one_of(
+                    st.lists(FIT_VALUES, max_size=40),  # different lengths, all MISSING included
+                    st.tuples(st.floats(-20, 30), st.integers(1, 40)).map(lambda vn: [vn[0]] * vn[1]),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        bounds=st.tuples(FIT_BOUNDS, FIT_BOUNDS),
+        bin_count=st.sampled_from([8, 16]),
+        chunk=st.integers(1, 60),
+    )
+    def test_chunked_fit_equals_the_per_pair_oracle(self, drawn, bounds, bin_count, chunk):
+        series = [
+            make_series(values, cell_id=cell, metric_name=metric, window_len=window_len,
+                        start=offset * window_len,
+                        kind=MetricKind.KQI if metric == "m0" else MetricKind.KPI)
+            for cell, metric, window_len, offset, values in drawn
+        ]
+        pinned = {metric: pair for metric, pair in zip(("m0", "m1"), bounds) if pair}
+        cfg = DetectorConfig(bin_count=bin_count, min_samples=1, bounds=pinned or None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baseline, "CHUNK_VALUES", chunk)
+            try:
+                expected = oracle_fit_baseline(series, cfg)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    fit_baseline(series, cfg)
+                assert str(got.value) == str(exc)
+                return
+            model = fit_baseline(series, cfg)
+        assert model.sketches == expected.sketches
+        assert model_to_json(model) == model_to_json(expected)  # lo and hi bit for bit
+        assert (model.metric_meta, model.trained_through) == (expected.metric_meta, expected.trained_through)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_stats_of_an_index_array_equal_the_slice_rows(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        keys = [("c", "m", h) for h in range(data.draw(st.integers(1, 24)))]
+        table = random_table(rng, keys, {key: (-1.0, 3.0) for key in keys}, 16)
+        rows = np.array(data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=30)), dtype=np.intp)
+        whole = table.stats(slice(None))
+        for got, want in zip(table.stats(rows), whole):
+            assert got.tolist() == want[rows].tolist()
+
+    def test_windows_that_hit_no_sketch_score_zero(self):
+        model = fit_baseline([make_series([1.0, 2.0, 3.0], window_len=3600)], CFG)  # hours 0-2
+        test = make_series([None, 5.0, 7.0, None], window_len=3600, start=3 * 3600)  # hours 3-6
+        nan_only = make_series([None, None], window_len=3600)
+        for series in (test, nan_only):
+            scored = score_series(model, series)
+            assert scored.score.tolist() == [0.0] * len(series.values)
+            assert not scored.sufficient_data.any() and not scored.flagged.any()
+            assert (scored.direction == 0).all()
 
 
 def random_table(rng, keys, bounds, bin_count):
@@ -755,7 +833,11 @@ class TestCodecAgainstOracle:
                     assert model_to_json(new) == oracle_model_to_json(old)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([0, 9, 10, 2**63 - 1, -(2**63)]))))
+    @given(st.lists(st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-(2**33), 2**33),  # the uint32 pass and its edges
+        st.sampled_from([0, 9, 10, 2**32 - 1, 2**32, 1 - 2**32, -(2**32), 2**63 - 1, -(2**63)]),
+    )))
     def test_digits_are_each_ints_str(self, values):
         assert _digits(np.array(values, dtype=np.int64)) == ",".join(map(str, values))
 

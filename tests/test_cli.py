@@ -343,6 +343,29 @@ class TestExitCodes:
         )
         assert rc == 1  # too few points after cleaning
 
+    @pytest.mark.parametrize("order", ["clean_first", "split_first"])
+    def test_train_names_the_first_series_that_fails(self, tmp_path, caplog, order):
+        # c1/m keeps 7 of 10 training points (min_points 24); c2/m has one point, so its split leaves
+        # an empty part. Each fails in a different step; the first in input order is named.
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(
+            json.dumps({"m": {"kind": "KQI", "polarity": "HIGHER_IS_WORSE", "window_len_seconds": 300}})
+        )
+        cells = {"c1": 10, "c2": 1} if order == "clean_first" else {"c1": 1, "c2": 10}
+        kqi = tmp_path / "kqi.csv"
+        kqi.write_text("cell_id,metric_name,window_start,value\n" + "".join(
+            f"{cell},m,{i * 300},1.0\n" for cell, n in cells.items() for i in range(n)
+        ))
+        caplog.clear()
+        rc = main(["train", "--kqi", str(kqi), "--catalog", str(catalog), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        if order == "clean_first":
+            assert "c1/m: 7 points after cleaning, need 24" in caplog.text
+            assert "c2/m" not in caplog.text
+        else:
+            assert "c1/m: split 1/0 leaves an empty part" in caplog.text
+            assert "c2/m" not in caplog.text
+
     def test_grid_fill_beyond_the_limit_is_exit_1(self, tmp_path, caplog):
         catalog = tmp_path / "catalog.json"
         catalog.write_text(
