@@ -98,18 +98,21 @@ class SketchTable:
         """
         lo, hi = self.lo[rows], self.hi[rows]
         nb = self.counts.shape[1]
-        mids = lo[:, None] + (np.arange(nb) + 0.5) * ((hi - lo) / nb)[:, None]
-        values = np.column_stack([lo, mids, hi])
-        mass = np.column_stack([self.underflow[rows], self.counts[rows], self.overflow[rows]])
-        total = mass.sum(axis=1)
+        values = np.empty((len(lo), nb + 2), dtype=lo.dtype)  # lo, the bin midpoints, hi
+        values[:, 0], values[:, -1] = lo, hi
+        values[:, 1:-1] = lo[:, None] + (np.arange(nb) + 0.5) * ((hi - lo) / nb)[:, None]
+        mass = np.empty(values.shape, dtype=np.result_type(self.underflow, self.counts, self.overflow))
+        mass[:, 0], mass[:, 1:-1], mass[:, -1] = self.underflow[rows], self.counts[rows], self.overflow[rows]
+        cumulative = np.cumsum(mass, axis=1)
+        total = cumulative[:, -1].copy()
         rank = ((total + 1) // 2)[:, None]
         each = np.arange(len(values))
-        median = values[each, np.argmax(np.cumsum(mass, axis=1) >= rank, axis=1)]
-        deviations = np.abs(values - median[:, None])
+        median = values[each, np.argmax(cumulative >= rank, axis=1)]
+        deviations = np.abs(np.subtract(values, median[:, None], out=values), out=values)
         order = np.argsort(deviations, axis=1, kind="stable")
-        mass = np.take_along_axis(mass, order, axis=1)
-        deviations = np.take_along_axis(deviations, order, axis=1)
-        mad = deviations[each, np.argmax(np.cumsum(mass, axis=1) >= rank, axis=1)]
+        # mass in deviation order, gathered through one flat index, summed into the same buffer
+        np.cumsum(mass.ravel()[order + (each * (nb + 2))[:, None]], axis=1, out=cumulative)
+        mad = deviations[each, order[each, np.argmax(cumulative >= rank, axis=1)]]
         return total, median, mad
 
 

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Any
 
@@ -333,23 +333,26 @@ class CountTables:
 def itemset_count_tables(transactions: list[Transaction], max_len: int) -> CountTables:
     """Count all itemsets up to max_len per consequent.
 
-    Transactions of one consequent and width w share one id matrix; its
-    C(w, k) column combinations for each k <= max_len give every subset key,
-    and one ``_summed`` per consequent counts them, ordered by a radix sort
-    over the key bytes with no byte-string compare. If the subsets of all
+    Items are numbered by their tokens, so no item is hashed or compared
+    in Python. Transactions of one consequent and width w share one id
+    matrix; its C(w, k) column combinations for each k <= max_len, built
+    once per call for each (w, k), give every subset key, and one
+    ``_summed`` per consequent counts them, ordered by a radix sort over the
+    key bytes with no byte-string compare. If the subsets of all
     transactions, Σ_{k≤max_len} C(w, k) each, number more than MAX_ITEMSETS,
     TooManyItemsets is raised before any is enumerated.
     """
-    vocab = sorted({it for t in transactions for it in t.items}, key=lambda it: it.token)
+    items = {it.token: it for t in transactions for it in t.items}
+    tokens = sorted(items)
     widest = max((len(t.items) for t in transactions), default=0)
-    tables = CountTables(vocab=vocab, width=max(1, min(max_len, widest)), max_len=max_len)
-    index = {it: i for i, it in enumerate(vocab, 1)}
+    tables = CountTables(vocab=[items[tok] for tok in tokens], width=max(1, min(max_len, widest)), max_len=max_len)
+    index = {tok: i for i, tok in enumerate(tokens, 1)}
     groups: dict[str, dict[int, list[list[int]]]] = {}
     for t in transactions:
         tables.total += 1
         tables.consequent_totals[t.consequent] = tables.consequent_totals.get(t.consequent, 0) + 1
         by_width = groups.setdefault(t.consequent, {})
-        by_width.setdefault(len(t.items), []).append(sorted(index[it] for it in t.items))
+        by_width.setdefault(len(t.items), []).append(sorted([index[it.token] for it in t.items]))
     subsets = sum(
         len(rows) * sum(math.comb(w, k) for k in range(1, min(max_len, w) + 1))
         for by_width in groups.values()
@@ -358,12 +361,16 @@ def itemset_count_tables(transactions: list[Transaction], max_len: int) -> Count
     if subsets > MAX_ITEMSETS:
         raise TooManyItemsets(subsets, MAX_ITEMSETS, widest, max_len)
 
+    combos: dict[tuple[int, int], np.ndarray] = {}
     for q, by_width in groups.items():
         found = [np.empty(0, tables.key_dtype)]
         for w, rows in by_width.items():
-            ids = np.array(rows, dtype=_id_dtype(len(vocab))).reshape(len(rows), w)
+            ids = np.array(rows, dtype=_id_dtype(len(tokens))).reshape(len(rows), w)
             for k in range(1, min(max_len, w) + 1):
-                columns = np.array(list(combinations(range(w), k)), dtype=np.intp)
+                columns = combos.get((w, k))
+                if columns is None:
+                    flat = chain.from_iterable(combinations(range(w), k))
+                    columns = combos[w, k] = np.fromiter(flat, np.intp, math.comb(w, k) * k).reshape(-1, k)
                 found.append(_keys(ids[:, columns].reshape(-1, k), tables.width))
         tables.per_consequent[q] = _summed(np.concatenate(found))
     return tables
@@ -376,9 +383,10 @@ def merge_count_tables(tables: list[CountTables]) -> CountTables:
     max_len = tables[0].max_len
     if any(t.max_len != max_len for t in tables):
         raise ValueError("count tables enumerate different itemset sizes")
-    vocab = sorted(set().union(*(t.vocab for t in tables)), key=lambda it: it.token)
-    merged = CountTables(vocab=vocab, width=max(t.width for t in tables), max_len=max_len)
-    index = {it: i for i, it in enumerate(vocab, 1)}
+    items = {it.token: it for t in tables for it in t.vocab}
+    tokens = sorted(items)
+    merged = CountTables(vocab=[items[tok] for tok in tokens], width=max(t.width for t in tables), max_len=max_len)
+    index = {tok: i for i, tok in enumerate(tokens, 1)}
     keys: dict[str, list[np.ndarray]] = {}
     counts: dict[str, list[np.ndarray]] = {}
     for t in tables:
@@ -386,7 +394,7 @@ def merge_count_tables(tables: list[CountTables]) -> CountTables:
         for q, n in t.consequent_totals.items():
             merged.consequent_totals[q] = merged.consequent_totals.get(q, 0) + n
         # ids ascend in token order in every table, so renumbering keeps rows sorted
-        renumber = np.array([0] + [index[it] for it in t.vocab], dtype=_id_dtype(len(vocab)))
+        renumber = np.array([0] + [index[it.token] for it in t.vocab], dtype=_id_dtype(len(tokens)))
         for q, found in t.per_consequent.items():
             keys.setdefault(q, []).append(_keys(renumber[t.ids(found.keys)], merged.width))
             counts.setdefault(q, []).append(found.counts)

@@ -8,7 +8,13 @@ unless ``field(metadata={"json": key})`` says otherwise. ``read`` parses a
 document file, raising ``NotUtf8`` when it is not UTF-8 text and
 ``MalformedJson`` when it is not JSON or nests arrays and objects deeper
 than the decoder can recurse; ``write`` stores a dataclass as an indented,
-key-sorted document.
+key-sorted document. ``dumps`` writes that text itself, in one walk over the
+value, byte for byte what ``json.dumps(encode(obj), indent=2,
+sort_keys=True)`` gives: ``json`` runs its pure-Python encoder whenever
+``indent`` is set, and builds ``encode``'s tree first. Strings go through
+``json``'s C escape, numbers through ``int.__repr__`` and ``float.__repr__``
+(``NaN``, ``Infinity`` and ``-Infinity`` as ``json`` writes them), and a value
+``json`` cannot write raises TypeError.
 A float field takes any finite JSON number (not ``NaN``, ``Infinity`` or a
 literal beyond the float range); an int, str or bool field exactly that
 JSON type, so ``true`` is never ``1``; an Enum field one of its values;
@@ -22,13 +28,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
+import math
+import operator
 import sys
 import types
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import SchemaMismatch
 
@@ -227,9 +236,141 @@ def read(path: str | Path, loads: Callable[[str], Any] = json.loads) -> Any:
         raise MalformedJson(path, too_deep(text)) from None
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """``json``'s text of a float: its ``repr``, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(obj: Any) -> str | None:
+    """``json``'s text of a string, null, boolean or number, by its isinstance rules; None for anything else."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    """An object key as ``json`` writes it: a string, or a scalar's text in quotes."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _escape(text)
+
+
+@functools.cache
+def _field_layout(cls: type, depth: int) -> tuple[tuple[str, ...], Callable[[Any], tuple], str]:
+    """How a dataclass ``cls`` at ``depth`` is written: (heads, get, close).
+
+    Each head is a key's text and what precedes it, in key order; ``get``
+    gives an object's values in that order, and ``close`` ends the object.
+    """
+    names = dict(_encoded_fields(cls))  # one entry per key, as encode's dict has
+    keys = sorted(names)
+    if not keys:
+        return (), lambda obj: (), "{}"
+    inner = "\n" + "  " * (depth + 1)
+    heads = tuple(f"{',' if i else '{'}{inner}{_key_text(key)}: " for i, key in enumerate(keys))
+    get = operator.attrgetter(*(names[key] for key in keys))
+    return heads, (get if len(keys) > 1 else lambda obj: (get(obj),)), "\n" + "  " * depth + "}"
+
+
+def _put_values(heads: Iterable[str], values: Iterable[Any], depth: int, out: list[str], put: Callable) -> None:
+    """Append each of ``values`` after its head; ``put`` writes any value that is not a plain scalar."""
+    append = out.append
+    for head, value in zip(heads, values):
+        cls = type(value)
+        if cls is str:
+            append(head + _escape(value))
+        elif cls is float:
+            append(head + (repr(value) if value - value == 0 else _float_text(value)))
+        elif cls is int:
+            append(head + repr(value))
+        elif value is None:
+            append(head + "null")
+        elif cls is bool:
+            append(head + ("true" if value else "false"))
+        else:
+            append(head)
+            put(value, depth, out)
+
+
+def _put_object(obj: dict, depth: int, out: list[str], put: Callable) -> None:
+    items = sorted(obj.items())
+    if not items:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    heads = [f",{inner}{_key_text(key)}: " for key, _ in items]
+    heads[0] = "{" + heads[0][1:]
+    _put_values(heads, [value for _, value in items], depth + 1, out, put)
+    out.append("\n" + "  " * depth + "}")
+
+
+def _put_array(obj: list | tuple, depth: int, out: list[str], put: Callable) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    _put_values(itertools.chain(("[" + inner,), itertools.repeat("," + inner)), obj, depth + 1, out, put)
+    out.append("\n" + "  " * depth + "]")
+
+
+def _put_json(obj: Any, depth: int, out: list[str]) -> None:
+    """Append ``obj`` as ``json`` writes a value: a scalar, list or tuple, dict, else TypeError."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, (list, tuple)):
+        _put_array(obj, depth, out, _put_json)
+    elif isinstance(obj, dict):
+        _put_object(obj, depth, out, _put_json)
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _put(obj: Any, depth: int, out: list[str]) -> None:
+    """Append the JSON text of ``encode(obj)``, tried in ``encode``'s order, without building it."""
+    if dataclasses.is_dataclass(obj):
+        heads, get, close = _field_layout(type(obj), depth)
+        _put_values(heads, get(obj), depth + 1, out, _put)
+        out.append(close)
+    elif isinstance(obj, dict):
+        _put_object(obj, depth, out, _put)
+    elif isinstance(obj, (list, tuple)):
+        _put_array(obj, depth, out, _put)
+    else:  # an Enum's value is written as it is, as encode leaves it
+        _put_json(obj.value if isinstance(obj, Enum) else obj, depth, out)
+
+
 def dumps(obj: Any) -> str:
-    """The document of ``obj``: encoded, indented, key-sorted, with a final newline."""
-    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+    """The document of ``obj``: encoded, indented, key-sorted, with a final newline.
+
+    The text is ``json.dumps(encode(obj), indent=2, sort_keys=True) + "\\n"``,
+    byte for byte, written in one walk over ``obj``: no encoded tree is
+    built, and ``json``'s indenting encoder, which is pure Python, is not run.
+    """
+    out: list[str] = []
+    _put(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write(obj: Any, path: str | Path) -> None:

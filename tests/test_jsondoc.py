@@ -1,14 +1,23 @@
+import json
 import re
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cellwatch import cleaning, fingerprints, fogsim, synth
 from cellwatch.baseline import DetectorConfig
 from cellwatch.cli import _DiagnosisLine
 from cellwatch.errors import SchemaMismatch
 from cellwatch.fingerprints import SymptomState, _DbDoc
 from cellwatch.ingest import MetricInfo, MetricKind, Polarity
-from cellwatch.jsondoc import decode, encode, require_object
+from cellwatch.jsondoc import decode, dumps, encode, require_object
 from cellwatch.synth import AutoPlan, CauseSpec, CdrTraffic, MetricSpec, PlantedAnomaly, ScenarioSpec
+from helpers import make_series, random_transactions, tiny_scenario
 
 METRIC = {
     "kind": "KQI",
@@ -138,3 +147,140 @@ def test_field_metadata_sets_the_json_key():
         decode(MetricInfo, {**doc, "window_len": 300})
     with pytest.raises(SchemaMismatch, match=r"^m\.window_len_seconds: expected an integer, got a number$"):
         decode(MetricInfo, {**doc, "window_len_seconds": 300.0}, "m")
+
+
+def stdlib_dumps(obj):
+    """The oracle of ``dumps``: the encoded tree through the stdlib's indenting encoder."""
+    return json.dumps(encode(obj), indent=2, sort_keys=True) + "\n"
+
+
+class Shade(str, Enum):
+    DARK = "dark"
+    ODD = 'q"\\\u00e9\U0001f600'
+
+
+class Plain(Enum):
+    ONE = 1
+
+
+class Wrapped(Enum):
+    """An Enum whose value ``encode`` leaves as it is, so ``json`` meets ``Plain.ONE`` and rejects it."""
+
+    PLAIN = (Plain.ONE,)
+
+
+@dataclass
+class Pair:
+    left: Any
+    right: Any = field(default=None, metadata={"json": "Right \\ \"key\""})
+
+
+@dataclass
+class Holder:
+    inner: Any = field(metadata={"json": "\u00e9l\u00e8ve"})
+    rest: Any = None
+    empty: list = field(default_factory=list)
+
+
+LEAVES = [
+    True, False, 0, 1, -1, 2**70, -(2**70), 0.0, -0.0, 5e-324, 1e16, 1e-5, 1.5, -2.25e300,
+    float("nan"), float("inf"), float("-inf"), np.float64(0.1), np.float64(-0.0), np.float64("nan"), None,
+    Shade.DARK, Shade.ODD, "", 'a "quoted" \\ back\nslash\t\x00\x1f\x7f', "caf\u00e9 \u2028 \U0001f600",
+]
+STRINGS = st.text(alphabet=st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "a", "Z", "\u00e9",
+                                            "\u2028", "\ud7ff", "\U0001f600", "\U0010ffff"]))
+SCALARS = st.one_of(st.sampled_from(LEAVES), st.integers(), st.floats(), STRINGS, st.booleans())
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.builds(Pair, children, children),
+        st.builds(Holder, children, children, st.lists(children, max_size=2)),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TREES)
+    def test_equals_the_stdlib_indented_encoder(self, obj):
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj", LEAVES + [Plain.ONE, [], {}, (), [[], {}, [()]], {"a": {"b": []}}, Pair([], {}), Holder({}, ())]
+    )
+    def test_leaves_and_empty_containers(self, obj):
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1}, {None: 1}, {True: 1, False: 0}])
+    def test_scalar_keys_are_written_as_json_writes_them(self, obj):
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [np.int64(3), [np.int64(3)], Pair(np.bool_(True)), {"a": object()}, {("a",): 1}, {"a": 1, 2: "b"},
+         Holder(Shade, None), [Wrapped.PLAIN]],
+        ids=["int64", "int64-in-list", "numpy-bool", "object", "tuple-key", "mixed-keys", "enum-class",
+             "enum-in-value"],
+    )
+    def test_values_json_rejects_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_dumps(obj)
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+    def test_the_stdlib_encoder_is_not_called(self, monkeypatch):
+        spec = synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=5)
+        want = stdlib_dumps(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert dumps(spec) == want
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    """One object of each document the CLI writes, made by the code that writes it."""
+    scenario = tiny_scenario()
+    topology = fogsim.default_topology()
+    docs = {}
+    for strategy in fogsim.Strategy:
+        docs[f"report-{strategy.value}"], _, db = fogsim.simulate(topology, strategy, scenario)
+    rng = np.random.default_rng(3)
+    transactions = random_transactions(rng)
+    cfg = fingerprints.MineConfig(s_min_count=1, s_max_fraction=1.0, c_min=0.05, lift_min=0.5, max_antecedent=3)
+    rules = fingerprints.mine_rare_rules(transactions, cfg)
+    labels = {(r.antecedent, r.consequent): f"cause {i}" for i, r in enumerate(rules[::2])}
+    mined = fingerprints.update_db(db, rules, labels, built_at=9, transaction_total=64)
+    for name, found in [("db-fog", db), ("db-random", mined)]:
+        docs[name] = decode(_DbDoc, json.loads(fingerprints.db_to_json(found)))
+    spans = [make_series([1.0, None, 2.5, 3.0, 2.0, 100.0, 2.2, 2.7, 1.9, 2.1], metric_name=m) for m in ("m1", "m2")]
+    docs["clean-report"] = cleaning.clean(spans, cleaning.CleanConfig(min_points=4))[1]
+    _, truth = synth.generate(scenario.spec, tmp_path_factory.mktemp("generated"))
+    docs["eval-report"] = synth.evaluate([], None, truth)
+    docs["eval-report-fractions"] = synth.EvalReport(2 / 3, 0.1, 1 / 7, {"detected": 3})
+    docs["catalog"] = scenario.spec.catalog()
+    docs["truth"] = truth
+    docs["labels"] = synth.Labels(truth.planted_rules)
+    docs["spec"] = scenario.spec
+    docs["scenario"] = scenario
+    return docs
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["report-CENTRALIZED", "report-EDGE_INFERENCE", "report-FOG", "db-fog", "db-random", "clean-report",
+     "eval-report", "eval-report-fractions", "catalog", "truth", "labels", "spec", "scenario"],
+)
+def test_cli_documents_equal_the_stdlib_indented_encoder(cli_documents, name):
+    assert dumps(cli_documents[name]) == stdlib_dumps(cli_documents[name])
+
+
+def test_the_mined_db_case_has_labelled_rules(cli_documents):
+    rules = cli_documents["db-random"].rules
+    assert len(rules) > 10 and any(r.cause_label for r in rules) and any(r.cause_label is None for r in rules)
