@@ -1,10 +1,13 @@
 """Training-data cleaning, the training span, and the windows after training.
 
-Cleaning is meant for the training side only: the detection stream keeps its
+``clean`` is the one place that accepts or rejects training input: it cuts
+each series to its training span, cleans the spans, and names the first
+series, in input order, whose split or cleaning leaves too little. Cleaning
+is meant for the training side only: the detection stream keeps its
 extremes, since those may be exactly the anomalies being hunted. Fences are
-computed once over the incoming series (single pass, no recomputation after
-removal), so the operation is deterministic and cheap. Every tier that runs
-inference scores the windows after the model's last trained one.
+computed once over each span (single pass, no recomputation after removal),
+so the operation is deterministic and cheap. Every tier that runs inference
+scores the windows after the model's last trained one.
 """
 
 from __future__ import annotations
@@ -61,26 +64,36 @@ class CleanReport:
 CHUNK_VALUES = 2**16
 
 
-def clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSeries], CleanReport]:
-    """Drop MISSING points and gross extremes from each training span.
+def clean(
+    series: list[MetricSeries], cfg: CleanConfig, train_fraction: float
+) -> tuple[list[MetricSeries], CleanReport]:
+    """Cut each series to its training span, then drop MISSING points and gross extremes.
 
     Extremes lie outside [Q1 - k*IQR, Q3 + k*IQR], with a span's quartiles
     taken over its non-missing values via linear interpolation. Surviving
-    points keep their order. Raises TooFewPoints for the first span, in input
-    order, with fewer than cfg.min_points survivors. The report sums the
-    counts of a (cell, metric) that appears more than once.
+    points keep their order. Raises TooFewPoints for the first series, in
+    input order, whose split leaves the span or the points after it empty,
+    or whose span keeps fewer than cfg.min_points points; a series that
+    fails both is named for its split. The report sums the counts of a
+    (cell, metric) that appears more than once.
 
     The spans go through in chunks: each chunk's values fill one NaN-padded
     matrix, one row per span, whose row-wise sort gives every span's
     quartiles at once (``_quartiles``), and one comparison with the fences
     gives the survivor mask.
     """
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be in (0, 1)")
+    spans = [train_span(s, train_fraction) for s in series]
+    lengths = np.array([len(s.values) for s in series], dtype=np.int64)
     cleaned: list[MetricSeries] = []
     removed: dict[tuple[str, str], tuple[int, int]] = {}
-    for chunk in _chunks(spans):
+    for run in _chunks(spans):
+        chunk, n = spans[run], lengths[run]
         matrix = np.full((len(chunk), max(1, *(len(s.values) for s in chunk))), np.nan)
         for row, s in zip(matrix, chunk):
             row[: len(s.values)] = s.values
+        cut = np.array([len(s.values) for s in chunk], dtype=np.int64)
         ordered = np.sort(matrix, axis=1)  # NaN sorts last
         present = np.count_nonzero(~np.isnan(ordered), axis=1)
         q1, q3 = _quartiles(ordered, present)
@@ -89,13 +102,14 @@ def clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSerie
         lo, hi = q1 - cfg.iqr_multiplier * iqr, q3 + cfg.iqr_multiplier * iqr
         keep = (matrix >= lo[:, None]) & (matrix <= hi[:, None])  # False for NaN
         kept = np.count_nonzero(keep, axis=1)
+        split = (cut == 0) | (cut == n)
         short = kept < cfg.min_points
-        if short.any():
-            i = int(np.argmax(short))
-            raise TooFewPoints(
-                f"{chunk[i].cell_id}/{chunk[i].metric_name}: {int(kept[i])} points after cleaning, "
-                f"need {cfg.min_points}"
-            )
+        if (split | short).any():
+            i = int(np.argmax(split | short))
+            key = f"{chunk[i].cell_id}/{chunk[i].metric_name}"
+            if split[i]:
+                raise TooFewPoints(f"{key}: split {cut[i]}/{n[i] - cut[i]} leaves an empty part")
+            raise TooFewPoints(f"{key}: {kept[i]} points after cleaning, need {cfg.min_points}")
         for s, row, n_present, n_kept in zip(chunk, keep, present.tolist(), kept.tolist()):
             survivors = row[: len(s.values)]
             cleaned.append(replace(s, window_starts=s.window_starts[survivors], values=s.values[survivors]))
@@ -111,17 +125,15 @@ def clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSerie
 
 
 def _chunks(spans: list[MetricSeries]):
-    """Consecutive runs of spans whose padded matrix has at most CHUNK_VALUES cells, or one span."""
-    chunk: list[MetricSeries] = []
-    width = 0
-    for s in spans:
-        if chunk and (len(chunk) + 1) * max(width, len(s.values)) > CHUNK_VALUES:
-            yield chunk
-            chunk, width = [], 0
-        chunk.append(s)
+    """Slices of consecutive spans whose padded matrix has at most CHUNK_VALUES cells, or of one span."""
+    start, width = 0, 0
+    for i, s in enumerate(spans):
+        if i > start and (i - start + 1) * max(width, len(s.values)) > CHUNK_VALUES:
+            yield slice(start, i)
+            start, width = i, 0
         width = max(width, len(s.values))
-    if chunk:
-        yield chunk
+    if start < len(spans):
+        yield slice(start, len(spans))
 
 
 def _quartiles(ordered: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,17 +165,10 @@ def _quartiles(ordered: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def train_span(series: MetricSeries, train_fraction: float) -> MetricSeries:
     """The first ceil(n * fraction) points of a series: its training span.
 
-    No shuffling: baselines are temporal. Raises TooFewPoints if the span or
-    the points after it would be empty.
+    No shuffling: baselines are temporal. The cut alone: ``clean`` checks
+    the fraction and rejects a split that leaves an empty part.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = len(series.values)
-    cut = math.ceil(n * train_fraction)
-    if cut == 0 or cut >= n:
-        raise TooFewPoints(
-            f"{series.cell_id}/{series.metric_name}: split {cut}/{n - cut} leaves an empty part"
-        )
+    cut = math.ceil(len(series.values) * train_fraction)
     return replace(series, window_starts=series.window_starts[:cut], values=series.values[:cut])
 
 

@@ -31,8 +31,8 @@ from .baseline import (
     save_model,
     score_series,
 )
-from .cleaning import CleanConfig, CleanReport, after_training, clean, train_span
-from .errors import CellwatchError, SchemaMismatch, TooFewPoints
+from .cleaning import CleanConfig, CleanReport, after_training, clean
+from .errors import CellwatchError, SchemaMismatch
 from .fingerprints import (
     MineConfig,
     SymptomItem,
@@ -108,10 +108,6 @@ class RunConfig:
     rca: RcaConfig = field(default_factory=RcaConfig)
 
 
-# config fields whose flag has another name; every other flag is named after its field
-_FLAG_DESTS = {"iqr_multiplier": "iqr_k", "bin_count": "bins"}
-
-
 def _read_config_doc(path: str | Path) -> dict:
     """A --config or --scenario document; detector bounds come from the catalog only."""
     doc = require_object(read(path))
@@ -126,7 +122,7 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     cfg = decode(RunConfig, doc)
     for section in fields(RunConfig):
         values = getattr(cfg, section.name)
-        flags = {f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name), None) for f in fields(values)}
+        flags = {f.name: getattr(args, f.name, None) for f in fields(values)}
         flags = {name: value for name, value in flags.items() if value is not None}
         cfg = replace(cfg, **{section.name: replace(values, **flags)})
     return cfg, doc
@@ -170,19 +166,6 @@ def _load_all_series(args: argparse.Namespace, catalog: Catalog, kind: MetricKin
     return series
 
 
-def _split_train(
-    series: list[MetricSeries], train_fraction: float, clean_cfg: CleanConfig
-) -> tuple[list[MetricSeries], CleanReport]:
-    spans: list[MetricSeries] = []
-    for s in series:
-        try:
-            spans.append(train_span(s, train_fraction))
-        except TooFewPoints:
-            clean(spans, clean_cfg)  # an earlier span that fails cleaning is the first failure
-            raise
-    return clean(spans, clean_cfg)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -202,7 +185,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     series += _load_all_series(args, catalog, MetricKind.KPI)
     if not series:
         raise CellwatchError("no input series; pass --kqi/--kpi/--cdr")
-    cleaned, report = _split_train(series, cfg.pipeline.train_fraction, cfg.clean)
+    cleaned, report = clean(series, cfg.clean, cfg.pipeline.train_fraction)
     del series  # free the parsed series before the fit; the cleaned training spans are all it needs
     model = fit_baseline(cleaned, cfg.detector.with_catalog_bounds(catalog))
     save_model(model, args.out)
@@ -243,8 +226,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_event(event: AnomalyEvent, where: str) -> AnomalyEvent:
-    """``event`` if its window starts fit int64 and are in order, else SchemaMismatch naming ``where`` and the field."""
+def _check_event(event: AnomalyEvent, where: str, seen: dict[tuple[str, str, int], str]) -> AnomalyEvent:
+    """``event`` if its window starts fit int64 and are in order, else SchemaMismatch naming ``where`` and the field.
+
+    ``seen`` maps the (cell, metric, start window) of each earlier event of the file to its ``where``;
+    an event that repeats one is a SchemaMismatch naming both.
+    """
     for name in ("start_window", "peak_window", "end_window"):
         value = getattr(event, name)
         if not -(2**63) <= value < 2**63:
@@ -253,11 +240,16 @@ def _check_event(event: AnomalyEvent, where: str) -> AnomalyEvent:
         raise SchemaMismatch(f"{where}.peak_window: {event.peak_window} is before start_window {event.start_window}")
     if event.end_window < event.peak_window:
         raise SchemaMismatch(f"{where}.end_window: {event.end_window} is before peak_window {event.peak_window}")
+    key = (event.cell_id, event.metric_name, event.start_window)
+    if key in seen:
+        raise SchemaMismatch(f"{where}: {key[0]}/{key[1]} from window {key[2]} repeats {seen[key]}")
+    seen[key] = where
     return event
 
 
 def _decode_events(docs: list[tuple[str, dict]]) -> list[AnomalyEvent]:
-    return [_check_event(decode(AnomalyEvent, doc, where), where) for where, doc in docs]
+    seen: dict[tuple[str, str, int], str] = {}
+    return [_check_event(decode(AnomalyEvent, doc, where), where, seen) for where, doc in docs]
 
 
 def _load_events(path: str | Path) -> list[AnomalyEvent]:
@@ -279,9 +271,10 @@ class _DiagnosisLine:
 
 def _decode_diagnoses(docs: list[tuple[str, dict]]) -> list[_DiagnosisLine]:
     lines = []
+    seen: dict[tuple[str, str, int], str] = {}
     for where, doc in docs:
         lines.append(decode(_DiagnosisLine, doc, where))
-        _check_event(lines[-1].event, f"{where}.event")
+        _check_event(lines[-1].event, f"{where}.event", seen)
     return lines
 
 
@@ -511,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean-report", dest="clean_report", help="clean report JSON output path")
     p.add_argument("--config", help="config JSON overriding built-in defaults")
     p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--iqr-k", dest="iqr_k", type=float)
+    p.add_argument("--iqr-k", dest="iqr_multiplier", type=float)
     p.add_argument("--min-points", dest="min_points", type=int)
-    p.add_argument("--bins", dest="bins", type=int)
+    p.add_argument("--bins", dest="bin_count", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--min-samples", dest="min_samples", type=int)
     p.set_defaults(handler=_cmd_train)

@@ -566,8 +566,8 @@ def _rule_problem(rule: Fingerprint, transaction_total: int) -> str | None:
         return f"confidence {rule.confidence} outside (0, 1]"
     if not 0 < rule.support <= 1:
         return f"support {rule.support} outside (0, 1]"
-    if not 0 < rule.lift < math.inf:
-        return f"lift {rule.lift} must be > 0 and finite"
+    if not rule.lift > 0:  # jsondoc has already refused NaN and the infinities
+        return f"lift {rule.lift} must be > 0"
     if rule.support_count < 1:
         return f"support_count {rule.support_count} below 1"
     if rule.support_count > transaction_total:

@@ -37,7 +37,7 @@ from pathlib import Path
 from . import synth
 from .baseline import BaselineModel, DetectorConfig, fit_baseline, merge_baselines, model_to_json, score_series
 from .cleaning import CleanConfig, after_training, clean, train_span
-from .errors import InvalidTopology, TooFewPoints, UnassignedCell
+from .errors import InvalidTopology, UnassignedCell
 from .fingerprints import (
     FingerprintDb,
     MineConfig,
@@ -50,7 +50,7 @@ from .fingerprints import (
     mine_rare_rules,
     update_db,
 )
-from .ingest import MetricKind, MetricSeries, aggregate_cdr
+from .ingest import MetricSeries, aggregate_cdr
 from .jsondoc import decode, encode, read
 from .postfilter import AnomalyEvent, FilterConfig, apply_filters
 
@@ -244,14 +244,9 @@ def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Pr
     cells = spec.cell_ids()
     upload_bytes = dict.fromkeys(cells, 0)
     window_bytes = dict.fromkeys(cells, 0)
-    spans: list[MetricSeries] = []
     for aggregated, group in ((True, derived), (False, kqi_series + kpi_series)):
         for series in group:
-            try:
-                train_raw = train_span(series, spec.train_fraction)
-            except TooFewPoints:
-                clean(spans, scenario.clean_cfg)  # an earlier span that fails cleaning is the first failure
-                raise
+            train_raw = train_span(series, spec.train_fraction)
             if train_at_fog:  # the edge aggregates its CDR and ships the training rows
                 upload_bytes[series.cell_id] += len(train_raw.values) * row
             elif not aggregated:  # raw rows: the training span, or all of them for cloud inference
@@ -262,10 +257,9 @@ def _prepare(scenario: Scenario, train_at_fog: bool, infer_at_edge: bool) -> _Pr
                     calls_shipped = calls_shipped[series.window_starts < spec.train_cutoff_window]
                 upload_bytes[series.cell_id] += int(calls_shipped.sum()) * record
             window_bytes[series.cell_id] += row
-            spans.append(train_raw)
     return _Prepared(
-        train_clean=clean(spans, scenario.clean_cfg)[0],
-        kqi_series=[s for s in derived if s.kind == MetricKind.KQI] + kqi_series,
+        train_clean=clean(derived + kqi_series + kpi_series, scenario.clean_cfg, spec.train_fraction)[0],
+        kqi_series=derived + kqi_series,
         kpi_series=kpi_series,
         upload_bytes=upload_bytes,
         window_bytes=window_bytes,

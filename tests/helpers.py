@@ -183,7 +183,7 @@ def key_estimate(model, key) -> tuple[float, float, float]:
 
 
 def oracle_clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[MetricSeries], CleanReport]:
-    """``cleaning.clean`` one span at a time, with one ``np.percentile`` call per span.
+    """``cleaning.clean``'s pass over training spans, one span at a time, with one ``np.percentile`` call per span.
 
     Raises TooFewPoints for the first span that keeps too few points. The
     detail is the per-span details, stably sorted by key, with each run of an
@@ -212,6 +212,38 @@ def oracle_clean(spans: list[MetricSeries], cfg: CleanConfig) -> tuple[list[Metr
             detail.pop()
         detail.append(d)
     return cleaned, CleanReport(sum(d.missing for d in details), sum(d.extremes for d in details), detail)
+
+
+def oracle_train_span(series: MetricSeries, train_fraction: float) -> MetricSeries:
+    """The first ceil(n * fraction) points, or TooFewPoints if they or the points after them are empty."""
+    n = len(series.values)
+    cut = math.ceil(n * train_fraction)
+    if cut == 0 or cut >= n:
+        raise TooFewPoints(f"{series.cell_id}/{series.metric_name}: split {cut}/{n - cut} leaves an empty part")
+    return replace(series, window_starts=series.window_starts[:cut], values=series.values[:cut])
+
+
+def oracle_split_clean(
+    series: list[MetricSeries], cfg: CleanConfig, train_fraction: float
+) -> tuple[list[MetricSeries], CleanReport]:
+    """``cleaning.clean`` as a cut, then ``oracle_clean``: at the first series whose split fails,
+    the spans before it are cleaned first, so an earlier span that keeps too few points is named."""
+    spans = []
+    for s in series:
+        try:
+            spans.append(oracle_train_span(s, train_fraction))
+        except TooFewPoints:
+            oracle_clean(spans, cfg)
+            raise
+    return oracle_clean(spans, cfg)
+
+
+def tailed(span: MetricSeries) -> MetricSeries:
+    """``span`` followed by as many MISSING windows: at train fraction 0.5, its training span is ``span``."""
+    n = len(span.values)
+    after = (span.window_starts[-1] if n else -span.window_len) + span.window_len * np.arange(1, n + 1)
+    return replace(span, window_starts=np.concatenate([span.window_starts, after]),
+                   values=np.concatenate([span.values, np.full(n, np.nan)]))
 
 
 def oracle_fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:

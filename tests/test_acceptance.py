@@ -21,7 +21,7 @@ from cellwatch.baseline import (
     save_model,
     score_series,
 )
-from cellwatch.cleaning import CleanConfig, after_training, clean, train_span
+from cellwatch.cleaning import CleanConfig, after_training, clean
 from cellwatch.cli import main
 from cellwatch.fingerprints import (
     SymptomItem,
@@ -202,7 +202,7 @@ def test_criterion_5_false_alarm_floor():
         detector_cfg = DetectorConfig(bounds=bounds)  # stock thresholds
         clean_cfg = CleanConfig()
         filter_cfg = FilterConfig()
-        train, _ = clean([train_span(s, spec.train_fraction) for s in kqi_series + kpi_series], clean_cfg)
+        train, _ = clean(kqi_series + kpi_series, clean_cfg, spec.train_fraction)
         model = fit_baseline(train, detector_cfg)
         covered = 0
         total = 0

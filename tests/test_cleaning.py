@@ -9,16 +9,17 @@ from cellwatch.errors import TooFewPoints
 from cellwatch.ingest import aggregate_cdr
 from cellwatch.jsondoc import encode
 
-from helpers import make_series, oracle_clean
+from helpers import make_series, oracle_split_clean, tailed
 
 
 CFG = CleanConfig(iqr_multiplier=6.0, min_points=4)
+HALF = 0.5  # with ``tailed``: the training span of tailed(s) is s
 
 
 class TestClean:
     def test_constant_series_unchanged(self):
         series = make_series([5.0] * 30)
-        (cleaned,), report = clean([series], CFG)
+        (cleaned,), report = clean([tailed(series)], CFG, HALF)
         assert cleaned.points == series.points
         assert report.missing_removed == 0
         assert report.extremes_removed == 0
@@ -29,24 +30,36 @@ class TestClean:
         values = [5.0] * 29 + [1e9]
         q1, q3 = np.percentile(values, [25, 75])
         assert q1 == q3 == 5.0
-        (cleaned,), report = clean([make_series(values)], CFG)
+        (cleaned,), report = clean([tailed(make_series(values))], CFG, HALF)
         assert report.extremes_removed == 1
         assert all(v == 5.0 for _, v in cleaned.points)
 
     def test_missing_counted(self):
         values = [5.0] * 20 + [None] * 10
-        (cleaned,), report = clean([make_series(values)], CFG)
+        (cleaned,), report = clean([tailed(make_series(values))], CFG, HALF)
         assert report.missing_removed == 10
         assert len(cleaned.points) == 20
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            clean([make_series([1.0, 2.0, None])], CFG)
+            clean([tailed(make_series([1.0, 2.0, None]))], CFG, HALF)
+
+    def test_ceiling_can_empty_test_part(self):
+        with pytest.raises(TooFewPoints, match="^c1/m1: split 10/0 leaves an empty part$"):
+            clean([make_series(list(range(10)))], CFG, 0.95)
+
+    def test_a_series_failing_both_checks_is_named_for_its_split(self):
+        with pytest.raises(TooFewPoints, match="^c1/m1: split 1/0 leaves an empty part$"):
+            clean([make_series([None])], CFG, HALF)
+
+    def test_fraction_bounds(self):
+        with pytest.raises(ValueError):
+            clean([make_series([1.0, 2.0])], CFG, 1.0)
 
     def test_order_preserved(self):
         rng = np.random.default_rng(3)
         values = list(rng.normal(10, 2, 50))
-        (cleaned,), _ = clean([make_series(values)], CFG)
+        (cleaned,), _ = clean([tailed(make_series(values))], CFG, HALF)
         starts = [ws for ws, _ in cleaned.points]
         assert starts == sorted(starts)
 
@@ -55,7 +68,7 @@ class TestClean:
         values = [None if rng.random() < 0.2 else float(v) for v in rng.normal(0, 1, 200)]
         values[17] = 1e12
         series = make_series(values)
-        (cleaned,), report = clean([series], CFG)
+        (cleaned,), report = clean([tailed(series)], CFG, HALF)
         assert len(series.points) - len(cleaned.points) == (
             report.missing_removed + report.extremes_removed
         )
@@ -65,15 +78,15 @@ class TestClean:
         # never finds missing values again
         rng = np.random.default_rng(23)
         values = [None if rng.random() < 0.3 else float(v) for v in rng.standard_cauchy(300)]
-        cleaned, _ = clean([make_series(values)], CFG)
-        _, report2 = clean(cleaned, CFG)
+        cleaned, _ = clean([tailed(make_series(values))], CFG, HALF)
+        _, report2 = clean([tailed(s) for s in cleaned], CFG, HALF)
         assert report2.missing_removed == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(29)
         values = list(rng.normal(5, 3, 100))
         series = make_series(values)
-        assert clean([series], CFG)[0] == clean([series], CFG)[0]
+        assert clean([tailed(series)], CFG, HALF)[0] == clean([tailed(series)], CFG, HALF)[0]
 
 
 class TestTrainSpan:
@@ -81,16 +94,11 @@ class TestTrainSpan:
         train = train_span(make_series(list(range(10))), 0.7)
         assert [ws for ws, _ in train.points] == [300 * i for i in range(7)]
 
-    def test_ceiling_can_empty_test_part(self):
-        with pytest.raises(TooFewPoints):
-            train_span(make_series(list(range(10))), 0.95)
-
     def test_two_points_split_in_half(self):
         assert train_span(make_series([1.0, 2.0]), 0.5).points == [(0, 1.0)]
 
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            train_span(make_series([1.0, 2.0]), 1.0)
+    def test_a_cut_that_takes_every_point_raises_nothing(self):
+        assert len(train_span(make_series(list(range(10))), 0.95).values) == 10
 
 
 class TestAfterTraining:
@@ -114,7 +122,7 @@ def test_report_merge_accumulates():
     # one (cell, metric) twice: 2 missing and the 1e9 extreme, then 3 missing
     a = make_series([5.0] * 29 + [1e9, None, None], cell_id="c1", metric_name="m")
     b = make_series([5.0] * 30 + [None] * 3, cell_id="c1", metric_name="m")
-    cleaned, report = clean([a, b], CFG)
+    cleaned, report = clean([tailed(a), tailed(b)], CFG, HALF)
     assert [len(s.values) for s in cleaned] == [29, 30]
     assert (report.missing_removed, report.extremes_removed) == (5, 1)
     assert report.detail == [CleanDetail("c1", "m", 5, 1)]
@@ -125,7 +133,7 @@ def test_report_merge_accumulates():
 def test_report_detail_stays_in_key_order():
     spans = [make_series([1.0] * 8 + [None], cell_id=cell, metric_name=metric)
              for cell, metric in [("c1", "m"), ("c0", "z"), ("c1", "a"), ("c0", "z")]]
-    cleaned, report = clean(spans, CFG)
+    cleaned, report = clean([tailed(s) for s in spans], CFG, HALF)
     assert [(s.cell_id, s.metric_name) for s in cleaned] == [("c1", "m"), ("c0", "z"), ("c1", "a"), ("c0", "z")]
     assert report.detail == [CleanDetail("c0", "z", 2, 0), CleanDetail("c1", "a", 1, 0),
                              CleanDetail("c1", "m", 1, 0)]
@@ -147,10 +155,17 @@ FAILS = st.one_of(  # spans that cannot keep min_points
     st.lists(VALUES, min_size=1, max_size=3),
     st.integers(0, 10).map(lambda n: [None] * n),  # all MISSING
 )
+SPLITS = st.lists(VALUES, max_size=1)  # series whose cut at fraction 0.5 leaves an empty part
+
+
+def with_tail(spans):
+    """Series whose training span at fraction 0.5 is the drawn span: it and n - 1 or n more values."""
+    return spans.flatmap(lambda span: st.lists(VALUES, min_size=max(len(span) - 1, 0), max_size=len(span))
+                         .map(lambda tail: span + tail))
 
 
 class TestBatchedClean:
-    """clean's chunked matrix pass against one np.percentile call per span."""
+    """clean's chunked matrix pass against a raising cut and one np.percentile call per span."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -160,22 +175,23 @@ class TestBatchedClean:
         min_points=st.integers(4, 8),
     )
     def test_chunked_clean_equals_the_per_span_oracle(self, data, chunk, iqr_multiplier, min_points):
-        drawn = data.draw(st.lists(st.tuples(KEYS, KEEPS), max_size=8))
+        drawn = data.draw(st.lists(st.tuples(KEYS, with_tail(KEEPS)), max_size=8))
         for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):  # failures anywhere; the first is named
-            drawn.insert(data.draw(st.integers(0, len(drawn))), data.draw(st.tuples(KEYS, FAILS)))
-        spans = [make_series(values, cell_id=cell, metric_name=metric, start=300 * i)
-                 for i, ((cell, metric), values) in enumerate(drawn)]
+            failing = st.one_of(with_tail(FAILS), SPLITS)
+            drawn.insert(data.draw(st.integers(0, len(drawn))), data.draw(st.tuples(KEYS, failing)))
+        series = [make_series(values, cell_id=cell, metric_name=metric, start=300 * i)
+                  for i, ((cell, metric), values) in enumerate(drawn)]
         cfg = CleanConfig(iqr_multiplier=iqr_multiplier, min_points=min_points)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cleaning, "CHUNK_VALUES", chunk)
             try:
-                expected = oracle_clean(spans, cfg)
+                expected = oracle_split_clean(series, cfg, HALF)
             except TooFewPoints as exc:
                 with pytest.raises(TooFewPoints) as got:
-                    clean(spans, cfg)
+                    clean(series, cfg, HALF)
                 assert str(got.value) == str(exc)
                 return
-            assert clean(spans, cfg) == expected
+            assert clean(series, cfg, HALF) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12), min_size=1, max_size=6))

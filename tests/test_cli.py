@@ -9,6 +9,7 @@ import pytest
 
 from cellwatch.baseline import DetectorConfig, load_model
 from cellwatch.cleaning import CleanConfig
+from cellwatch.errors import TooFewPoints
 from cellwatch.cli import PipelineConfig, RcaConfig, RunConfig, _DiagnosisLine, main
 from cellwatch import fingerprints, ingest, jsondoc, synth
 from cellwatch.fingerprints import MineConfig, load_db
@@ -25,7 +26,7 @@ from cellwatch.fogsim import (
 from cellwatch.postfilter import FilterConfig
 from cellwatch.jsondoc import decode, encode
 
-from helpers import sparse_traffic_scenario
+from helpers import sparse_traffic_scenario, tiny_scenario
 
 
 @pytest.fixture(scope="module")
@@ -644,6 +645,30 @@ def test_cli_pipeline_equals_the_centralized_simulation(tmp_path, scenario):
     assert compare_dbs(load_db(db), sim_db)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1, "cell-002/call_attempts: split 1/0 leaves an empty part"),
+    (9, "cell-002/drop_rate: 1 points after cleaning, need 8"),
+])
+def test_simulate_rejects_the_series_that_train_rejects(tmp_path, caplog, seed, message):
+    # At 0.01 calls per window some CDR-derived series are too sparse to train on: every
+    # placement and the CLI reject training with the same first series.
+    scenario = tiny_scenario(n_cells=8, days=2.0, seed=seed, calls_per_window=0.01)
+    synth.save_spec(scenario.spec, tmp_path / "spec.json")
+    data = tmp_path / "data"
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    config = {"pipeline": {"train_fraction": scenario.spec.train_fraction}, "clean": encode(scenario)["clean"]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    caplog.clear()
+    rc = main(["train", *(f"--{kind}={data / kind}.csv" for kind in ("kqi", "kpi", "cdr")),
+               "--catalog", str(data / "catalog.json"), "--config", str(tmp_path / "config.json"),
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    assert message in caplog.text
+    for strategy in Strategy:
+        with pytest.raises(TooFewPoints, match=f"^{re.escape(message)}$"):
+            simulate(default_topology(), strategy, scenario)
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     spec = synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=6, anomaly_count=0)
     spec_path = tmp_path / "spec.json"
@@ -938,21 +963,39 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("command", sorted(EVENT_READERS))
     def test_event_windows(self, workspace, tmp_path, caplog, command, edit, message):
         """An event's window starts fit int64 and are in order, in an events or a diagnoses file."""
-        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path,
-                 "events": workspace / "events.jsonl", "diagnoses": workspace / "diagnoses.jsonl"}
         source = "diagnoses" if command.endswith("diagnoses") else "events"
-        lines = paths[source].read_text().splitlines()
+        lines = (workspace / f"{source}.jsonl").read_text().splitlines()
         doc = json.loads(lines[1])
         event = doc["event"] if source == "diagnoses" else doc
         message = message.format(**event)
         event.update(edit)
         lines[1] = json.dumps(doc)
-        paths[source] = tmp_path / f"bad.{source}.jsonl"
-        paths[source].write_text("\n".join(lines) + "\n")
-        rc, log = self.run([arg.format(**paths) for arg in self.EVENT_READERS[command]], caplog)
+        rc, log = self.run_event_reader(workspace, tmp_path, caplog, command, lines)
         assert rc == 1
         where = "line 2.event." if source == "diagnoses" else "line 2."
         assert where + message in log
+
+    @pytest.mark.parametrize("command", sorted(EVENT_READERS))
+    def test_repeated_event(self, workspace, tmp_path, caplog, command):
+        """A line whose event has an earlier line's (cell, metric, start window) is refused, naming both."""
+        source = "diagnoses" if command.endswith("diagnoses") else "events"
+        lines = (workspace / f"{source}.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        event = first["event"] if source == "diagnoses" else first
+        rc, log = self.run_event_reader(workspace, tmp_path, caplog, command, lines + lines[:1])
+        assert rc == 1
+        where = ".event" if source == "diagnoses" else ""
+        assert (f"line {len(lines) + 1}{where}: {event['cell_id']}/{event['metric']} from window "
+                f"{event['start_window']} repeats line 1{where}") in log
+
+    def run_event_reader(self, workspace, tmp_path, caplog, command, lines):
+        """``command`` on the workspace, with its events or diagnoses file replaced by ``lines``."""
+        paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path,
+                 "events": workspace / "events.jsonl", "diagnoses": workspace / "diagnoses.jsonl"}
+        source = "diagnoses" if command.endswith("diagnoses") else "events"
+        paths[source] = tmp_path / f"bad.{source}.jsonl"
+        paths[source].write_text("\n".join(lines) + "\n")
+        return self.run([arg.format(**paths) for arg in self.EVENT_READERS[command]], caplog)
 
     TRAIN = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{bad}", "--out", "{tmp}/m.json"]
     TRAIN_CDR = ["train", "--kqi", "{data}/kqi.csv", "--catalog", "{data}/catalog.json",

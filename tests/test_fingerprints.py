@@ -535,7 +535,8 @@ class TestPersistence:
             ({"antecedent": []}, "empty antecedent"),
             ({"support": 0.0}, "support 0.0 outside (0, 1]"),
             ({"support": 1.5}, "support 1.5 outside (0, 1]"),
-            ({"lift": 0.0}, "lift 0.0 must be > 0 and finite"),
+            ({"lift": 0.0}, "lift 0.0 must be > 0"),
+            ({"lift": -2.5}, "lift -2.5 must be > 0"),
         ],
     )
     def test_counts_no_mining_run_produces_rejected(self, tmp_path, counts, problem):

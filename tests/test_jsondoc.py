@@ -17,7 +17,7 @@ from cellwatch.fingerprints import SymptomState, _DbDoc
 from cellwatch.ingest import MetricInfo, MetricKind, Polarity
 from cellwatch.jsondoc import decode, dumps, encode, require_object
 from cellwatch.synth import AutoPlan, CauseSpec, CdrTraffic, MetricSpec, PlantedAnomaly, ScenarioSpec
-from helpers import make_series, random_transactions, tiny_scenario
+from helpers import make_series, random_transactions, tailed, tiny_scenario
 
 METRIC = {
     "kind": "KQI",
@@ -259,8 +259,9 @@ def cli_documents(tmp_path_factory):
     mined = fingerprints.update_db(db, rules, labels, built_at=9, transaction_total=64)
     for name, found in [("db-fog", db), ("db-random", mined)]:
         docs[name] = decode(_DbDoc, json.loads(fingerprints.db_to_json(found)))
-    spans = [make_series([1.0, None, 2.5, 3.0, 2.0, 100.0, 2.2, 2.7, 1.9, 2.1], metric_name=m) for m in ("m1", "m2")]
-    docs["clean-report"] = cleaning.clean(spans, cleaning.CleanConfig(min_points=4))[1]
+    series = [tailed(make_series([1.0, None, 2.5, 3.0, 2.0, 100.0, 2.2, 2.7, 1.9, 2.1], metric_name=m))
+              for m in ("m1", "m2")]
+    docs["clean-report"] = cleaning.clean(series, cleaning.CleanConfig(min_points=4), 0.5)[1]
     _, truth = synth.generate(scenario.spec, tmp_path_factory.mktemp("generated"))
     docs["eval-report"] = synth.evaluate([], None, truth)
     docs["eval-report-fractions"] = synth.EvalReport(2 / 3, 0.1, 1 / 7, {"detected": 3})
