@@ -28,7 +28,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
-from .ingest import Catalog, MetricKind, MetricSeries, Polarity, _tails
+from .ingest import Catalog, MetricKind, MetricSeries, Polarity, _horner, _tails
 from .jsondoc import decode, encode, read
 
 MAD_CONSISTENCY = 1.4826
@@ -586,7 +586,8 @@ def _int_column(text: str) -> np.ndarray | None:
 
     An item is 0 or 1-18 digits without a leading zero, which JSON reads as
     the same int. The digits come from ``ingest._tails``, where the bytes
-    before an item read as '0', as ``ingest._window_starts`` reads them.
+    before an item read as '0', and ``ingest._horner`` makes them numbers, as
+    ``ingest._window_starts`` reads them.
     """
     if not text.isascii():
         return None
@@ -603,11 +604,7 @@ def _int_column(text: str) -> np.ndarray | None:
         return None
     digits = _tails(buf, ends, lengths, _MAX_DIGITS, ord("0"))
     digits -= np.uint8(ord("0"))
-    column = np.zeros(len(ends), dtype=np.int64)
-    for row in digits:
-        column *= 10
-        column += row
-    return column
+    return _horner(digits).view(np.int64)
 
 
 def _model_from_doc(doc: dict) -> BaselineModel:

@@ -240,11 +240,15 @@ def _check_event(event: AnomalyEvent, where: str, seen: dict[tuple[str, str, int
         raise SchemaMismatch(f"{where}.peak_window: {event.peak_window} is before start_window {event.start_window}")
     if event.end_window < event.peak_window:
         raise SchemaMismatch(f"{where}.end_window: {event.end_window} is before peak_window {event.peak_window}")
-    key = (event.cell_id, event.metric_name, event.start_window)
+    _check_new((event.cell_id, event.metric_name, event.start_window), where, seen)
+    return event
+
+
+def _check_new(key: tuple[str, str, int], where: str, seen: dict[tuple[str, str, int], str]) -> None:
+    """Record that ``where`` holds ``key``, a (cell, metric, start window); a repeat is a SchemaMismatch naming both."""
     if key in seen:
         raise SchemaMismatch(f"{where}: {key[0]}/{key[1]} from window {key[2]} repeats {seen[key]}")
     seen[key] = where
-    return event
 
 
 def _decode_events(docs: list[tuple[str, dict]]) -> list[AnomalyEvent]:
@@ -279,12 +283,17 @@ def _decode_diagnoses(docs: list[tuple[str, dict]]) -> list[_DiagnosisLine]:
 
 
 def _load_labels(path: str | Path) -> dict[tuple[frozenset[SymptomItem], str], str]:
-    labels = {}
+    """The cause label of each (antecedent, consequent) rule; a rule labelled twice is a SchemaMismatch naming both."""
+    entries = decode(synth.Labels, read(path)).labels
+    first: dict[tuple[frozenset[SymptomItem], str], int] = {}
     parsed: dict[str, SymptomItem] = {}
-    for i, entry in enumerate(decode(synth.Labels, read(path)).labels):
-        antecedent = itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent", parsed)
-        labels[(antecedent, entry.consequent)] = entry.cause_label
-    return labels
+    for i, entry in enumerate(entries):
+        key = (itemset_from_tokens(entry.antecedent, f"labels[{i}].antecedent", parsed), entry.consequent)
+        if key in first:
+            rule = f"{' & '.join(entry.antecedent)} -> {entry.consequent}"
+            raise SchemaMismatch(f"labels[{i}]: {rule} repeats labels[{first[key]}]")
+        first[key] = i
+    return {key: entries[i].cause_label for key, i in first.items()}
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -381,12 +390,20 @@ def _cmd_fogsim(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     events = _load_events(args.events)
     truth = decode(GroundTruth, read(args.truth))
+    planted: dict[tuple[str, str, int], str] = {}
+    for i, p in enumerate(truth.planted_events):
+        _check_new((p.cell_id, p.metric, p.start_window), f"planted_events[{i}]", planted)
     outcomes: list[DiagnosisOutcome | None] | None = None
     if args.diagnoses:
+        event_keys = {(e.cell_id, e.metric_name, e.start_window) for e in events}
         by_event = {}
-        for d in _decode_diagnoses(_read_jsonl(args.diagnoses)):
-            top = d.ranked[0].cause if d.ranked else None
+        docs = _read_jsonl(args.diagnoses)
+        for (where, _), d in zip(docs, _decode_diagnoses(docs)):
             key = (d.event.cell_id, d.event.metric_name, d.event.start_window)
+            if key not in event_keys:
+                message = f"{key[0]}/{key[1]} from window {key[2]} is not an event of {args.events}"
+                raise SchemaMismatch(f"{where}.event: {message}")
+            top = d.ranked[0].cause if d.ranked else None
             by_event[key] = DiagnosisOutcome(matched=d.matched, top_label=top)
         outcomes = [
             by_event.get((e.cell_id, e.metric_name, e.start_window)) for e in events

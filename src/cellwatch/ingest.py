@@ -19,7 +19,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CellwatchError,
@@ -256,7 +255,8 @@ _NL, _CR, _SPACE, _COMMA, _MINUS, _DOT, _ZERO, _ONE = (ord(c) for c in "\n\r ,-.
 # bits) or binary128 (112). Elsewhere (64-bit long double on Windows and
 # macOS arm64, double-double on POWER) every value goes through the cast.
 _EXACT_DIVISION = np.finfo(np.longdouble).nmant in (63, 112)
-_POW10 = (np.uint64(10) ** np.arange(_MAX_DECIMAL_BYTES, dtype=np.uint64)).astype(np.longdouble)
+_POW10_INT = np.uint64(10) ** np.arange(_MAX_DECIMAL_BYTES, dtype=np.uint64)
+_POW10 = _POW10_INT.astype(np.longdouble)
 
 
 def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
@@ -321,15 +321,39 @@ def _tails(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray, limit: int, fil
     """The last ``width = min(max(n_bytes), limit)`` bytes (at least 1) of each field that ends at ``hi``.
 
     Row j of the (width, rows) uint8 matrix holds byte j of every field's window; bytes before a field read as ``fill``.
+    Each window is gathered as one ``S{width}`` item of a view of ``buf`` that starts an item at every byte.
     """
     width = int(min(n_bytes.max(initial=1), limit))
-    text = np.ascontiguousarray(sliding_window_view(buf, width)[hi - width].T)
+    items = np.ndarray((len(buf) - width + 1,), f"S{width}", buffer=buf, strides=(1,))
+    text = np.ascontiguousarray(items[hi - width].view(np.uint8).reshape(-1, width).T)
     inside = np.arange(width, dtype=np.uint8)[:, None] >= np.clip(width - n_bytes, 0, width).astype(np.uint8)
     # uint8 wraps around, so (byte - fill) * inside + fill is the byte inside a field and fill before it.
     text -= np.uint8(fill)
     text *= inside
     text += np.uint8(fill)
     return text
+
+
+def _horner(digits: np.ndarray) -> np.ndarray:
+    """Each column of a (width, rows) matrix of decimal digits as one number, ``m = 10 * m + digits[j]``, in uint64.
+
+    Pairs of rows are folded first, twice, into rows of two digits (uint8)
+    and then of four (uint16), so the uint64 steps run over a quarter of the
+    rows; a first row left without a pair is kept as it is. A column with a
+    byte that is not a digit wraps around and gives some value.
+    """
+    for dtype, scale in ((np.uint8, 10), (np.uint16, 100)):
+        odd = len(digits) % 2
+        folded = np.empty(((len(digits) + 1) // 2, digits.shape[1]), dtype)
+        folded[:odd] = digits[:odd]
+        np.multiply(digits[odd::2], dtype(scale), out=folded[odd:], dtype=dtype)
+        folded[odd:] += digits[odd + 1 :: 2]
+        digits = folded
+    m = np.zeros(digits.shape[1], dtype=np.uint64)
+    for row in digits:
+        m *= 10_000
+        m += row
+    return m
 
 
 @dataclass
@@ -386,26 +410,32 @@ class _Rows:
 
 
 def _locate_rows(data: bytearray, size: int, body: int, first_line: int, fields: int) -> _Rows:
-    """Find lines and commas; cut at the first unsupported byte or a count other than ``fields``."""
+    """Find lines and commas; cut at the first unsupported byte or a count other than ``fields``.
+
+    One compare over the block finds the bytes below '-'. They include every
+    comma, line feed, CR, quote and NUL, and the lines, commas and faults are
+    found among them.
+    """
     buf = np.frombuffer(data, dtype=np.uint8)
-    text = buf[body:size]
-    delims = np.flatnonzero((text == _COMMA) | (text == _NL)) + body
+    below = np.flatnonzero(buf[body:size] < _MINUS) + body
+    below_byte = buf[below]
+    delims = below[(below_byte == _COMMA) | (below_byte == _NL)]
+    unsupported = {ch: below[below_byte == ord(ch)] for ch in '"\0\r'}
+    del below, below_byte
     nl_at = np.flatnonzero(buf[delims] == _NL)
     newlines = delims[nl_at]
     starts = np.empty_like(newlines)
     starts[:1] = body
     starts[1:] = newlines[:-1] + 1
     ends = newlines.copy()
-    first_at = {ch: data.find(ch.encode(), body, size) for ch in ('"', "\0")}
-    if data.find(b"\r", body, size) >= 0:
-        crs = np.flatnonzero(text == _CR) + body
-        stray = crs[buf[crs + 1] != _NL]
-        first_at["\r"] = int(stray[0]) if len(stray) else -1
+    crs = unsupported["\r"]
+    if len(crs):
         ends -= (ends > starts) & (buf[ends - 1] == _CR)
+        unsupported["\r"] = crs[buf[crs + 1] != _NL]  # a CR that ends no line
     faults = [  # (line, message) of each fault's first line, in the order a line is checked
-        (int(np.searchsorted(newlines, at)), f"unsupported character {ch!r}")
-        for ch, at in first_at.items()
-        if at >= 0
+        (int(np.searchsorted(newlines, at[0])), f"unsupported character {ch!r}")
+        for ch, at in unsupported.items()
+        if len(at)
     ]
     blank = ends == starts
     n_commas = np.diff(nl_at, prepend=-1) - 1
@@ -484,10 +514,7 @@ def _window_starts(buf: np.ndarray, rows: _Rows, i: int, name: str, window_len: 
     digits = _tails(buf, hi, n_digits, _MAX_WS_DIGITS, _ZERO)
     digits -= np.uint8(_ZERO)
     integer = (n_digits >= 1) & (digits <= 9).all(axis=0)
-    ws = np.zeros(len(rows), dtype=np.int64)
-    for row in digits:
-        ws *= 10
-        ws += row
+    ws = _horner(digits).view(np.int64)
     if long.any():
         # The window holds only a long field's last digits. Every long field is
         # bad, so only the first can be the first bad row: check all of that one.
@@ -526,19 +553,19 @@ def _decimals(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray) -> tuple[np.
     fraction = (np.arange(width, dtype=np.uint8)[::-1, None] * dot).sum(axis=0, dtype=np.uint8)  # digits after the dot
     ok &= (n_bytes >= 1) & (n_bytes <= width)
     ok &= (dots == 0) | ((dots == 1) & (fraction >= 1) & (fraction < n_bytes - 1))  # not 5. or .5
-    # The dot reads as digit 0 with no multiply by 10.
-    text *= ~dot
-    scale = dot.view(np.uint8) * np.uint8(9)
-    np.subtract(np.uint8(10), scale, out=scale)
+    text *= ~dot  # the dot reads as a digit 0
     del dot
-    m = np.zeros(len(hi), dtype=np.uint64)
-    for j in range(width):
-        m *= scale[j]
-        m += text[j]
-    del text, scale
+    m = _horner(text)
+    del text
+    # Take the dot's 0 out of m, where the digits before it sit one place too
+    # high. A row left to the caller may count several dots: its fraction is 0.
+    fraction *= ok
+    low = m % _POW10_INT[fraction]
+    np.copyto(m, (m - low) // 10 + low, where=fraction > 0)
+    del low
     q = m.astype(np.longdouble)
     del m
-    q /= _POW10[fraction * ok]  # a row left to the caller may count several dots
+    q /= _POW10[fraction]
     values = q.astype(np.float64)
     # q - values is exact; with x87's 64 bits it has at most 11 significant
     # bits, so float64 holds it (a wider q may round it, which can only flag
@@ -633,26 +660,29 @@ def _read_rows(
 
     The caller reads the blocks and checks them as UTF-8 text. It hands
     every other block to one worker thread and parses the block in between
-    itself, then takes the two results in file order; each block's first
-    line number is counted before it is parsed. Once a block's rows carry
-    an error, the results of later blocks are dropped and no further block
-    is parsed; the rest of the file is only checked as UTF-8 text. So the
-    parts and the error are those of a reader that parses one block after
-    another. A wrong header raises MalformedHeader, and a byte anywhere in
-    the file that is not UTF-8 text raises NotUtf8 in place of any other
-    error. An exception raised by a parse reaches the caller unchanged.
+    itself, then takes the two results in file order. Each block's first
+    line number is known before it is parsed: the caller counts the lines
+    of a block it hands over, and takes those of a block it parses itself
+    from its ``_Rows.lines``. Once a block's rows carry an error, the
+    results of later blocks are dropped and no further block is parsed; the
+    rest of the file is only checked as UTF-8 text. So the parts and the
+    error are those of a reader that parses one block after another. A
+    wrong header raises MalformedHeader, and a byte anywhere in the file
+    that is not UTF-8 text raises NotUtf8 in place of any other error. An
+    exception raised by a parse reaches the caller unchanged.
     """
     got: list[str] | None = None
     blocks: list[tuple] = []
     error: CellwatchError | None = None
     lines_before = 1  # the header
 
-    def parse(data: bytearray, size: int, body: int, first_line: int) -> tuple[tuple, CellwatchError | None]:
+    def parse(data: bytearray, size: int, body: int, first_line: int) -> tuple[tuple, CellwatchError | None, int]:
         rows = _locate_rows(data, size, body, first_line, len(header))
-        return columns(data, rows), rows.error
+        return columns(data, rows), rows.error, rows.lines
 
-    def take(parts: tuple, block_error: CellwatchError | None) -> None:
+    def take(result: tuple[tuple, CellwatchError | None, int]) -> None:
         nonlocal error
+        parts, block_error, _ = result
         if error is None:
             blocks.append(parts)
             error = block_error
@@ -668,16 +698,17 @@ def _read_rows(
             if got != header or error is not None:
                 continue  # the rest of the file is only checked for UTF-8
             first_line = lines_before + 1
-            lines_before += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[body:size] == _NL))
             if pending is None:
+                lines_before += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[body:size] == _NL))
                 pending = worker.submit(parse, data, size, body, first_line)
             else:
                 mine = parse(data, size, body, first_line)
-                take(*pending.result())
-                take(*mine)
+                lines_before += mine[2]
+                take(pending.result())
+                take(mine)
                 pending = None
         if pending is not None:
-            take(*pending.result())
+            take(pending.result())
     if got != header:
         raise MalformedHeader(f"expected columns {header}, got {got}")
     return [list(parts) for parts in zip(*blocks)], error

@@ -28,7 +28,9 @@ of ``baseline.model_to_json`` and ``baseline.load_model``. The clean oracle
 takes each span's quartiles with its own ``np.percentile`` call and sums a
 repeated key's counts after a stable sort; the fit oracle bins one (cell,
 metric) pair at a time; neither touches the padded matrices and chunked
-codes of ``cleaning.clean`` and ``baseline.fit_baseline``.
+codes of ``cleaning.clean`` and ``baseline.fit_baseline``. The field-window
+oracle gathers each field's bytes through a 2-D ``sliding_window_view``
+index; it never touches the strided fixed-width items of ``ingest._tails``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cellwatch.baseline import (
     MAD_CONSISTENCY,
@@ -564,6 +567,21 @@ def filter_events_scan(
             events.append(AnomalyEvent(cell_id, metric_name, window_starts[lo], window_starts[hi],
                                        scores[peak], window_starts[peak], directions[peak]))
     return events
+
+
+def oracle_tails(buf: np.ndarray, hi: np.ndarray, n_bytes: np.ndarray, limit: int, fill: int) -> np.ndarray:
+    """``ingest._tails``: the last ``width = min(max(n_bytes), limit)`` bytes (at least 1) of each field ending at ``hi``.
+
+    Row j of the (width, rows) uint8 matrix holds byte j of every field's window; bytes before a field read as ``fill``.
+    """
+    width = int(min(n_bytes.max(initial=1), limit))
+    text = np.ascontiguousarray(sliding_window_view(buf, width)[hi - width].T)
+    inside = np.arange(width, dtype=np.uint8)[:, None] >= np.clip(width - n_bytes, 0, width).astype(np.uint8)
+    # uint8 wraps around, so (byte - fill) * inside + fill is the byte inside a field and fill before it.
+    text -= np.uint8(fill)
+    text *= inside
+    text += np.uint8(fill)
+    return text
 
 
 def _split_row(line_no: int, line: bytes, count: int) -> list[bytes] | MalformedRow:

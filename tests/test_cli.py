@@ -988,6 +988,65 @@ class TestMalformedDocuments:
         assert (f"line {len(lines) + 1}{where}: {event['cell_id']}/{event['metric']} from window "
                 f"{event['start_window']} repeats line 1{where}") in log
 
+    @pytest.mark.parametrize("same_label", [False, True], ids=["other_label", "same_label"])
+    def test_repeated_label(self, workspace, tmp_path, caplog, same_label):
+        """A rule labelled twice is refused through ``mine``, naming both entries, whether the labels agree or not."""
+        data = workspace / "data"
+        doc = json.loads((data / "labels.json").read_text())
+        first = dict(doc["labels"][0])
+        if not same_label:
+            first["cause_label"] = "other_cause"
+        doc["labels"].append(first)
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(doc))
+        rc, log = self.run(
+            ["mine", "--events", str(workspace / "events.jsonl"), "--kpi", str(data / "kpi.csv"),
+             "--model", str(workspace / "model.json"), "--out", str(tmp_path / "db.json"),
+             "--labels", str(labels), "--catalog", str(data / "catalog.json")],
+            caplog,
+        )
+        assert rc == 1
+        rule = f"{' & '.join(first['antecedent'])} -> {first['consequent']}"
+        assert f"labels[{len(doc['labels']) - 1}]: {rule} repeats labels[0]" in log
+        assert not (tmp_path / "db.json").exists()
+
+    def test_repeated_planted_event(self, workspace, tmp_path, caplog):
+        """``eval`` refuses a truth file that plants one (cell, metric, start window) twice, naming both."""
+        doc = json.loads((workspace / "data" / "truth.json").read_text())
+        first = doc["planted_events"][0]
+        doc["planted_events"].append(dict(first))
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        rc, log = self.run(
+            ["eval", "--events", str(workspace / "events.jsonl"), "--truth", str(truth),
+             "--out", str(tmp_path / "eval.json")],
+            caplog,
+        )
+        assert rc == 1
+        assert (f"planted_events[{len(doc['planted_events']) - 1}]: {first['cell_id']}/{first['metric']} "
+                f"from window {first['start_window']} repeats planted_events[0]") in log
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_diagnosis_of_an_unknown_event(self, workspace, tmp_path, caplog):
+        """``eval`` refuses a diagnoses line whose event is not in the events file, naming the line."""
+        lines = (workspace / "diagnoses.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["event"]["cell_id"] = "no-such-cell"
+        lines[1] = json.dumps(doc)
+        diagnoses = tmp_path / "diagnoses.jsonl"
+        diagnoses.write_text("\n".join(lines) + "\n")
+        events = workspace / "events.jsonl"
+        rc, log = self.run(
+            ["eval", "--events", str(events), "--diagnoses", str(diagnoses),
+             "--truth", str(workspace / "data" / "truth.json"), "--out", str(tmp_path / "eval.json")],
+            caplog,
+        )
+        assert rc == 1
+        event = doc["event"]
+        assert (f"line 2.event: no-such-cell/{event['metric']} from window {event['start_window']} "
+                f"is not an event of {events}") in log
+        assert not (tmp_path / "eval.json").exists()
+
     def run_event_reader(self, workspace, tmp_path, caplog, command, lines):
         """``command`` on the workspace, with its events or diagnoses file replaced by ``lines``."""
         paths = {"data": workspace / "data", "ws": workspace, "tmp": tmp_path,

@@ -36,7 +36,7 @@ from cellwatch.ingest import (
 )
 from cellwatch.jsondoc import NotUtf8
 from cellwatch.synth import default_spec, generate_series
-from helpers import cdr_row_error, row_error
+from helpers import cdr_row_error, oracle_tails, row_error
 
 
 def write(path, text):
@@ -839,12 +839,13 @@ def test_every_block_size_parses_like_one_block(tmp_path_factory, text):
 
 
 # Field choices for rows checked against the scalar grammar, as (good, bad):
-# each bad choice breaks a rule, and one row may draw several.
-ORACLE_CELLS = (["c1", "cé", ""], ["c1,x", ",c1,", '"c1"', "c\r1"])
-ORACLE_METRICS = (["rtt", "loss"], ["mystery", "load_ms", "r\x00tt"])
+# each bad choice breaks a rule, and one row may draw several. Bytes below
+# '-' other than the delimiters (tab, '!', '#', '+') sit inside fields.
+ORACLE_CELLS = (["c1", "cé", "", "c\t#1!"], ["c1,x", ",c1,", '"c1"', "c\r1"])
+ORACLE_METRICS = (["rtt", "loss"], ["mystery", "load_ms", "r\x00tt", "rtt!"])
 ORACLE_VALUES = (
-    ["1.5", "", "-2e3", "1_0", " 7"],
-    ["abc", "1.0.0", "nan", "-inf", "1e999", "1" * 41, "x" * 41, "1,5", '"1"'],
+    ["1.5", "", "-2e3", "1_0", " 7", "\t7", "1e+5", "+1.5"],
+    ["abc", "1.0.0", "nan", "-inf", "1e999", "1" * 41, "x" * 41, "1,5", '"1"', "!", "#1", "1\t5"],
 )
 ORACLE_EOLS = ([b"\n", b"\r\n"], [b"\r\r\n"])
 ORACLE_CATALOG = {
@@ -858,7 +859,7 @@ def oracle_window_starts(i):
     """window_start choices for row i; the integers are unique to the row, so no point repeats."""
     w = 300 * (i + 1)
     good = [f"{w}", f"-{w}", f"{w:018d}", f"{w + 60}"]  # the last is aligned for loss only
-    bad = [f"{w + 7}", f"+{w}", f" {w}", "3e2", "", "-", "9_00", "٣٠٠"]
+    bad = [f"{w + 7}", f"+{w}", f" {w}", "3e2", "", "-", "9_00", "٣٠٠", f"\t{w}", f"#{w}"]
     long = ["1" * 19, f"-{'9' * 19}", f"x{'1' * 19}", f"{'1' * 18}x", f"{'0' * 19}{w}"]
     return good, bad + long
 
@@ -901,14 +902,14 @@ def test_first_bad_row_named_as_the_scalar_grammar_names_it(tmp_path_factory, ca
 
 
 # Field choices for CDR rows checked against the scalar grammar, as (good, bad).
-CDR_IDS = (["c1", "cé", ""], ["c1,x", '"c1"', "c\x001", "c\r1"])
+CDR_IDS = (["c1", "cé", "", "c\t#1!"], ["c1,x", '"c1"', "c\x001", "c\r1"])
 CDR_START_TIMES = (
     ["300", "-300", "0", f"{300:018d}", "9" * 18],
-    ["+300", " 600", "3e2", "", "-", "9_00", "٣٠٠", "1" * 19, f"x{'1' * 19}", f"{'0' * 19}300"],
+    ["+300", " 600", "3e2", "", "-", "9_00", "٣٠٠", "1" * 19, f"x{'1' * 19}", f"{'0' * 19}300", "\t300", "!300"],
 )
 CDR_DURATIONS = (
-    ["30", "1.5", "0", "-0", " 7", "1_0", "5e-324", "1e+300"],
-    ["", "-5", "-0.5", "abc", "1.0.0", "nan", "-INF", "1e999", "1" * 41, "x" * 41, "٣٠٠", '"1"'],
+    ["30", "1.5", "0", "-0", " 7", "1_0", "5e-324", "1e+300", "\t7", "1e+5", "+1.5"],
+    ["", "-5", "-0.5", "abc", "1.0.0", "nan", "-INF", "1e999", "1" * 41, "x" * 41, "٣٠٠", '"1"', "!", "#1", "1\t5"],
 )
 CDR_DROPPED = (["0", "1"], ["", "yes", "01", "2", "1 "])
 CDR_FIELDS = (CDR_IDS, CDR_START_TIMES, CDR_DURATIONS, CDR_DROPPED, CDR_IDS, CDR_IDS)
@@ -1006,6 +1007,43 @@ def test_every_value_is_float_of_its_field(tmp_path_factory, texts):
             mp.setattr(ingest, "BLOCK_SIZE", block_size)
             (series,) = parse_metric_csv(p, MetricKind.KPI, catalog)
         assert series.values.tobytes() == expected, block_size
+
+
+@st.composite
+def tail_cases(draw):
+    """A block buffer that starts with ``limit`` zero bytes, as the readers' buffers do, and fields in its content."""
+    limit = draw(st.integers(1, 64))
+    content = draw(st.binary(max_size=160))
+    buf = bytes(limit) + content
+    his, n_bytes = [], []
+    for _ in range(draw(st.integers(0, 8))):  # no field: an empty hi
+        lo = draw(st.one_of(st.just(limit), st.integers(limit, len(buf))))  # the first content byte, or any
+        hi = draw(st.integers(lo, len(buf)))
+        his.append(hi)
+        n_bytes.append(hi - lo)
+    fill = draw(st.sampled_from([0, ord("0"), ord(" ")]))
+    writable = draw(st.booleans())  # baseline._int_column passes a read-only buffer
+    array = np.frombuffer(bytearray(buf) if writable else buf, dtype=np.uint8)
+    return array, np.array(his, dtype=np.int64), np.array(n_bytes, dtype=np.int64), limit, fill
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tail_cases())
+def test_tails_gathers_what_a_sliding_window_gathers(case):
+    buf, hi, n_bytes, limit, fill = case
+    got = ingest._tails(buf, hi, n_bytes, limit, fill)
+    expected = oracle_tails(buf, hi, n_bytes, limit, fill)
+    assert got.dtype == np.uint8 and got.shape == expected.shape
+    assert got.flags.c_contiguous and got.flags.writeable  # the parsers step through rows and edit them in place
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 19).flatmap(lambda width: st.lists(st.text("0123456789", min_size=width, max_size=width))))
+def test_horner_reads_each_column_as_its_decimal_number(numbers):
+    width = len(numbers[0]) if numbers else 1
+    digits = np.array([[int(c) for c in n] for n in numbers], dtype=np.uint8).reshape(-1, width).T.copy()
+    assert ingest._horner(digits).tolist() == [int(n) for n in numbers]
 
 
 def test_cast_only_route_parses_like_the_plain_decimal_route(tmp_path, monkeypatch):
