@@ -19,13 +19,14 @@ class MalformedHeader(CellwatchError):
 class MalformedRow(CellwatchError):
     """A CSV row failed to parse: the first bad row in file order.
 
-    ``line_no`` is its 1-based line number (the header is line 1), and the
-    message names the first fault of the row, checked in column order.
+    ``line_no`` is its 1-based line number (the header is line 1), and
+    ``message`` names the first fault of the row, checked in column order.
     """
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 class UnknownMetric(CellwatchError):

@@ -66,8 +66,8 @@ class MetricInfo:
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.window_len <= 0:
-            raise ValueError("window_len_seconds must be > 0")
+        if not 0 < self.window_len < 2**63:  # grid arithmetic runs in int64
+            raise ValueError(f"window_len_seconds must be > 0 and below 2**63, got {self.window_len}")
         if self.value_range is not None and not self.value_range[0] < self.value_range[1]:
             raise ValueError(f"value_range {list(self.value_range)} must have lo < hi")
 
@@ -264,13 +264,13 @@ def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
 
     The content starts at _LEAD, after zero bytes, so a fixed-width window may
     end at any content byte. Each read takes BLOCK_SIZE bytes and the block
-    ends after its last line feed; the bytes after that start the next block.
-    A block whose reads find no line feed reads on, doubling its buffer when
-    it is full. The last block ends with a line feed even when the file does
-    not. Each read is checked as UTF-8 text as it arrives, and a byte that is
-    not raises NotUtf8 with its offset in the file. Each block is a new
-    buffer that the generator does not touch once it is yielded, so another
-    thread may parse it while the next block is read.
+    ends after its last line feed; the bytes after it, which no parse reads,
+    start the next block. A block whose reads find no line feed reads on,
+    doubling its buffer when it is full. The last block ends with a line
+    feed even when the file does not. Each read is checked as UTF-8 text as
+    it arrives, and a byte that is not raises NotUtf8 with its offset in the
+    file. Each block is a new buffer that the generator does not touch once
+    it is yielded, so another thread may parse it while the next is read.
     """
     offset = 0  # file offset of the block's content
     carry = b""
@@ -296,7 +296,6 @@ def _blocks(path: str | Path) -> Iterator[tuple[bytearray, int]]:
                 return
             carry = bytes(data[end:size])
             checked -= end
-            data[end:size] = bytes(size - end)
             if data[end - 1] != _NL:
                 data[end] = _NL
                 end += 1
@@ -358,17 +357,16 @@ def _horner(digits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Rows:
-    """Byte offsets of the data rows that come before the first bad line.
+    """Byte offsets of a block's data rows that come before its first bad line.
 
-    Lines are counted from 0 after the header, and line 0 is line
-    ``first_line`` of the file; ``lines`` is the block's line count. The
-    row arrays are parallel: the row's line, the start and end of its
-    content (CR LF or LF excluded), and ``commas``, which holds one
-    contiguous array per comma of a row (commas x rows). ``error`` names
-    the first bad line, or is None while no line is known to be bad.
+    Lines are counted from 0 at the block's body, and a MalformedRow names
+    line k as line k + 1; ``lines`` is the block's line count. The row
+    arrays are parallel: the row's line, the start and end of its content
+    (CR LF or LF excluded), and ``commas``, which holds one contiguous
+    array per comma of a row (commas x rows). ``error`` names the first bad
+    line, or is None while no line is known to be bad.
     """
 
-    first_line: int
     lines: int
     line: np.ndarray
     start: np.ndarray
@@ -380,7 +378,7 @@ class _Rows:
         return len(self.line)
 
     def line_no(self, k: int) -> int:
-        return self.first_line + int(self.line[k])
+        return int(self.line[k]) + 1
 
     def field(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The start and end offsets of field i of each row."""
@@ -409,7 +407,7 @@ class _Rows:
             self.truncate(k, MalformedRow(self.line_no(k), message(k, text)))
 
 
-def _locate_rows(data: bytearray, size: int, body: int, first_line: int, fields: int) -> _Rows:
+def _locate_rows(data: bytearray, size: int, body: int, fields: int) -> _Rows:
     """Find lines and commas; cut at the first unsupported byte or a count other than ``fields``.
 
     One compare over the block finds the bytes below '-'. They include every
@@ -447,13 +445,12 @@ def _locate_rows(data: bytearray, size: int, body: int, first_line: int, fields:
     line = np.flatnonzero(~blank[:bad_line])
     last = nl_at[line]
     return _Rows(
-        first_line=first_line,
         lines=len(newlines),
         line=line,
         start=starts[line],
         end=ends[line],
         commas=delims[last + np.arange(1 - fields, 0)[:, None]],
-        error=None if message is None else MalformedRow(first_line + bad_line, message),
+        error=None if message is None else MalformedRow(bad_line + 1, message),
     )
 
 
@@ -660,32 +657,35 @@ def _read_rows(
 
     The caller reads the blocks and checks them as UTF-8 text. It hands
     every other block to one worker thread and parses the block in between
-    itself, then takes the two results in file order. Each block's first
-    line number is known before it is parsed: the caller counts the lines
-    of a block it hands over, and takes those of a block it parses itself
-    from its ``_Rows.lines``. Once a block's rows carry an error, the
-    results of later blocks are dropped and no further block is parsed; the
-    rest of the file is only checked as UTF-8 text. So the parts and the
-    error are those of a reader that parses one block after another. A
-    wrong header raises MalformedHeader, and a byte anywhere in the file
-    that is not UTF-8 text raises NotUtf8 in place of any other error. An
-    exception raised by a parse reaches the caller unchanged.
+    itself, then takes the two results in file order. A block's parse reads
+    only its own bytes and numbers its lines from 1; taking a block shifts
+    its MalformedRow by the lines of the blocks taken before it. Once a
+    block's rows carry an error, the results of later blocks are dropped
+    and no further block is parsed; the rest of the file is only checked as
+    UTF-8 text. So the parts and the error are those of a reader that
+    parses one block after another. A wrong header raises MalformedHeader,
+    and a byte anywhere in the file that is not UTF-8 text raises NotUtf8
+    in place of any other error. An exception raised by a parse reaches
+    the caller unchanged.
     """
     got: list[str] | None = None
     blocks: list[tuple] = []
     error: CellwatchError | None = None
-    lines_before = 1  # the header
+    lines_before = 1  # the header and the lines of the blocks taken
 
-    def parse(data: bytearray, size: int, body: int, first_line: int) -> tuple[tuple, CellwatchError | None, int]:
-        rows = _locate_rows(data, size, body, first_line, len(header))
+    def parse(data: bytearray, size: int, body: int) -> tuple[tuple, CellwatchError | None, int]:
+        rows = _locate_rows(data, size, body, len(header))
         return columns(data, rows), rows.error, rows.lines
 
     def take(result: tuple[tuple, CellwatchError | None, int]) -> None:
-        nonlocal error
-        parts, block_error, _ = result
+        nonlocal error, lines_before
+        parts, block_error, lines = result
         if error is None:
             blocks.append(parts)
+            if isinstance(block_error, MalformedRow):
+                block_error = MalformedRow(lines_before + block_error.line_no, block_error.message)
             error = block_error
+            lines_before += lines
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = None  # the worker's block, which comes before the caller's
@@ -697,13 +697,10 @@ def _read_rows(
                 got = line.decode("utf-8").split(",") if line else []
             if got != header or error is not None:
                 continue  # the rest of the file is only checked for UTF-8
-            first_line = lines_before + 1
             if pending is None:
-                lines_before += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8)[body:size] == _NL))
-                pending = worker.submit(parse, data, size, body, first_line)
+                pending = worker.submit(parse, data, size, body)
             else:
-                mine = parse(data, size, body, first_line)
-                lines_before += mine[2]
+                mine = parse(data, size, body)
                 take(pending.result())
                 take(mine)
                 pending = None
@@ -724,9 +721,9 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     The file is read by ``_read_rows``, which names the first bad line by the
     first check it fails and parses two blocks at a time. Only the window
     start and value of each row are kept, with one (cell, metric) key per run
-    of rows of one key; the keys are numbered here, in file order, once the
-    blocks are read. Rows that are already in order, key rank never decreasing
-    and window_start strictly increasing within each key (as
+    of rows of one key; the keys are numbered here once the blocks are read,
+    each by its rank in sorted order. Rows that are already in order, key rank
+    never decreasing and window_start strictly increasing within each key (as
     ``write_metric_csv`` writes them), are taken as they are; other files are
     sorted. A duplicate (cell, metric, window_start) before the first bad line
     raises DuplicatePoint, naming the first in file order, in place of that
@@ -747,14 +744,11 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
 
     (key_parts, len_parts, ws_parts, value_parts), error = _read_rows(path, METRIC_HEADER, columns)
 
-    key_ids: dict[tuple[str, str], int] = {}
-    run_key = [key_ids.setdefault(key, len(key_ids)) for part in key_parts for key in part]
-    keys = list(key_ids)
+    run_key = [key for part in key_parts for key in part]
+    keys = sorted(set(run_key))
+    rank_of_key = {key: rank for rank, key in enumerate(keys)}
+    run_rank = np.array([rank_of_key[key] for key in run_key], dtype=np.int64)
     window_of_key = np.array([catalog[m].window_len for _, m in keys], dtype=np.int64)
-    key_of_rank = sorted(range(len(keys)), key=keys.__getitem__)
-    rank_of_key = np.empty(len(keys), dtype=np.int64)
-    rank_of_key[key_of_rank] = np.arange(len(keys))
-    run_rank = rank_of_key[np.array(run_key, dtype=np.int64)]
     run_len = _join(len_parts)
     run_start = np.cumsum(run_len) - run_len
     ws = _join(ws_parts)
@@ -765,7 +759,7 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
     if (np.diff(run_rank) >= 0).all() and rising.all():
         values = _join(value_parts)
         seg = run_start[key_runs]
-        seg_rank = run_rank[key_runs]
+        seg_key = run_rank[key_runs]
     else:
         # Stable sort by (key rank, window_start); equal neighbours are duplicates.
         # Columns are reordered one at a time to bound the peak memory.
@@ -777,20 +771,19 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
         dup = np.flatnonzero((rank[1:] == rank[:-1]) & (ws[1:] == ws[:-1])) + 1
         if len(dup):
             at = dup[np.argmin(order[dup])]  # the duplicate that comes first in the file
-            cell_id, metric_name = keys[key_of_rank[rank[at]]]
+            cell_id, metric_name = keys[rank[at]]
             raise DuplicatePoint((cell_id, metric_name, int(ws[at])))
         seg = np.flatnonzero(np.diff(rank, prepend=-1))
-        seg_rank = rank[seg]
+        seg_key = rank[seg]
     if error is not None:
         raise error
 
     # Grid-fill each key from its first to its last window.
-    seg_key = [key_of_rank[r] for r in seg_rank.tolist()]
     seg_len = np.diff(seg, append=n)
     seg_window = window_of_key[seg_key]
     seg_first = ws[seg]
     grid_len = (ws[seg + seg_len - 1] - seg_first) // seg_window + 1
-    _check_grid_fill([keys[k] for k in seg_key], (grid_len - seg_len).tolist())
+    _check_grid_fill([keys[k] for k in seg_key.tolist()], (grid_len - seg_len).tolist())
     grid_end = np.cumsum(grid_len)
     grid_start = grid_end - grid_len
     total = int(grid_end[-1]) if len(seg) else 0
@@ -805,7 +798,7 @@ def parse_metric_csv(path: str | Path, kind: MetricKind, catalog: Catalog) -> li
         ws = seg_first[slot_seg] + offset * seg_window[slot_seg]
 
     out: list[MetricSeries] = []
-    for k, lo, hi in zip(seg_key, grid_start.tolist(), grid_end.tolist()):
+    for k, lo, hi in zip(seg_key.tolist(), grid_start.tolist(), grid_end.tolist()):
         cell_id, metric_name = keys[k]
         info = catalog[metric_name]
         out.append(

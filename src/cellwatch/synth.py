@@ -147,8 +147,8 @@ class ScenarioSpec:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.n_cells < 1:
             raise InvalidSpec("n_cells must be >= 1")
-        if not 0 < self.days < math.inf or self.window_len <= 0:
-            raise InvalidSpec("days must be finite and > 0, and window_len > 0")
+        if not 0 < self.days * 86400 < math.inf or self.window_len <= 0:
+            raise InvalidSpec("days must be finite and > 0, also in seconds, and window_len > 0")
         points = self.n_cells * self.n_windows
         if points > MAX_SPEC_POINTS:
             raise InvalidSpec(
@@ -355,7 +355,8 @@ def _materialize_plan(spec: ScenarioSpec) -> list[tuple[PlantedAnomaly, CauseSpe
         attempts = 0
         while len(placed) < plan.count:
             attempts += 1
-            if attempts > plan.count * 50:
+            # a (cell, KQI) pair holds one anomaly at most: once all hold one, no draw can place another
+            if attempts > plan.count * 50 or len(placed) == len(cells) * len(kqis):
                 raise InvalidSpec("could not place the requested anomaly count")
             cell = cells[int(rng.integers(0, len(cells)))]
             # cycle KQIs so per-cause support counts stay balanced at desk scale

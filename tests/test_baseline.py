@@ -32,6 +32,7 @@ from cellwatch.fogsim import compare_models
 from cellwatch.ingest import MetricKind, Polarity
 
 from helpers import (
+    ZERO_MAD_FALSE_ALARMS,
     HistogramSketch,
     exact_median_mad,
     exact_robust_score,
@@ -863,3 +864,13 @@ def test_hour_bucket_wraps_days():
     assert hour_bucket(3600) == 1
     assert hour_bucket(25 * 3600) == 1
     assert hour_bucket(86400 * 3 + 7200) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_MAD_FALSE_ALARMS)
+def test_a_constant_key_scores_below_1_against_its_own_fit():
+    # The sketch's median misses a constant by an ulp, and the zero MAD's scale turns that into a score.
+    constants = np.random.default_rng(9).uniform(-1e9, 1e9, 400)
+    series = [make_series([c] * 30, cell_id=f"c{i:03d}", window_len=3600) for i, c in enumerate(constants)]
+    model = fit_baseline(series, CFG)
+    worst = np.array([score_series(model, s).score.max() for s in series])
+    assert (worst < 1).all(), f"{np.count_nonzero(worst >= 1)} of 400 constants score 1 or more, up to {worst.max()}"

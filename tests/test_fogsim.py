@@ -6,6 +6,7 @@ import re
 import pytest
 
 from cellwatch.errors import InvalidTopology, SchemaMismatch, UnassignedCell
+from cellwatch.cleaning import after_training
 from cellwatch.ingest import aggregate_cdr
 from cellwatch.fogsim import (
     RecordSizes,
@@ -19,9 +20,17 @@ from cellwatch.fogsim import (
     default_topology_doc,
     simulate,
 )
-from cellwatch import synth
+from cellwatch import fogsim, synth
 
-from helpers import cells_of, nodes_of, random_fog_case, sparse_traffic_scenario, tiny_scenario
+from helpers import (
+    ZERO_MAD_FALSE_ALARMS,
+    cells_of,
+    covered_fraction,
+    nodes_of,
+    random_fog_case,
+    sparse_traffic_scenario,
+    tiny_scenario,
+)
 
 
 def minimal_topology_doc():
@@ -319,3 +328,27 @@ def test_default_topology_doc_is_valid():
     topo = build_topology(default_topology_doc())
     assert len(nodes_of(topo, Tier.FOG)) == 2
     assert len(topo.cell_assignment) == 8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ZERO_MAD_FALSE_ALARMS)
+@pytest.mark.parametrize("seed", [1, 424242])
+def test_low_drop_rate_stays_under_the_false_alarm_floor(monkeypatch, seed):
+    # The stock scenario's knobs with the default drop probability and nothing planted:
+    # most drop_rate hour keys train on zeros only, and one dropped call scores far above tau.
+    scenario = default_scenario(seed)
+    scenario.spec = synth.default_spec(
+        n_cells=8, days=6.0, window_len=900, seed=seed, anomaly_count=0, magnitude=10.0
+    )
+    scenario.spec.cdr = synth.CdrTraffic(calls_per_window=24.0, drop_prob=0.02)
+    seen = {}
+    detect = fogsim._detect
+
+    def detected(model, prepared, scenario):
+        seen["events"] = detect(model, prepared, scenario)
+        seen["windows"] = sum(len(s.values) for s in after_training(prepared.kqi_series, model.trained_through))
+        return seen["events"]
+
+    monkeypatch.setattr(fogsim, "_detect", detected)
+    simulate(default_topology(), Strategy.CENTRALIZED, scenario)
+    fraction = covered_fraction(seen["events"], seen["windows"], 900)
+    assert fraction <= 0.001, f"{len(seen['events'])} events cover {fraction:.3%} of {seen['windows']} windows"

@@ -763,12 +763,12 @@ class TestTwoThreads:
 
         def columns(data, rows):
             threads.append(threading.get_ident())
-            return (rows.first_line + rows.line,)
+            return (ingest._window_starts(np.frombuffer(data, dtype=np.uint8), rows, 2, "window_start", 300),)
 
-        (lines,), error = ingest._read_rows(p, ingest.METRIC_HEADER, WorkerLast(columns))
+        (window_starts,), error = ingest._read_rows(p, ingest.METRIC_HEADER, WorkerLast(columns))
         assert error is None
         assert len(threads) == 4 and len(set(threads)) == 2
-        assert np.concatenate(lines).tolist() == list(range(2, 15))
+        assert np.concatenate(window_starts).tolist() == [300 * w for w in range(13)]
         assert threading.active_count() == threads_at_start
 
     def test_cdr_columns_come_back_in_file_order(self, tmp_path, monkeypatch, threads_at_start):
@@ -787,10 +787,97 @@ def test_key_runs_name_their_keys_for_the_caller_to_number(tmp_path, catalog):
     p = tmp_path / "m.csv"
     p.write_bytes(TestTwoThreads.HEADER + b"c1,rtt,0,1\nc2,rtt,0,1\nc1,rtt,300,1\n")
     data, size = next(ingest._blocks(p))
-    rows = ingest._locate_rows(data, size, ingest._LEAD + len(TestTwoThreads.HEADER), 2, 4)
+    rows = ingest._locate_rows(data, size, ingest._LEAD + len(TestTwoThreads.HEADER), 4)
     keys, windows, lengths = ingest._key_runs(data, rows, MetricKind.KPI, catalog)
     assert keys == [("c1", "rtt"), ("c2", "rtt"), ("c1", "rtt")]
     assert windows.tolist() == [300] * 3 and lengths.tolist() == [1] * 3
+
+
+@pytest.mark.parametrize("block_size", [7, 40, ingest.BLOCK_SIZE])  # the size that ships, read before any patch
+class TestBlocksParseOnTheirOwn:
+    """A block's parse reads only its own bytes; its lines and keys are numbered where the blocks are joined.
+
+    Each file parses at ``block_size`` as it parses in one block. The worker
+    parses blocks 0, 2, 4, ... and the caller the blocks in between.
+    """
+
+    HEADER = b"cell_id,metric_name,window_start,value\n"
+
+    @staticmethod
+    def parse_in_blocks(path, catalog, block_size):
+        """parse_outcome at block_size, and (content, parsed by the worker) of each parsed block in file order."""
+        buffers, blocks = [], {}
+        read, locate = ingest._blocks, ingest._locate_rows
+
+        def numbered(path):
+            for data, size in read(path):
+                buffers.append(data)
+                yield data, size
+
+        def located(data, size, body, fields):
+            at = next(i for i, buffer in enumerate(buffers) if buffer is data)
+            blocks[at] = (bytes(data[body:size]), in_worker())
+            return locate(data, size, body, fields)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_blocks", numbered)
+            mp.setattr(ingest, "_locate_rows", located)
+            outcome = parse_outcome(path, catalog, block_size)
+        return outcome, [blocks[at] for at in sorted(blocks)]
+
+    def parse_both_ways(self, tmp_path, catalog, block_size, text):
+        """The outcome and blocks at block_size, after checking the outcome against a one-block parse."""
+        p = tmp_path / "m.csv"
+        p.write_bytes(text)
+        one_block, blocks = self.parse_in_blocks(p, catalog, len(text))
+        assert len(blocks) == 1
+        outcome, blocks = self.parse_in_blocks(p, catalog, block_size)
+        assert outcome == one_block
+        return outcome, blocks
+
+    @staticmethod
+    def block_of(blocks, line):
+        """The index of the block that holds ``line``, and whether the worker parsed it."""
+        (at,) = [i for i, (content, _) in enumerate(blocks) if line in content]
+        return at, blocks[at][1]
+
+    def test_bad_line_in_a_worker_block_is_numbered_as_in_one_block(self, tmp_path, catalog, block_size):
+        row = b"c1,rtt,%d,1.5\n"
+        earlier = row % 0 + b"\n" + (row % 300).replace(b"\n", b"\r\n") + b"\r\n\n" + row % 600 + row % 900
+        bad = b"c1,rtt,1950,1.5\n"
+        outcome, blocks = self.parse_both_ways(
+            tmp_path, catalog, block_size, self.HEADER + earlier + bad + row % 2100 + row % 2400
+        )
+        assert outcome == (MalformedRow, 9, "line 9: window_start 1950 not aligned to window_len 300")
+        assert self.block_of(blocks, bad)[1], "the bad line is not in a block the worker parses"
+
+    def test_unknown_metric_in_the_worker_block_outranks_a_bad_row_in_the_caller_block(
+        self, tmp_path, catalog, block_size
+    ):
+        unknown, bad = b"c1,xyz,0,1.5\n", b"c2,rtt,7,1.5\n"
+        # the long value and the CR LF blank line put the two lines in a pair of blocks at each size
+        earlier = b"c1,rtt,0,1.5\nc1,rtt,300,1.5\nc1,rtt,600,1.555555555555\n"
+        text = self.HEADER + earlier + unknown + b"\r\n" + bad + b"c1,rtt,9000,1.5\n"
+        outcome, blocks = self.parse_both_ways(tmp_path, catalog, block_size, text)
+        assert outcome == (UnknownMetric, None, "metric 'xyz' not present in the catalog")
+        (at, by_worker), (bad_at, _) = self.block_of(blocks, unknown), self.block_of(blocks, bad)
+        assert by_worker and bad_at == at + (len(blocks) > 1), "the two lines are not in a worker block and the next"
+
+    @pytest.mark.parametrize("repeat, expected", [(b"", None), (b"c2,rtt,300,9\n", ("c2", "rtt", 300))])
+    def test_falling_keys_split_over_blocks_are_ranked_once(self, tmp_path, catalog, block_size, repeat, expected):
+        keys = ((b"c3", 2), (b"c2", 4), (b"c1", 2))  # falling, with c2's rows over two blocks
+        rows = [b"%s,rtt,%d,%d\n" % (cell, 300 * w, w) for cell, n in keys for w in range(n)]
+        outcome, blocks = self.parse_both_ways(tmp_path, catalog, block_size, self.HEADER + b"".join(rows) + repeat)
+        if len(blocks) > 1:
+            assert len([content for content, _ in blocks if b"c2," in content]) >= 2, "c2 is not split over blocks"
+        if expected is None:
+            assert [(s.cell_id, s.points) for s in outcome] == [
+                ("c1", [(0, 0.0), (300, 1.0)]),
+                ("c2", [(0, 0.0), (300, 1.0), (600, 2.0), (900, 3.0)]),
+                ("c3", [(0, 0.0), (300, 1.0)]),
+            ]
+        else:
+            assert outcome == (DuplicatePoint, None, f"duplicate point for {expected}")
 
 
 # Rows for generated files: good rows over three cells (one not ASCII), two
