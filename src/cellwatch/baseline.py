@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
+from .errors import IncompatibleSketch, SchemaMismatch, UnknownKey
 from .ingest import Catalog, MetricKind, MetricSeries, Polarity, _horner, _tails
 from .jsondoc import decode, encode, read
 
@@ -185,10 +185,11 @@ def fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineMode
     present value gets its key row from one (pair, hour) code, its bin index
     ``int((value - lo) / bin_width)``, clipped to the last bin for a value
     equal to ``hi``, and one ``np.bincount`` per chunk counts the (row, bin)
-    pairs. The keys seen, in key order, are the model's table.
+    pairs. The keys seen, in key order, are the model's table. No series
+    give the empty model, the identity of ``merge_baselines``.
     """
     if not train:
-        raise EmptyTraining("no training series given")
+        return BaselineModel.empty(cfg)
 
     metric_meta: dict[str, tuple[MetricKind, Polarity]] = {}
     per_pair: dict[tuple[str, str], list[MetricSeries]] = {}

@@ -56,6 +56,7 @@ from .fogsim import (
     simulate,
 )
 from .ingest import (
+    CDR_DERIVED_METRICS,
     Catalog,
     MetricKind,
     MetricSeries,
@@ -149,19 +150,28 @@ def _read_jsonl(path: str | Path) -> list[tuple[str, dict]]:
 
 
 def _load_all_series(args: argparse.Namespace, catalog: Catalog, kind: MetricKind) -> list[MetricSeries]:
-    """Parse the requested metric file plus CDR-derived series when given."""
+    """The requested metric file's series plus the CDR-derived ones when given; each (cell, metric) from one input."""
     series: list[MetricSeries] = []
     path = getattr(args, kind.value.lower(), None)
     if path:
         series.extend(parse_metric_csv(path, kind, catalog))
     if kind == MetricKind.KQI and getattr(args, "cdr", None):
-        derived_entry = catalog.get("call_attempts")
-        if derived_entry is None:
+        window_len = catalog["call_attempts"].window_len if "call_attempts" in catalog else 0
+        for name, polarity in CDR_DERIVED_METRICS.items():
+            info = catalog.get(name)
+            if info is None or (info.kind, info.polarity, info.window_len) != (MetricKind.KQI, polarity, window_len):
+                raise CellwatchError(
+                    "catalog must declare the CDR-derived metrics (call_attempts, drop_rate, mean_duration) when"
+                    f" --cdr is used: {name} as a KQI of polarity {polarity.value} with call_attempts' window length"
+                )
+        derived = aggregate_cdr(parse_cdr(args.cdr), window_len)
+        both = {(s.cell_id, s.metric_name) for s in series} & {(s.cell_id, s.metric_name) for s in derived}
+        if both:
+            cell, metric = min(both)
             raise CellwatchError(
-                "catalog must declare the CDR-derived metrics "
-                "(call_attempts, drop_rate, mean_duration) when --cdr is used"
+                f"{cell}/{metric} is in both --kqi {path} and --cdr {args.cdr}; give each pair one source"
             )
-        series.extend(aggregate_cdr(parse_cdr(args.cdr), derived_entry.window_len))
+        series.extend(derived)
     series.sort(key=lambda s: (s.cell_id, s.metric_name))
     return series
 

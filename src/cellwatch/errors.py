@@ -75,10 +75,6 @@ class TooFewPoints(CellwatchError):
     """A series does not carry enough usable points for the operation."""
 
 
-class EmptyTraining(CellwatchError):
-    """No training series were supplied."""
-
-
 class UnknownKey(CellwatchError):
     """(cell, metric, hour) was never seen during training."""
 

@@ -6,9 +6,9 @@ two placement facts, and every cost follows from them:
 
 * Training runs at the cloud, or at the fog (FOG). At the cloud, edges
   relay raw records edge -> fog -> cloud for one fit. At the fog, edges
-  aggregate CDR and ship training rows to their fog node only; fog nodes
-  fit partition models (``summary_upload``) and count their edges'
-  itemsets (``counts_upload``), and the cloud merges both.
+  aggregate CDR and ship training rows to their fog node only; each fog node
+  fits its cells' series (``summary_upload``) and counts their itemsets
+  (``counts_upload``), an empty partition included, and the cloud merges both.
 * Inference runs at the cloud (CENTRALIZED), or at the edge. At the cloud,
   whole series ship up (``data_upload``), alerts ship down
   (``alert_downlink``) and an event waits for both. At the edge, only the
@@ -30,6 +30,7 @@ models and rule databases to CENTRALIZED on every scenario.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -41,7 +42,6 @@ from .errors import InvalidTopology, UnassignedCell
 from .fingerprints import (
     FingerprintDb,
     MineConfig,
-    Transaction,
     build_transactions,
     empty_db,
     itemset_count_tables,
@@ -88,11 +88,6 @@ class FogTopology:
     @property
     def cloud_id(self) -> str:
         return next(n for n, t in self.tiers.items() if t == Tier.CLOUD)
-
-    def edges_of(self, fog: str) -> list[str]:
-        return sorted(
-            n for n, t in self.tiers.items() if t == Tier.EDGE and self.parents[n] == fog
-        )
 
 
 @dataclass(frozen=True)
@@ -319,6 +314,7 @@ def simulate(
         cells_by_edge.setdefault(edge_of(cell), []).append(cell)
     active_edges = sorted(cells_by_edge)
     active_fogs = sorted({fog_of(e) for e in active_edges})
+    fog_of_cell = {cell: fog_of(edge_of(cell)) for cell in cells}  # partitions series and transactions alike
 
     def up(phase: str, edge: str, n_bytes: int) -> None:
         """Ship from an edge to where training runs: its fog node, or on to the cloud."""
@@ -328,22 +324,19 @@ def simulate(
             acct.add(phase, fog, cloud, up=n_bytes)
 
     # --- training + model placement -------------------------------------
-    model = BaselineModel.empty(prepared.detector_cfg)
-    partials_by_fog: dict[str, BaselineModel] = {}
-    if train_at_fog:
+    partials: dict[str, BaselineModel] = {}
+    if train_at_fog:  # each fog node fits its cells' series; the cloud merges the partial models
         for fog in active_fogs:
-            partition = [s for s in prepared.train_clean if fog_of(edge_of(s.cell_id)) == fog]
-            if partition:
-                partials_by_fog[fog] = fit_baseline(partition, prepared.detector_cfg)
-        if partials_by_fog:
-            model = merge_baselines(list(partials_by_fog.values()))
-    elif prepared.train_clean:
+            partition = [s for s in prepared.train_clean if fog_of_cell[s.cell_id] == fog]
+            partials[fog] = fit_baseline(partition, prepared.detector_cfg)
+        model = merge_baselines(list(partials.values()))
+    else:
         model = fit_baseline(prepared.train_clean, prepared.detector_cfg)
 
     phase = "train_upload" if infer_at_edge else "data_upload"
     for edge in active_edges:
         up(phase, edge, sum(prepared.upload_bytes[c] for c in cells_by_edge[edge]))
-    for fog, partial in partials_by_fog.items():
+    for fog, partial in partials.items():
         acct.add("summary_upload", fog, cloud, up=_model_bytes(partial))
     if infer_at_edge:
         model_bytes = _model_bytes(model)
@@ -356,30 +349,25 @@ def simulate(
     events = _detect(model, prepared, scenario)
     transactions = build_transactions(events, prepared.kpi_series, model, scenario.z_symptom)
 
-    tx_by_edge: dict[str, list[Transaction]] = {e: [] for e in active_edges}
-    for t in transactions:
-        tx_by_edge[edge_of(t.key[0])].append(t)
     if infer_at_edge:
+        per_edge = Counter(edge_of(t.key[0]) for t in transactions)
         for edge in active_edges:
-            up("transaction_upload", edge, len(tx_by_edge[edge]) * sizes.transaction_bytes)
+            up("transaction_upload", edge, per_edge[edge] * sizes.transaction_bytes)
 
-    if train_at_fog:  # each fog node counts its edges' itemsets; the cloud mines the merged counts
+    if train_at_fog:  # each fog node counts its cells' itemsets; the cloud mines the merged counts
         tables = []
         for fog in active_fogs:
-            fog_tx = [t for edge in topology.edges_of(fog) for t in tx_by_edge.get(edge, [])]
+            fog_tx = [t for t in transactions if fog_of_cell[t.key[0]] == fog]
             table = itemset_count_tables(fog_tx, scenario.mine_cfg.max_antecedent)
             tables.append(table)
             if table.total:
                 payload = json.dumps(table.to_json_dict(), sort_keys=True).encode("utf-8")
                 acct.add("counts_upload", fog, cloud, up=len(payload))
-        merged = merge_count_tables(tables)
-        rules = mine_from_counts(merged, scenario.mine_cfg)
-        total = merged.total
+        rules = mine_from_counts(merge_count_tables(tables), scenario.mine_cfg)
     else:
         rules = mine_rare_rules(transactions, scenario.mine_cfg)
-        total = len(transactions)
     built_at = max((t.key[1] for t in transactions), default=0)
-    db = update_db(empty_db(), rules, built_at=built_at, transaction_total=total)
+    db = update_db(empty_db(), rules, built_at=built_at, transaction_total=len(transactions))
 
     # --- alerts + per-event response latency ------------------------------
     latencies = [0.0] * len(events)  # inference at the edge: no link time on the event path

@@ -125,21 +125,13 @@ class ScenarioSpec:
             # ranges track baseline variation; sketch bins must resolve the
             # per-window noise scale or MAD estimates collapse to zero
             lam = max(1.0, self.cdr.calls_per_window)
-            cat["call_attempts"] = MetricInfo(
-                MetricKind.KQI,
-                CDR_DERIVED_METRICS["call_attempts"],
-                self.window_len,
-                (0.0, float(math.ceil(lam + 8.0 * math.sqrt(lam)))),
-            )
-            cat["drop_rate"] = MetricInfo(
-                MetricKind.KQI, CDR_DERIVED_METRICS["drop_rate"], self.window_len, (0.0, 1.0)
-            )
-            cat["mean_duration"] = MetricInfo(
-                MetricKind.KQI,
-                CDR_DERIVED_METRICS["mean_duration"],
-                self.window_len,
-                (0.0, self.cdr.duration_mean * (1.0 + 10.0 / math.sqrt(lam))),
-            )
+            ranges = {
+                "call_attempts": (0.0, float(math.ceil(lam + 8.0 * math.sqrt(lam)))),
+                "drop_rate": (0.0, 1.0),
+                "mean_duration": (0.0, self.cdr.duration_mean * (1.0 + 10.0 / math.sqrt(lam))),
+            }
+            for name, polarity in CDR_DERIVED_METRICS.items():
+                cat[name] = MetricInfo(MetricKind.KQI, polarity, self.window_len, ranges[name])
         return cat
 
     def validate(self) -> None:
@@ -175,6 +167,8 @@ class ScenarioSpec:
         if not 0 < self.cdr.duration_mean < math.inf:
             raise InvalidSpec("cdr.duration_mean must be finite and > 0")
         for name, m in self.metrics.items():
+            if self.cdr.calls_per_window > 0 and name in CDR_DERIVED_METRICS:
+                raise InvalidSpec(f"metric {name!r}: the CDR traffic derives it, so the spec cannot declare it too")
             if m.sigma <= 0:
                 raise InvalidSpec(f"metric {name!r}: sigma must be > 0")
             if not m.value_range[0] < m.value_range[1]:

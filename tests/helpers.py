@@ -56,7 +56,7 @@ from cellwatch.baseline import (
     hour_bucket,
 )
 from cellwatch.cleaning import CleanConfig, CleanDetail, CleanReport
-from cellwatch.errors import CellwatchError, EmptyTraining, MalformedRow, SchemaMismatch, TooFewPoints, UnknownMetric
+from cellwatch.errors import CellwatchError, MalformedRow, SchemaMismatch, TooFewPoints, UnknownMetric
 from cellwatch.fingerprints import FingerprintDb, MineConfig, SymptomItem, SymptomState, Transaction, _tokens
 from cellwatch.fogsim import FogTopology, Scenario, Tier, build_topology, default_scenario
 from cellwatch.ingest import Catalog, CdrCalls, MetricKind, MetricSeries, Polarity
@@ -252,7 +252,7 @@ def tailed(span: MetricSeries) -> MetricSeries:
 def oracle_fit_baseline(train: list[MetricSeries], cfg: DetectorConfig) -> BaselineModel:
     """``baseline.fit_baseline`` one (cell, metric) pair at a time, with an ``np.unique`` and a ``bincount`` each."""
     if not train:
-        raise EmptyTraining("no training series given")
+        return BaselineModel.empty(cfg)
     metric_meta, per_pair = {}, {}
     for series in train:
         meta = (series.kind, series.polarity)

@@ -26,7 +26,7 @@ from cellwatch.baseline import (
     save_model,
     score_series,
 )
-from cellwatch.errors import EmptyTraining, IncompatibleSketch, SchemaMismatch, UnknownKey
+from cellwatch.errors import IncompatibleSketch, SchemaMismatch, UnknownKey
 from cellwatch.jsondoc import MalformedJson
 from cellwatch.fogsim import compare_models
 from cellwatch.ingest import MetricKind, Polarity
@@ -135,9 +135,11 @@ class TestFitBaseline:
         assert abs(est_med - 3.0) <= w
         assert abs(est_mad - 1.0) <= w
 
-    def test_empty_training_rejected(self):
-        with pytest.raises(EmptyTraining):
-            fit_baseline([], CFG)
+    def test_no_series_give_the_empty_model_the_merge_identity(self):
+        empty = fit_baseline([], CFG)
+        assert empty == BaselineModel.empty(CFG) == oracle_fit_baseline([], CFG)
+        model = fit_one([1.0, 2.0, 3.0], window_len=300)
+        assert merge_baselines([model, empty]) == model == merge_baselines([empty, model])
 
     def test_fixed_bounds_are_used(self):
         cfg = DetectorConfig(bin_count=16, tau=5.0, min_samples=1, bounds={"m1": (0.0, 100.0)})

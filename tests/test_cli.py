@@ -698,6 +698,62 @@ def test_cdr_defaults_stay_under_the_false_alarm_floor(tmp_path, monkeypatch):
     assert fraction <= 0.001, f"{len(found)} events cover {fraction:.3%} of {sum(scored)} windows"
 
 
+@pytest.fixture(scope="module")
+def cdr_data(tmp_path_factory):
+    """gen's files for 6 cells of CDR traffic at 4 calls per window, nothing planted."""
+    root = tmp_path_factory.mktemp("cdr")
+    spec = synth.default_spec(n_cells=6, days=6.0, window_len=300, seed=5, anomaly_count=0)
+    spec.cdr = synth.CdrTraffic(calls_per_window=4.0)
+    synth.save_spec(spec, root / "spec.json")
+    assert main(["gen", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+def test_a_pair_from_both_kqi_and_cdr_is_refused(cdr_data, tmp_path, caplog):
+    # A KQI CSV that also holds the calls' aggregates gives each derived pair two series:
+    # train would count every one of their points twice, and detect would repeat events.
+    kqi, cdr, catalog = (cdr_data / name for name in ("kqi.csv", "cdr.csv", "catalog.json"))
+    generated = ingest.parse_metric_csv(kqi, ingest.MetricKind.KQI, ingest.load_catalog(catalog))
+    doubled = tmp_path / "kqi.csv"
+    ingest.write_metric_csv(generated + ingest.aggregate_cdr(ingest.parse_cdr(cdr), 300), doubled)
+    model = str(tmp_path / "model.json")
+    common = ["--cdr", str(cdr), "--catalog", str(catalog)]
+    assert main(["train", "--kqi", str(kqi), "--out", model, *common]) == 0
+    message = f"error: cell-000/call_attempts is in both --kqi {doubled} and --cdr {cdr}"
+    for command in (["train", "--out", str(tmp_path / "doubled.json")],
+                    ["detect", "--model", model, "--out", str(tmp_path / "events.jsonl")]):
+        caplog.clear()
+        assert main([*command, "--kqi", str(doubled), *common]) == 1
+        assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"drop_rate": None, "mean_duration": None}, "drop_rate as a KQI of polarity HIGHER_IS_WORSE"),
+        ({"drop_rate": {"polarity": "LOWER_IS_WORSE"}}, "drop_rate as a KQI of polarity HIGHER_IS_WORSE"),
+        ({"mean_duration": {"kind": "KPI"}}, "mean_duration as a KQI of polarity LOWER_IS_WORSE"),
+        ({"call_attempts": {"window_len_seconds": 600}}, "drop_rate as a KQI"),
+    ],
+    ids=["derived_entries_missing", "drop_rate_polarity", "mean_duration_kind", "call_attempts_window_len"],
+)
+def test_cdr_needs_each_derived_metric_in_the_catalog(cdr_data, tmp_path, caplog, edit, named):
+    doc = json.loads((cdr_data / "catalog.json").read_text())
+    for name, change in edit.items():
+        if change is None:
+            del doc[name]
+        else:
+            doc[name].update(change)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    caplog.clear()
+    rc = main(["train", "--kqi", str(cdr_data / "kqi.csv"), "--cdr", str(cdr_data / "cdr.csv"),
+               "--catalog", str(catalog), "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    prefix = "error: catalog must declare the CDR-derived metrics (call_attempts, drop_rate, mean_duration)"
+    assert f"{prefix} when --cdr is used: {named}" in caplog.text
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     spec = synth.default_spec(n_cells=2, days=1.0, window_len=1800, seed=6, anomaly_count=0)
     spec_path = tmp_path / "spec.json"

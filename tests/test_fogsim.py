@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from cellwatch.errors import InvalidTopology, SchemaMismatch, UnassignedCell
+from cellwatch.errors import InvalidSpec, InvalidTopology, SchemaMismatch, UnassignedCell
 from cellwatch.cleaning import after_training
-from cellwatch.ingest import aggregate_cdr
+from cellwatch.ingest import MetricKind, Polarity, aggregate_cdr
 from cellwatch.fogsim import (
     RecordSizes,
     Strategy,
@@ -322,6 +322,18 @@ class TestSimulate:
         ]:
             report, _, _ = simulate(topo, strategy, scenario)
             assert report.model_location == locations, strategy
+
+    def test_a_kqi_the_cdr_traffic_also_derives_is_refused(self):
+        # The spec's drop_rate and the calls' would pool two series per cell into each hour key,
+        # binned in the CDR entry's range (0, 1) that replaced the spec's (0, 100).
+        scenario = default_scenario(1)
+        scenario.spec.days = 3.0
+        scenario.spec.metrics["drop_rate"] = synth.MetricSpec(
+            MetricKind.KQI, Polarity.HIGHER_IS_WORSE, 2.0, 0.5, 0.3, (0.0, 100.0)
+        )
+        for strategy in Strategy:
+            with pytest.raises(InvalidSpec, match="metric 'drop_rate': the CDR traffic derives it"):
+                simulate(default_topology(), strategy, scenario)
 
 
 def test_default_topology_doc_is_valid():

@@ -10,6 +10,7 @@ from cellwatch import synth
 from cellwatch.baseline import Direction, hour_bucket
 from cellwatch.errors import InvalidSpec
 from cellwatch.fogsim import default_scenario
+from cellwatch.ingest import MetricKind, Polarity, save_catalog
 from cellwatch.jsondoc import decode, encode
 from cellwatch.postfilter import AnomalyEvent
 from cellwatch.synth import (
@@ -17,6 +18,7 @@ from cellwatch.synth import (
     CdrTraffic,
     DiagnosisOutcome,
     GroundTruth,
+    MetricSpec,
     PlantedAnomaly,
     ScenarioSpec,
     default_spec,
@@ -193,6 +195,16 @@ class TestGenerate:
         with pytest.raises(InvalidSpec, match=message):
             generate_series(spec)
 
+    @pytest.mark.parametrize("name", ["call_attempts", "drop_rate", "mean_duration"])
+    def test_validation_rejects_a_metric_the_cdr_traffic_derives(self, name):
+        # catalog() would replace the spec's entry with the CDR one, and each (cell, name) would get two series
+        spec = small_spec()
+        spec.metrics[name] = MetricSpec(MetricKind.KQI, Polarity.HIGHER_IS_WORSE, 2.0, 0.5, 0.3, (0.0, 100.0))
+        with pytest.raises(InvalidSpec, match=f"metric '{name}': the CDR traffic derives it"):
+            generate_series(spec)
+        spec.cdr = CdrTraffic(calls_per_window=0.0)  # without CDR traffic the name is the spec's own
+        assert name in generate_series(spec)[3]
+
     def test_spec_json_round_trip(self, tmp_path):
         spec = small_spec()
         path = tmp_path / "spec.json"
@@ -232,6 +244,15 @@ class TestGenerate:
             "labels": "792b039051414b82795a8d0e3cff4a5aa03a14c191e385d7e09c0d5065a7ca60",
             "catalog": "94dc933508e375d42f71ae57c04070c5d80480f0cd3da65707766b2d3feabb5c",
         }
+
+
+    def test_cdr_catalog_is_pinned(self, tmp_path):
+        # default_spec(seed=1) has no CDR traffic; the fog scenario's catalog holds the CDR-derived entries
+        path = tmp_path / "catalog.json"
+        save_catalog(default_scenario(1).spec.catalog(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fa56a43e4fda929a28124ad207dc570b2f8219ac57e402dc2e58fcbbc9675b9f"
+        )
 
 
 class TestEvaluate:
